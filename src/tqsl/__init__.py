@@ -9,6 +9,7 @@ sweeps for random Hamiltonians and a small interacting spin chain.
 from .bounds import (
     BOUND_CSV_HEADER,
     BoundReport,
+    BoundSeries,
     OptimizerConfig,
     QuadratureInfo,
     bound_series,

@@ -9,11 +9,12 @@ denominator for mixed ones), so integrating it yields time units.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Trajectory, sample_trajectory
+from .dynamics import STACK_BLOCK, Trajectory, frobenius_inner, sample_trajectory
 from .ensembles import random_basis
 from .errors import (
     BoundViolation,
@@ -37,7 +38,6 @@ from .states import (
     purity,
     variance,
 )
-from .uncertainty import correction_k_mixed
 
 DEFAULT_STEPS = 400
 ZERO_SPREAD_TOL = 1e-12
@@ -107,18 +107,88 @@ class BoundReport:
         }
 
     def csv_row(self) -> str:
-        cells = [
-            f"{x:.12g}"
-            for x in (
-                self.tau_actual,
-                self.tau_mt,
-                self.tau_tqsl,
-                self.delta,
-                self.quadrature.estimated_error,
+        return _csv_row(
+            self.tau_actual,
+            self.tau_mt,
+            self.tau_tqsl,
+            self.delta,
+            self.quadrature.estimated_error,
+            self.validity,
+        )
+
+
+def _csv_row(t, tau_mt, tau_tqsl, delta, quad_error, validity) -> str:
+    """One BOUND_CSV_HEADER row: 12 significant digits, lowercase flag."""
+    flag = "true" if validity else "false"
+    return f"{t:.12g},{tau_mt:.12g},{tau_tqsl:.12g},{delta:.12g},{quad_error:.12g},{flag}"
+
+
+@dataclass(frozen=True, eq=False)
+class BoundSeries(Sequence):
+    """bound_series result: one read-only column per report field, in grid
+    order, sharing one basis_id and quadrature step.
+
+    The BoundReport invariants are checked here once, on whole columns.
+    Indexing and iteration build BoundReport rows on demand; csv_rows()
+    formats straight from the columns.
+    """
+
+    t: np.ndarray
+    tau_mt: np.ndarray
+    correction: np.ndarray
+    tau_tqsl: np.ndarray
+    delta: np.ndarray
+    quad_error: np.ndarray
+    validity: np.ndarray
+    basis_id: str
+    step: float
+
+    def __post_init__(self):
+        names = ("t", "tau_mt", "correction", "tau_tqsl", "delta", "quad_error", "validity")
+        cols = {
+            name: np.asarray(getattr(self, name), dtype=bool if name == "validity" else float)
+            for name in names
+        }
+        if len({c.shape for c in cols.values()}) != 1 or cols["t"].ndim != 1:
+            raise ValueError("bound series columns must be 1-d and share one length")
+        t, tau_mt, corr, tau_tqsl, delta = (cols[n] for n in names[:5])
+        if not all(np.all(np.isfinite(c)) for c in (t, tau_mt, corr, tau_tqsl, delta)):
+            raise BoundViolation("bound report contains non-finite values")
+        if np.any(corr < 0.0):
+            raise BoundViolation(f"correction integral {float(corr.min())!r} < 0")
+        if np.any(delta < -NONNEG_CLAMP):
+            raise BoundViolation(f"delta {float(delta.min())!r} below -{NONNEG_CLAMP:.0e}")
+        if np.any(np.abs(tau_tqsl - (tau_mt + corr)) > BOOKKEEPING_TOL):
+            raise BoundViolation("tau_tqsl is not geodesic term + correction")
+        over = cols["validity"] & (t < tau_tqsl - BOUND_SLACK)
+        if over.any():
+            k = int(np.argmax(over))
+            raise BoundViolation(
+                f"bound {float(tau_tqsl[k])!r} exceeds actual time {float(t[k])!r} on a clean trajectory"
             )
-        ]
-        cells.append("true" if self.validity else "false")
-        return ",".join(cells)
+        for name, col in cols.items():
+            col.setflags(write=False)
+            object.__setattr__(self, name, col)
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, k: int) -> BoundReport:
+        return BoundReport(
+            tau_actual=float(self.t[k]),
+            tau_mt=float(self.tau_mt[k]),
+            correction_integral=float(self.correction[k]),
+            tau_tqsl=float(self.tau_tqsl[k]),
+            delta=float(self.delta[k]),
+            basis_id=self.basis_id,
+            validity=bool(self.validity[k]),
+            quadrature=QuadratureInfo("trapezoid", self.step, float(self.quad_error[k])),
+        )
+
+    def csv_rows(self) -> list:
+        """Every row as BoundReport.csv_row would format it."""
+        cols = (self.t, self.tau_mt, self.tau_tqsl, self.delta, self.quad_error, self.validity)
+        return [_csv_row(*row) for row in zip(*(c.tolist() for c in cols))]
 
 
 def mt_bound_pure(traj: Trajectory, at_index: int) -> float:
@@ -190,8 +260,10 @@ def _pure_k_series(traj: Trajectory, basis: OrthonormalBasis) -> np.ndarray:
     Per-vector products are summed with and without moduli; completeness
     makes the plain sum the unresolved cross term, so the difference is K.
     """
-    cols = np.column_stack([s.amplitudes for s in traj.states])
-    a = traj.states[0].amplitudes
+    # A C-contiguous (d, n) copy: multiplying a transposed view instead
+    # changes the BLAS summation order, and the optimizer compares values.
+    cols = np.ascontiguousarray(traj.stack.T)
+    a = traj.stack[0]
     hm = traj.hamiltonian.matrix
     o = a.conj() @ cols
     pop = (o.conj() * o).real
@@ -201,6 +273,33 @@ def _pure_k_series(traj: Trajectory, basis: OrthonormalBasis) -> np.ndarray:
     u = basis.matrix
     prods = (u.conj().T @ x).conj() * (u.conj().T @ y)
     k = np.abs(prods).sum(axis=0) - np.abs(prods.sum(axis=0))
+    return _clamp_series(k)
+
+
+def _mixed_k_series(traj: Trajectory, rho0: np.ndarray, basis: OrthonormalBasis) -> np.ndarray:
+    """K(t) on the whole grid for A = rho0, B = H, from the root stack.
+
+    The batched form of uncertainty.correction_k_mixed: with P = R Abar and
+    Q = R Bbar, the diagonals are the column norms of P U and Q U, and the
+    cross term is |Tr(Abar rho Bbar)| = |sum conj(P) * Q|.
+    """
+    hm = traj.hamiltonian.matrix
+    u = basis.matrix
+    k = np.empty(len(traj.times))
+    for i in range(0, len(k), STACK_BLOCK):
+        r = traj.stack[i : i + STACK_BLOCK]
+        p = r @ rho0
+        q = r @ hm
+        p -= frobenius_inner(r, p).real[:, None, None] * r
+        q -= frobenius_inner(r, q).real[:, None, None] * r
+        f_nn = np.sum(np.abs(p @ u) ** 2, axis=1)
+        g_nn = np.sum(np.abs(q @ u) ** 2, axis=1)
+        cross = np.abs(frobenius_inner(p, q))
+        k[i : i + STACK_BLOCK] = np.sqrt(f_nn * g_nn).sum(axis=1) - cross
+    return _clamp_series(k)
+
+
+def _clamp_series(k: np.ndarray) -> np.ndarray:
     low = float(k.min())
     if low < -NONNEG_CLAMP:
         raise BoundViolation(f"correction series dips to {low:.3e}")
@@ -225,10 +324,7 @@ def correction_samples(traj: Trajectory, basis: OrthonormalBasis) -> np.ndarray:
         scale = 2.0 / traj.delta_h
     else:
         rho0 = traj.states[0]
-        a = Observable(rho0.matrix)
-        k = np.array(
-            [correction_k_mixed(a, traj.hamiltonian, rt, basis) for rt in traj.states]
-        )
+        k = _mixed_k_series(traj, rho0.matrix, basis)
         p = purity(rho0)
         c = traj.overlap
         radical = np.maximum(1.0 - p * c * c, 0.0)
@@ -250,16 +346,24 @@ def correction_samples(traj: Trajectory, basis: OrthonormalBasis) -> np.ndarray:
     return np.column_stack([traj.times, integrand])
 
 
-def _geodesic_term(traj: Trajectory, at_index: int) -> float:
+def _geodesic_series(traj: Trajectory) -> np.ndarray:
+    """The geodesic term at every grid point: mt_bound_pure for a pure
+    trajectory, mixed_geodesic_term for a mixed one."""
+    if traj.delta_h <= ZERO_SPREAD_TOL:
+        raise ZeroEnergyVariance(f"energy spread {traj.delta_h!r} is numerically zero")
     if traj.kind == "pure":
-        return mt_bound_pure(traj, at_index)
-    return mixed_geodesic_term(traj.states[0], traj.states[at_index], traj.delta_h, traj.hbar)
+        return traj.hbar * traj.s0 / (2.0 * traj.delta_h)
+    # overlap * sqrt(P) = sqrt(Tr(rho0 rho_t)); it starts at exactly 1 and
+    # stays <= 1, so the term starts at 0 and never goes negative
+    root_p0 = math.sqrt(min(purity(traj.states[0]), 1.0))
+    angle = np.arccos(traj.overlap * root_p0)
+    return traj.hbar * (angle - angle[0]) / traj.delta_h
 
 
 def _report_at_end(traj: Trajectory, basis: OrthonormalBasis, basis_id: str) -> BoundReport:
     samples = correction_samples(traj, basis)
     value, err = integrate_correction(samples)
-    tau_mt = _geodesic_term(traj, len(traj.times) - 1)
+    tau_mt = float(_geodesic_series(traj)[-1])
     tau_tqsl = tau_mt + value
     return BoundReport(
         tau_actual=float(traj.times[-1]),
@@ -313,8 +417,9 @@ def tqsl_mixed(
     return _report_at_end(traj, basis, basis_id)
 
 
-def bound_series(traj: Trajectory, basis: OrthonormalBasis, basis_id: str = "user") -> tuple:
-    """One BoundReport per grid row, with cumulative correction quadrature.
+def bound_series(traj: Trajectory, basis: OrthonormalBasis, basis_id: str = "user") -> BoundSeries:
+    """The bound at every grid row, as columns, with cumulative correction
+    quadrature.
 
     Rows past the trajectory's validity index are still reported (flagged
     false) so sweeps can plot the whole window.
@@ -325,26 +430,19 @@ def bound_series(traj: Trajectory, basis: OrthonormalBasis, basis_id: str = "use
     idx = _half_grid_indices(len(t))
     th, fh = t[idx], f[idx]
     cum_half = np.concatenate([[0.0], np.cumsum(0.5 * (fh[1:] + fh[:-1]) * np.diff(th))])
-    est = np.abs(cum - np.interp(t, th, cum_half)) / 3.0
-    flags = traj.validity_flags()
-    step = float(t[1] - t[0])
-    reports = []
-    for k in range(len(t)):
-        tau_mt = _geodesic_term(traj, k)
-        tau_tqsl = tau_mt + float(cum[k])
-        reports.append(
-            BoundReport(
-                tau_actual=float(t[k]),
-                tau_mt=tau_mt,
-                correction_integral=float(cum[k]),
-                tau_tqsl=tau_tqsl,
-                delta=tau_tqsl - tau_mt,
-                basis_id=basis_id,
-                validity=bool(flags[k]),
-                quadrature=QuadratureInfo("trapezoid", step, float(est[k])),
-            )
-        )
-    return tuple(reports)
+    tau_mt = _geodesic_series(traj)
+    tau_tqsl = tau_mt + cum
+    return BoundSeries(
+        t=t,
+        tau_mt=tau_mt,
+        correction=cum,
+        tau_tqsl=tau_tqsl,
+        delta=tau_tqsl - tau_mt,
+        quad_error=np.abs(cum - np.interp(t, th, cum_half)) / 3.0,
+        validity=traj.validity_flags(),
+        basis_id=basis_id,
+        step=float(t[1] - t[0]),
+    )
 
 
 @dataclass(frozen=True)

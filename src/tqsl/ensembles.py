@@ -105,6 +105,12 @@ def _x_string(num_spins: int, sites) -> np.ndarray:
     return op
 
 
+def _flip_mask(num_spins: int, sites) -> int:
+    """Basis-index bits that _x_string(num_spins, sites) flips: its kron
+    order makes site 1 the most significant bit, so (X @ v)[i] = v[i ^ mask]."""
+    return sum(1 << (num_spins - site) for site in set(sites))
+
+
 def spin_chain_hamiltonian(cfg: SpinChainConfig, hbar: float = 1.0) -> Observable:
     """hbar*omega0 * sum_i (1 - x_i) + hbar*omega * sum_j (1 - X_block_j)."""
     dim = cfg.dim
@@ -139,11 +145,12 @@ def spin_chain_evolved_state(cfg: SpinChainConfig, psi0: PureState, t: float) ->
         raise ConfigError(f"state dim {psi0.dim} does not match {cfg.num_spins} spins")
     _require_product_state(psi0, cfg.num_spins)
     amps = psi0.amplitudes.astype(complex)
+    idx = np.arange(cfg.dim)
     c0, s0 = math.cos(cfg.omega0 * t), math.sin(cfg.omega0 * t)
     for site in range(1, cfg.num_spins + 1):
-        amps = c0 * amps + 1j * s0 * (_x_string(cfg.num_spins, (site,)) @ amps)
+        amps = c0 * amps + 1j * s0 * amps[idx ^ _flip_mask(cfg.num_spins, (site,))]
     c1, s1 = math.cos(cfg.omega * t), math.sin(cfg.omega * t)
     for block in cfg.blocks:
-        amps = c1 * amps + 1j * s1 * (_x_string(cfg.num_spins, block) @ amps)
+        amps = c1 * amps + 1j * s1 * amps[idx ^ _flip_mask(cfg.num_spins, block)]
     phase = cmath.exp(-1j * (cfg.num_spins * cfg.omega0 + len(cfg.blocks) * cfg.omega) * t)
     return PureState(phase * amps)

@@ -155,16 +155,18 @@ def run_experiment_gue(cfg: ExperimentConfig) -> dict:
             psi0 = default_initial_state(cfg.dim)
             basis, basis_id = _pick_basis(cfg, h, psi0, seed)
             traj = sample_trajectory(h, psi0, cfg.t_max, cfg.steps, cfg.hbar)
-            reports = bound_series(traj, basis, basis_id)
+            series = bound_series(traj, basis, basis_id)
             name = f"gue_seed{seed}.csv"
-            _write_lines(out / name, BOUND_CSV_HEADER, [r.csv_row() for r in reports])
-            deltas = [r.delta for r in reports]
+            _write_lines(out / name, BOUND_CSV_HEADER, series.csv_rows())
             if not traj.validity_clean:
                 run["flags"].append(
                     f"overlap-minimum@t={traj.times[traj.valid_until]:.6g}"
                 )
             run.update(
-                min_delta=min(deltas), max_delta=max(deltas), csv=name, basis_id=basis_id
+                min_delta=float(series.delta.min()),
+                max_delta=float(series.delta.max()),
+                csv=name,
+                basis_id=basis_id,
             )
         except QslError as err:
             run["flags"].append(f"error:{type(err).__name__}:{err}")
@@ -206,29 +208,28 @@ def run_experiment_spin(cfg: ExperimentConfig) -> dict:
                             complex(
                                 np.vdot(
                                     spin_chain_evolved_state(spin_cfg, psi0, float(t)).amplitudes,
-                                    traj.states[k].amplitudes,
+                                    ket,
                                 )
                             )
                         ),
                         1.0,
                     )
-                    for k, t in enumerate(traj.times)
+                    for t, ket in zip(traj.times, traj.stack)
                 ]
             )
-            reports = bound_series(traj, basis, basis_id)
+            series = bound_series(traj, basis, basis_id)
             rows = [
-                f"{r.csv_row()},{fidelity[k]:.12g}" for k, r in enumerate(reports)
+                f"{row},{fid:.12g}" for row, fid in zip(series.csv_rows(), fidelity.tolist())
             ]
             name = f"spin_seed{seed}.csv"
             _write_lines(out / name, BOUND_CSV_HEADER + ",fidelity", rows)
-            deltas = [r.delta for r in reports]
             if not traj.validity_clean:
                 run["flags"].append(
                     f"overlap-minimum@t={traj.times[traj.valid_until]:.6g}"
                 )
             run.update(
-                min_delta=min(deltas),
-                max_delta=max(deltas),
+                min_delta=float(series.delta.min()),
+                max_delta=float(series.delta.max()),
                 min_fidelity=float(fidelity.min()),
                 csv=name,
                 basis_id=basis_id,
@@ -464,8 +465,7 @@ def _check_delta_nonnegative(seed: int) -> dict:
         h = sample_gue(GueConfig(dim=3, seed=seed + k))
         basis = random_basis(3, seed + k + BASIS_SEED_OFFSET)
         traj = sample_trajectory(h, default_initial_state(3), 1.5, 100)
-        for report in bound_series(traj, basis):
-            worst = min(worst, report.delta)
+        worst = min(worst, float(bound_series(traj, basis).delta.min()))
     return {
         "name": "delta-nonnegative",
         "trials": trials,

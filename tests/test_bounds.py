@@ -6,6 +6,7 @@ import pytest
 
 from tqsl import (
     BoundReport,
+    BoundSeries,
     BoundViolation,
     ConfigError,
     DenominatorUnderflow,
@@ -26,6 +27,7 @@ from tqsl import (
     bargmann_angle_mixed,
     bound_series,
     combined_bound_orthogonal,
+    correction_k_mixed,
     correction_k_pure,
     correction_samples,
     default_initial_state,
@@ -38,11 +40,13 @@ from tqsl import (
     random_basis,
     sample_gue,
     sample_trajectory,
+    sqrtm_psd,
     tqsl_mixed,
     tqsl_pure,
     variance,
 )
-from conftest import random_pure
+from conftest import random_density, random_pure
+from tqsl.bounds import _mixed_k_series
 
 SIN_EPS = 1e-8
 
@@ -219,6 +223,19 @@ class TestCorrectionSamples:
                 want = scale * correction_k_pure(proj, h, traj.states[k], basis) / den
             assert samples[k, 1] == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_batched_mixed_series_matches_per_state_oracle(self, dim):
+        # the stacked einsum route against correction_k_mixed on each state
+        rng = np.random.default_rng(40 + dim)
+        h = sample_gue(GueConfig(dim=dim, seed=dim))
+        traj = sample_trajectory(h, random_density(rng, dim), 1.3, 150)
+        basis = random_basis(dim, 17)
+        rho0 = traj.states[0]
+        got = _mixed_k_series(traj, rho0.matrix, basis)
+        a = Observable(rho0.matrix)
+        want = [correction_k_mixed(a, h, rho, basis) for rho in traj.states]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
     def test_times_column_is_the_grid(self, sigma_x, ket0):
         traj = sample_trajectory(sigma_x, ket0, 1.0, 11)
         samples = correction_samples(traj, OrthonormalBasis.identity(2))
@@ -239,7 +256,7 @@ class TestCorrectionSamples:
             hamiltonian=h,
             hbar=1.0,
             times=np.array([0.0, 0.8, 1.6]),
-            states=states,
+            stack=np.array([s.amplitudes for s in states]),
             s0=s0,
             overlap=np.cos(s0 / 2.0),
             delta_h=math.sqrt(variance(h, psi)),
@@ -264,7 +281,7 @@ class TestCorrectionSamples:
             hamiltonian=h,
             hbar=1.0,
             times=np.array([0.0, 0.6, 1.2]),
-            states=(r0, st1, st2),
+            stack=np.array([sqrtm_psd(r.matrix) for r in (r0, st1, st2)]),
             s0=s0,
             overlap=np.cos(s0 / 2.0),
             delta_h=math.sqrt(variance(h, r0)),
@@ -485,6 +502,53 @@ class TestBoundSeries:
         traj = sample_trajectory(sigma_x, ket0, 1.0, 11)
         series = bound_series(traj, OrthonormalBasis.identity(2), basis_id="identity")
         assert {r.basis_id for r in series} == {"identity"}
+
+    def test_csv_rows_match_report_rows(self):
+        h, traj = gue_trajectory(seed=4, tau=3.0, steps=120)
+        series = bound_series(traj, random_basis(3, 5), basis_id="b")
+        assert not traj.validity_clean
+        assert series.csv_rows() == [r.csv_row() for r in series]
+        assert len(series.csv_rows()) == len(series) == 120
+
+    def test_columns_are_read_only(self):
+        h, traj = gue_trajectory(seed=0, tau=1.0, steps=20)
+        series = bound_series(traj, random_basis(3, 5))
+        with pytest.raises(ValueError):
+            series.tau_tqsl[0] = 1.0
+        assert series[-1].tau_tqsl == series.tau_tqsl[-1]
+
+    @pytest.mark.parametrize(
+        "column, row, value, match",
+        [
+            ("tau_mt", 3, math.nan, "non-finite"),
+            ("correction", 3, -0.1, "correction"),
+            ("delta", 3, -0.1, "delta"),
+            ("tau_tqsl", 3, 5.0, "geodesic term"),
+        ],
+    )
+    def test_rejects_broken_columns(self, column, row, value, match):
+        h, traj = gue_trajectory(seed=0, tau=1.0, steps=20)
+        series = bound_series(traj, random_basis(3, 5))
+        cols = {name: np.array(getattr(series, name)) for name in (
+            "t", "tau_mt", "correction", "tau_tqsl", "delta", "quad_error", "validity"
+        )}
+        cols[column][row] = value
+        with pytest.raises(BoundViolation, match=match):
+            BoundSeries(**cols, basis_id="b", step=series.step)
+
+    def test_rejects_bound_above_actual_time_when_valid(self):
+        cols = dict(
+            t=np.array([0.0, 0.5]),
+            tau_mt=np.array([0.0, 0.6]),
+            correction=np.array([0.0, 0.2]),
+            tau_tqsl=np.array([0.0, 0.8]),
+            delta=np.array([0.0, 0.2]),
+            quad_error=np.zeros(2),
+        )
+        with pytest.raises(BoundViolation, match="actual time"):
+            BoundSeries(**cols, validity=np.array([True, True]), basis_id="b", step=0.5)
+        # the same numbers are reportable on a flagged row
+        BoundSeries(**cols, validity=np.array([True, False]), basis_id="b", step=0.5)
 
 
 class TestOptimizeBasis:

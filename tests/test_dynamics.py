@@ -9,6 +9,8 @@ from tqsl import (
     DensityMatrix,
     DimensionMismatch,
     GueConfig,
+    NonHermitianInput,
+    NotPositiveSemidefinite,
     Observable,
     PureState,
     Trajectory,
@@ -214,23 +216,32 @@ class TestSampleTrajectory:
         assert float((np.abs(np.diff(traj.s0)) / rate_cap).max()) > 1.0
 
 
+def trajectory_parts(traj):
+    """Constructor arguments of a trajectory, as writable copies."""
+    return dict(
+        hamiltonian=traj.hamiltonian,
+        hbar=traj.hbar,
+        times=np.array(traj.times),
+        stack=np.array(traj.stack),
+        s0=np.array(traj.s0),
+        overlap=np.array(traj.overlap),
+        delta_h=traj.delta_h,
+        valid_until=traj.valid_until,
+    )
+
+
 class TestTrajectoryValidation:
     @pytest.fixture()
     def parts(self, sigma_x, ket0):
-        traj = sample_trajectory(sigma_x, ket0, 1.5, 11)
-        return dict(
-            hamiltonian=traj.hamiltonian,
-            hbar=traj.hbar,
-            times=np.array(traj.times),
-            states=traj.states,
-            s0=np.array(traj.s0),
-            overlap=np.array(traj.overlap),
-            delta_h=traj.delta_h,
-            valid_until=traj.valid_until,
-        )
+        return trajectory_parts(sample_trajectory(sigma_x, ket0, 1.5, 11))
 
-    def test_reconstruction_passes(self, parts):
+    @pytest.fixture()
+    def mixed_parts(self, sigma_x, qubit_mixed):
+        return trajectory_parts(sample_trajectory(sigma_x, qubit_mixed, 1.5, 11))
+
+    def test_reconstruction_passes(self, parts, mixed_parts):
         Trajectory(**parts)
+        Trajectory(**mixed_parts)
 
     def test_rejects_nonzero_start_angle(self, parts):
         parts["s0"][0] = 0.1
@@ -273,6 +284,77 @@ class TestTrajectoryValidation:
             traj.times[0] = 5.0
         with pytest.raises(ValueError):
             traj.s0[0] = 5.0
+        with pytest.raises(ValueError):
+            traj.stack[0, 0] = 5.0
+
+    def test_rejects_non_unit_ket(self, parts):
+        parts["stack"][7] *= 1.01
+        with pytest.raises(ValueError, match="norm .* grid index 7"):
+            Trajectory(**parts)
+
+    def test_rejects_non_finite_ket(self, parts):
+        parts["stack"][4, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            Trajectory(**parts)
+
+    def test_rejects_non_unit_trace_root(self, mixed_parts):
+        mixed_parts["stack"][6] *= 1.01
+        with pytest.raises(ValueError, match="trace .* grid index 6"):
+            Trajectory(**mixed_parts)
+
+    def test_rejects_non_psd_root(self, mixed_parts):
+        # same rho = R^2, but R is no longer its positive root
+        w, v = np.linalg.eigh(mixed_parts["stack"][5])
+        mixed_parts["stack"][5] = (v * (w * np.array([-1.0, 1.0]))) @ v.conj().T
+        with pytest.raises(NotPositiveSemidefinite):
+            Trajectory(**mixed_parts)
+
+    def test_rejects_non_hermitian_root(self, mixed_parts):
+        mixed_parts["stack"][3][0, 1] += 0.01
+        with pytest.raises(NonHermitianInput):
+            Trajectory(**mixed_parts)
+
+    def test_rejects_misshapen_stack(self, parts, mixed_parts):
+        parts["stack"] = parts["stack"][:, :, None]
+        with pytest.raises(ValueError, match="stack must be"):
+            Trajectory(**parts)
+        mixed_parts["stack"] = np.zeros((11, 3, 3), dtype=complex)
+        with pytest.raises(DimensionMismatch):
+            Trajectory(**mixed_parts)
+
+
+class TestStatesView:
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_pure_states_match_evolve_pure(self, dim):
+        rng = np.random.default_rng(50 + dim)
+        h = sample_gue(GueConfig(dim=dim, seed=dim))
+        psi = random_pure(rng, dim)
+        traj = sample_trajectory(h, psi, 1.7, 40, hbar=0.8)
+        assert len(traj.states) == 40
+        for k, t in enumerate(traj.times):
+            want = evolve_pure(h, psi, float(t), hbar=0.8).amplitudes
+            np.testing.assert_allclose(traj.states[k].amplitudes, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_mixed_states_match_evolve_mixed(self, dim):
+        rng = np.random.default_rng(60 + dim)
+        h = sample_gue(GueConfig(dim=dim, seed=dim))
+        rho = random_density(rng, dim)
+        traj = sample_trajectory(h, rho, 1.7, 40, hbar=0.8)
+        for k, t in enumerate(traj.times):
+            want = evolve_mixed(h, rho, float(t), hbar=0.8).matrix
+            np.testing.assert_allclose(traj.states[k].matrix, want, rtol=0, atol=1e-12)
+
+    def test_view_indexes_like_a_tuple(self, sigma_x, ket0, qubit_mixed):
+        traj = sample_trajectory(sigma_x, ket0, 1.0, 5)
+        states = traj.states
+        assert isinstance(states[-1], PureState)
+        np.testing.assert_array_equal(states[-1].amplitudes, states[4].amplitudes)
+        assert len(states[1:3]) == 2
+        assert len(list(states)) == 5
+        with pytest.raises(IndexError):
+            states[5]
+        assert isinstance(sample_trajectory(sigma_x, qubit_mixed, 1.0, 5).states[2], DensityMatrix)
 
 
 class TestTrajectoryCsv:
