@@ -27,7 +27,7 @@ from .errors import (
     ValidityExceeded,
     ZeroEnergyVariance,
 )
-from .linalg import expm_i_hermitian
+from .linalg import eigh, expm_i_hermitian
 from .states import (
     DensityMatrix,
     Observable,
@@ -254,28 +254,6 @@ def _half_grid_indices(n: int) -> list:
     return idx
 
 
-def _pure_k_series(traj: Trajectory, basis: OrthonormalBasis) -> np.ndarray:
-    """K(t) on the whole grid for A = initial projector, B = H.
-
-    Per-vector products are summed with and without moduli; completeness
-    makes the plain sum the unresolved cross term, so the difference is K.
-    """
-    # A C-contiguous (d, n) copy: multiplying a transposed view instead
-    # changes the BLAS summation order, and the optimizer compares values.
-    cols = np.ascontiguousarray(traj.stack.T)
-    a = traj.stack[0]
-    hm = traj.hamiltonian.matrix
-    o = a.conj() @ cols
-    pop = (o.conj() * o).real
-    x = np.outer(a, o) - cols * pop[None, :]
-    mean_h = float(np.vdot(a, hm @ a).real)
-    y = hm @ cols - mean_h * cols
-    u = basis.matrix
-    prods = (u.conj().T @ x).conj() * (u.conj().T @ y)
-    k = np.abs(prods).sum(axis=0) - np.abs(prods.sum(axis=0))
-    return _clamp_series(k)
-
-
 def _mixed_k_series(traj: Trajectory, rho0: np.ndarray, basis: OrthonormalBasis) -> np.ndarray:
     """K(t) on the whole grid for A = rho0, B = H, from the root stack.
 
@@ -299,6 +277,86 @@ def _mixed_k_series(traj: Trajectory, rho0: np.ndarray, basis: OrthonormalBasis)
     return _clamp_series(k)
 
 
+class _Correction:
+    """correction_samples prepared for one trajectory.
+
+    What does not depend on the basis is computed here, once: the
+    denominator, its gate and the prefactor, and for a pure trajectory the
+    X and Y columns of the K series. A basis then costs only its own
+    projections and the checks on its K series, in `integrand`.
+
+    The mixed route's centred stacks P = R Abar and Q = R Bbar are not kept:
+    holding two more (n, d, d) stacks slowed the one-shot evaluation every
+    mixed bound_series makes and raised its peak memory, and only the
+    optimizer would reuse them.
+    """
+
+    def __init__(self, traj: Trajectory):
+        if traj.delta_h <= ZERO_SPREAD_TOL:
+            raise ZeroEnergyVariance(f"energy spread {traj.delta_h!r} is numerically zero")
+        self.traj = traj
+        self.dim = traj.hamiltonian.dim
+        if traj.kind == "pure":
+            # K = sum |conj(U^dagger X) * (U^dagger Y)| - |sum ...| per grid
+            # column: completeness makes the plain sum the unresolved cross
+            # term. A C-contiguous (d, n) copy: multiplying a transposed view
+            # instead changes the BLAS summation order, and the optimizer
+            # compares values.
+            cols = np.ascontiguousarray(traj.stack.T)
+            a = traj.stack[0]
+            hm = traj.hamiltonian.matrix
+            o = a.conj() @ cols
+            pop = (o.conj() * o).real
+            self.x = np.outer(a, o) - cols * pop[None, :]
+            mean_h = float(np.vdot(a, hm @ a).real)
+            self.y = hm @ cols - mean_h * cols
+            self.rho0 = None
+            den = np.sin(traj.s0)
+            den_gate = den
+            self.underflow = None
+            self.scale = 2.0 / traj.delta_h
+        else:
+            rho0 = traj.states[0]
+            self.rho0 = rho0.matrix
+            p = purity(rho0)
+            c = traj.overlap
+            radical = np.maximum(1.0 - p * c * c, 0.0)
+            self.underflow = radical < RADICAL_EPS
+            den = c * np.sqrt(radical)
+            # pure lifts give den = sin(s0)/2, so gate at twice the
+            # denominator to keep the singularity policy identical across
+            # both routes
+            den_gate = 2.0 * den
+            self.scale = 1.0 / (math.sqrt(p) * traj.delta_h)
+        self.ok = den_gate >= SIN_EPS
+        self.den_ok = den[self.ok]
+
+    def k_series(self, basis: OrthonormalBasis) -> np.ndarray:
+        """K(t) on the whole grid for A = the initial state, B = H."""
+        if self.rho0 is not None:
+            return _mixed_k_series(self.traj, self.rho0, basis)
+        uh = basis.matrix.conj().T
+        prods = (uh @ self.x).conj() * (uh @ self.y)
+        return _clamp_series(np.abs(prods).sum(axis=0) - np.abs(prods.sum(axis=0)))
+
+    def integrand(self, basis: OrthonormalBasis) -> np.ndarray:
+        """The correction integrand on the grid, prefactor included."""
+        if basis.dim != self.dim:
+            raise DimensionMismatch(f"basis dim {basis.dim} vs H dim {self.dim}")
+        k = self.k_series(basis)
+        live = k >= K_EPS
+        if self.underflow is not None and np.any(self.underflow & live):
+            raise DenominatorUnderflow("purity radical underflows while K is nonzero")
+        singular = live & ~self.ok
+        if np.any(singular):
+            raise SingularIntegrand(
+                f"{int(np.sum(singular))} grid points have K >= {K_EPS:.0e} with a vanishing denominator"
+            )
+        f = np.zeros(len(k))
+        f[self.ok] = self.scale * k[self.ok] / self.den_ok
+        return f
+
+
 def _clamp_series(k: np.ndarray) -> np.ndarray:
     low = float(k.min())
     if low < -NONNEG_CLAMP:
@@ -313,37 +371,7 @@ def correction_samples(traj: Trajectory, basis: OrthonormalBasis) -> np.ndarray:
     round-off contribute 0 (the t = 0 limit); a vanishing denominator with
     K genuinely nonzero is outside the derivation and raises.
     """
-    if basis.dim != traj.hamiltonian.dim:
-        raise DimensionMismatch(f"basis dim {basis.dim} vs H dim {traj.hamiltonian.dim}")
-    if traj.delta_h <= ZERO_SPREAD_TOL:
-        raise ZeroEnergyVariance(f"energy spread {traj.delta_h!r} is numerically zero")
-    if traj.kind == "pure":
-        k = _pure_k_series(traj, basis)
-        den = np.sin(traj.s0)
-        den_gate = den
-        scale = 2.0 / traj.delta_h
-    else:
-        rho0 = traj.states[0]
-        k = _mixed_k_series(traj, rho0.matrix, basis)
-        p = purity(rho0)
-        c = traj.overlap
-        radical = np.maximum(1.0 - p * c * c, 0.0)
-        if np.any((radical < RADICAL_EPS) & (k >= K_EPS)):
-            raise DenominatorUnderflow("purity radical underflows while K is nonzero")
-        den = c * np.sqrt(radical)
-        # pure lifts give den = sin(s0)/2, so gate at twice the denominator
-        # to keep the singularity policy identical across both routes
-        den_gate = 2.0 * den
-        scale = 1.0 / (math.sqrt(p) * traj.delta_h)
-    singular = (k >= K_EPS) & (den_gate < SIN_EPS)
-    if np.any(singular):
-        raise SingularIntegrand(
-            f"{int(np.sum(singular))} grid points have K >= {K_EPS:.0e} with a vanishing denominator"
-        )
-    integrand = np.zeros(len(traj.times))
-    ok = den_gate >= SIN_EPS
-    integrand[ok] = scale * k[ok] / den[ok]
-    return np.column_stack([traj.times, integrand])
+    return np.column_stack([traj.times, _Correction(traj).integrand(basis)])
 
 
 def _geodesic_series(traj: Trajectory) -> np.ndarray:
@@ -488,12 +516,19 @@ def optimize_basis(
     """
     cfg = opt_config if opt_config is not None else OptimizerConfig()
     traj = sample_trajectory(h, state0, tau, steps, hbar)
+    basis, label = _optimize_on(traj, cfg)
+    return basis, _report_at_end(traj, basis, label)
+
+
+def _optimize_on(traj: Trajectory, cfg: OptimizerConfig) -> tuple:
+    """optimize_basis on an already sampled trajectory: the best basis and
+    its basis_id."""
     _require_clean(traj)
-    dim = h.dim
+    dim = traj.hamiltonian.dim
+    correction = _Correction(traj)
 
     def objective(b: OrthonormalBasis) -> float:
-        s = correction_samples(traj, b)
-        return float(np.trapezoid(s[:, 1], s[:, 0]))
+        return float(np.trapezoid(correction.integrand(b), traj.times))
 
     best = None
     for r in range(cfg.restarts):
@@ -508,16 +543,14 @@ def optimize_basis(
         except (SingularIntegrand, DenominatorUnderflow):
             continue
         rng = np.random.default_rng([cfg.seed, r])
+        directions = eigh(_random_directions(rng, cfg.iterations, dim))
         step = cfg.initial_step
         stall = 0
         moves = 0
-        for _ in range(cfg.iterations):
+        for j in range(cfg.iterations):
             if step < cfg.min_step:
                 break
-            g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            g = g + g.conj().T
-            g /= np.linalg.norm(g)
-            candidate = OrthonormalBasis(basis.matrix @ expm_i_hermitian(g, -step))
+            candidate = OrthonormalBasis(basis.matrix @ expm_i_hermitian(directions[j], -step))
             try:
                 cand_value = objective(candidate)
             except (SingularIntegrand, DenominatorUnderflow):
@@ -535,4 +568,15 @@ def optimize_basis(
     if best is None:
         raise SingularIntegrand("every optimizer restart hit a singular integrand")
     _, basis, label = best
-    return basis, _report_at_end(traj, basis, label)
+    return basis, label
+
+
+def _random_directions(rng, count: int, dim: int) -> np.ndarray:
+    """`count` random Hermitian directions of unit Frobenius norm, drawn in
+    the order a one-at-a-time loop would draw them."""
+    z = rng.normal(size=(count, 2, dim, dim))
+    g = z[:, 0] + 1j * z[:, 1]
+    g += np.swapaxes(g.conj(), 1, 2)
+    for m in g:
+        m /= np.linalg.norm(m)
+    return g

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NonHermitianInput, NonRealExpectation, NotPositiveSemidefinite
-from .linalg import HERMITICITY_TOL, eigh, sqrtm_psd
+from .linalg import HERMITICITY_TOL, eigh, expm_i_hermitian, sqrtm_psd
 from .states import (
     EXPECTATION_IMAG_TOL,
     NORM_TOL,
@@ -55,18 +55,13 @@ def bargmann_angle_mixed(rho0: DensityMatrix, rhot: DensityMatrix) -> float:
     return 2.0 * math.acos(math.sqrt(min(max(ratio, 0.0), 1.0)))
 
 
-def _propagator(dec, t: float, hbar: float) -> np.ndarray:
-    phases = np.exp(-1j * dec.eigenvalues * (t / hbar))
-    return (dec.eigenvectors * phases) @ dec.eigenvectors.conj().T
-
-
 def evolve_pure(h: Observable, psi0: PureState, t: float, hbar: float = 1.0) -> PureState:
     """e^{-iHt/hbar} |psi0>."""
     if h.dim != psi0.dim:
         raise DimensionMismatch(f"H dim {h.dim} vs state dim {psi0.dim}")
     if t < 0:
         raise ValueError("evolution time must be >= 0")
-    return PureState(_propagator(eigh(h.matrix), t, hbar) @ psi0.amplitudes)
+    return PureState(expm_i_hermitian(h.matrix, t / hbar) @ psi0.amplitudes)
 
 
 def evolve_mixed(h: Observable, rho0: DensityMatrix, t: float, hbar: float = 1.0) -> DensityMatrix:
@@ -75,7 +70,7 @@ def evolve_mixed(h: Observable, rho0: DensityMatrix, t: float, hbar: float = 1.0
         raise DimensionMismatch(f"H dim {h.dim} vs state dim {rho0.dim}")
     if t < 0:
         raise ValueError("evolution time must be >= 0")
-    u = _propagator(eigh(h.matrix), t, hbar)
+    u = expm_i_hermitian(h.matrix, t / hbar)
     return DensityMatrix(u @ rho0.matrix @ u.conj().T)
 
 

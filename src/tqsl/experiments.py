@@ -17,9 +17,9 @@ import numpy as np
 from .bounds import (
     BOUND_CSV_HEADER,
     OptimizerConfig,
+    _optimize_on,
     bound_series,
     integrate_correction,
-    optimize_basis,
 )
 from .dynamics import bargmann_angle_mixed, bargmann_angle_pure, evolve_mixed, sample_trajectory
 from .ensembles import (
@@ -90,6 +90,8 @@ class ExperimentConfig:
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         seeds = tuple(int(s) for s in self.seeds)
+        if any(s < 0 for s in seeds):
+            raise ConfigError(f"seeds must be nonnegative integers, got {min(seeds)}")
         if not seeds and self.n_hamiltonians > 0:
             seeds = tuple(range(self.n_hamiltonians))
         if self.kind in ("gue", "spin") and not seeds:
@@ -113,16 +115,20 @@ def default_initial_state(dim: int) -> PureState:
     return PureState(np.full(dim, 1.0 / math.sqrt(dim), dtype=complex))
 
 
-def _pick_basis(cfg: ExperimentConfig, h: Observable, state0, seed: int):
+def _sample_and_pick(cfg: ExperimentConfig, h: Observable, state0, seed: int):
+    """The run's trajectory, its resolving basis and the basis_id.
+
+    The optimizer works on the run's own trajectory, so it is sampled once.
+    """
     if cfg.basis_mode == "identity":
-        return OrthonormalBasis.identity(h.dim), "identity"
-    if cfg.basis_mode == "fixed-random":
+        basis, basis_id = OrthonormalBasis.identity(h.dim), "identity"
+    elif cfg.basis_mode == "fixed-random":
         basis_seed = seed + BASIS_SEED_OFFSET
-        return random_basis(h.dim, basis_seed), f"gue-eigenbasis:seed={basis_seed}"
-    basis, report = optimize_basis(
-        h, state0, cfg.t_max, cfg.steps, OptimizerConfig(seed=seed), cfg.hbar
-    )
-    return basis, report.basis_id
+        basis, basis_id = random_basis(h.dim, basis_seed), f"gue-eigenbasis:seed={basis_seed}"
+    traj = sample_trajectory(h, state0, cfg.t_max, cfg.steps, cfg.hbar)
+    if cfg.basis_mode == "optimize":
+        basis, basis_id = _optimize_on(traj, OptimizerConfig(seed=seed))
+    return traj, basis, basis_id
 
 
 def _write_lines(path: Path, header: str, rows) -> None:
@@ -153,8 +159,7 @@ def run_experiment_gue(cfg: ExperimentConfig) -> dict:
         try:
             h = sample_gue(GueConfig(dim=cfg.dim, seed=seed))
             psi0 = default_initial_state(cfg.dim)
-            basis, basis_id = _pick_basis(cfg, h, psi0, seed)
-            traj = sample_trajectory(h, psi0, cfg.t_max, cfg.steps, cfg.hbar)
+            traj, basis, basis_id = _sample_and_pick(cfg, h, psi0, seed)
             series = bound_series(traj, basis, basis_id)
             name = f"gue_seed{seed}.csv"
             _write_lines(out / name, BOUND_CSV_HEADER, series.csv_rows())
@@ -199,8 +204,7 @@ def run_experiment_spin(cfg: ExperimentConfig) -> dict:
     for seed in cfg.seeds:
         run = {"seed": seed, "min_delta": None, "max_delta": None, "flags": []}
         try:
-            basis, basis_id = _pick_basis(cfg, h, psi0, seed)
-            traj = sample_trajectory(h, psi0, cfg.t_max, cfg.steps, cfg.hbar)
+            traj, basis, basis_id = _sample_and_pick(cfg, h, psi0, seed)
             fidelity = np.array(
                 [
                     min(

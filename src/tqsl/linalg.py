@@ -18,45 +18,60 @@ PSD_CLAMP = 1e-10
 
 def as_complex_matrix(a) -> np.ndarray:
     """Coerce to a finite 2-d complex array."""
+    return _finite_complex(a, (2,), "a 2-d matrix")
+
+
+def _finite_complex(a, ndims: tuple, expected: str) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-d matrix, got ndim={m.ndim}")
+    if m.ndim not in ndims:
+        raise ValueError(f"expected {expected}, got ndim={m.ndim}")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError("matrix entries must be finite")
     return m
 
 
+def _dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
 def hermitian_defect(m: np.ndarray) -> float:
-    """Largest entry of |M - M^dagger|."""
-    return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+    """Largest entry of |M - M^dagger|, over a whole stack if M is one."""
+    return float(np.max(np.abs(m - _dagger(m)))) if m.size else 0.0
 
 
 def require_hermitian(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
     """Return the symmetrized matrix (M + M^dagger)/2, or raise.
 
-    Symmetrizing absorbs round-off from tensor-product construction; anything
-    beyond `tol` is treated as a caller bug.
+    M may also be a (k, d, d) stack; it is then checked and symmetrized as
+    a whole. Symmetrizing absorbs round-off from tensor-product
+    construction; anything beyond `tol` is treated as a caller bug.
     """
-    a = as_complex_matrix(m)
-    if a.shape[0] != a.shape[1]:
+    a = _finite_complex(m, (2, 3), "a 2-d matrix or a 3-d stack")
+    if a.shape[-2] != a.shape[-1]:
         raise NonHermitianInput(f"matrix is not square: {a.shape}")
     defect = hermitian_defect(a)
     if defect > tol:
         raise NonHermitianInput(f"Hermiticity defect {defect:.3e} exceeds {tol:.0e}")
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + _dagger(a))
 
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Ascending real eigenvalues and the matching orthonormal column vectors."""
+    """Ascending real eigenvalues and the matching orthonormal column vectors.
+
+    For a (k, d, d) stack of matrices the arrays are (k, d) and (k, d, d),
+    and dec[j] is the decomposition of matrix j.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     def __post_init__(self):
         w = np.asarray(self.eigenvalues, dtype=float)
-        v = as_complex_matrix(self.eigenvectors)
-        gram_defect = np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1])))
+        v = _finite_complex(self.eigenvectors, (2, 3), "a 2-d matrix or a 3-d stack")
+        gram = _dagger(v) @ v - np.eye(v.shape[-1])
+        gram_defect = np.abs(gram).max(initial=0.0)
         if gram_defect > ORTHONORMALITY_TOL:
             raise ValueError(f"eigenvector columns not orthonormal: defect {gram_defect:.3e}")
         w.setflags(write=False)
@@ -64,25 +79,36 @@ class EigenDecomposition:
         object.__setattr__(self, "eigenvalues", w)
         object.__setattr__(self, "eigenvectors", v)
 
+    def __getitem__(self, j: int) -> "EigenDecomposition":
+        """Member j of a stacked decomposition, checked with the stack."""
+        if self.eigenvectors.ndim != 3:
+            raise TypeError("only a stacked decomposition can be indexed")
+        member = object.__new__(EigenDecomposition)
+        object.__setattr__(member, "eigenvalues", self.eigenvalues[j])
+        object.__setattr__(member, "eigenvectors", self.eigenvectors[j])
+        return member
+
     def reconstruct(self) -> np.ndarray:
         """V diag(w) V^dagger."""
         v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
+        return (v * self.eigenvalues[..., None, :]) @ _dagger(v)
 
 
 def eigh(h) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
+    """Eigendecomposition of a Hermitian matrix, or of each matrix in a
+    (k, d, d) stack, eigenvalues ascending."""
     m = require_hermitian(h)
     w, v = np.linalg.eigh(m)
     return EigenDecomposition(w, v)
 
 
 def expm_i_hermitian(h, s: float) -> np.ndarray:
-    """exp(-i H s) for Hermitian H, computed through the eigensystem."""
-    dec = eigh(h)
+    """exp(-i H s) for Hermitian H, computed through the eigensystem. H may
+    be given as its EigenDecomposition, which is then not recomputed."""
+    dec = h if isinstance(h, EigenDecomposition) else eigh(h)
     phases = np.exp(-1j * dec.eigenvalues * float(s))
     v = dec.eigenvectors
-    return (v * phases) @ v.conj().T
+    return (v * phases[..., None, :]) @ _dagger(v)
 
 
 def sqrtm_psd(rho) -> np.ndarray:

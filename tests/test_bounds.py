@@ -46,7 +46,7 @@ from tqsl import (
     variance,
 )
 from conftest import random_density, random_pure
-from tqsl.bounds import _mixed_k_series
+from tqsl.bounds import _Correction, _mixed_k_series, _random_directions
 
 SIN_EPS = 1e-8
 
@@ -54,6 +54,52 @@ SIN_EPS = 1e-8
 def gue_trajectory(seed=0, tau=1.0, steps=60, dim=3):
     h = sample_gue(GueConfig(dim=dim, seed=seed))
     return h, sample_trajectory(h, default_initial_state(dim), tau, steps)
+
+
+def singular_trajectory():
+    """Pure d=3 trajectory doctored so that s0 returns to 0 at its last
+    point while K does not vanish there."""
+    h = sample_gue(GueConfig(dim=3, seed=0))
+    psi = default_initial_state(3)
+    states = (psi, evolve_pure(h, psi, 0.8), evolve_pure(h, psi, 1.6))
+    s_mid = 2.0 * math.acos(
+        min(abs(complex(np.vdot(psi.amplitudes, states[1].amplitudes))), 1.0)
+    )
+    s0 = np.array([0.0, s_mid, 0.0])
+    return Trajectory(
+        hamiltonian=h,
+        hbar=1.0,
+        times=np.array([0.0, 0.8, 1.6]),
+        stack=np.array([s.amplitudes for s in states]),
+        s0=s0,
+        overlap=np.cos(s0 / 2.0),
+        delta_h=math.sqrt(variance(h, psi)),
+        valid_until=2,
+    )
+
+
+def underflow_trajectory():
+    """Near-pure mixed d=3 trajectory doctored to revive at its last point,
+    where the purity radical underflows while K does not."""
+    h = sample_gue(GueConfig(dim=3, seed=5))
+    psi = default_initial_state(3)
+    eps = 5e-14
+    r0 = DensityMatrix(
+        (1 - eps) * np.outer(psi.amplitudes, psi.amplitudes.conj()) + eps * np.eye(3) / 3
+    )
+    st1 = evolve_mixed(h, r0, 0.6)
+    st2 = evolve_mixed(h, r0, 1.2)
+    s0 = np.array([0.0, bargmann_angle_mixed(r0, st1), 0.0])
+    return Trajectory(
+        hamiltonian=h,
+        hbar=1.0,
+        times=np.array([0.0, 0.6, 1.2]),
+        stack=np.array([sqrtm_psd(r.matrix) for r in (r0, st1, st2)]),
+        s0=s0,
+        overlap=np.cos(s0 / 2.0),
+        delta_h=math.sqrt(variance(h, r0)),
+        valid_until=2,
+    )
 
 
 class TestMtBound:
@@ -245,50 +291,26 @@ class TestCorrectionSamples:
         # doctored trajectory whose angle returns to 0 while K stays finite:
         # the sin(s0) denominator vanishes where K does not, which the
         # derivation cannot absorb
-        h = sample_gue(GueConfig(dim=3, seed=0))
-        psi = default_initial_state(3)
-        states = (psi, evolve_pure(h, psi, 0.8), evolve_pure(h, psi, 1.6))
-        s_mid = 2.0 * math.acos(
-            min(abs(complex(np.vdot(psi.amplitudes, states[1].amplitudes))), 1.0)
-        )
-        s0 = np.array([0.0, s_mid, 0.0])
-        traj = Trajectory(
-            hamiltonian=h,
-            hbar=1.0,
-            times=np.array([0.0, 0.8, 1.6]),
-            stack=np.array([s.amplitudes for s in states]),
-            s0=s0,
-            overlap=np.cos(s0 / 2.0),
-            delta_h=math.sqrt(variance(h, psi)),
-            valid_until=2,
-        )
         with pytest.raises(SingularIntegrand, match="vanishing denominator"):
-            correction_samples(traj, random_basis(3, 7))
+            correction_samples(singular_trajectory(), random_basis(3, 7))
 
     def test_near_pure_radical_underflow_raises(self):
         # a state this close to pure makes 1 - P cos^2(s0/2) underflow at the
         # doctored revival point while K is still well above round-off
-        h = sample_gue(GueConfig(dim=3, seed=5))
-        psi = default_initial_state(3)
-        eps = 5e-14
-        r0 = DensityMatrix(
-            (1 - eps) * np.outer(psi.amplitudes, psi.amplitudes.conj()) + eps * np.eye(3) / 3
-        )
-        st1 = evolve_mixed(h, r0, 0.6)
-        st2 = evolve_mixed(h, r0, 1.2)
-        s0 = np.array([0.0, bargmann_angle_mixed(r0, st1), 0.0])
-        traj = Trajectory(
-            hamiltonian=h,
-            hbar=1.0,
-            times=np.array([0.0, 0.6, 1.2]),
-            stack=np.array([sqrtm_psd(r.matrix) for r in (r0, st1, st2)]),
-            s0=s0,
-            overlap=np.cos(s0 / 2.0),
-            delta_h=math.sqrt(variance(h, r0)),
-            valid_until=2,
-        )
         with pytest.raises(DenominatorUnderflow, match="radical"):
-            correction_samples(traj, random_basis(3, 7))
+            correction_samples(underflow_trajectory(), random_basis(3, 7))
+
+    @pytest.mark.parametrize(
+        "make, error",
+        [(singular_trajectory, SingularIntegrand), (underflow_trajectory, DenominatorUnderflow)],
+    )
+    def test_prepared_correction_checks_every_basis(self, make, error):
+        # the optimizer prepares once per trajectory and then scores many
+        # bases: each basis must still be checked on its own K series
+        prepared = _Correction(make())
+        for seed in (7, 8, 9):
+            with pytest.raises(error):
+                prepared.integrand(random_basis(3, seed))
 
     def test_rejects_basis_dimension_mismatch(self, sigma_x, ket0):
         traj = sample_trajectory(sigma_x, ket0, 1.0, 5)
@@ -592,6 +614,28 @@ class TestOptimizeBasis:
         a = correction_samples(traj, basis)
         b = correction_samples(traj, shuffled)
         np.testing.assert_allclose(a[:, 1], b[:, 1], atol=1e-10)
+
+    def test_pinned_mixed_state_result(self):
+        # captured before the correction kernel was prepared once per
+        # trajectory and the directions were decomposed in one batch: the
+        # hill climb compares floats, so any change in the values moves it
+        h = sample_gue(GueConfig(dim=4, seed=2))
+        rho = random_density(np.random.default_rng([2, 4]), 4)
+        cfg = OptimizerConfig(restarts=3, iterations=40, seed=2)
+        _, rep = optimize_basis(h, rho, 0.8, steps=80, opt_config=cfg)
+        assert rep.basis_id == "optimize[gue-eigenbasis:seed=4, 7 moves]"
+        assert repr(rep.tau_tqsl) == "0.32020880606861685"
+
+    def test_directions_follow_the_one_at_a_time_stream(self):
+        # drawing all directions up front must consume the generator in the
+        # order the per-candidate loop did: real part, then imaginary part
+        got = _random_directions(np.random.default_rng([0, 1]), 5, 3)
+        rng = np.random.default_rng([0, 1])
+        for g in got:
+            want = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+            want = want + want.conj().T
+            want /= np.linalg.norm(want)
+            np.testing.assert_array_equal(g, want)
 
     def test_propagates_validity_error(self, sigma_x, ket0):
         with pytest.raises(ValidityExceeded):

@@ -126,6 +126,14 @@ class TestMain:
         assert captured.err.startswith("config error:")
         assert "dim" in captured.err
 
+    def test_negative_seed_exits_two(self, tmp_path, capsys):
+        code = main(["gue", "--seeds", "-1", "--out", str(tmp_path / "g")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("config error:")
+        assert "nonnegative" in captured.err
+        assert not (tmp_path / "g").exists()
+
     def test_bad_block_site_exits_two(self, tmp_path, capsys):
         code = main(
             ["spin", "--spins", "2", "--blocks", "1,5", "--out", str(tmp_path / "s")]

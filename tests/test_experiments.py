@@ -5,16 +5,22 @@ import math
 import numpy as np
 import pytest
 
+import tqsl.bounds
 import tqsl.experiments
 from tqsl import (
     BOUND_CSV_HEADER,
     ConfigError,
     ExperimentConfig,
+    GueConfig,
+    OptimizerConfig,
     SingularIntegrand,
     default_initial_state,
+    optimize_basis,
     run_experiment_gue,
     run_experiment_spin,
     run_property_suite,
+    sample_gue,
+    sample_trajectory,
 )
 
 EXPECTED_CHECKS = {
@@ -80,6 +86,11 @@ class TestExperimentConfig:
     def test_gue_needs_seeds(self):
         with pytest.raises(ConfigError, match="seed"):
             ExperimentConfig(kind="gue", seeds=())
+
+    @pytest.mark.parametrize("kind", ["gue", "spin", "verify"])
+    def test_rejects_negative_seeds(self, kind):
+        with pytest.raises(ConfigError, match="nonnegative"):
+            ExperimentConfig(kind=kind, seeds=(0, -1))
 
     def test_verify_runs_without_seeds(self):
         cfg = ExperimentConfig(kind="verify", seeds=())
@@ -162,6 +173,27 @@ class TestRunGue:
         cfg = ExperimentConfig(kind="verify", output_path=str(tmp_path))
         with pytest.raises(ConfigError, match="gue"):
             run_experiment_gue(cfg)
+
+    def test_optimize_mode_samples_once_and_matches_optimize_basis(self, tmp_path, monkeypatch):
+        sampled = []
+
+        def counting(*args, **kwargs):
+            sampled.append(args[2])
+            return sample_trajectory(*args, **kwargs)
+
+        for module in (tqsl.experiments, tqsl.bounds):
+            monkeypatch.setattr(module, "sample_trajectory", counting)
+        cfg = gue_config(tmp_path / "g", t_max=1.0, seeds=(0, 1), basis_mode="optimize")
+        summary = run_experiment_gue(cfg)
+        assert sampled == [1.0, 1.0]
+        for run in summary["runs"]:
+            h = sample_gue(GueConfig(dim=3, seed=run["seed"]))
+            _, report = optimize_basis(
+                h, default_initial_state(3), 1.0, 60, OptimizerConfig(seed=run["seed"])
+            )
+            assert run["basis_id"] == report.basis_id
+            last = (tmp_path / "g" / run["csv"]).read_text(encoding="utf-8").splitlines()[-1]
+            assert float(last.split(",")[2]) == pytest.approx(report.tau_tqsl, rel=1e-11)
 
 
 class TestRunSpin:

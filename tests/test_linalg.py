@@ -102,6 +102,59 @@ class TestEigh:
             dec.eigenvalues[0] = 5.0
 
 
+class TestStackedEigh:
+    def directions(self, count=12, dim=3):
+        rng = np.random.default_rng(5)
+        g = rng.normal(size=(count, dim, dim)) + 1j * rng.normal(size=(count, dim, dim))
+        return g + g.conj().transpose(0, 2, 1)
+
+    def test_matches_per_matrix_bitwise(self):
+        stack = self.directions()
+        dec = eigh(stack)
+        assert dec.eigenvalues.shape == (12, 3) and dec.eigenvectors.shape == (12, 3, 3)
+        for j, g in enumerate(stack):
+            one = eigh(g)
+            np.testing.assert_array_equal(dec.eigenvalues[j], one.eigenvalues)
+            np.testing.assert_array_equal(dec.eigenvectors[j], one.eigenvectors)
+            np.testing.assert_array_equal(dec[j].eigenvectors, one.eigenvectors)
+
+    def test_member_exponential_matches_matrix_route_bitwise(self):
+        stack = self.directions()
+        dec = eigh(stack)
+        for j in (0, 5, 11):
+            np.testing.assert_array_equal(
+                expm_i_hermitian(dec[j], -0.4), expm_i_hermitian(stack[j], -0.4)
+            )
+
+    def test_rejects_one_non_hermitian_member(self):
+        stack = self.directions()
+        stack[7, 0, 1] += 1e-6
+        with pytest.raises(NonHermitianInput):
+            eigh(stack)
+
+    def test_rejects_non_square_stack(self):
+        with pytest.raises(NonHermitianInput, match="square"):
+            eigh(np.zeros((4, 2, 3)))
+
+    def test_decomposition_rejects_one_bad_member(self):
+        v = np.stack([np.eye(2), np.eye(2), np.ones((2, 2))]).astype(complex)
+        with pytest.raises(ValueError, match="orthonormal"):
+            EigenDecomposition(np.ones((3, 2)), v)
+
+    def test_reconstruction_of_each_member(self):
+        stack = self.directions(count=4, dim=5)
+        rebuilt = eigh(stack).reconstruct()
+        assert np.max(np.abs(rebuilt - stack)) < 1e-12
+
+    def test_empty_stack(self):
+        dec = eigh(np.zeros((0, 3, 3)))
+        assert dec.eigenvalues.shape == (0, 3)
+
+    def test_single_decomposition_cannot_be_indexed(self):
+        with pytest.raises(TypeError, match="stacked"):
+            eigh(np.eye(2))[0]
+
+
 class TestExpm:
     def test_zero_generator(self):
         np.testing.assert_allclose(expm_i_hermitian(np.zeros((3, 3)), 2.7), np.eye(3), atol=1e-15)
