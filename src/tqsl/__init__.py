@@ -19,8 +19,7 @@ from .bounds import (
     mixed_geodesic_term,
     mt_bound_pure,
     optimize_basis,
-    tqsl_mixed,
-    tqsl_pure,
+    tqsl_bound,
 )
 from .dynamics import (
     Trajectory,

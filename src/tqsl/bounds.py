@@ -38,6 +38,7 @@ from .states import (
     purity,
     variance,
 )
+from .uncertainty import NONNEG_CLAMP, _clamp_nonnegative
 
 DEFAULT_STEPS = 400
 ZERO_SPREAD_TOL = 1e-12
@@ -45,7 +46,6 @@ MEAN_ENERGY_TOL = 1e-12
 SIN_EPS = 1e-8
 K_EPS = 1e-10
 RADICAL_EPS = 1e-12
-NONNEG_CLAMP = 1e-9
 BOOKKEEPING_TOL = 1e-12
 BOUND_SLACK = 1e-6
 
@@ -191,18 +191,21 @@ class BoundSeries(Sequence):
         return [_csv_row(*row) for row in zip(*(c.tolist() for c in cols))]
 
 
+def _require_spread(delta_h: float) -> None:
+    if delta_h <= ZERO_SPREAD_TOL:
+        raise ZeroEnergyVariance(f"energy spread {delta_h!r} is numerically zero")
+
+
 def mt_bound_pure(traj: Trajectory, at_index: int) -> float:
     """hbar * s0 / (2 dH) at one grid index of a pure trajectory."""
-    if traj.delta_h <= ZERO_SPREAD_TOL:
-        raise ZeroEnergyVariance(f"energy spread {traj.delta_h!r} is numerically zero")
+    _require_spread(traj.delta_h)
     return traj.hbar * float(traj.s0[at_index]) / (2.0 * traj.delta_h)
 
 
 def combined_bound_orthogonal(h: Observable, psi0: PureState, hbar: float = 1.0) -> float:
     """max of the variance and mean-energy orthogonalization times."""
     spread = math.sqrt(variance(h, psi0))
-    if spread <= ZERO_SPREAD_TOL:
-        raise ZeroEnergyVariance(f"energy spread {spread!r} is numerically zero")
+    _require_spread(spread)
     mean = expectation(h, psi0)
     if mean <= MEAN_ENERGY_TOL:
         raise NonPositiveMeanEnergy(f"mean energy {mean!r} must be positive")
@@ -218,8 +221,7 @@ def mixed_geodesic_term(
     """
     if rho0.dim != rho_tau.dim:
         raise DimensionMismatch(f"state dims {rho0.dim} vs {rho_tau.dim}")
-    if delta_h <= ZERO_SPREAD_TOL:
-        raise ZeroEnergyVariance(f"energy spread {delta_h!r} is numerically zero")
+    _require_spread(delta_h)
     cross = min(max(float(np.trace(rho0.matrix @ rho_tau.matrix).real), 0.0), 1.0)
     p0 = min(purity(rho0), 1.0)
     value = hbar * (math.acos(math.sqrt(cross)) - math.acos(math.sqrt(p0))) / delta_h
@@ -228,11 +230,9 @@ def mixed_geodesic_term(
     return max(value, 0.0)
 
 
-def integrate_correction(samples, scheme: str = "trapezoid") -> tuple[float, float]:
+def integrate_correction(samples) -> tuple[float, float]:
     """Composite trapezoid over (t, value) samples, plus a Richardson error
     estimate from comparing against the half-resolution grid."""
-    if scheme != "trapezoid":
-        raise ConfigError(f"unknown quadrature scheme {scheme!r}")
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:
         raise ValueError("need an (n >= 2) x 2 array of (t, value) samples")
@@ -274,16 +274,17 @@ def _mixed_k_series(traj: Trajectory, rho0: np.ndarray, basis: OrthonormalBasis)
         g_nn = np.sum(np.abs(q @ u) ** 2, axis=1)
         cross = np.abs(frobenius_inner(p, q))
         k[i : i + STACK_BLOCK] = np.sqrt(f_nn * g_nn).sum(axis=1) - cross
-    return _clamp_series(k)
+    return _clamp_nonnegative(k, "correction series")
 
 
 class _Correction:
-    """correction_samples prepared for one trajectory.
+    """correction_samples and the geodesic term, prepared for one trajectory.
 
     What does not depend on the basis is computed here, once: the
-    denominator, its gate and the prefactor, and for a pure trajectory the
-    X and Y columns of the K series. A basis then costs only its own
-    projections and the checks on its K series, in `integrand`.
+    denominator, its gate and the prefactor, the initial state's purity for
+    a mixed trajectory, and for a pure one the X and Y columns of the K
+    series. A basis then costs only its own projections and the checks on
+    its K series, in `integrand`.
 
     The mixed route's centred stacks P = R Abar and Q = R Bbar are not kept:
     holding two more (n, d, d) stacks slowed the one-shot evaluation every
@@ -292,8 +293,7 @@ class _Correction:
     """
 
     def __init__(self, traj: Trajectory):
-        if traj.delta_h <= ZERO_SPREAD_TOL:
-            raise ZeroEnergyVariance(f"energy spread {traj.delta_h!r} is numerically zero")
+        _require_spread(traj.delta_h)
         self.traj = traj
         self.dim = traj.hamiltonian.dim
         if traj.kind == "pure":
@@ -318,7 +318,7 @@ class _Correction:
         else:
             rho0 = traj.states[0]
             self.rho0 = rho0.matrix
-            p = purity(rho0)
+            self.purity = p = purity(rho0)
             c = traj.overlap
             radical = np.maximum(1.0 - p * c * c, 0.0)
             self.underflow = radical < RADICAL_EPS
@@ -337,7 +337,8 @@ class _Correction:
             return _mixed_k_series(self.traj, self.rho0, basis)
         uh = basis.matrix.conj().T
         prods = (uh @ self.x).conj() * (uh @ self.y)
-        return _clamp_series(np.abs(prods).sum(axis=0) - np.abs(prods.sum(axis=0)))
+        gap = np.abs(prods).sum(axis=0) - np.abs(prods.sum(axis=0))
+        return _clamp_nonnegative(gap, "correction series")
 
     def integrand(self, basis: OrthonormalBasis) -> np.ndarray:
         """The correction integrand on the grid, prefactor included."""
@@ -356,12 +357,16 @@ class _Correction:
         f[self.ok] = self.scale * k[self.ok] / self.den_ok
         return f
 
-
-def _clamp_series(k: np.ndarray) -> np.ndarray:
-    low = float(k.min())
-    if low < -NONNEG_CLAMP:
-        raise BoundViolation(f"correction series dips to {low:.3e}")
-    return np.maximum(k, 0.0)
+    def geodesic(self) -> np.ndarray:
+        """The geodesic term at every grid point: mt_bound_pure for a pure
+        trajectory, mixed_geodesic_term for a mixed one."""
+        traj = self.traj
+        if self.rho0 is None:
+            return traj.hbar * traj.s0 / (2.0 * traj.delta_h)
+        # overlap * sqrt(P) = sqrt(Tr(rho0 rho_t)); it starts at exactly 1 and
+        # stays <= 1, so the term starts at 0 and never goes negative
+        angle = np.arccos(traj.overlap * math.sqrt(min(self.purity, 1.0)))
+        return traj.hbar * (angle - angle[0]) / traj.delta_h
 
 
 def correction_samples(traj: Trajectory, basis: OrthonormalBasis) -> np.ndarray:
@@ -374,24 +379,10 @@ def correction_samples(traj: Trajectory, basis: OrthonormalBasis) -> np.ndarray:
     return np.column_stack([traj.times, _Correction(traj).integrand(basis)])
 
 
-def _geodesic_series(traj: Trajectory) -> np.ndarray:
-    """The geodesic term at every grid point: mt_bound_pure for a pure
-    trajectory, mixed_geodesic_term for a mixed one."""
-    if traj.delta_h <= ZERO_SPREAD_TOL:
-        raise ZeroEnergyVariance(f"energy spread {traj.delta_h!r} is numerically zero")
-    if traj.kind == "pure":
-        return traj.hbar * traj.s0 / (2.0 * traj.delta_h)
-    # overlap * sqrt(P) = sqrt(Tr(rho0 rho_t)); it starts at exactly 1 and
-    # stays <= 1, so the term starts at 0 and never goes negative
-    root_p0 = math.sqrt(min(purity(traj.states[0]), 1.0))
-    angle = np.arccos(traj.overlap * root_p0)
-    return traj.hbar * (angle - angle[0]) / traj.delta_h
-
-
-def _report_at_end(traj: Trajectory, basis: OrthonormalBasis, basis_id: str) -> BoundReport:
-    samples = correction_samples(traj, basis)
-    value, err = integrate_correction(samples)
-    tau_mt = float(_geodesic_series(traj)[-1])
+def _report_at_end(correction: _Correction, basis: OrthonormalBasis, basis_id: str) -> BoundReport:
+    traj = correction.traj
+    value, err = integrate_correction(np.column_stack([traj.times, correction.integrand(basis)]))
+    tau_mt = float(correction.geodesic()[-1])
     tau_tqsl = tau_mt + value
     return BoundReport(
         tau_actual=float(traj.times[-1]),
@@ -413,9 +404,9 @@ def _require_clean(traj: Trajectory) -> None:
         )
 
 
-def tqsl_pure(
+def tqsl_bound(
     h: Observable,
-    psi0: PureState,
+    state0: State,
     tau: float,
     basis: OrthonormalBasis,
     steps: int = DEFAULT_STEPS,
@@ -423,26 +414,11 @@ def tqsl_pure(
     *,
     basis_id: str = "user",
 ) -> BoundReport:
-    """Evaluate the tightened bound at time tau for a pure initial state."""
-    traj = sample_trajectory(h, psi0, tau, steps, hbar)
+    """Evaluate the tightened bound at time tau for a pure or mixed initial
+    state."""
+    traj = sample_trajectory(h, state0, tau, steps, hbar)
     _require_clean(traj)
-    return _report_at_end(traj, basis, basis_id)
-
-
-def tqsl_mixed(
-    h: Observable,
-    rho0: DensityMatrix,
-    tau: float,
-    basis: OrthonormalBasis,
-    steps: int = DEFAULT_STEPS,
-    hbar: float = 1.0,
-    *,
-    basis_id: str = "user",
-) -> BoundReport:
-    """Evaluate the tightened bound at time tau for a mixed initial state."""
-    traj = sample_trajectory(h, rho0, tau, steps, hbar)
-    _require_clean(traj)
-    return _report_at_end(traj, basis, basis_id)
+    return _report_at_end(_Correction(traj), basis, basis_id)
 
 
 def bound_series(traj: Trajectory, basis: OrthonormalBasis, basis_id: str = "user") -> BoundSeries:
@@ -452,13 +428,13 @@ def bound_series(traj: Trajectory, basis: OrthonormalBasis, basis_id: str = "use
     Rows past the trajectory's validity index are still reported (flagged
     false) so sweeps can plot the whole window.
     """
-    samples = correction_samples(traj, basis)
-    t, f = samples[:, 0], samples[:, 1]
+    correction = _Correction(traj)
+    t, f = traj.times, correction.integrand(basis)
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(t))])
     idx = _half_grid_indices(len(t))
     th, fh = t[idx], f[idx]
     cum_half = np.concatenate([[0.0], np.cumsum(0.5 * (fh[1:] + fh[:-1]) * np.diff(th))])
-    tau_mt = _geodesic_series(traj)
+    tau_mt = correction.geodesic()
     tau_tqsl = tau_mt + cum
     return BoundSeries(
         t=t,
@@ -498,15 +474,9 @@ class OptimizerConfig:
             raise ConfigError("patience must be >= 1")
 
 
-def optimize_basis(
-    h: Observable,
-    state0: State,
-    tau: float,
-    steps: int = DEFAULT_STEPS,
-    opt_config: OptimizerConfig = None,
-    hbar: float = 1.0,
-) -> tuple:
-    """Maximize the correction integral over complete orthonormal bases.
+def optimize_basis(traj: Trajectory, opt_config: OptimizerConfig = None) -> tuple:
+    """Maximize the correction integral over complete orthonormal bases;
+    returns the best basis and its bound at the trajectory's endpoint.
 
     Restart 0 is the identity basis; later restarts start from eigenbases
     of independent random Hermitian draws. Candidates rotate the current
@@ -515,14 +485,6 @@ def optimize_basis(
     dominates every basis probed, nothing more is claimed.
     """
     cfg = opt_config if opt_config is not None else OptimizerConfig()
-    traj = sample_trajectory(h, state0, tau, steps, hbar)
-    basis, label = _optimize_on(traj, cfg)
-    return basis, _report_at_end(traj, basis, label)
-
-
-def _optimize_on(traj: Trajectory, cfg: OptimizerConfig) -> tuple:
-    """optimize_basis on an already sampled trajectory: the best basis and
-    its basis_id."""
     _require_clean(traj)
     dim = traj.hamiltonian.dim
     correction = _Correction(traj)
@@ -568,7 +530,7 @@ def _optimize_on(traj: Trajectory, cfg: OptimizerConfig) -> tuple:
     if best is None:
         raise SingularIntegrand("every optimizer restart hit a singular integrand")
     _, basis, label = best
-    return basis, label
+    return basis, _report_at_end(correction, basis, label)
 
 
 def _random_directions(rng, count: int, dim: int) -> np.ndarray:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -17,11 +18,17 @@ import numpy as np
 from .bounds import (
     BOUND_CSV_HEADER,
     OptimizerConfig,
-    _optimize_on,
     bound_series,
     integrate_correction,
+    optimize_basis,
 )
-from .dynamics import bargmann_angle_mixed, bargmann_angle_pure, evolve_mixed, sample_trajectory
+from .dynamics import (
+    Trajectory,
+    bargmann_angle_mixed,
+    bargmann_angle_pure,
+    evolve_mixed,
+    sample_trajectory,
+)
 from .ensembles import (
     GueConfig,
     SpinChainConfig,
@@ -36,6 +43,7 @@ from .states import (
     Observable,
     OrthonormalBasis,
     PureState,
+    _raw_moment,
     centered,
     expectation,
     variance,
@@ -67,7 +75,6 @@ class ExperimentConfig:
     omega: float = 1.0
     t_max: float = 3.0
     steps: int = 300
-    n_hamiltonians: int = 0
     seeds: tuple = (0, 1, 2)
     basis_mode: str = "fixed-random"
     hbar: float = 1.0
@@ -89,19 +96,15 @@ class ExperimentConfig:
             raise ConfigError(f"dim must be >= 2, got {self.dim}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        seeds = tuple(int(s) for s in self.seeds)
+        try:
+            seeds = tuple(operator.index(s) for s in self.seeds)
+        except TypeError as err:
+            raise ConfigError(f"seeds must be nonnegative integers, got {self.seeds!r}") from err
         if any(s < 0 for s in seeds):
             raise ConfigError(f"seeds must be nonnegative integers, got {min(seeds)}")
-        if not seeds and self.n_hamiltonians > 0:
-            seeds = tuple(range(self.n_hamiltonians))
         if self.kind in ("gue", "spin") and not seeds:
             raise ConfigError(f"{self.kind} runs need at least one seed")
-        if self.n_hamiltonians not in (0, len(seeds)):
-            raise ConfigError(
-                f"n_hamiltonians {self.n_hamiltonians} disagrees with {len(seeds)} seeds"
-            )
         object.__setattr__(self, "seeds", seeds)
-        object.__setattr__(self, "n_hamiltonians", len(seeds))
         object.__setattr__(
             self, "blocks", tuple(tuple(int(i) for i in block) for block in self.blocks)
         )
@@ -127,7 +130,8 @@ def _sample_and_pick(cfg: ExperimentConfig, h: Observable, state0, seed: int):
         basis, basis_id = random_basis(h.dim, basis_seed), f"gue-eigenbasis:seed={basis_seed}"
     traj = sample_trajectory(h, state0, cfg.t_max, cfg.steps, cfg.hbar)
     if cfg.basis_mode == "optimize":
-        basis, basis_id = _optimize_on(traj, OptimizerConfig(seed=seed))
+        basis, report = optimize_basis(traj, OptimizerConfig(seed=seed))
+        basis_id = report.basis_id
     return traj, basis, basis_id
 
 
@@ -135,8 +139,13 @@ def _write_lines(path: Path, header: str, rows) -> None:
     path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8", newline="\n")
 
 
-def _config_echo(cfg: ExperimentConfig) -> dict:
-    return asdict(cfg)
+def _write_json(path: Path, payload: dict) -> None:
+    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8", newline="\n")
+
+
+def _require_kind(cfg: ExperimentConfig, kind: str) -> None:
+    if cfg.kind != kind:
+        raise ConfigError(f"expected kind {kind!r}, got {cfg.kind!r}")
 
 
 def _run_ok(run: dict) -> bool:
@@ -149,50 +158,14 @@ def _run_ok(run: dict) -> bool:
 
 def run_experiment_gue(cfg: ExperimentConfig) -> dict:
     """One CSV per sampled Hamiltonian, plus summary.json."""
-    if cfg.kind != "gue":
-        raise ConfigError(f"expected kind 'gue', got {cfg.kind!r}")
-    out = Path(cfg.output_path)
-    out.mkdir(parents=True, exist_ok=True)
-    runs = []
-    for seed in cfg.seeds:
-        run = {"seed": seed, "min_delta": None, "max_delta": None, "flags": []}
-        try:
-            h = sample_gue(GueConfig(dim=cfg.dim, seed=seed))
-            psi0 = default_initial_state(cfg.dim)
-            traj, basis, basis_id = _sample_and_pick(cfg, h, psi0, seed)
-            series = bound_series(traj, basis, basis_id)
-            name = f"gue_seed{seed}.csv"
-            _write_lines(out / name, BOUND_CSV_HEADER, series.csv_rows())
-            if not traj.validity_clean:
-                run["flags"].append(
-                    f"overlap-minimum@t={traj.times[traj.valid_until]:.6g}"
-                )
-            run.update(
-                min_delta=float(series.delta.min()),
-                max_delta=float(series.delta.max()),
-                csv=name,
-                basis_id=basis_id,
-            )
-        except QslError as err:
-            run["flags"].append(f"error:{type(err).__name__}:{err}")
-        runs.append(run)
-    summary = {
-        "config": _config_echo(cfg),
-        "runs": runs,
-        "ok": all(_run_ok(r) for r in runs),
-    }
-    (out / "summary.json").write_text(
-        json.dumps(summary, indent=2) + "\n", encoding="utf-8", newline="\n"
-    )
-    return summary
+    _require_kind(cfg, "gue")
+    psi0 = default_initial_state(cfg.dim)
+    return _run_sweep(cfg, lambda seed: (sample_gue(GueConfig(dim=cfg.dim, seed=seed)), psi0))
 
 
 def run_experiment_spin(cfg: ExperimentConfig) -> dict:
     """Spin-chain sweep; CSV rows gain a trailing closed-form fidelity column."""
-    if cfg.kind != "spin":
-        raise ConfigError(f"expected kind 'spin', got {cfg.kind!r}")
-    out = Path(cfg.output_path)
-    out.mkdir(parents=True, exist_ok=True)
+    _require_kind(cfg, "spin")
     spin_cfg = SpinChainConfig(
         num_spins=cfg.num_spins, blocks=cfg.blocks, omega0=cfg.omega0, omega=cfg.omega
     )
@@ -200,55 +173,51 @@ def run_experiment_spin(cfg: ExperimentConfig) -> dict:
     amps = np.zeros(spin_cfg.dim, dtype=complex)
     amps[0] = 1.0
     psi0 = PureState(amps)
+
+    def fidelity(traj: Trajectory) -> np.ndarray:
+        exact = (spin_chain_evolved_state(spin_cfg, psi0, float(t)).amplitudes for t in traj.times)
+        return np.array([min(abs(complex(np.vdot(e, ket))), 1.0) for e, ket in zip(exact, traj.stack)])
+
+    return _run_sweep(cfg, lambda seed: (h, psi0), fidelity)
+
+
+def _run_sweep(cfg: ExperimentConfig, system, fidelity=None) -> dict:
+    """The sweep behind both runners: for each seed, `system(seed)` gives
+    the Hamiltonian and initial state, and the run writes one
+    `<kind>_seed<seed>.csv`; then summary.json.
+
+    `fidelity`, when given, maps the trajectory to one value per grid row:
+    the CSVs gain it as a trailing column and each run its minimum.
+    """
+    out = Path(cfg.output_path)
+    out.mkdir(parents=True, exist_ok=True)
+    header = BOUND_CSV_HEADER if fidelity is None else BOUND_CSV_HEADER + ",fidelity"
     runs = []
     for seed in cfg.seeds:
         run = {"seed": seed, "min_delta": None, "max_delta": None, "flags": []}
         try:
+            h, psi0 = system(seed)
             traj, basis, basis_id = _sample_and_pick(cfg, h, psi0, seed)
-            fidelity = np.array(
-                [
-                    min(
-                        abs(
-                            complex(
-                                np.vdot(
-                                    spin_chain_evolved_state(spin_cfg, psi0, float(t)).amplitudes,
-                                    ket,
-                                )
-                            )
-                        ),
-                        1.0,
-                    )
-                    for t, ket in zip(traj.times, traj.stack)
-                ]
-            )
+            column = None if fidelity is None else fidelity(traj)
             series = bound_series(traj, basis, basis_id)
-            rows = [
-                f"{row},{fid:.12g}" for row, fid in zip(series.csv_rows(), fidelity.tolist())
-            ]
-            name = f"spin_seed{seed}.csv"
-            _write_lines(out / name, BOUND_CSV_HEADER + ",fidelity", rows)
+            rows = series.csv_rows()
+            if column is not None:
+                rows = [f"{row},{value:.12g}" for row, value in zip(rows, column.tolist())]
+            name = f"{cfg.kind}_seed{seed}.csv"
+            _write_lines(out / name, header, rows)
             if not traj.validity_clean:
                 run["flags"].append(
                     f"overlap-minimum@t={traj.times[traj.valid_until]:.6g}"
                 )
-            run.update(
-                min_delta=float(series.delta.min()),
-                max_delta=float(series.delta.max()),
-                min_fidelity=float(fidelity.min()),
-                csv=name,
-                basis_id=basis_id,
-            )
+            run.update(min_delta=float(series.delta.min()), max_delta=float(series.delta.max()))
+            if column is not None:
+                run["min_fidelity"] = float(column.min())
+            run.update(csv=name, basis_id=basis_id)
         except QslError as err:
             run["flags"].append(f"error:{type(err).__name__}:{err}")
         runs.append(run)
-    summary = {
-        "config": _config_echo(cfg),
-        "runs": runs,
-        "ok": all(_run_ok(r) for r in runs),
-    }
-    (out / "summary.json").write_text(
-        json.dumps(summary, indent=2) + "\n", encoding="utf-8", newline="\n"
-    )
+    summary = {"config": asdict(cfg), "runs": runs, "ok": all(_run_ok(r) for r in runs)}
+    _write_json(out / "summary.json", summary)
     return summary
 
 
@@ -257,32 +226,36 @@ def run_experiment_spin(cfg: ExperimentConfig) -> dict:
 # Each check reports its most adverse signed margin; a check passes when the
 # margin stays above minus its tolerance.
 
-def _random_pure(rng, dim: int) -> PureState:
+def random_pure(rng, dim: int) -> PureState:
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return PureState(v / np.linalg.norm(v))
 
 
-def _random_density(rng, dim: int) -> DensityMatrix:
+def random_density(rng, dim: int) -> DensityMatrix:
     w = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = w @ w.conj().T
     return DensityMatrix(m / np.trace(m).real)
+
+
+def _verdict(name: str, trials: int, worst_slack: float, tolerance: float) -> dict:
+    return {
+        "name": name,
+        "trials": trials,
+        "worst_slack": worst_slack,
+        "tolerance": tolerance,
+        "passed": worst_slack >= -tolerance,
+    }
 
 
 def _derived_seed(rng) -> int:
     return int(rng.integers(2**63))
 
 
-def _moment(m: np.ndarray, state) -> complex:
-    if isinstance(state, PureState):
-        return complex(np.vdot(state.amplitudes, m @ state.amplitudes))
-    return complex(np.trace(state.matrix @ m))
-
-
 def _draw(rng, dim: int, mixed: bool):
     a = sample_gue(GueConfig(dim=dim, seed=_derived_seed(rng)))
     b = sample_gue(GueConfig(dim=dim, seed=_derived_seed(rng)))
     basis = random_basis(dim, _derived_seed(rng))
-    state = _random_density(rng, dim) if mixed else _random_pure(rng, dim)
+    state = random_density(rng, dim) if mixed else random_pure(rng, dim)
     return a, b, state, basis
 
 
@@ -300,15 +273,9 @@ def _check_chain(trials: int, seed: int, mixed: bool) -> dict:
             tighter = tighter_bound_pure(a, b, state, basis)
         cross = cross_term(a, b, state)
         am, bm = a.matrix, b.matrix
-        half_comm = 0.5 * abs(_moment(am @ bm - bm @ am, state))
+        half_comm = 0.5 * abs(_raw_moment(am @ bm - bm @ am, state))
         worst = min(worst, da * db - tighter, tighter - cross, cross - half_comm)
-    return {
-        "name": "mixed-chain" if mixed else "pure-chain",
-        "trials": trials,
-        "worst_slack": worst,
-        "tolerance": 1e-9,
-        "passed": worst >= -1e-9,
-    }
+    return _verdict("mixed-chain" if mixed else "pure-chain", trials, worst, 1e-9)
 
 
 def _check_moment_identity(trials: int, seed: int) -> dict:
@@ -319,13 +286,7 @@ def _check_moment_identity(trials: int, seed: int) -> dict:
         mixed = k % 2 == 1
         a, b, state, _ = _draw(rng, dim, mixed)
         worst = max(worst, abs(moment_identity_residual(a, b, state)))
-    return {
-        "name": "moment-identity",
-        "trials": trials,
-        "worst_slack": -worst,
-        "tolerance": 1e-9,
-        "passed": worst <= 1e-9,
-    }
+    return _verdict("moment-identity", trials, -worst, 1e-9)
 
 
 def _check_f_positivity(trials: int, seed: int) -> dict:
@@ -334,17 +295,11 @@ def _check_f_positivity(trials: int, seed: int) -> dict:
     for k in range(trials):
         dim = _SUITE_DIMS[k % len(_SUITE_DIMS)]
         a = sample_gue(GueConfig(dim=dim, seed=_derived_seed(rng)))
-        rho = _random_density(rng, dim)
+        rho = random_density(rng, dim)
         abar = centered(a, rho).matrix
         f = abar @ rho.matrix @ abar
         worst = min(worst, float(np.linalg.eigvalsh(0.5 * (f + f.conj().T))[0]))
-    return {
-        "name": "f-positivity",
-        "trials": trials,
-        "worst_slack": worst,
-        "tolerance": 1e-10,
-        "passed": worst >= -1e-10,
-    }
+    return _verdict("f-positivity", trials, worst, 1e-10)
 
 
 def _check_side_insensitivity(trials: int, seed: int) -> dict:
@@ -369,13 +324,7 @@ def _check_side_insensitivity(trials: int, seed: int) -> dict:
                 sandwich = bn @ r @ bn.conj().T if attach == "left" else bn.conj().T @ r @ bn
                 total += math.sqrt(abs(complex(np.trace(f @ sandwich))))
             worst = max(worst, abs(total - fast))
-    return {
-        "name": "side-insensitivity",
-        "trials": trials,
-        "worst_slack": -worst,
-        "tolerance": 1e-9,
-        "passed": worst <= 1e-9,
-    }
+    return _verdict("side-insensitivity", trials, -worst, 1e-9)
 
 
 def _check_pure_reduction(trials: int, seed: int) -> dict:
@@ -389,13 +338,7 @@ def _check_pure_reduction(trials: int, seed: int) -> dict:
             - tighter_bound_pure(a, b, psi, basis)
         )
         worst = max(worst, diff)
-    return {
-        "name": "pure-reduction",
-        "trials": trials,
-        "worst_slack": -worst,
-        "tolerance": 1e-9,
-        "passed": worst <= 1e-9,
-    }
+    return _verdict("pure-reduction", trials, -worst, 1e-9)
 
 
 def _check_lift_agreement(trials: int, seed: int) -> dict:
@@ -404,20 +347,14 @@ def _check_lift_agreement(trials: int, seed: int) -> dict:
     for k in range(trials):
         dim = _SUITE_DIMS[k % len(_SUITE_DIMS)]
         a = sample_gue(GueConfig(dim=dim, seed=_derived_seed(rng)))
-        psi = _random_pure(rng, dim)
+        psi = random_pure(rng, dim)
         rho = psi.to_density()
         worst = max(
             worst,
             abs(expectation(a, psi) - expectation(a, rho)),
             abs(variance(a, psi) - variance(a, rho)),
         )
-    return {
-        "name": "state-lift-agreement",
-        "trials": trials,
-        "worst_slack": -worst,
-        "tolerance": 1e-10,
-        "passed": worst <= 1e-10,
-    }
+    return _verdict("state-lift-agreement", trials, -worst, 1e-10)
 
 
 def _check_bargmann_symmetry(trials: int, seed: int) -> dict:
@@ -425,21 +362,15 @@ def _check_bargmann_symmetry(trials: int, seed: int) -> dict:
     worst = 0.0
     for k in range(trials):
         dim = _SUITE_DIMS[k % len(_SUITE_DIMS)]
-        p1, p2 = _random_pure(rng, dim), _random_pure(rng, dim)
+        p1, p2 = random_pure(rng, dim), random_pure(rng, dim)
         worst = max(worst, abs(bargmann_angle_pure(p1, p2) - bargmann_angle_pure(p2, p1)))
         h = sample_gue(GueConfig(dim=dim, seed=_derived_seed(rng)))
-        rho0 = _random_density(rng, dim)
+        rho0 = random_density(rng, dim)
         rhot = evolve_mixed(h, rho0, float(rng.uniform(0.1, 2.0)))
         worst = max(
             worst, abs(bargmann_angle_mixed(rho0, rhot) - bargmann_angle_mixed(rhot, rho0))
         )
-    return {
-        "name": "bargmann-symmetry",
-        "trials": trials,
-        "worst_slack": -worst,
-        "tolerance": 1e-10,
-        "passed": worst <= 1e-10,
-    }
+    return _verdict("bargmann-symmetry", trials, -worst, 1e-10)
 
 
 def _check_correction_nonnegative(trials: int, seed: int) -> dict:
@@ -453,13 +384,7 @@ def _check_correction_nonnegative(trials: int, seed: int) -> dict:
             worst = min(worst, correction_k_mixed(a, b, state, basis))
         else:
             worst = min(worst, correction_k_pure(a, b, state, basis))
-    return {
-        "name": "correction-nonnegative",
-        "trials": trials,
-        "worst_slack": worst,
-        "tolerance": 0.0,
-        "passed": worst >= 0.0,
-    }
+    return _verdict("correction-nonnegative", trials, worst, 0.0)
 
 
 def _check_delta_nonnegative(seed: int) -> dict:
@@ -470,13 +395,7 @@ def _check_delta_nonnegative(seed: int) -> dict:
         basis = random_basis(3, seed + k + BASIS_SEED_OFFSET)
         traj = sample_trajectory(h, default_initial_state(3), 1.5, 100)
         worst = min(worst, float(bound_series(traj, basis).delta.min()))
-    return {
-        "name": "delta-nonnegative",
-        "trials": trials,
-        "worst_slack": worst,
-        "tolerance": 1e-9,
-        "passed": worst >= -1e-9,
-    }
+    return _verdict("delta-nonnegative", trials, worst, 1e-9)
 
 
 def _check_quadrature_order(seed: int) -> dict:
@@ -489,13 +408,7 @@ def _check_quadrature_order(seed: int) -> dict:
     e1 = abs(integrate_correction(np.column_stack([t1, f(t1)]))[0] - exact)
     e2 = abs(integrate_correction(np.column_stack([t2, f(t2)]))[0] - exact)
     ratio = e1 / e2
-    return {
-        "name": "quadrature-order",
-        "trials": 1,
-        "worst_slack": -abs(ratio - 4.0),
-        "tolerance": 0.5,
-        "passed": abs(ratio - 4.0) <= 0.5,
-    }
+    return _verdict("quadrature-order", 1, -abs(ratio - 4.0), 0.5)
 
 
 def _check_hermiticity_rejection(seed: int) -> dict:
@@ -504,20 +417,15 @@ def _check_hermiticity_rejection(seed: int) -> dict:
         Observable(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
     except NonHermitianInput:
         caught = True
-    return {
-        "name": "hermiticity-rejection",
-        "trials": 1,
-        "worst_slack": 0.0 if caught else -1.0,
-        "tolerance": 0.0,
-        "passed": caught,
-    }
+    return _verdict("hermiticity-rejection", 1, 0.0 if caught else -1.0, 0.0)
 
 
 def run_property_suite(cfg: ExperimentConfig) -> dict:
     """Seeded fuzz run over the library's invariants; failures are report
     content, not exceptions."""
-    if cfg.kind != "verify":
-        raise ConfigError(f"expected kind 'verify', got {cfg.kind!r}")
+    _require_kind(cfg, "verify")
+    if len(cfg.seeds) > 1:
+        raise ConfigError(f"verify runs take one seed, got {len(cfg.seeds)}")
     seed = cfg.seeds[0] if cfg.seeds else 0
     trials = cfg.trials
     checks = [
@@ -540,14 +448,12 @@ def run_property_suite(cfg: ExperimentConfig) -> dict:
         a, b, rho, _ = _draw(rng, 3, mixed=True)
         doubled = max(doubled, abs(moment_identity_residual(a, b, rho, doubled_mean_product=True)))
     report = {
-        "config": _config_echo(cfg),
+        "config": asdict(cfg),
         "checks": checks,
         "diagnostics": {"doubled_mean_product_residual_max": doubled},
         "passed": all(c["passed"] for c in checks),
     }
     out = Path(cfg.output_path)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "verify.json").write_text(
-        json.dumps(report, indent=2) + "\n", encoding="utf-8", newline="\n"
-    )
+    _write_json(out / "verify.json", report)
     return report

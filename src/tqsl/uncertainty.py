@@ -21,6 +21,7 @@ from .states import (
     OrthonormalBasis,
     PureState,
     State,
+    _raw_moment,
     centered,
     expectation,
     variance,
@@ -85,13 +86,6 @@ def _check_basis(state: State, basis: OrthonormalBasis) -> None:
         raise DimensionMismatch(f"basis dim {basis.dim} vs state dim {state.dim}")
 
 
-def _moment(m: np.ndarray, state: State) -> complex:
-    if isinstance(state, PureState):
-        v = state.amplitudes
-        return complex(np.vdot(v, m @ v))
-    return complex(np.trace(state.matrix @ m))
-
-
 def _product_moment(a: Observable, b: Observable, state: State) -> complex:
     """Mean of the centered operator product: <Abar Bbar>."""
     abar = centered(a, state).matrix
@@ -102,18 +96,21 @@ def _product_moment(a: Observable, b: Observable, state: State) -> complex:
     return complex(np.trace(abar @ state.matrix @ bbar))
 
 
-def _clamp_nonnegative(value: float, what: str) -> float:
-    if value < -NONNEG_CLAMP:
-        raise BoundViolation(f"{what} = {value:.3e} below -{NONNEG_CLAMP:.0e}")
-    return max(value, 0.0)
+def _clamp_nonnegative(value, what: str):
+    """A number or array that is >= 0 in exact arithmetic, with round-off
+    negatives set to 0; a dip below -NONNEG_CLAMP raises."""
+    low = float(np.minimum.reduce(value, axis=None))
+    if low < -NONNEG_CLAMP:
+        raise BoundViolation(f"{what} = {low:.3e} below -{NONNEG_CLAMP:.0e}")
+    return np.maximum(value, 0.0)
 
 
 def robertson_schrodinger_bound(a: Observable, b: Observable, state: State) -> float:
     """Square root of the commutator/anticommutator split, from raw moments."""
     _check_pair(a, b, state)
     am, bm = a.matrix, b.matrix
-    comm = _moment(am @ bm - bm @ am, state)
-    anti = _moment(am @ bm + bm @ am, state)
+    comm = _raw_moment(am @ bm - bm @ am, state)
+    anti = _raw_moment(am @ bm + bm @ am, state)
     mean_a = expectation(a, state)
     mean_b = expectation(b, state)
     return math.hypot(0.5 * abs(comm), 0.5 * anti.real - mean_a * mean_b)
@@ -174,7 +171,7 @@ def correction_k_pure(
     """Gap between the basis-resolved sum and the unresolved modulus."""
     prods = _pure_products(a, b, psi, basis, projector_side)
     gap = float(np.sum(np.abs(prods)) - abs(np.sum(prods)))
-    return _clamp_nonnegative(gap, "pure correction")
+    return float(_clamp_nonnegative(gap, "pure correction"))
 
 
 def _mixed_diagonals(
@@ -216,7 +213,7 @@ def correction_k_mixed(
 ) -> float:
     """Gap between the basis-resolved mixed bound and |Tr(Abar rho Bbar)|."""
     gap = tighter_bound_mixed(a, b, rho, basis) - cross_term(a, b, rho)
-    return _clamp_nonnegative(gap, "mixed correction")
+    return float(_clamp_nonnegative(gap, "mixed correction"))
 
 
 def uncertainty_report(
@@ -240,7 +237,7 @@ def uncertainty_report(
         tighter_bound=tighter,
         rs_bound=robertson_schrodinger_bound(a, b, state),
         cross_term=cross,
-        correction_k=_clamp_nonnegative(tighter - cross, "correction"),
+        correction_k=float(_clamp_nonnegative(tighter - cross, "correction")),
     )
 
 
@@ -255,8 +252,8 @@ def moment_identity_residual(
     """
     _check_pair(a, b, state)
     am, bm = a.matrix, b.matrix
-    comm = _moment(am @ bm - bm @ am, state)
-    anti = _moment(am @ bm + bm @ am, state)
+    comm = _raw_moment(am @ bm - bm @ am, state)
+    anti = _raw_moment(am @ bm + bm @ am, state)
     factor = 2.0 if doubled_mean_product else 1.0
     mean_a = expectation(a, state)
     mean_b = expectation(b, state)

@@ -1,8 +1,12 @@
-"""Shared fixtures: Pauli matrices and a couple of canonical states."""
+"""Shared fixtures: Pauli matrices and a couple of canonical states.
+
+random_pure and random_density are the property suite's own draws,
+re-exported for the test modules."""
 import numpy as np
 import pytest
 
 from tqsl import DensityMatrix, Observable, PureState
+from tqsl.experiments import random_density, random_pure  # noqa: F401
 
 
 @pytest.fixture(scope="session")
@@ -38,14 +42,3 @@ def ket_plus() -> PureState:
 @pytest.fixture(scope="session")
 def qubit_mixed() -> DensityMatrix:
     return DensityMatrix(np.diag([0.8, 0.2]).astype(complex))
-
-
-def random_pure(rng, dim: int) -> PureState:
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return PureState(v / np.linalg.norm(v))
-
-
-def random_density(rng, dim: int) -> DensityMatrix:
-    w = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    m = w @ w.conj().T
-    return DensityMatrix(m / np.trace(m).real)

@@ -30,8 +30,7 @@ from tqsl import (
     sample_trajectory,
     tighter_bound_mixed,
     tighter_bound_pure,
-    tqsl_mixed,
-    tqsl_pure,
+    tqsl_bound,
     variance,
 )
 
@@ -142,8 +141,8 @@ def test_04_pure_state_reduction():
         # matched trajectories: same Hamiltonian, horizon, grid, and basis
         probe = sample_trajectory(a, psi, 1.0, 101)
         tau = float(probe.times[max(probe.valid_until // 2, 1)])
-        pure_report = tqsl_pure(a, psi, tau, basis, steps=80)
-        mixed_report = tqsl_mixed(a, rho, tau, basis, steps=80)
+        pure_report = tqsl_bound(a, psi, tau, basis, steps=80)
+        mixed_report = tqsl_bound(a, rho, tau, basis, steps=80)
         worst_tau = max(worst_tau, abs(mixed_report.tau_tqsl - pure_report.tau_tqsl))
     assert worst_bound < 1e-9
     assert worst_tau < 1e-6
@@ -152,7 +151,7 @@ def test_04_pure_state_reduction():
 def test_05_mt_saturation_for_precession(sigma_x, ket0):
     basis = OrthonormalBasis(np.eye(2))
     for tau in (0.2, 0.5, 1.0):
-        report = tqsl_pure(sigma_x, ket0, tau, basis)
+        report = tqsl_bound(sigma_x, ket0, tau, basis)
         assert report.tau_mt == pytest.approx(tau, abs=1e-8)
         assert report.tau_tqsl >= report.tau_mt
 
@@ -177,8 +176,8 @@ def test_07_quadrature_convergence():
         probe = sample_trajectory(h, psi, 3.0, 400)
         tau = float(probe.times[max(probe.valid_until - 2, 1)])
         basis = random_basis(3, seed + 1_000_003)
-        coarse = tqsl_pure(h, psi, tau, basis, steps=400)
-        fine = tqsl_pure(h, psi, tau, basis, steps=800)
+        coarse = tqsl_bound(h, psi, tau, basis, steps=400)
+        fine = tqsl_bound(h, psi, tau, basis, steps=800)
         change = abs(fine.correction_integral - coarse.correction_integral)
         rel = change / max(abs(coarse.correction_integral), 1e-15)
         assert rel < 1e-4

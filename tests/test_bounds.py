@@ -41,8 +41,7 @@ from tqsl import (
     sample_gue,
     sample_trajectory,
     sqrtm_psd,
-    tqsl_mixed,
-    tqsl_pure,
+    tqsl_bound,
     variance,
 )
 from conftest import random_density, random_pure
@@ -239,11 +238,6 @@ class TestIntegrateCorrection:
         with pytest.raises(ValueError, match="samples"):
             integrate_correction(np.ones((4, 3)))
 
-    def test_rejects_unknown_scheme(self):
-        t = np.linspace(0.0, 1.0, 5)
-        with pytest.raises(ConfigError, match="scheme"):
-            integrate_correction(np.column_stack([t, t]), scheme="simpson")
-
 
 class TestCorrectionSamples:
     def test_qubit_precession_has_no_correction(self, sigma_x, ket0):
@@ -432,21 +426,23 @@ class TestBoundReport:
 
 
 class TestTqslPure:
+    """tqsl_bound on pure initial states."""
+
     def test_precession_saturates_geodesic(self, sigma_x, ket0):
         for tau in (0.2, 0.5, 1.0):
-            rep = tqsl_pure(sigma_x, ket0, tau, OrthonormalBasis.identity(2), steps=100)
+            rep = tqsl_bound(sigma_x, ket0, tau, OrthonormalBasis.identity(2), steps=100)
             assert rep.tau_mt == pytest.approx(tau, abs=1e-8)
             assert rep.tau_tqsl >= rep.tau_mt
             assert rep.delta < 1e-12
             assert rep.validity
 
     def test_hbar_threads_through(self, sigma_x, ket0):
-        rep = tqsl_pure(sigma_x, ket0, 0.4, OrthonormalBasis.identity(2), steps=50, hbar=2.0)
+        rep = tqsl_bound(sigma_x, ket0, 0.4, OrthonormalBasis.identity(2), steps=50, hbar=2.0)
         assert rep.tau_mt == pytest.approx(0.4, abs=1e-10)
 
     def test_bookkeeping(self):
         h = sample_gue(GueConfig(dim=3, seed=0))
-        rep = tqsl_pure(h, default_initial_state(3), 1.0, random_basis(3, 5), steps=80)
+        rep = tqsl_bound(h, default_initial_state(3), 1.0, random_basis(3, 5), steps=80)
         assert rep.tau_actual == 1.0
         assert rep.tau_tqsl == pytest.approx(rep.tau_mt + rep.correction_integral, abs=1e-14)
         assert rep.delta == pytest.approx(rep.correction_integral, abs=1e-14)
@@ -456,23 +452,25 @@ class TestTqslPure:
 
     def test_rejects_run_past_validity(self, sigma_x, ket0):
         with pytest.raises(ValidityExceeded, match="turns around"):
-            tqsl_pure(sigma_x, ket0, 2.0, OrthonormalBasis.identity(2), steps=100)
+            tqsl_bound(sigma_x, ket0, 2.0, OrthonormalBasis.identity(2), steps=100)
 
 
 class TestTqslMixed:
+    """tqsl_bound on mixed initial states."""
+
     def test_pure_lift_agrees_field_by_field(self):
         h = sample_gue(GueConfig(dim=3, seed=2))
         psi = default_initial_state(3)
         basis = random_basis(3, 5)
-        pure = tqsl_pure(h, psi, 1.2, basis, steps=120)
-        lifted = tqsl_mixed(h, psi.to_density(), 1.2, basis, steps=120)
+        pure = tqsl_bound(h, psi, 1.2, basis, steps=120)
+        lifted = tqsl_bound(h, psi.to_density(), 1.2, basis, steps=120)
         assert lifted.tau_mt == pytest.approx(pure.tau_mt, abs=1e-6)
         assert lifted.correction_integral == pytest.approx(pure.correction_integral, abs=1e-6)
         assert lifted.tau_tqsl == pytest.approx(pure.tau_tqsl, abs=1e-6)
         assert lifted.validity == pure.validity
 
     def test_genuinely_mixed_qubit(self, sigma_x, qubit_mixed):
-        rep = tqsl_mixed(sigma_x, qubit_mixed, 0.7, OrthonormalBasis.identity(2), steps=200)
+        rep = tqsl_bound(sigma_x, qubit_mixed, 0.7, OrthonormalBasis.identity(2), steps=200)
         assert rep.tau_mt == pytest.approx(0.153520738090, abs=1e-6)
         assert rep.delta >= 0.0
         assert rep.tau_tqsl <= 0.7 + 1e-6
@@ -480,7 +478,7 @@ class TestTqslMixed:
 
     def test_rejects_run_past_validity(self, sigma_x, qubit_mixed):
         with pytest.raises(ValidityExceeded):
-            tqsl_mixed(sigma_x, qubit_mixed, 2.0, OrthonormalBasis.identity(2), steps=100)
+            tqsl_bound(sigma_x, qubit_mixed, 2.0, OrthonormalBasis.identity(2), steps=100)
 
 
 class TestBoundSeries:
@@ -504,7 +502,7 @@ class TestBoundSeries:
         h, traj = gue_trajectory(seed=0, tau=1.0, steps=60)
         basis = random_basis(3, 5)
         series = bound_series(traj, basis, basis_id="shared")
-        rep = tqsl_pure(h, default_initial_state(3), 1.0, basis, steps=60, basis_id="shared")
+        rep = tqsl_bound(h, default_initial_state(3), 1.0, basis, steps=60, basis_id="shared")
         last = series[-1]
         assert last.tau_tqsl == pytest.approx(rep.tau_tqsl, abs=1e-12)
         assert last.correction_integral == pytest.approx(rep.correction_integral, abs=1e-12)
@@ -578,20 +576,20 @@ class TestOptimizeBasis:
         h = sample_gue(GueConfig(dim=3, seed=0))
         psi = default_initial_state(3)
         cfg = OptimizerConfig(restarts=1, iterations=0)
-        basis, rep = optimize_basis(h, psi, 1.0, steps=60, opt_config=cfg)
+        basis, rep = optimize_basis(sample_trajectory(h, psi, 1.0, 60), cfg)
         np.testing.assert_allclose(basis.matrix, np.eye(3), atol=1e-12)
         assert rep.basis_id == "optimize[identity, 0 moves]"
-        plain = tqsl_pure(h, psi, 1.0, OrthonormalBasis.identity(3), steps=60)
+        plain = tqsl_bound(h, psi, 1.0, OrthonormalBasis.identity(3), steps=60)
         assert rep.correction_integral == pytest.approx(plain.correction_integral, abs=1e-14)
 
     def test_dominates_probed_bases(self):
         h = sample_gue(GueConfig(dim=3, seed=0))
         psi = default_initial_state(3)
         cfg = OptimizerConfig(restarts=2, iterations=25, seed=3)
-        basis, rep = optimize_basis(h, psi, 1.0, steps=60, opt_config=cfg)
+        basis, rep = optimize_basis(sample_trajectory(h, psi, 1.0, 60), cfg)
         probes = [
-            tqsl_pure(h, psi, 1.0, OrthonormalBasis.identity(3), steps=60),
-            tqsl_pure(h, psi, 1.0, random_basis(3, 4), steps=60),
+            tqsl_bound(h, psi, 1.0, OrthonormalBasis.identity(3), steps=60),
+            tqsl_bound(h, psi, 1.0, random_basis(3, 4), steps=60),
         ]
         assert rep.correction_integral >= max(p.correction_integral for p in probes) - 1e-12
         assert rep.basis_id.startswith("optimize[")
@@ -600,8 +598,8 @@ class TestOptimizeBasis:
         h = sample_gue(GueConfig(dim=3, seed=1))
         psi = default_initial_state(3)
         cfg = OptimizerConfig(restarts=2, iterations=15, seed=11)
-        b1, r1 = optimize_basis(h, psi, 0.9, steps=50, opt_config=cfg)
-        b2, r2 = optimize_basis(h, psi, 0.9, steps=50, opt_config=cfg)
+        b1, r1 = optimize_basis(sample_trajectory(h, psi, 0.9, 50), cfg)
+        b2, r2 = optimize_basis(sample_trajectory(h, psi, 0.9, 50), cfg)
         np.testing.assert_array_equal(b1.matrix, b2.matrix)
         assert r1.tau_tqsl == r2.tau_tqsl
         assert r1.basis_id == r2.basis_id
@@ -622,7 +620,7 @@ class TestOptimizeBasis:
         h = sample_gue(GueConfig(dim=4, seed=2))
         rho = random_density(np.random.default_rng([2, 4]), 4)
         cfg = OptimizerConfig(restarts=3, iterations=40, seed=2)
-        _, rep = optimize_basis(h, rho, 0.8, steps=80, opt_config=cfg)
+        _, rep = optimize_basis(sample_trajectory(h, rho, 0.8, 80), cfg)
         assert rep.basis_id == "optimize[gue-eigenbasis:seed=4, 7 moves]"
         assert repr(rep.tau_tqsl) == "0.32020880606861685"
 
@@ -639,7 +637,7 @@ class TestOptimizeBasis:
 
     def test_propagates_validity_error(self, sigma_x, ket0):
         with pytest.raises(ValidityExceeded):
-            optimize_basis(sigma_x, ket0, 2.0, steps=60)
+            optimize_basis(sample_trajectory(sigma_x, ket0, 2.0, 60))
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

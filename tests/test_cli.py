@@ -134,6 +134,15 @@ class TestMain:
         assert "nonnegative" in captured.err
         assert not (tmp_path / "g").exists()
 
+    def test_verify_with_two_seeds_exits_two(self, tmp_path, capsys):
+        # the suite runs one seed, so it must not accept and echo a second
+        code = main(["verify", "--trials", "8", "--seeds", "3,9", "--out", str(tmp_path / "v")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("config error:")
+        assert "one seed" in captured.err
+        assert not (tmp_path / "v").exists()
+
     def test_bad_block_site_exits_two(self, tmp_path, capsys):
         code = main(
             ["spin", "--spins", "2", "--blocks", "1,5", "--out", str(tmp_path / "s")]

@@ -74,15 +74,6 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="trials"):
             ExperimentConfig(kind="verify", trials=0)
 
-    def test_seed_range_from_count(self):
-        cfg = ExperimentConfig(kind="gue", seeds=(), n_hamiltonians=4)
-        assert cfg.seeds == (0, 1, 2, 3)
-        assert cfg.n_hamiltonians == 4
-
-    def test_rejects_count_seed_disagreement(self):
-        with pytest.raises(ConfigError, match="disagrees"):
-            ExperimentConfig(kind="gue", seeds=(0, 1), n_hamiltonians=5)
-
     def test_gue_needs_seeds(self):
         with pytest.raises(ConfigError, match="seed"):
             ExperimentConfig(kind="gue", seeds=())
@@ -91,6 +82,11 @@ class TestExperimentConfig:
     def test_rejects_negative_seeds(self, kind):
         with pytest.raises(ConfigError, match="nonnegative"):
             ExperimentConfig(kind=kind, seeds=(0, -1))
+
+    def test_rejects_fractional_seeds(self):
+        # a fractional seed is rejected, not truncated to an integer
+        with pytest.raises(ConfigError, match="integers"):
+            ExperimentConfig(kind="gue", seeds=(1.7, 2.2))
 
     def test_verify_runs_without_seeds(self):
         cfg = ExperimentConfig(kind="verify", seeds=())
@@ -188,9 +184,8 @@ class TestRunGue:
         assert sampled == [1.0, 1.0]
         for run in summary["runs"]:
             h = sample_gue(GueConfig(dim=3, seed=run["seed"]))
-            _, report = optimize_basis(
-                h, default_initial_state(3), 1.0, 60, OptimizerConfig(seed=run["seed"])
-            )
+            traj = sample_trajectory(h, default_initial_state(3), 1.0, 60)
+            _, report = optimize_basis(traj, OptimizerConfig(seed=run["seed"]))
             assert run["basis_id"] == report.basis_id
             last = (tmp_path / "g" / run["csv"]).read_text(encoding="utf-8").splitlines()[-1]
             assert float(last.split(",")[2]) == pytest.approx(report.tau_tqsl, rel=1e-11)
@@ -294,3 +289,9 @@ class TestPropertySuite:
     def test_rejects_wrong_kind(self, tmp_path):
         with pytest.raises(ConfigError, match="verify"):
             run_property_suite(gue_config(tmp_path))
+
+    def test_takes_one_seed(self, tmp_path):
+        # the suite runs one seed, so it must not accept and echo a second
+        with pytest.raises(ConfigError, match="one seed"):
+            run_property_suite(self.verify_config(tmp_path / "v", seeds=(3, 9)))
+        assert not (tmp_path / "v").exists()

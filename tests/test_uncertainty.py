@@ -32,6 +32,7 @@ from tqsl import (
     variance,
 )
 from conftest import random_density, random_pure
+from tqsl.uncertainty import NONNEG_CLAMP, _clamp_nonnegative
 
 
 def draw(rng, dim, mixed):
@@ -312,3 +313,18 @@ class TestMomentIdentity:
         a = Observable(np.diag([1.0, 0.0]))
         residual = moment_identity_residual(a, sigma_z, ket0, doubled_mean_product=True)
         assert abs(residual) > 0.5
+
+
+class TestClampNonnegative:
+    """The one clamp behind every K value and K series."""
+
+    def test_round_off_negatives_become_zero(self):
+        assert _clamp_nonnegative(-0.5 * NONNEG_CLAMP, "k") == 0.0
+        assert _clamp_nonnegative(0.25, "k") == 0.25
+        got = _clamp_nonnegative(np.array([0.5, -0.5 * NONNEG_CLAMP, 0.0]), "k series")
+        np.testing.assert_array_equal(got, [0.5, 0.0, 0.0])
+
+    @pytest.mark.parametrize("value", [-2.0 * NONNEG_CLAMP, np.array([0.1, -2.0 * NONNEG_CLAMP])])
+    def test_deeper_dip_raises(self, value):
+        with pytest.raises(BoundViolation, match="k = -2.000e-09 below"):
+            _clamp_nonnegative(value, "k")
