@@ -14,7 +14,6 @@ from .bounds import (
     QuadratureInfo,
     bound_series,
     combined_bound_orthogonal,
-    correction_samples,
     integrate_correction,
     mixed_geodesic_term,
     mt_bound_pure,

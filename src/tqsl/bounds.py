@@ -9,6 +9,7 @@ denominator for mixed ones), so integrating it yields time units.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -34,11 +35,12 @@ from .states import (
     OrthonormalBasis,
     PureState,
     State,
+    basis_failures,
     expectation,
     purity,
     variance,
 )
-from .uncertainty import NONNEG_CLAMP, _clamp_nonnegative
+from .uncertainty import NONNEG_CLAMP
 
 DEFAULT_STEPS = 400
 ZERO_SPREAD_TOL = 1e-12
@@ -254,37 +256,52 @@ def _half_grid_indices(n: int) -> list:
     return idx
 
 
-def _mixed_k_series(traj: Trajectory, rho0: np.ndarray, basis: OrthonormalBasis) -> np.ndarray:
-    """K(t) on the whole grid for A = rho0, B = H, from the root stack.
+def _mixed_k_series(traj: Trajectory, rho0: np.ndarray, bases: np.ndarray) -> np.ndarray:
+    """K(t) on the whole grid for A = rho0, B = H, from the root stack, one
+    row per basis matrix of an (m, d, d) stack; not yet clamped.
 
     The batched form of uncertainty.correction_k_mixed: with P = R Abar and
     Q = R Bbar, the diagonals are the column norms of P U and Q U, and the
     cross term is |Tr(Abar rho Bbar)| = |sum conj(P) * Q|.
     """
     hm = traj.hamiltonian.matrix
-    u = basis.matrix
-    k = np.empty(len(traj.times))
-    for i in range(0, len(k), STACK_BLOCK):
+    u = bases[:, None]
+    k = np.empty((len(bases), len(traj.times)))
+    for i in range(0, k.shape[1], STACK_BLOCK):
         r = traj.stack[i : i + STACK_BLOCK]
         p = r @ rho0
         q = r @ hm
         p -= frobenius_inner(r, p).real[:, None, None] * r
         q -= frobenius_inner(r, q).real[:, None, None] * r
-        f_nn = np.sum(np.abs(p @ u) ** 2, axis=1)
-        g_nn = np.sum(np.abs(q @ u) ** 2, axis=1)
+        f_nn = np.sum(np.abs(p @ u) ** 2, axis=-2)
+        g_nn = np.sum(np.abs(q @ u) ** 2, axis=-2)
         cross = np.abs(frobenius_inner(p, q))
-        k[i : i + STACK_BLOCK] = np.sqrt(f_nn * g_nn).sum(axis=1) - cross
-    return _clamp_nonnegative(k, "correction series")
+        k[:, i : i + STACK_BLOCK] = np.sqrt(f_nn * g_nn).sum(axis=-1) - cross
+    return k
+
+
+def _kernel_failure(low: float, underflow: bool, singular: int):
+    """The first check a basis's K series fails, as an error, or None."""
+    if low < -NONNEG_CLAMP:
+        return BoundViolation(f"correction series = {low:.3e} below -{NONNEG_CLAMP:.0e}")
+    if underflow:
+        return DenominatorUnderflow("purity radical underflows while K is nonzero")
+    if singular:
+        return SingularIntegrand(
+            f"{singular} grid points have K >= {K_EPS:.0e} with a vanishing denominator"
+        )
+    return None
 
 
 class _Correction:
-    """correction_samples and the geodesic term, prepared for one trajectory.
+    """The correction integrand and the geodesic term, prepared for one
+    trajectory.
 
     What does not depend on the basis is computed here, once: the
     denominator, its gate and the prefactor, the initial state's purity for
     a mixed trajectory, and for a pure one the X and Y columns of the K
-    series. A basis then costs only its own projections and the checks on
-    its K series, in `integrand`.
+    series. A stack of bases then costs only its own projections and the
+    checks on its K series, in `integrands`.
 
     The mixed route's centred stacks P = R Abar and Q = R Bbar are not kept:
     holding two more (n, d, d) stacks slowed the one-shot evaluation every
@@ -329,32 +346,49 @@ class _Correction:
             den_gate = 2.0 * den
             self.scale = 1.0 / (math.sqrt(p) * traj.delta_h)
         self.ok = den_gate >= SIN_EPS
-        self.den_ok = den[self.ok]
+        self.gated = ~self.ok
+        self.den = den
 
-    def k_series(self, basis: OrthonormalBasis) -> np.ndarray:
-        """K(t) on the whole grid for A = the initial state, B = H."""
+    def k_series(self, bases: np.ndarray) -> np.ndarray:
+        """K(t), not yet clamped, for A = the initial state, B = H: one grid
+        row per basis matrix of an (m, d, d) stack."""
         if self.rho0 is not None:
-            return _mixed_k_series(self.traj, self.rho0, basis)
-        uh = basis.matrix.conj().T
+            return _mixed_k_series(self.traj, self.rho0, bases)
+        uh = bases.conj().swapaxes(-1, -2)
         prods = (uh @ self.x).conj() * (uh @ self.y)
-        gap = np.abs(prods).sum(axis=0) - np.abs(prods.sum(axis=0))
-        return _clamp_nonnegative(gap, "correction series")
+        return np.abs(prods).sum(axis=-2) - np.abs(prods.sum(axis=-2))
+
+    def integrands(self, bases: np.ndarray) -> tuple:
+        """The integrand, prefactor included, for each basis matrix of an
+        (m, d, d) stack: the (m, n) values, and per member None or the first
+        of BoundViolation (K dips below round-off), DenominatorUnderflow and
+        SingularIntegrand (K is live where the radical underflows or the
+        denominator vanishes). A failed member's values mean nothing."""
+        if bases.shape[-1] != self.dim:
+            raise DimensionMismatch(f"basis dim {bases.shape[-1]} vs H dim {self.dim}")
+        k = self.k_series(bases)
+        low = k.min(axis=1)
+        k = np.maximum(k, 0.0)
+        live = k >= K_EPS
+        singular = (live & self.gated).sum(axis=1)
+        if self.underflow is None:
+            underflow = np.zeros(len(k), dtype=bool)
+        else:
+            underflow = (live & self.underflow).any(axis=1)
+        failures = [
+            _kernel_failure(*member)
+            for member in zip(low.tolist(), underflow.tolist(), singular.tolist())
+        ]
+        f = np.zeros(k.shape)
+        np.divide(self.scale * k, self.den, out=f, where=self.ok)
+        return f, failures
 
     def integrand(self, basis: OrthonormalBasis) -> np.ndarray:
-        """The correction integrand on the grid, prefactor included."""
-        if basis.dim != self.dim:
-            raise DimensionMismatch(f"basis dim {basis.dim} vs H dim {self.dim}")
-        k = self.k_series(basis)
-        live = k >= K_EPS
-        if self.underflow is not None and np.any(self.underflow & live):
-            raise DenominatorUnderflow("purity radical underflows while K is nonzero")
-        singular = live & ~self.ok
-        if np.any(singular):
-            raise SingularIntegrand(
-                f"{int(np.sum(singular))} grid points have K >= {K_EPS:.0e} with a vanishing denominator"
-            )
-        f = np.zeros(len(k))
-        f[self.ok] = self.scale * k[self.ok] / self.den_ok
+        """The integrand for one basis: the m = 1 case of `integrands`,
+        with its failure raised."""
+        (f,), (failure,) = self.integrands(basis.matrix[None])
+        if failure is not None:
+            raise failure
         return f
 
     def geodesic(self) -> np.ndarray:
@@ -367,16 +401,6 @@ class _Correction:
         # stays <= 1, so the term starts at 0 and never goes negative
         angle = np.arccos(traj.overlap * math.sqrt(min(self.purity, 1.0)))
         return traj.hbar * (angle - angle[0]) / traj.delta_h
-
-
-def correction_samples(traj: Trajectory, basis: OrthonormalBasis) -> np.ndarray:
-    """(t, integrand) rows for the correction term, prefactors included.
-
-    Grid points where the denominator underflows while K is itself below
-    round-off contribute 0 (the t = 0 limit); a vanishing denominator with
-    K genuinely nonzero is outside the derivation and raises.
-    """
-    return np.column_stack([traj.times, _Correction(traj).integrand(basis)])
 
 
 def _report_at_end(correction: _Correction, basis: OrthonormalBasis, basis_id: str) -> BoundReport:
@@ -462,16 +486,26 @@ class OptimizerConfig:
     min_step: float = 1e-4
 
     def __post_init__(self):
+        for name in ("restarts", "iterations", "seed", "patience"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
         if self.restarts < 1:
             raise ConfigError("need at least one restart")
         if self.iterations < 0:
             raise ConfigError("iterations must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.shrink < 1.0:
             raise ConfigError("shrink must lie in (0, 1)")
-        if self.initial_step <= 0 or self.min_step <= 0:
-            raise ConfigError("step sizes must be positive")
+        if not (0.0 < self.initial_step < math.inf and 0.0 < self.min_step < math.inf):
+            raise ConfigError("step sizes must be positive and finite")
         if self.patience < 1:
             raise ConfigError("patience must be >= 1")
+
+
+_REJECTED = (SingularIntegrand, DenominatorUnderflow)  # reject a candidate, not the restart
 
 
 def optimize_basis(traj: Trajectory, opt_config: OptimizerConfig = None) -> tuple:
@@ -483,54 +517,66 @@ def optimize_basis(traj: Trajectory, opt_config: OptimizerConfig = None) -> tupl
     basis by e^{i step G} with G a random Hermitian direction; the step
     shrinks after `patience` rejections. Best effort: the returned bound
     dominates every basis probed, nothing more is claimed.
+
+    The independent restarts run in lockstep: each round rotates, checks
+    and scores one candidate per live restart in one stacked evaluation.
+    A singular start skips its restart; any other error stops it, and the
+    lowest-numbered restart's error is raised at the end, as running the
+    restarts one after another would.
     """
     cfg = opt_config if opt_config is not None else OptimizerConfig()
     _require_clean(traj)
     dim = traj.hamiltonian.dim
     correction = _Correction(traj)
-
-    def objective(b: OrthonormalBasis) -> float:
-        return float(np.trapezoid(correction.integrand(b), traj.times))
-
-    best = None
-    for r in range(cfg.restarts):
-        if r == 0:
-            basis = OrthonormalBasis.identity(dim)
-            origin = "identity"
-        else:
-            basis = random_basis(dim, cfg.seed + r)
-            origin = f"gue-eigenbasis:seed={cfg.seed + r}"
-        try:
-            value = objective(basis)
-        except (SingularIntegrand, DenominatorUnderflow):
-            continue
-        rng = np.random.default_rng([cfg.seed, r])
-        directions = eigh(_random_directions(rng, cfg.iterations, dim))
-        step = cfg.initial_step
-        stall = 0
-        moves = 0
-        for j in range(cfg.iterations):
-            if step < cfg.min_step:
-                break
-            candidate = OrthonormalBasis(basis.matrix @ expm_i_hermitian(directions[j], -step))
-            try:
-                cand_value = objective(candidate)
-            except (SingularIntegrand, DenominatorUnderflow):
-                cand_value = None
-            if cand_value is not None and cand_value > value:
-                basis, value, moves = candidate, cand_value, moves + 1
-                stall = 0
+    n = cfg.restarts
+    starts = [np.eye(dim, dtype=complex)] + [random_basis(dim, cfg.seed + r).matrix for r in range(1, n)]
+    bases = np.stack(starts)
+    values, failures = _score(correction, bases, [None] * n)
+    errors = [None if isinstance(f, _REJECTED) else f for f in failures]
+    live = [f is None for f in failures]
+    streams = (np.random.default_rng([cfg.seed, r]) for r in range(n))
+    directions = eigh(np.concatenate([_random_directions(g, cfg.iterations, dim) for g in streams]))
+    step, stall, moves = [cfg.initial_step] * n, [0] * n, [0] * n
+    for j in range(cfg.iterations):
+        idx = [r for r in range(n) if live[r] and step[r] >= cfg.min_step]
+        if not idx:
+            break
+        sel = [r * cfg.iterations + j for r in idx]
+        candidates = bases[idx] @ expm_i_hermitian(directions[sel], [-step[r] for r in idx])
+        cand_values, failures = _score(correction, candidates, basis_failures(candidates))
+        for r, candidate, value, failure in zip(idx, candidates, cand_values, failures):
+            if failure is not None and not isinstance(failure, _REJECTED):
+                errors[r], live[r] = failure, False
+            elif failure is None and value > values[r]:
+                bases[r], values[r], moves[r], stall[r] = candidate, value, moves[r] + 1, 0
             else:
-                stall += 1
-                if stall >= cfg.patience:
-                    step *= cfg.shrink
-                    stall = 0
-        if best is None or value > best[0]:
-            best = (value, basis, f"optimize[{origin}, {moves} moves]")
+                stall[r] += 1
+                if stall[r] >= cfg.patience:
+                    step[r], stall[r] = step[r] * cfg.shrink, 0
+    for error in errors:
+        if error is not None:
+            raise error
+    # max keeps the first of equal values, as a strict > over restarts does
+    best = max((r for r in range(n) if live[r]), key=values.__getitem__, default=None)
     if best is None:
         raise SingularIntegrand("every optimizer restart hit a singular integrand")
-    _, basis, label = best
-    return basis, _report_at_end(correction, basis, label)
+    origin = "identity" if best == 0 else f"gue-eigenbasis:seed={cfg.seed + best}"
+    basis = OrthonormalBasis(bases[best])
+    return basis, _report_at_end(correction, basis, f"optimize[{origin}, {moves[best]} moves]")
+
+
+def _score(correction: _Correction, bases: np.ndarray, failures: list) -> tuple:
+    """The objective, the trapezoid integral of the integrand, of each
+    basis matrix in an (m, d, d) stack, or nan for a member that already
+    has a failure; `failures` gains those the integrands report."""
+    ok = [i for i, failure in enumerate(failures) if failure is None]
+    values = np.full(len(bases), math.nan)
+    if ok:
+        f, found = correction.integrands(bases[ok])
+        values[ok] = np.trapezoid(f, correction.traj.times)
+        for i, failure in zip(ok, found):
+            failures[i] = failure
+    return values.tolist(), failures
 
 
 def _random_directions(rng, count: int, dim: int) -> np.ndarray:

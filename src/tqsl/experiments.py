@@ -75,7 +75,7 @@ class ExperimentConfig:
     omega: float = 1.0
     t_max: float = 3.0
     steps: int = 300
-    seeds: tuple = (0, 1, 2)
+    seeds: tuple | None = None  # (0,) for verify, (0, 1, 2) otherwise
     basis_mode: str = "fixed-random"
     hbar: float = 1.0
     output_path: str = "out"
@@ -96,6 +96,8 @@ class ExperimentConfig:
             raise ConfigError(f"dim must be >= 2, got {self.dim}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if self.seeds is None:
+            object.__setattr__(self, "seeds", (0,) if self.kind == "verify" else (0, 1, 2))
         try:
             seeds = tuple(operator.index(s) for s in self.seeds)
         except TypeError as err:

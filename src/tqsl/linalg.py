@@ -79,8 +79,9 @@ class EigenDecomposition:
         object.__setattr__(self, "eigenvalues", w)
         object.__setattr__(self, "eigenvectors", v)
 
-    def __getitem__(self, j: int) -> "EigenDecomposition":
-        """Member j of a stacked decomposition, checked with the stack."""
+    def __getitem__(self, j) -> "EigenDecomposition":
+        """Member j of a stacked decomposition, or the sub-stack an index
+        array selects, checked with the stack."""
         if self.eigenvectors.ndim != 3:
             raise TypeError("only a stacked decomposition can be indexed")
         member = object.__new__(EigenDecomposition)
@@ -102,11 +103,12 @@ def eigh(h) -> EigenDecomposition:
     return EigenDecomposition(w, v)
 
 
-def expm_i_hermitian(h, s: float) -> np.ndarray:
+def expm_i_hermitian(h, s) -> np.ndarray:
     """exp(-i H s) for Hermitian H, computed through the eigensystem. H may
-    be given as its EigenDecomposition, which is then not recomputed."""
+    be given as its EigenDecomposition, which is then not recomputed. For a
+    (k, d, d) stack, s may also give one step per member."""
     dec = h if isinstance(h, EigenDecomposition) else eigh(h)
-    phases = np.exp(-1j * dec.eigenvalues * float(s))
+    phases = np.exp(-1j * dec.eigenvalues * np.asarray(s, dtype=float)[..., None])
     v = dec.eigenvectors
     return (v * phases[..., None, :]) @ _dagger(v)
 

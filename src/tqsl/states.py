@@ -118,15 +118,9 @@ class OrthonormalBasis:
 
     def __post_init__(self):
         m = as_complex_matrix(self.matrix)
-        if m.shape[0] != m.shape[1]:
-            raise InvalidBasis(f"basis needs d vectors of dimension d, got {m.shape}")
-        eye = np.eye(m.shape[0])
-        gram_defect = float(np.max(np.abs(m.conj().T @ m - eye)))
-        if gram_defect > BASIS_TOL:
-            raise InvalidBasis(f"orthonormality defect {gram_defect:.3e}")
-        completeness_defect = float(np.max(np.abs(m @ m.conj().T - eye)))
-        if completeness_defect > BASIS_TOL:
-            raise InvalidBasis(f"completeness defect {completeness_defect:.3e}")
+        (failure,) = basis_failures(m[None])
+        if failure is not None:
+            raise failure
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -145,6 +139,27 @@ class OrthonormalBasis:
 
     def vectors(self) -> tuple[np.ndarray, ...]:
         return tuple(self.matrix[:, n] for n in range(self.dim))
+
+
+def basis_failures(stack: np.ndarray) -> list:
+    """Per matrix of a complex (m, d, d) stack, None or the error that
+    OrthonormalBasis raises on it: non-finite entries, then orthonormality,
+    then completeness. A stack of non-square matrices raises."""
+    if stack.shape[-2] != stack.shape[-1]:
+        raise InvalidBasis(f"basis needs d vectors of dimension d, got {stack.shape[-2:]}")
+    finite = np.isfinite(stack).all(axis=(-2, -1))
+    if not finite.all():  # keep inf * 0 out of the products below
+        stack = np.where(finite[:, None, None], stack, 0.0)
+    eye = np.eye(stack.shape[-1])
+    gram = np.abs(stack.conj().swapaxes(-1, -2) @ stack - eye).max(axis=(-2, -1))
+    completeness = np.abs(stack @ stack.conj().swapaxes(-1, -2) - eye).max(axis=(-2, -1))
+    return [
+        ValueError("matrix entries must be finite") if not ok
+        else InvalidBasis(f"orthonormality defect {g:.3e}") if g > BASIS_TOL
+        else InvalidBasis(f"completeness defect {c:.3e}") if c > BASIS_TOL
+        else None
+        for ok, g, c in zip(finite.tolist(), gram.tolist(), completeness.tolist())
+    ]
 
 
 def _check_dims(a: Observable, state: State) -> None:

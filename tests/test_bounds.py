@@ -1,5 +1,6 @@
 """Speed-limit bounds, correction quadrature, reports, basis optimization."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from tqsl import (
     DensityMatrix,
     DimensionMismatch,
     GueConfig,
+    InvalidBasis,
     NonFiniteSample,
     NonPositiveMeanEnergy,
     Observable,
@@ -29,7 +31,6 @@ from tqsl import (
     combined_bound_orthogonal,
     correction_k_mixed,
     correction_k_pure,
-    correction_samples,
     default_initial_state,
     evolve_mixed,
     evolve_pure,
@@ -44,8 +45,11 @@ from tqsl import (
     tqsl_bound,
     variance,
 )
+import sequential_optimizer as oracle
+import tqsl.bounds
 from conftest import random_density, random_pure
 from tqsl.bounds import _Correction, _mixed_k_series, _random_directions
+from tqsl.states import basis_failures
 
 SIN_EPS = 1e-8
 
@@ -245,15 +249,15 @@ class TestCorrectionSamples:
         # vanishes identically and the tighter bound reduces to the plain one
         traj = sample_trajectory(sigma_x, ket0, 1.5, 101)
         for basis in (OrthonormalBasis.identity(2), random_basis(2, 3)):
-            samples = correction_samples(traj, basis)
-            np.testing.assert_allclose(samples[:, 1], 0.0, atol=1e-12)
+            f = _Correction(traj).integrand(basis)
+            np.testing.assert_allclose(f, 0.0, atol=1e-12)
 
     def test_matches_per_point_recomputation(self):
         # dual route: the vectorized series against correction_k_pure with
         # A = initial projector evaluated state by state
         h, traj = gue_trajectory(seed=0, tau=1.0, steps=40)
         basis = random_basis(3, 5)
-        samples = correction_samples(traj, basis)
+        f = _Correction(traj).integrand(basis)
         proj = Observable(traj.states[0].projector())
         scale = 2.0 / traj.delta_h
         for k in range(len(traj.times)):
@@ -261,7 +265,7 @@ class TestCorrectionSamples:
             want = 0.0
             if den >= SIN_EPS:
                 want = scale * correction_k_pure(proj, h, traj.states[k], basis) / den
-            assert samples[k, 1] == pytest.approx(want, abs=1e-12)
+            assert f[k] == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("dim", [2, 3, 8])
     def test_batched_mixed_series_matches_per_state_oracle(self, dim):
@@ -271,28 +275,28 @@ class TestCorrectionSamples:
         traj = sample_trajectory(h, random_density(rng, dim), 1.3, 150)
         basis = random_basis(dim, 17)
         rho0 = traj.states[0]
-        got = _mixed_k_series(traj, rho0.matrix, basis)
+        (got,) = _mixed_k_series(traj, rho0.matrix, basis.matrix[None])
         a = Observable(rho0.matrix)
         want = [correction_k_mixed(a, h, rho, basis) for rho in traj.states]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_times_column_is_the_grid(self, sigma_x, ket0):
         traj = sample_trajectory(sigma_x, ket0, 1.0, 11)
-        samples = correction_samples(traj, OrthonormalBasis.identity(2))
-        np.testing.assert_allclose(samples[:, 0], traj.times, atol=0)
+        f = _Correction(traj).integrand(OrthonormalBasis.identity(2))
+        assert f.shape == traj.times.shape
 
     def test_singular_interior_point_raises(self):
         # doctored trajectory whose angle returns to 0 while K stays finite:
         # the sin(s0) denominator vanishes where K does not, which the
         # derivation cannot absorb
         with pytest.raises(SingularIntegrand, match="vanishing denominator"):
-            correction_samples(singular_trajectory(), random_basis(3, 7))
+            _Correction(singular_trajectory()).integrand(random_basis(3, 7))
 
     def test_near_pure_radical_underflow_raises(self):
         # a state this close to pure makes 1 - P cos^2(s0/2) underflow at the
         # doctored revival point while K is still well above round-off
         with pytest.raises(DenominatorUnderflow, match="radical"):
-            correction_samples(underflow_trajectory(), random_basis(3, 7))
+            _Correction(underflow_trajectory()).integrand(random_basis(3, 7))
 
     @pytest.mark.parametrize(
         "make, error",
@@ -309,12 +313,12 @@ class TestCorrectionSamples:
     def test_rejects_basis_dimension_mismatch(self, sigma_x, ket0):
         traj = sample_trajectory(sigma_x, ket0, 1.0, 5)
         with pytest.raises(DimensionMismatch):
-            correction_samples(traj, OrthonormalBasis.identity(3))
+            _Correction(traj).integrand(OrthonormalBasis.identity(3))
 
     def test_rejects_zero_spread(self, ket0):
         traj = sample_trajectory(Observable(np.eye(2)), ket0, 1.0, 5)
         with pytest.raises(ZeroEnergyVariance):
-            correction_samples(traj, OrthonormalBasis.identity(2))
+            _Correction(traj).integrand(OrthonormalBasis.identity(2))
 
 
 class TestBoundReport:
@@ -609,9 +613,9 @@ class TestOptimizeBasis:
         h, traj = gue_trajectory(seed=0, tau=1.0, steps=40)
         basis = random_basis(3, 5)
         shuffled = OrthonormalBasis(basis.matrix[:, [2, 0, 1]])
-        a = correction_samples(traj, basis)
-        b = correction_samples(traj, shuffled)
-        np.testing.assert_allclose(a[:, 1], b[:, 1], atol=1e-10)
+        a = _Correction(traj).integrand(basis)
+        b = _Correction(traj).integrand(shuffled)
+        np.testing.assert_allclose(a, b, atol=1e-10)
 
     def test_pinned_mixed_state_result(self):
         # captured before the correction kernel was prepared once per
@@ -639,6 +643,28 @@ class TestOptimizeBasis:
         with pytest.raises(ValidityExceeded):
             optimize_basis(sample_trajectory(sigma_x, ket0, 2.0, 60))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("restarts", 2.5),
+            ("iterations", 3.5),
+            ("patience", 2.5),
+            ("restarts", True),
+            ("seed", -1),
+            ("initial_step", math.nan),
+            ("initial_step", math.inf),
+            ("min_step", math.nan),
+        ],
+    )
+    def test_config_rejects(self, field, value):
+        with pytest.raises(ConfigError, match=field.split("_")[-1]):
+            OptimizerConfig(**{field: value})
+
+    def test_config_takes_integer_like_counts(self):
+        cfg = OptimizerConfig(restarts=np.int64(2), seed=np.uint8(3))
+        assert (cfg.restarts, cfg.seed) == (2, 3)
+        assert type(cfg.restarts) is int and type(cfg.seed) is int
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             OptimizerConfig(restarts=0)
@@ -652,3 +678,132 @@ class TestOptimizeBasis:
             OptimizerConfig(min_step=0.0)
         with pytest.raises(ConfigError):
             OptimizerConfig(patience=0)
+
+
+def wishart_trajectory(dim=4, seed=2, tau=0.8, steps=80):
+    h = sample_gue(GueConfig(dim=dim, seed=seed))
+    rho = random_density(np.random.default_rng([seed, dim]), dim)
+    return sample_trajectory(h, rho, tau, steps)
+
+
+def assert_same_result(traj, cfg):
+    basis, rep = optimize_basis(traj, cfg)
+    want_basis, want_id, want_tau = oracle.optimize_sequential(traj, cfg)
+    assert basis.matrix.tobytes() == want_basis.matrix.tobytes()
+    assert rep.basis_id == want_id
+    assert repr(rep.tau_tqsl) == repr(want_tau)
+
+
+class TestLockstepRestarts:
+    """optimize_basis runs its restarts in lockstep; the sequential hill
+    climber in tests/sequential_optimizer.py is the oracle."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_sequential_oracle(self, dim, seed):
+        h = sample_gue(GueConfig(dim=dim, seed=seed))
+        traj = sample_trajectory(h, default_initial_state(dim), 0.8, 100)
+        assert_same_result(traj, OptimizerConfig(seed=seed))
+
+    def test_matches_sequential_oracle_mixed(self):
+        assert_same_result(wishart_trajectory(), OptimizerConfig(restarts=3, iterations=60, seed=2))
+
+    @pytest.mark.parametrize("make", [lambda: gue_trajectory(seed=1, steps=80)[1], wishart_trajectory])
+    def test_stacked_integrand_equals_single_calls(self, make):
+        traj = make()
+        dim = traj.hamiltonian.dim
+        correction = _Correction(traj)
+        bases = [OrthonormalBasis.identity(dim)] + [random_basis(dim, s) for s in (5, 6, 7)]
+        values, failures = correction.integrands(np.stack([b.matrix for b in bases]))
+        assert failures == [None] * 4
+        for row, basis in zip(values, bases):
+            assert row.tobytes() == correction.integrand(basis).tobytes()
+            assert row.tobytes() == oracle.integrand(correction, basis).tobytes()
+
+    def test_stacked_integrand_reports_failures_per_member(self):
+        correction = _Correction(singular_trajectory())
+        bases = np.stack([random_basis(3, s).matrix for s in (7, 8)])
+        _, failures = correction.integrands(bases)
+        assert [type(f) for f in failures] == [SingularIntegrand, SingularIntegrand]
+        with pytest.raises(SingularIntegrand, match=re.escape(str(failures[0]))):
+            correction.integrand(random_basis(3, 7))
+
+    def test_basis_check_blames_only_the_bad_member(self):
+        good = [random_basis(3, s).matrix for s in (1, 2, 3)]
+        stack = np.stack([good[0], 1.1 * good[1], good[2]])
+        failures = basis_failures(stack)
+        assert failures[0] is None and failures[2] is None
+        assert isinstance(failures[1], InvalidBasis)
+        assert "orthonormality defect" in str(failures[1])
+        stack[2, 0, 0] = np.nan
+        failures = basis_failures(stack)
+        assert failures[0] is None
+        assert isinstance(failures[1], InvalidBasis)
+        assert type(failures[2]) is ValueError and "finite" in str(failures[2])
+
+    def test_basis_check_matches_the_constructor(self):
+        m = random_basis(3, 1).matrix.copy()
+        m[:, 2] = m[:, 1]
+        (failure,) = basis_failures(m[None])
+        with pytest.raises(InvalidBasis, match=re.escape(str(failure))):
+            OrthonormalBasis(m)
+
+    def test_lowest_numbered_restart_error_is_raised(self, monkeypatch):
+        # restart 2 fails in the first round, restart 1 two rounds later;
+        # one restart after another, restart 1's error comes first
+        calls = []
+        real = basis_failures
+
+        def failing(stack):
+            failures = real(stack)
+            calls.append(len(stack))
+            if len(calls) == 1:
+                failures[2] = InvalidBasis("restart 2")
+            if len(calls) == 3:
+                failures[1] = InvalidBasis("restart 1")
+            return failures
+
+        monkeypatch.setattr(tqsl.bounds, "basis_failures", failing)
+        h, traj = gue_trajectory(seed=0, steps=60)
+        with pytest.raises(InvalidBasis, match="restart 1"):
+            optimize_basis(traj, OptimizerConfig(restarts=3, iterations=10))
+        assert calls[:3] == [3, 2, 2]
+
+    def test_singular_start_is_skipped(self, monkeypatch):
+        # the winning restart's start is rejected as singular: it is dropped
+        # and no candidate of it is scored
+        sizes = []
+        real = _Correction.integrands
+
+        def integrands(self, bases):
+            values, failures = real(self, bases)
+            if not sizes:
+                failures[1] = SingularIntegrand("start")
+            sizes.append(len(bases))
+            return values, failures
+
+        h, traj = gue_trajectory(seed=0, steps=60)
+        cfg = OptimizerConfig(restarts=3, iterations=10)
+        _, full = optimize_basis(traj, cfg)
+        assert full.basis_id.startswith("optimize[gue-eigenbasis:seed=1,")
+        monkeypatch.setattr(_Correction, "integrands", integrands)
+        _, rep = optimize_basis(traj, cfg)
+        assert sizes[0] == 3 and max(sizes[1:-1]) == 2
+        assert "seed=1," not in rep.basis_id
+        assert rep.tau_tqsl < full.tau_tqsl
+
+    def test_ties_keep_the_earlier_basis(self, monkeypatch):
+        # a candidate that only ties is rejected, and of tied restarts the
+        # lowest-numbered one wins, as a strict > one at a time gives
+        def flat(self, bases):
+            return np.zeros((len(bases), len(self.traj.times))), [None] * len(bases)
+
+        monkeypatch.setattr(_Correction, "integrands", flat)
+        h, traj = gue_trajectory(seed=0, steps=60)
+        basis, rep = optimize_basis(traj, OptimizerConfig(restarts=3, iterations=20))
+        assert rep.basis_id == "optimize[identity, 0 moves]"
+        assert basis.matrix.tobytes() == np.eye(3, dtype=complex).tobytes()
+
+    def test_every_singular_start_raises(self):
+        with pytest.raises(SingularIntegrand, match="every optimizer restart"):
+            optimize_basis(singular_trajectory(), OptimizerConfig(restarts=2, iterations=5))

@@ -88,6 +88,12 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="integers"):
             ExperimentConfig(kind="gue", seeds=(1.7, 2.2))
 
+    def test_default_seeds_per_kind(self):
+        # verify takes one seed, so it defaults to one; the sweeps keep three
+        assert ExperimentConfig(kind="verify").seeds == (0,)
+        assert ExperimentConfig(kind="gue").seeds == (0, 1, 2)
+        assert ExperimentConfig(kind="spin").seeds == (0, 1, 2)
+
     def test_verify_runs_without_seeds(self):
         cfg = ExperimentConfig(kind="verify", seeds=())
         assert cfg.seeds == ()
@@ -289,6 +295,13 @@ class TestPropertySuite:
     def test_rejects_wrong_kind(self, tmp_path):
         with pytest.raises(ConfigError, match="verify"):
             run_property_suite(gue_config(tmp_path))
+
+    def test_bare_config_runs(self, tmp_path):
+        # no seeds given: the verify default must be a seed the suite takes
+        cfg = ExperimentConfig(kind="verify", trials=8, output_path=str(tmp_path / "v"))
+        report = run_property_suite(cfg)
+        assert report["config"]["seeds"] == (0,)
+        assert report["passed"]
 
     def test_takes_one_seed(self, tmp_path):
         # the suite runs one seed, so it must not accept and echo a second
