@@ -13,10 +13,7 @@ from .bounds import (
     OptimizerConfig,
     QuadratureInfo,
     bound_series,
-    combined_bound_orthogonal,
     integrate_correction,
-    mixed_geodesic_term,
-    mt_bound_pure,
     optimize_basis,
     tqsl_bound,
 )
@@ -33,7 +30,6 @@ from .ensembles import (
     SpinChainConfig,
     random_basis,
     sample_gue,
-    sample_gue_batch,
     spin_chain_evolved_state,
     spin_chain_hamiltonian,
 )
@@ -46,7 +42,6 @@ from .errors import (
     InvalidBasis,
     NonFiniteSample,
     NonHermitianInput,
-    NonPositiveMeanEnergy,
     NonRealExpectation,
     NotPositiveSemidefinite,
     NotProductState,
@@ -78,10 +73,6 @@ from .states import (
     basis_from_observable,
     centered,
     expectation,
-    ket_from_json,
-    ket_to_json,
-    matrix_from_json,
-    matrix_to_json,
     purity,
     variance,
 )

@@ -9,7 +9,6 @@ denominator for mixed ones), so integrating it yields time units.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -23,28 +22,18 @@ from .errors import (
     DenominatorUnderflow,
     DimensionMismatch,
     NonFiniteSample,
-    NonPositiveMeanEnergy,
     SingularIntegrand,
     ValidityExceeded,
     ZeroEnergyVariance,
+    _integer_fields,
+    _positive_finite_fields,
 )
 from .linalg import eigh, expm_i_hermitian
-from .states import (
-    DensityMatrix,
-    Observable,
-    OrthonormalBasis,
-    PureState,
-    State,
-    basis_failures,
-    expectation,
-    purity,
-    variance,
-)
+from .states import Observable, OrthonormalBasis, State, basis_failures, purity
 from .uncertainty import NONNEG_CLAMP
 
 DEFAULT_STEPS = 400
 ZERO_SPREAD_TOL = 1e-12
-MEAN_ENERGY_TOL = 1e-12
 SIN_EPS = 1e-8
 K_EPS = 1e-10
 RADICAL_EPS = 1e-12
@@ -56,16 +45,10 @@ BOUND_CSV_HEADER = "t,tau_mt,tau_tqsl,delta,quad_error,validity"
 
 @dataclass(frozen=True)
 class QuadratureInfo:
-    scheme: str
+    """Composite trapezoid: the grid step and the Richardson error estimate."""
+
     step: float
     estimated_error: float
-
-    def to_json(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "step": self.step,
-            "estimated_error": self.estimated_error,
-        }
 
 
 @dataclass(frozen=True)
@@ -83,30 +66,8 @@ class BoundReport:
 
     def __post_init__(self):
         values = (self.tau_actual, self.tau_mt, self.correction_integral, self.tau_tqsl, self.delta)
-        if not all(math.isfinite(v) for v in values):
-            raise BoundViolation("bound report contains non-finite values")
-        if self.correction_integral < 0.0:
-            raise BoundViolation(f"correction integral {self.correction_integral!r} < 0")
-        if self.delta < -NONNEG_CLAMP:
-            raise BoundViolation(f"delta {self.delta!r} below -{NONNEG_CLAMP:.0e}")
-        if abs(self.tau_tqsl - (self.tau_mt + self.correction_integral)) > BOOKKEEPING_TOL:
-            raise BoundViolation("tau_tqsl is not geodesic term + correction")
-        if self.validity and self.tau_actual < self.tau_tqsl - BOUND_SLACK:
-            raise BoundViolation(
-                f"bound {self.tau_tqsl!r} exceeds actual time {self.tau_actual!r} on a clean trajectory"
-            )
-
-    def to_json(self) -> dict:
-        return {
-            "tau_actual": self.tau_actual,
-            "tau_mt": self.tau_mt,
-            "correction_integral": self.correction_integral,
-            "tau_tqsl": self.tau_tqsl,
-            "delta": self.delta,
-            "basis_id": self.basis_id,
-            "validity": self.validity,
-            "quadrature": self.quadrature.to_json(),
-        }
+        rows = (np.array([v], dtype=float) for v in values)
+        _check_rows(*rows, np.array([self.validity], dtype=bool))
 
     def csv_row(self) -> str:
         return _csv_row(
@@ -116,6 +77,27 @@ class BoundReport:
             self.delta,
             self.quadrature.estimated_error,
             self.validity,
+        )
+
+
+def _check_rows(t, tau_mt, correction, tau_tqsl, delta, validity) -> None:
+    """The report invariants on float columns, one entry per row, with a
+    bool validity column: finite values, a nonnegative correction, delta
+    above -NONNEG_CLAMP, tau_tqsl = tau_mt + correction, and the bound at
+    most the actual time t on valid rows."""
+    if not all(np.all(np.isfinite(c)) for c in (t, tau_mt, correction, tau_tqsl, delta)):
+        raise BoundViolation("bound report contains non-finite values")
+    if np.any(correction < 0.0):
+        raise BoundViolation(f"correction integral {float(correction.min())!r} < 0")
+    if np.any(delta < -NONNEG_CLAMP):
+        raise BoundViolation(f"delta {float(delta.min())!r} below -{NONNEG_CLAMP:.0e}")
+    if np.any(np.abs(tau_tqsl - (tau_mt + correction)) > BOOKKEEPING_TOL):
+        raise BoundViolation("tau_tqsl is not geodesic term + correction")
+    over = validity & (t < tau_tqsl - BOUND_SLACK)
+    if over.any():
+        k = int(np.argmax(over))
+        raise BoundViolation(
+            f"bound {float(tau_tqsl[k])!r} exceeds actual time {float(t[k])!r} on a clean trajectory"
         )
 
 
@@ -131,8 +113,8 @@ class BoundSeries(Sequence):
     order, sharing one basis_id and quadrature step.
 
     The BoundReport invariants are checked here once, on whole columns.
-    Indexing and iteration build BoundReport rows on demand; csv_rows()
-    formats straight from the columns.
+    Indexing and iteration build BoundReport rows on demand, without
+    checking them again; csv_rows() formats straight from the columns.
     """
 
     t: np.ndarray
@@ -153,21 +135,7 @@ class BoundSeries(Sequence):
         }
         if len({c.shape for c in cols.values()}) != 1 or cols["t"].ndim != 1:
             raise ValueError("bound series columns must be 1-d and share one length")
-        t, tau_mt, corr, tau_tqsl, delta = (cols[n] for n in names[:5])
-        if not all(np.all(np.isfinite(c)) for c in (t, tau_mt, corr, tau_tqsl, delta)):
-            raise BoundViolation("bound report contains non-finite values")
-        if np.any(corr < 0.0):
-            raise BoundViolation(f"correction integral {float(corr.min())!r} < 0")
-        if np.any(delta < -NONNEG_CLAMP):
-            raise BoundViolation(f"delta {float(delta.min())!r} below -{NONNEG_CLAMP:.0e}")
-        if np.any(np.abs(tau_tqsl - (tau_mt + corr)) > BOOKKEEPING_TOL):
-            raise BoundViolation("tau_tqsl is not geodesic term + correction")
-        over = cols["validity"] & (t < tau_tqsl - BOUND_SLACK)
-        if over.any():
-            k = int(np.argmax(over))
-            raise BoundViolation(
-                f"bound {float(tau_tqsl[k])!r} exceeds actual time {float(t[k])!r} on a clean trajectory"
-            )
+        _check_rows(*(cols[n] for n in names[:5]), cols["validity"])
         for name, col in cols.items():
             col.setflags(write=False)
             object.__setattr__(self, name, col)
@@ -176,60 +144,25 @@ class BoundSeries(Sequence):
         return len(self.t)
 
     def __getitem__(self, k: int) -> BoundReport:
-        return BoundReport(
-            tau_actual=float(self.t[k]),
-            tau_mt=float(self.tau_mt[k]),
-            correction_integral=float(self.correction[k]),
-            tau_tqsl=float(self.tau_tqsl[k]),
-            delta=float(self.delta[k]),
-            basis_id=self.basis_id,
-            validity=bool(self.validity[k]),
-            quadrature=QuadratureInfo("trapezoid", self.step, float(self.quad_error[k])),
-        )
+        """Row k. Its columns passed the report check, so it is not checked again."""
+        row = object.__new__(BoundReport)
+        for name, value in (
+            ("tau_actual", float(self.t[k])),
+            ("tau_mt", float(self.tau_mt[k])),
+            ("correction_integral", float(self.correction[k])),
+            ("tau_tqsl", float(self.tau_tqsl[k])),
+            ("delta", float(self.delta[k])),
+            ("basis_id", self.basis_id),
+            ("validity", bool(self.validity[k])),
+            ("quadrature", QuadratureInfo(self.step, float(self.quad_error[k]))),
+        ):
+            object.__setattr__(row, name, value)
+        return row
 
     def csv_rows(self) -> list:
         """Every row as BoundReport.csv_row would format it."""
         cols = (self.t, self.tau_mt, self.tau_tqsl, self.delta, self.quad_error, self.validity)
         return [_csv_row(*row) for row in zip(*(c.tolist() for c in cols))]
-
-
-def _require_spread(delta_h: float) -> None:
-    if delta_h <= ZERO_SPREAD_TOL:
-        raise ZeroEnergyVariance(f"energy spread {delta_h!r} is numerically zero")
-
-
-def mt_bound_pure(traj: Trajectory, at_index: int) -> float:
-    """hbar * s0 / (2 dH) at one grid index of a pure trajectory."""
-    _require_spread(traj.delta_h)
-    return traj.hbar * float(traj.s0[at_index]) / (2.0 * traj.delta_h)
-
-
-def combined_bound_orthogonal(h: Observable, psi0: PureState, hbar: float = 1.0) -> float:
-    """max of the variance and mean-energy orthogonalization times."""
-    spread = math.sqrt(variance(h, psi0))
-    _require_spread(spread)
-    mean = expectation(h, psi0)
-    if mean <= MEAN_ENERGY_TOL:
-        raise NonPositiveMeanEnergy(f"mean energy {mean!r} must be positive")
-    return max(math.pi * hbar / (2.0 * spread), math.pi * hbar / (2.0 * mean))
-
-
-def mixed_geodesic_term(
-    rho0: DensityMatrix, rho_tau: DensityMatrix, delta_h: float, hbar: float = 1.0
-) -> float:
-    """hbar (arccos sqrt(Tr rho0 rho_tau) - arccos sqrt(Tr rho0^2)) / dH.
-
-    Pure lifts collapse this to the plain geodesic term hbar*s0/(2 dH).
-    """
-    if rho0.dim != rho_tau.dim:
-        raise DimensionMismatch(f"state dims {rho0.dim} vs {rho_tau.dim}")
-    _require_spread(delta_h)
-    cross = min(max(float(np.trace(rho0.matrix @ rho_tau.matrix).real), 0.0), 1.0)
-    p0 = min(purity(rho0), 1.0)
-    value = hbar * (math.acos(math.sqrt(cross)) - math.acos(math.sqrt(p0))) / delta_h
-    if value < -NONNEG_CLAMP:
-        raise BoundViolation(f"geodesic term {value:.3e} below -{NONNEG_CLAMP:.0e}")
-    return max(value, 0.0)
 
 
 def integrate_correction(samples) -> tuple[float, float]:
@@ -310,7 +243,8 @@ class _Correction:
     """
 
     def __init__(self, traj: Trajectory):
-        _require_spread(traj.delta_h)
+        if traj.delta_h <= ZERO_SPREAD_TOL:
+            raise ZeroEnergyVariance(f"energy spread {traj.delta_h!r} is numerically zero")
         self.traj = traj
         self.dim = traj.hamiltonian.dim
         if traj.kind == "pure":
@@ -392,8 +326,10 @@ class _Correction:
         return f
 
     def geodesic(self) -> np.ndarray:
-        """The geodesic term at every grid point: mt_bound_pure for a pure
-        trajectory, mixed_geodesic_term for a mixed one."""
+        """The geodesic term at every grid point, the Mandelstam-Tamm part of
+        the bound: hbar s0 / (2 dH) for a pure trajectory, and
+        hbar (arccos sqrt(Tr rho0 rho_t) - arccos sqrt(Tr rho0^2)) / dH for
+        a mixed one, which a pure lift collapses to the pure form."""
         traj = self.traj
         if self.rho0 is None:
             return traj.hbar * traj.s0 / (2.0 * traj.delta_h)
@@ -416,7 +352,7 @@ def _report_at_end(correction: _Correction, basis: OrthonormalBasis, basis_id: s
         delta=tau_tqsl - tau_mt,
         basis_id=basis_id,
         validity=traj.validity_clean,
-        quadrature=QuadratureInfo("trapezoid", float(traj.times[1] - traj.times[0]), err),
+        quadrature=QuadratureInfo(float(traj.times[1] - traj.times[0]), err),
     )
 
 
@@ -486,11 +422,7 @@ class OptimizerConfig:
     min_step: float = 1e-4
 
     def __post_init__(self):
-        for name in ("restarts", "iterations", "seed", "patience"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, operator.index(value))
+        _integer_fields(self, "restarts", "iterations", "seed", "patience")
         if self.restarts < 1:
             raise ConfigError("need at least one restart")
         if self.iterations < 0:
@@ -499,8 +431,7 @@ class OptimizerConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.shrink < 1.0:
             raise ConfigError("shrink must lie in (0, 1)")
-        if not (0.0 < self.initial_step < math.inf and 0.0 < self.min_step < math.inf):
-            raise ConfigError("step sizes must be positive and finite")
+        _positive_finite_fields(self, "initial_step", "min_step")
         if self.patience < 1:
             raise ConfigError("patience must be >= 1")
 

@@ -243,13 +243,6 @@ class Trajectory:
     def validity_flags(self) -> np.ndarray:
         return np.arange(len(self.times)) <= self.valid_until
 
-    def to_csv(self) -> str:
-        lines = ["t,s0,overlap,delta_h"]
-        for k in range(len(self.times)):
-            row = (self.times[k], self.s0[k], self.overlap[k], self.delta_h)
-            lines.append(",".join(f"{x:.12g}" for x in row))
-        return "\n".join(lines) + "\n"
-
 
 def _propagated_roots(dec, root0: np.ndarray, times: np.ndarray, hbar: float) -> np.ndarray:
     """U_t root0 U_t^dagger on the grid, built in H's eigenbasis block by block."""

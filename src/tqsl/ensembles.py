@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlockIndexOutOfRange, ConfigError, NotProductState
+from .errors import BlockIndexOutOfRange, ConfigError, NotProductState, _positive_finite_fields
 from .linalg import kron
 from .states import Observable, OrthonormalBasis, PureState, basis_from_observable
 
@@ -50,13 +50,6 @@ def sample_gue(cfg: GueConfig) -> Observable:
     return Observable(h)
 
 
-def sample_gue_batch(dim: int, base_seed: int, count: int) -> list:
-    """Independent draws with per-sample seeds base_seed + index."""
-    if count < 1:
-        raise ConfigError(f"count must be >= 1, got {count}")
-    return [sample_gue(GueConfig(dim=dim, seed=base_seed + i)) for i in range(count)]
-
-
 def random_basis(dim: int, seed: int) -> OrthonormalBasis:
     """Eigenbasis of an independent GUE draw."""
     return basis_from_observable(sample_gue(GueConfig(dim=dim, seed=seed)))
@@ -78,8 +71,7 @@ class SpinChainConfig:
     def __post_init__(self):
         if not 1 <= self.num_spins <= MAX_SPINS:
             raise ConfigError(f"num_spins must be in 1..{MAX_SPINS}, got {self.num_spins}")
-        if self.omega0 <= 0 or self.omega <= 0:
-            raise ConfigError("omega0 and omega must be positive")
+        _positive_finite_fields(self, "omega0", "omega")
         blocks = tuple(tuple(int(i) for i in block) for block in self.blocks)
         for block in blocks:
             if len(set(block)) != len(block):

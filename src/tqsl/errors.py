@@ -1,8 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the config field checks
+that raise ConfigError.
 
 Every precondition failure raises a distinct class so callers (and the
 property suite) can tell a rejected input from a genuine numerical bug.
 """
+import math
+import operator
 
 
 class QslError(Exception):
@@ -31,10 +34,6 @@ class InvalidBasis(QslError):
 
 class ZeroEnergyVariance(QslError):
     """Energy variance too small for any speed limit to be meaningful."""
-
-
-class NonPositiveMeanEnergy(QslError):
-    """Mean energy not positive: the mean-energy bound is undefined."""
 
 
 class ValidityExceeded(QslError):
@@ -67,3 +66,21 @@ class BoundViolation(QslError):
 
 class ConfigError(QslError):
     """Experiment configuration failed validation."""
+
+
+def _integer_fields(cfg, *names: str) -> None:
+    """Replace each named field of a frozen config by its operator.index
+    value; a bool or a non-integer raises ConfigError."""
+    for name in names:
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(cfg, name, operator.index(value))
+
+
+def _positive_finite_fields(cfg, *names: str) -> None:
+    """Each named field of a config must be a positive, finite number."""
+    for name in names:
+        value = getattr(cfg, name)
+        if not 0.0 < value < math.inf:
+            raise ConfigError(f"{name} must be positive and finite, got {value!r}")

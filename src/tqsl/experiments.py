@@ -37,7 +37,7 @@ from .ensembles import (
     spin_chain_evolved_state,
     spin_chain_hamiltonian,
 )
-from .errors import ConfigError, NonHermitianInput, QslError
+from .errors import ConfigError, NonHermitianInput, QslError, _integer_fields, _positive_finite_fields
 from .states import (
     DensityMatrix,
     Observable,
@@ -86,12 +86,10 @@ class ExperimentConfig:
             raise ConfigError(f"kind must be one of {_KINDS}, got {self.kind!r}")
         if self.basis_mode not in _BASIS_MODES:
             raise ConfigError(f"basis_mode must be one of {_BASIS_MODES}, got {self.basis_mode!r}")
+        _integer_fields(self, "dim", "num_spins", "steps", "trials")
         if self.steps < 2:
             raise ConfigError(f"steps must be >= 2, got {self.steps}")
-        if self.t_max <= 0:
-            raise ConfigError(f"t_max must be positive, got {self.t_max}")
-        if self.hbar <= 0:
-            raise ConfigError(f"hbar must be positive, got {self.hbar}")
+        _positive_finite_fields(self, "t_max", "hbar")
         if self.dim < 2:
             raise ConfigError(f"dim must be >= 2, got {self.dim}")
         if self.trials < 1:

@@ -133,13 +133,6 @@ class OrthonormalBasis:
     def identity(cls, dim: int) -> "OrthonormalBasis":
         return cls(np.eye(dim, dtype=complex))
 
-    @classmethod
-    def from_vectors(cls, vectors) -> "OrthonormalBasis":
-        return cls(np.column_stack([np.asarray(v, dtype=complex) for v in vectors]))
-
-    def vectors(self) -> tuple[np.ndarray, ...]:
-        return tuple(self.matrix[:, n] for n in range(self.dim))
-
 
 def basis_failures(stack: np.ndarray) -> list:
     """Per matrix of a complex (m, d, d) stack, None or the error that
@@ -215,27 +208,3 @@ def basis_from_observable(g: Observable) -> OrthonormalBasis:
     dec = eigh(g.matrix)
     return OrthonormalBasis(dec.eigenvectors)
 
-
-# ---------------------------------------------------------------------------
-# JSON encoding for matrices and kets: real/imaginary parts as nested lists.
-
-def matrix_to_json(m) -> dict:
-    a = as_complex_matrix(m)
-    return {"dim": a.shape[0], "re": a.real.tolist(), "im": a.imag.tolist()}
-
-
-def matrix_from_json(payload: dict) -> np.ndarray:
-    m = np.asarray(payload["re"], dtype=float) + 1j * np.asarray(payload["im"], dtype=float)
-    dim = int(payload["dim"])
-    if m.shape != (dim, dim):
-        raise ValueError(f"declared dim {dim} does not match payload shape {m.shape}")
-    return m
-
-
-def ket_to_json(v) -> dict:
-    a = np.asarray(v, dtype=complex)
-    return {"re": a.real.tolist(), "im": a.imag.tolist()}
-
-
-def ket_from_json(payload: dict) -> np.ndarray:
-    return np.asarray(payload["re"], dtype=float) + 1j * np.asarray(payload["im"], dtype=float)

@@ -70,9 +70,6 @@ class UncertaintyReport:
         if abs(self.correction_k - (self.tighter_bound - self.cross_term)) > CHAIN_SLACK:
             raise BoundViolation("correction_k is not the tighter/cross gap")
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
 
 def _check_pair(a: Observable, b: Observable, state: State) -> None:
     if a.dim != b.dim or a.dim != state.dim:

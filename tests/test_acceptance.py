@@ -26,7 +26,6 @@ from tqsl import (
     run_experiment_gue,
     run_experiment_spin,
     sample_gue,
-    sample_gue_batch,
     sample_trajectory,
     tighter_bound_mixed,
     tighter_bound_pure,
@@ -187,7 +186,7 @@ def test_07_quadrature_convergence():
 
 
 def test_08_gue_second_moment_normalization():
-    draws = sample_gue_batch(3, 0, 10_000)
+    draws = [sample_gue(GueConfig(dim=3, seed=i)) for i in range(10_000)]
     mean = float(np.mean([np.trace(h.matrix @ h.matrix).real for h in draws]))
     assert abs(mean - 3.0) < 0.1
 

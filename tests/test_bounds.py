@@ -16,11 +16,9 @@ from tqsl import (
     GueConfig,
     InvalidBasis,
     NonFiniteSample,
-    NonPositiveMeanEnergy,
     Observable,
     OptimizerConfig,
     OrthonormalBasis,
-    PureState,
     QuadratureInfo,
     SingularIntegrand,
     Trajectory,
@@ -28,15 +26,12 @@ from tqsl import (
     ZeroEnergyVariance,
     bargmann_angle_mixed,
     bound_series,
-    combined_bound_orthogonal,
     correction_k_mixed,
     correction_k_pure,
     default_initial_state,
     evolve_mixed,
     evolve_pure,
     integrate_correction,
-    mixed_geodesic_term,
-    mt_bound_pure,
     optimize_basis,
     random_basis,
     sample_gue,
@@ -57,6 +52,12 @@ SIN_EPS = 1e-8
 def gue_trajectory(seed=0, tau=1.0, steps=60, dim=3):
     h = sample_gue(GueConfig(dim=dim, seed=seed))
     return h, sample_trajectory(h, default_initial_state(dim), tau, steps)
+
+
+def wishart_trajectory(dim=4, seed=2, tau=0.8, steps=80):
+    h = sample_gue(GueConfig(dim=dim, seed=seed))
+    rho = random_density(np.random.default_rng([seed, dim]), dim)
+    return sample_trajectory(h, rho, tau, steps)
 
 
 def singular_trajectory():
@@ -105,94 +106,62 @@ def underflow_trajectory():
     )
 
 
+def geodesic(h, state0, tau, steps, hbar=1.0):
+    """The geodesic term on the grid, through the public bound_series."""
+    traj = sample_trajectory(h, state0, tau, steps, hbar)
+    return bound_series(traj, OrthonormalBasis.identity(h.dim)).tau_mt
+
+
 class TestMtBound:
     def test_zero_at_start(self, sigma_x, ket0):
-        traj = sample_trajectory(sigma_x, ket0, 1.0, 11)
-        assert mt_bound_pure(traj, 0) == 0.0
+        assert geodesic(sigma_x, ket0, 1.0, 11)[0] == 0.0
 
     def test_precession_saturates(self, sigma_x, ket0):
         # s0 = 2t and dH = 1, so the bound equals the elapsed time exactly
-        traj = sample_trajectory(sigma_x, ket0, 1.0, 101)
-        assert mt_bound_pure(traj, 100) == pytest.approx(1.0, abs=1e-10)
-        assert mt_bound_pure(traj, 50) == pytest.approx(0.5, abs=1e-10)
+        tau_mt = geodesic(sigma_x, ket0, 1.0, 101)
+        assert tau_mt[100] == pytest.approx(1.0, abs=1e-10)
+        assert tau_mt[50] == pytest.approx(0.5, abs=1e-10)
 
     def test_orthogonalization_gives_pi_over_two(self, sigma_x, ket0):
-        traj = sample_trajectory(sigma_x, ket0, math.pi / 2, 101)
-        assert mt_bound_pure(traj, 100) == pytest.approx(math.pi / 2, abs=1e-7)
+        assert geodesic(sigma_x, ket0, math.pi / 2, 101)[100] == pytest.approx(math.pi / 2, abs=1e-7)
 
     def test_rejects_zero_spread(self, ket0):
-        traj = sample_trajectory(Observable(np.eye(2)), ket0, 1.0, 5)
         with pytest.raises(ZeroEnergyVariance):
-            mt_bound_pure(traj, 4)
-
-
-class TestCombinedBound:
-    def test_balanced_qubit_gives_pi_over_two(self, ket_plus):
-        h = Observable(np.diag([0.0, 2.0]))
-        assert combined_bound_orthogonal(h, ket_plus) == pytest.approx(math.pi / 2)
-
-    def test_spread_route_wins(self):
-        # mean 1.6 > spread 0.8, so the variance time is the larger one
-        h = Observable(np.diag([0.0, 2.0]))
-        psi = PureState(np.array([math.sqrt(0.2), math.sqrt(0.8)]))
-        assert combined_bound_orthogonal(h, psi) == pytest.approx(math.pi / 1.6)
-
-    def test_mean_route_wins(self):
-        # mean 0.2 < spread 0.6, so the mean-energy time takes over
-        h = Observable(np.diag([0.0, 2.0]))
-        psi = PureState(np.array([math.sqrt(0.9), math.sqrt(0.1)]))
-        assert combined_bound_orthogonal(h, psi) == pytest.approx(math.pi / 0.4)
-
-    def test_scales_with_hbar(self, ket_plus):
-        h = Observable(np.diag([0.0, 2.0]))
-        assert combined_bound_orthogonal(h, ket_plus, hbar=2.0) == pytest.approx(math.pi)
-
-    def test_rejects_nonpositive_mean(self, sigma_z, ket_plus):
-        with pytest.raises(NonPositiveMeanEnergy):
-            combined_bound_orthogonal(sigma_z, ket_plus)
-        with pytest.raises(NonPositiveMeanEnergy):
-            # mean -0.6 with spread 0.8, so the mean check is the one that fires
-            combined_bound_orthogonal(sigma_z, PureState(np.array([math.sqrt(0.2), math.sqrt(0.8)])))
-
-    def test_rejects_zero_spread(self, sigma_z, ket0):
-        # checked before the mean, even though the mean here is positive
-        with pytest.raises(ZeroEnergyVariance):
-            combined_bound_orthogonal(sigma_z, ket0)
+            geodesic(Observable(np.eye(2)), ket0, 1.0, 5)
 
 
 class TestMixedGeodesicTerm:
-    def test_zero_for_unmoved_state(self, qubit_mixed):
-        assert mixed_geodesic_term(qubit_mixed, qubit_mixed, 1.0) == 0.0
+    def test_zero_for_unmoved_state(self, sigma_z, qubit_mixed):
+        # sigma_z commutes with the diagonal state, so it never moves: the
+        # term is exactly 0 at t = 0 and propagation round-off after it
+        tau_mt = geodesic(sigma_z, qubit_mixed, 1.0, 11)
+        assert tau_mt[0] == 0.0
+        np.testing.assert_allclose(tau_mt, 0.0, rtol=0, atol=1e-15)
 
     def test_pure_lift_recovers_plain_geodesic(self):
-        h, traj = gue_trajectory(seed=1, tau=1.2, steps=80)
-        rho0 = traj.states[0].to_density()
-        rho_tau = traj.states[-1].to_density()
-        lifted = mixed_geodesic_term(rho0, rho_tau, traj.delta_h)
-        assert lifted == pytest.approx(mt_bound_pure(traj, len(traj.times) - 1), abs=1e-7)
+        h = sample_gue(GueConfig(dim=3, seed=1))
+        psi = default_initial_state(3)
+        lifted = geodesic(h, psi.to_density(), 1.2, 80)[-1]
+        assert lifted == pytest.approx(geodesic(h, psi, 1.2, 80)[-1], abs=1e-7)
 
     def test_precessing_qubit_closed_form(self, sigma_x, qubit_mixed):
         # Tr(rho0 rho_t) = 0.5 + 0.18 cos 2t, purity 0.68, dH = 1
         tau = 0.7
-        rho_tau = evolve_mixed(sigma_x, qubit_mixed, tau)
         want = math.acos(math.sqrt(0.5 + 0.18 * math.cos(2 * tau))) - math.acos(math.sqrt(0.68))
-        got = mixed_geodesic_term(qubit_mixed, rho_tau, 1.0)
-        assert got == pytest.approx(want, abs=1e-12)
-        assert got == pytest.approx(0.153520738090, abs=1e-9)
+        for steps in (11, 400):
+            got = geodesic(sigma_x, qubit_mixed, tau, steps)[-1]
+            assert got == pytest.approx(want, abs=1e-12)
+            assert got == pytest.approx(0.153520738090, abs=1e-9)
 
     def test_scales_with_hbar(self, sigma_x, qubit_mixed):
-        rho_tau = evolve_mixed(sigma_x, qubit_mixed, 0.7)
-        assert mixed_geodesic_term(qubit_mixed, rho_tau, 1.0, hbar=3.0) == pytest.approx(
-            3.0 * mixed_geodesic_term(qubit_mixed, rho_tau, 1.0)
+        # the same states at three times the time: e^{-iHt/hbar} with hbar = 3
+        assert geodesic(sigma_x, qubit_mixed, 2.1, 11, hbar=3.0)[-1] == pytest.approx(
+            3.0 * geodesic(sigma_x, qubit_mixed, 0.7, 11)[-1]
         )
-
-    def test_rejects_dimension_mismatch(self, qubit_mixed):
-        with pytest.raises(DimensionMismatch):
-            mixed_geodesic_term(qubit_mixed, DensityMatrix(np.eye(3) / 3), 1.0)
 
     def test_rejects_zero_spread(self, qubit_mixed):
         with pytest.raises(ZeroEnergyVariance):
-            mixed_geodesic_term(qubit_mixed, qubit_mixed, 0.0)
+            geodesic(Observable(np.eye(2)), qubit_mixed, 1.0, 5)
 
 
 class TestIntegrateCorrection:
@@ -323,7 +292,7 @@ class TestCorrectionSamples:
 
 class TestBoundReport:
     def quad(self, err=0.0):
-        return QuadratureInfo("trapezoid", 0.01, err)
+        return QuadratureInfo(0.01, err)
 
     def test_accepts_consistent_report(self):
         BoundReport(
@@ -403,30 +372,6 @@ class TestBoundReport:
             quadrature=self.quad(err=1e-7),
         )
         assert rep.csv_row() == "1,0.6,0.8,0.2,1e-07,true"
-
-    def test_to_json_keys(self):
-        rep = BoundReport(
-            tau_actual=1.0,
-            tau_mt=0.6,
-            correction_integral=0.2,
-            tau_tqsl=0.8,
-            delta=0.2,
-            basis_id="b",
-            validity=False,
-            quadrature=self.quad(),
-        )
-        data = rep.to_json()
-        assert sorted(data) == [
-            "basis_id",
-            "correction_integral",
-            "delta",
-            "quadrature",
-            "tau_actual",
-            "tau_mt",
-            "tau_tqsl",
-            "validity",
-        ]
-        assert sorted(data["quadrature"]) == ["estimated_error", "scheme", "step"]
 
 
 class TestTqslPure:
@@ -575,6 +520,90 @@ class TestBoundSeries:
         BoundSeries(**cols, validity=np.array([True, False]), basis_id="b", step=0.5)
 
 
+REPORT_BREAKS = {
+    "non-finite": dict(tau_mt=math.nan),
+    "negative correction": dict(tau_mt=0.5, correction_integral=-0.1, tau_tqsl=0.4, delta=-0.1),
+    "negative delta": dict(tau_mt=0.7, correction_integral=0.1, tau_tqsl=0.8, delta=-0.1),
+    "bookkeeping": dict(tau_tqsl=0.9),
+    # over the actual time by 1.5 slack units (BOUND_SLACK = 1e-6)
+    "above actual time": dict(tau_actual=0.8 - 1.5e-6),
+}
+
+
+def report_row(**changes):
+    fields = dict(tau_actual=1.0, tau_mt=0.6, correction_integral=0.2, tau_tqsl=0.8, delta=0.2)
+    fields.update(changes)
+    return fields
+
+
+def checked_row(series, k):
+    """Row k of a series, built through the checked BoundReport constructor."""
+    return BoundReport(
+        tau_actual=float(series.t[k]),
+        tau_mt=float(series.tau_mt[k]),
+        correction_integral=float(series.correction[k]),
+        tau_tqsl=float(series.tau_tqsl[k]),
+        delta=float(series.delta[k]),
+        basis_id=series.basis_id,
+        validity=bool(series.validity[k]),
+        quadrature=QuadratureInfo(series.step, float(series.quad_error[k])),
+    )
+
+
+class TestOneReportCheck:
+    """BoundReport and BoundSeries share one check of the report invariants."""
+
+    @pytest.mark.parametrize("case", sorted(REPORT_BREAKS))
+    def test_report_and_one_row_series_raise_alike(self, case):
+        fields = report_row(**REPORT_BREAKS[case])
+        with pytest.raises(BoundViolation) as from_report:
+            BoundReport(**fields, basis_id="b", validity=True, quadrature=QuadratureInfo(0.01, 0.0))
+        with pytest.raises(BoundViolation) as from_series:
+            BoundSeries(
+                t=[fields["tau_actual"]],
+                tau_mt=[fields["tau_mt"]],
+                correction=[fields["correction_integral"]],
+                tau_tqsl=[fields["tau_tqsl"]],
+                delta=[fields["delta"]],
+                quad_error=[0.0],
+                validity=[True],
+                basis_id="b",
+                step=0.01,
+            )
+        assert type(from_series.value) is type(from_report.value)
+        assert str(from_series.value) == str(from_report.value)
+
+    def test_bound_within_slack_is_accepted(self):
+        fields = report_row(tau_actual=0.8 - 0.5e-6)
+        BoundReport(**fields, basis_id="b", validity=True, quadrature=QuadratureInfo(0.01, 0.0))
+        BoundSeries(
+            t=[fields["tau_actual"]], tau_mt=[0.6], correction=[0.2], tau_tqsl=[0.8], delta=[0.2],
+            quad_error=[0.0], validity=[True], basis_id="b", step=0.01,
+        )
+
+    @pytest.mark.parametrize(
+        "make", [lambda: gue_trajectory(seed=4, tau=3.0, steps=120)[1], wishart_trajectory]
+    )
+    def test_rows_equal_checked_reports(self, make):
+        traj = make()
+        series = bound_series(traj, random_basis(traj.hamiltonian.dim, 5), basis_id="b")
+        for k in range(len(series)):
+            row = series[k]
+            assert type(row) is BoundReport and type(row.quadrature) is QuadratureInfo
+            assert row == checked_row(series, k)
+        assert series[-1] == checked_row(series, len(series) - 1)
+
+    def test_rows_are_not_checked_again(self, monkeypatch):
+        h, traj = gue_trajectory(seed=0, tau=1.0, steps=20)
+        series = bound_series(traj, random_basis(3, 5))
+
+        def refuse(self):
+            raise AssertionError("a series row was checked again")
+
+        monkeypatch.setattr(BoundReport, "__post_init__", refuse)
+        assert [r.tau_tqsl for r in series] == series.tau_tqsl.tolist()
+
+
 class TestOptimizeBasis:
     def test_zero_iterations_returns_identity(self):
         h = sample_gue(GueConfig(dim=3, seed=0))
@@ -678,12 +707,6 @@ class TestOptimizeBasis:
             OptimizerConfig(min_step=0.0)
         with pytest.raises(ConfigError):
             OptimizerConfig(patience=0)
-
-
-def wishart_trajectory(dim=4, seed=2, tau=0.8, steps=80):
-    h = sample_gue(GueConfig(dim=dim, seed=seed))
-    rho = random_density(np.random.default_rng([seed, dim]), dim)
-    return sample_trajectory(h, rho, tau, steps)
 
 
 def assert_same_result(traj, cfg):

@@ -134,6 +134,25 @@ class TestMain:
         assert "nonnegative" in captured.err
         assert not (tmp_path / "g").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gue", "--tmax", "nan"],
+            ["gue", "--hbar", "nan"],
+            ["gue", "--hbar", "inf"],
+            ["spin", "--omega", "nan"],
+            ["spin", "--omega0", "inf"],
+        ],
+        ids=["tmax-nan", "hbar-nan", "hbar-inf", "omega-nan", "omega0-inf"],
+    )
+    def test_non_finite_scale_exits_two(self, tmp_path, capsys, argv):
+        code = main([*argv, "--out", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("config error:")
+        assert f"{argv[1].lstrip('-').replace('tmax', 't_max')} must be positive and finite" in captured.err
+        assert not (tmp_path / "o").exists()
+
     def test_verify_with_two_seeds_exits_two(self, tmp_path, capsys):
         # the suite runs one seed, so it must not accept and echo a second
         code = main(["verify", "--trials", "8", "--seeds", "3,9", "--out", str(tmp_path / "v")])

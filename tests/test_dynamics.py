@@ -356,15 +356,3 @@ class TestStatesView:
             states[5]
         assert isinstance(sample_trajectory(sigma_x, qubit_mixed, 1.0, 5).states[2], DensityMatrix)
 
-
-class TestTrajectoryCsv:
-    def test_header_and_rows(self, sigma_x, ket0):
-        traj = sample_trajectory(sigma_x, ket0, 1.0, 5)
-        lines = traj.to_csv().splitlines()
-        assert lines[0] == "t,s0,overlap,delta_h"
-        assert len(lines) == 6
-        t, s0, overlap, dh = (float(x) for x in lines[-1].split(","))
-        assert t == pytest.approx(1.0)
-        assert s0 == pytest.approx(2.0, abs=1e-10)
-        assert overlap == pytest.approx(math.cos(1.0), abs=1e-10)
-        assert dh == pytest.approx(1.0)

@@ -17,7 +17,6 @@ from tqsl import (
     hermitian_defect,
     random_basis,
     sample_gue,
-    sample_gue_batch,
     spin_chain_evolved_state,
     spin_chain_hamiltonian,
 )
@@ -66,16 +65,6 @@ class TestSampleGue:
         assert abs(np.mean(traces)) < 0.1
         assert np.mean(squares) == pytest.approx(3.0, abs=0.15)
 
-    def test_batch_matches_individual_draws(self):
-        batch = sample_gue_batch(3, base_seed=7, count=4)
-        assert len(batch) == 4
-        for i, h in enumerate(batch):
-            assert np.array_equal(h.matrix, sample_gue(GueConfig(dim=3, seed=7 + i)).matrix)
-
-    def test_batch_rejects_empty(self):
-        with pytest.raises(ConfigError, match="count"):
-            sample_gue_batch(3, base_seed=0, count=0)
-
 
 class TestRandomBasis:
     def test_orthonormal_and_complete(self):
@@ -107,6 +96,12 @@ class TestSpinChainConfig:
             SpinChainConfig(num_spins=2, omega0=0.0)
         with pytest.raises(ConfigError, match="positive"):
             SpinChainConfig(num_spins=2, omega=-1.0)
+
+    @pytest.mark.parametrize("field", ["omega0", "omega"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_couplings(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be positive and finite"):
+            SpinChainConfig(num_spins=2, **{field: value})
 
     def test_rejects_repeated_block_site(self):
         with pytest.raises(BlockIndexOutOfRange, match="repeated"):

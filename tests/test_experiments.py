@@ -74,6 +74,21 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="trials"):
             ExperimentConfig(kind="verify", trials=0)
 
+    @pytest.mark.parametrize("field", ["t_max", "hbar"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_scales(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be positive and finite"):
+            ExperimentConfig(kind="gue", **{field: value})
+
+    @pytest.mark.parametrize("field", ["dim", "num_spins", "steps", "trials"])
+    def test_rejects_non_integer_counts(self, field):
+        # a fractional count is rejected, not truncated, and a bool is no count
+        for value in (2.5, True):
+            with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+                ExperimentConfig(kind="gue", **{field: value})
+        cfg = ExperimentConfig(kind="gue", **{field: np.int64(3)})
+        assert type(getattr(cfg, field)) is int and getattr(cfg, field) == 3
+
     def test_gue_needs_seeds(self):
         with pytest.raises(ConfigError, match="seed"):
             ExperimentConfig(kind="gue", seeds=())

@@ -19,10 +19,6 @@ from tqsl import (
     centered,
     evolve_pure,
     expectation,
-    ket_from_json,
-    ket_to_json,
-    matrix_from_json,
-    matrix_to_json,
     purity,
     sample_gue,
     variance,
@@ -85,12 +81,6 @@ class TestOrthonormalBasis:
         basis = OrthonormalBasis.identity(3)
         assert basis.dim == 3
         np.testing.assert_array_equal(basis.matrix, np.eye(3))
-
-    def test_from_vectors_round_trip(self):
-        vs = (np.array([1, 1]) / np.sqrt(2), np.array([1, -1]) / np.sqrt(2))
-        basis = OrthonormalBasis.from_vectors(vs)
-        for got, want in zip(basis.vectors(), vs):
-            np.testing.assert_allclose(got, want)
 
     def test_rejects_non_orthogonal(self):
         column = np.array([1.0, 0.0])
@@ -190,22 +180,6 @@ class TestBasisFromObservable:
         basis = basis_from_observable(g)
         gram = basis.matrix.conj().T @ basis.matrix
         assert np.max(np.abs(gram - np.eye(3))) < 1e-9
-
-
-class TestJson:
-    def test_matrix_round_trip(self):
-        m = np.array([[1.0, 2.0 + 1j], [2.0 - 1j, 0.5]])
-        payload = matrix_to_json(m)
-        assert payload["dim"] == 2
-        np.testing.assert_array_equal(matrix_from_json(payload), m)
-
-    def test_matrix_dim_mismatch(self):
-        with pytest.raises(ValueError, match="dim"):
-            matrix_from_json({"dim": 3, "re": [[0.0]], "im": [[0.0]]})
-
-    def test_ket_round_trip(self):
-        v = np.array([0.6, 0.8j])
-        np.testing.assert_array_equal(ket_from_json(ket_to_json(v)), v)
 
 
 @settings(max_examples=30, deadline=None)

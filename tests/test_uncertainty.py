@@ -254,17 +254,6 @@ class TestUncertaintyReport:
                     cross_term(a, b, state), abs=1e-9
                 )
 
-    def test_to_json_has_exactly_six_fields(self, sigma_x, sigma_y, ket0):
-        rep = uncertainty_report(sigma_x, sigma_y, ket0, OrthonormalBasis.identity(2))
-        assert sorted(rep.to_json()) == [
-            "correction_k",
-            "cross_term",
-            "delta_a",
-            "delta_b",
-            "rs_bound",
-            "tighter_bound",
-        ]
-
     def test_rejects_broken_chain(self):
         with pytest.raises(BoundViolation):
             UncertaintyReport(
