@@ -30,8 +30,6 @@ from .states import (
 CHAIN_SLACK = 1e-9
 NONNEG_CLAMP = 1e-9
 
-_SIDES = ("left", "right")
-
 
 @dataclass(frozen=True)
 class UncertaintyReport:
@@ -120,53 +118,35 @@ def cross_term(a: Observable, b: Observable, state: State) -> float:
 
 
 def _pure_products(
-    a: Observable, b: Observable, psi: PureState, basis: OrthonormalBasis, projector_side: str
+    a: Observable, b: Observable, psi: PureState, basis: OrthonormalBasis
 ) -> np.ndarray:
-    """Per-vector complex products whose moduli sum to the tighter bound.
+    """Per-vector products <Psi|Abar|psi_n><psi_n|Bbar|Psi>, whose moduli
+    sum to the tighter bound.
 
     Summed without moduli they reproduce <Abar Bbar> exactly (completeness),
     which is what makes the correction K nonnegative term by term.
     """
-    if projector_side not in _SIDES:
-        raise ValueError(f"projector_side must be one of {_SIDES}, got {projector_side!r}")
     _check_pair(a, b, psi)
     _check_basis(psi, basis)
     abar = centered(a, psi).matrix
     bbar = centered(b, psi).matrix
-    u = basis.matrix
+    uh = basis.matrix.conj().T
     v = psi.amplitudes
-    if projector_side == "left":
-        # <Psi|Abar|psi_n><psi_n|Bbar|Psi>
-        return (u.conj().T @ (abar @ v)).conj() * (u.conj().T @ (bbar @ v))
-    # <Psi|Abar Bbar|psi_n><psi_n|Psi>
-    return (u.conj().T @ (bbar @ (abar @ v))).conj() * (u.conj().T @ v)
+    return (uh @ (abar @ v)).conj() * (uh @ (bbar @ v))
 
 
 def tighter_bound_pure(
-    a: Observable,
-    b: Observable,
-    psi: PureState,
-    basis: OrthonormalBasis,
-    projector_side: str = "left",
+    a: Observable, b: Observable, psi: PureState, basis: OrthonormalBasis
 ) -> float:
-    """Sum of per-vector moduli; sits between |<Abar Bbar>| and dA*dB.
-
-    Both projector placements are valid bounds but generally differ for
-    pure states, so the side is an explicit argument.
-    """
-    prods = _pure_products(a, b, psi, basis, projector_side)
-    return float(np.sum(np.abs(prods)))
+    """Sum of per-vector moduli; sits between |<Abar Bbar>| and dA*dB."""
+    return float(np.sum(np.abs(_pure_products(a, b, psi, basis))))
 
 
 def correction_k_pure(
-    a: Observable,
-    b: Observable,
-    psi: PureState,
-    basis: OrthonormalBasis,
-    projector_side: str = "left",
+    a: Observable, b: Observable, psi: PureState, basis: OrthonormalBasis
 ) -> float:
     """Gap between the basis-resolved sum and the unresolved modulus."""
-    prods = _pure_products(a, b, psi, basis, projector_side)
+    prods = _pure_products(a, b, psi, basis)
     gap = float(np.sum(np.abs(prods)) - abs(np.sum(prods)))
     return float(_clamp_nonnegative(gap, "pure correction"))
 
@@ -214,17 +194,13 @@ def correction_k_mixed(
 
 
 def uncertainty_report(
-    a: Observable,
-    b: Observable,
-    state: State,
-    basis: OrthonormalBasis,
-    projector_side: str = "left",
+    a: Observable, b: Observable, state: State, basis: OrthonormalBasis
 ) -> UncertaintyReport:
     """Evaluate the whole chain once and package it with its invariants."""
     delta_a = math.sqrt(variance(a, state))
     delta_b = math.sqrt(variance(b, state))
     if isinstance(state, PureState):
-        tighter = tighter_bound_pure(a, b, state, basis, projector_side)
+        tighter = tighter_bound_pure(a, b, state, basis)
     else:
         tighter = tighter_bound_mixed(a, b, state, basis)
     cross = cross_term(a, b, state)

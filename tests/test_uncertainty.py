@@ -98,25 +98,6 @@ class TestTighterPure:
             total += abs(np.vdot(psi.amplitudes, abar @ u) * np.vdot(u, bbar @ psi.amplitudes))
         assert tighter_bound_pure(a, b, psi, basis) == pytest.approx(total, abs=1e-12)
 
-    def test_projector_side_changes_value(self):
-        # both placements dominate the cross term (triangle inequality), but
-        # only the left one is guaranteed to sit below the variance product;
-        # this draw has the right-side sum exceeding it
-        rng = np.random.default_rng(11)
-        a, b, psi, basis = draw(rng, 3, mixed=False)
-        left = tighter_bound_pure(a, b, psi, basis, projector_side="left")
-        right = tighter_bound_pure(a, b, psi, basis, projector_side="right")
-        cross = cross_term(a, b, psi)
-        upper = math.sqrt(variance(a, psi) * variance(b, psi))
-        assert cross - 1e-9 <= left <= upper + 1e-9
-        assert right >= cross - 1e-9
-        assert right > upper
-        assert left != pytest.approx(right, abs=1e-6)
-
-    def test_rejects_unknown_side(self, sigma_x, sigma_y, ket0):
-        with pytest.raises(ValueError, match="projector_side"):
-            tighter_bound_pure(sigma_x, sigma_y, ket0, OrthonormalBasis.identity(2), "middle")
-
     def test_chain_on_random_draws(self):
         rng = np.random.default_rng(12)
         for k in range(40):
