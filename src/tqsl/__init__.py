@@ -13,7 +13,6 @@ from .bounds import (
     OptimizerConfig,
     QuadratureInfo,
     bound_series,
-    integrate_correction,
     optimize_basis,
     tqsl_bound,
 )
@@ -40,7 +39,6 @@ from .errors import (
     DenominatorUnderflow,
     DimensionMismatch,
     InvalidBasis,
-    NonFiniteSample,
     NonHermitianInput,
     NonRealExpectation,
     NotPositiveSemidefinite,

@@ -21,7 +21,6 @@ from .errors import (
     ConfigError,
     DenominatorUnderflow,
     DimensionMismatch,
-    NonFiniteSample,
     SingularIntegrand,
     ValidityExceeded,
     ZeroEnergyVariance,
@@ -165,28 +164,16 @@ class BoundSeries(Sequence):
         return [_csv_row(*row) for row in zip(*(c.tolist() for c in cols))]
 
 
-def integrate_correction(samples) -> tuple[float, float]:
-    """Composite trapezoid over (t, value) samples, plus a Richardson error
-    estimate from comparing against the half-resolution grid."""
-    arr = np.asarray(samples, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:
-        raise ValueError("need an (n >= 2) x 2 array of (t, value) samples")
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteSample("integrand samples contain NaN or Inf")
-    t, f = arr[:, 0], arr[:, 1]
-    if np.any(np.diff(t) <= 0):
-        raise ValueError("sample times must be strictly ascending")
-    full = float(np.trapezoid(f, t))
-    idx = _half_grid_indices(len(t))
-    half = float(np.trapezoid(f[idx], t[idx]))
-    return full, abs(full - half) / 3.0
-
-
-def _half_grid_indices(n: int) -> list:
-    idx = list(range(0, n, 2))
-    if idx[-1] != n - 1:
-        idx.append(n - 1)
-    return idx
+def _cumulative_trapezoid(t: np.ndarray, f: np.ndarray) -> tuple:
+    """The composite trapezoid of f over the grid t, cumulative from t[0],
+    and at every row its Richardson error estimate |full - half| / 3, where
+    half integrates the half-resolution grid (every other point, plus the
+    last one) and is interpolated back onto t."""
+    cum = np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(t))])
+    idx = np.append(np.arange(0, len(t) - 1, 2), len(t) - 1)
+    th, fh = t[idx], f[idx]
+    cum_half = np.concatenate([[0.0], np.cumsum(0.5 * (fh[1:] + fh[:-1]) * np.diff(th))])
+    return cum, np.abs(cum - np.interp(t, th, cum_half)) / 3.0
 
 
 def _mixed_k_series(traj: Trajectory, rho0: np.ndarray, bases: np.ndarray) -> np.ndarray:
@@ -339,20 +326,23 @@ class _Correction:
         return traj.hbar * (angle - angle[0]) / traj.delta_h
 
 
-def _report_at_end(correction: _Correction, basis: OrthonormalBasis, basis_id: str) -> BoundReport:
+def _series(correction: _Correction, basis: OrthonormalBasis, basis_id: str) -> BoundSeries:
+    """The BoundSeries of one basis on a prepared correction: the one place
+    a bound is integrated, so every endpoint report is a series' last row."""
     traj = correction.traj
-    value, err = integrate_correction(np.column_stack([traj.times, correction.integrand(basis)]))
-    tau_mt = float(correction.geodesic()[-1])
-    tau_tqsl = tau_mt + value
-    return BoundReport(
-        tau_actual=float(traj.times[-1]),
+    cum, err = _cumulative_trapezoid(traj.times, correction.integrand(basis))
+    tau_mt = correction.geodesic()
+    tau_tqsl = tau_mt + cum
+    return BoundSeries(
+        t=traj.times,
         tau_mt=tau_mt,
-        correction_integral=value,
+        correction=cum,
         tau_tqsl=tau_tqsl,
         delta=tau_tqsl - tau_mt,
+        quad_error=err,
+        validity=traj.validity_flags(),
         basis_id=basis_id,
-        validity=traj.validity_clean,
-        quadrature=QuadratureInfo(float(traj.times[1] - traj.times[0]), err),
+        step=float(traj.times[1] - traj.times[0]),
     )
 
 
@@ -375,10 +365,10 @@ def tqsl_bound(
     basis_id: str = "user",
 ) -> BoundReport:
     """Evaluate the tightened bound at time tau for a pure or mixed initial
-    state."""
+    state: the last row of bound_series on the same trajectory and basis."""
     traj = sample_trajectory(h, state0, tau, steps, hbar)
     _require_clean(traj)
-    return _report_at_end(_Correction(traj), basis, basis_id)
+    return _series(_Correction(traj), basis, basis_id)[-1]
 
 
 def bound_series(traj: Trajectory, basis: OrthonormalBasis, basis_id: str = "user") -> BoundSeries:
@@ -388,25 +378,7 @@ def bound_series(traj: Trajectory, basis: OrthonormalBasis, basis_id: str = "use
     Rows past the trajectory's validity index are still reported (flagged
     false) so sweeps can plot the whole window.
     """
-    correction = _Correction(traj)
-    t, f = traj.times, correction.integrand(basis)
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(t))])
-    idx = _half_grid_indices(len(t))
-    th, fh = t[idx], f[idx]
-    cum_half = np.concatenate([[0.0], np.cumsum(0.5 * (fh[1:] + fh[:-1]) * np.diff(th))])
-    tau_mt = correction.geodesic()
-    tau_tqsl = tau_mt + cum
-    return BoundSeries(
-        t=t,
-        tau_mt=tau_mt,
-        correction=cum,
-        tau_tqsl=tau_tqsl,
-        delta=tau_tqsl - tau_mt,
-        quad_error=np.abs(cum - np.interp(t, th, cum_half)) / 3.0,
-        validity=traj.validity_flags(),
-        basis_id=basis_id,
-        step=float(t[1] - t[0]),
-    )
+    return _series(_Correction(traj), basis, basis_id)
 
 
 @dataclass(frozen=True)
@@ -441,7 +413,8 @@ _REJECTED = (SingularIntegrand, DenominatorUnderflow)  # reject a candidate, not
 
 def optimize_basis(traj: Trajectory, opt_config: OptimizerConfig = None) -> tuple:
     """Maximize the correction integral over complete orthonormal bases;
-    returns the best basis and its bound at the trajectory's endpoint.
+    returns the best basis and its bound at the trajectory's endpoint, the
+    last row of bound_series(traj, basis, report.basis_id).
 
     Restart 0 is the identity basis; later restarts start from eigenbases
     of independent random Hermitian draws. Candidates rotate the current
@@ -493,7 +466,7 @@ def optimize_basis(traj: Trajectory, opt_config: OptimizerConfig = None) -> tupl
         raise SingularIntegrand("every optimizer restart hit a singular integrand")
     origin = "identity" if best == 0 else f"gue-eigenbasis:seed={cfg.seed + best}"
     basis = OrthonormalBasis(bases[best])
-    return basis, _report_at_end(correction, basis, f"optimize[{origin}, {moves[best]} moves]")
+    return basis, _series(correction, basis, f"optimize[{origin}, {moves[best]} moves]")[-1]
 
 
 def _score(correction: _Correction, bases: np.ndarray, failures: list) -> tuple:

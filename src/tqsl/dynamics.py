@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonHermitianInput, NonRealExpectation, NotPositiveSemidefinite
+from .errors import (
+    DimensionMismatch,
+    NonHermitianInput,
+    NonRealExpectation,
+    NotPositiveSemidefinite,
+    _index,
+    _positive_finite,
+)
 from .linalg import HERMITICITY_TOL, eigh, expm_i_hermitian, sqrtm_psd
 from .states import (
     EXPECTATION_IMAG_TOL,
@@ -181,8 +188,7 @@ class Trajectory:
     valid_until: int
 
     def __post_init__(self):
-        if self.hbar <= 0:
-            raise ValueError("hbar must be positive")
+        _positive_finite("hbar", self.hbar, ValueError)
         times = np.asarray(self.times, dtype=float)
         stack = np.asarray(self.stack, dtype=complex)
         s0 = np.asarray(self.s0, dtype=float)
@@ -264,13 +270,14 @@ def sample_trajectory(
     hbar: float = 1.0,
 ) -> Trajectory:
     """Evolve state0 over {0, ..., t_max} with `steps` grid points."""
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
+    _positive_finite("t_max", t_max, ValueError)
+    _positive_finite("hbar", hbar, ValueError)
+    steps = _index("steps", steps, ValueError)
     if steps < 2:
-        raise ValueError("need at least 2 grid points")
+        raise ValueError(f"steps must be >= 2 grid points, got {steps}")
     if h.dim != state0.dim:
         raise DimensionMismatch(f"H dim {h.dim} vs state dim {state0.dim}")
-    times = np.linspace(0.0, float(t_max), int(steps))
+    times = np.linspace(0.0, float(t_max), steps)
     dec = eigh(h.matrix)
     # The t = 0 sample is the initial state itself; writing it (and its unit
     # overlap) exactly keeps arccos from amplifying eigensolver round-off

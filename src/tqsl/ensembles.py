@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlockIndexOutOfRange, ConfigError, NotProductState, _positive_finite_fields
+from .errors import (
+    BlockIndexOutOfRange,
+    ConfigError,
+    NotProductState,
+    _index,
+    _integer_fields,
+    _positive_finite_fields,
+)
 from .linalg import kron
 from .states import Observable, OrthonormalBasis, PureState, basis_from_observable
 
@@ -29,6 +36,7 @@ class GueConfig:
     seed: int
 
     def __post_init__(self):
+        _integer_fields(self, "dim", "seed")
         if self.dim < 2:
             raise ConfigError(f"GUE dimension must be >= 2, got {self.dim}")
         if self.seed < 0:
@@ -55,6 +63,12 @@ def random_basis(dim: int, seed: int) -> OrthonormalBasis:
     return basis_from_observable(sample_gue(GueConfig(dim=dim, seed=seed)))
 
 
+def _block_sites(blocks) -> tuple:
+    """Blocks as tuples of int sites; a bool or non-integer site raises
+    ConfigError."""
+    return tuple(tuple(_index("block site", i) for i in block) for block in blocks)
+
+
 @dataclass(frozen=True)
 class SpinChainConfig:
     """num_spins sites, single-site terms at omega0, block products at omega.
@@ -69,10 +83,11 @@ class SpinChainConfig:
     omega: float = 1.0
 
     def __post_init__(self):
+        _integer_fields(self, "num_spins")
         if not 1 <= self.num_spins <= MAX_SPINS:
             raise ConfigError(f"num_spins must be in 1..{MAX_SPINS}, got {self.num_spins}")
         _positive_finite_fields(self, "omega0", "omega")
-        blocks = tuple(tuple(int(i) for i in block) for block in self.blocks)
+        blocks = _block_sites(self.blocks)
         for block in blocks:
             if len(set(block)) != len(block):
                 raise BlockIndexOutOfRange(f"repeated site in block {block}")

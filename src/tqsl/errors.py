@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the config field checks
-that raise ConfigError.
+"""Exception types shared across the package, and the integer and
+positive-finite checks that configs (ConfigError) and sample_trajectory
+(ValueError) apply to their inputs.
 
 Every precondition failure raises a distinct class so callers (and the
 property suite) can tell a rejected input from a genuine numerical bug.
@@ -48,10 +49,6 @@ class DenominatorUnderflow(QslError):
     """Mixed-state correction radical underflowed while the correction is nonzero."""
 
 
-class NonFiniteSample(QslError):
-    """Quadrature input contains NaN or Inf."""
-
-
 class BlockIndexOutOfRange(QslError):
     """Spin-chain block references a site outside the chain."""
 
@@ -68,19 +65,27 @@ class ConfigError(QslError):
     """Experiment configuration failed validation."""
 
 
+def _index(name: str, value, error=ConfigError) -> int:
+    """operator.index(value); a bool or a non-integer raises `error`."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
+def _positive_finite(name: str, value, error=ConfigError) -> None:
+    """A positive, finite number passes; anything else raises `error`."""
+    if not 0.0 < value < math.inf:
+        raise error(f"{name} must be positive and finite, got {value!r}")
+
+
 def _integer_fields(cfg, *names: str) -> None:
     """Replace each named field of a frozen config by its operator.index
     value; a bool or a non-integer raises ConfigError."""
     for name in names:
-        value = getattr(cfg, name)
-        if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-        object.__setattr__(cfg, name, operator.index(value))
+        object.__setattr__(cfg, name, _index(name, getattr(cfg, name)))
 
 
 def _positive_finite_fields(cfg, *names: str) -> None:
     """Each named field of a config must be a positive, finite number."""
     for name in names:
-        value = getattr(cfg, name)
-        if not 0.0 < value < math.inf:
-            raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+        _positive_finite(name, getattr(cfg, name))

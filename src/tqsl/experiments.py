@@ -18,8 +18,8 @@ import numpy as np
 from .bounds import (
     BOUND_CSV_HEADER,
     OptimizerConfig,
+    _cumulative_trapezoid,
     bound_series,
-    integrate_correction,
     optimize_basis,
 )
 from .dynamics import (
@@ -32,6 +32,7 @@ from .dynamics import (
 from .ensembles import (
     GueConfig,
     SpinChainConfig,
+    _block_sites,
     random_basis,
     sample_gue,
     spin_chain_evolved_state,
@@ -105,9 +106,7 @@ class ExperimentConfig:
         if self.kind in ("gue", "spin") and not seeds:
             raise ConfigError(f"{self.kind} runs need at least one seed")
         object.__setattr__(self, "seeds", seeds)
-        object.__setattr__(
-            self, "blocks", tuple(tuple(int(i) for i in block) for block in self.blocks)
-        )
+        object.__setattr__(self, "blocks", _block_sites(self.blocks))
 
 
 def default_initial_state(dim: int) -> PureState:
@@ -405,8 +404,8 @@ def _check_quadrature_order(seed: int) -> dict:
     t1 = np.linspace(0.0, 1.0, 101)
     t2 = np.linspace(0.0, 1.0, 201)
     exact = (1.0 - math.cos(3.0)) / 3.0 + 1.0 / 3.0
-    e1 = abs(integrate_correction(np.column_stack([t1, f(t1)]))[0] - exact)
-    e2 = abs(integrate_correction(np.column_stack([t2, f(t2)]))[0] - exact)
+    e1 = abs(float(_cumulative_trapezoid(t1, f(t1))[0][-1]) - exact)
+    e2 = abs(float(_cumulative_trapezoid(t2, f(t2))[0][-1]) - exact)
     ratio = e1 / e2
     return _verdict("quadrature-order", 1, -abs(ratio - 4.0), 0.5)
 

@@ -14,10 +14,9 @@ from tqsl import (
     OptimizerConfig,
     OrthonormalBasis,
     SingularIntegrand,
-    integrate_correction,
     random_basis,
 )
-from tqsl.bounds import K_EPS, _Correction, _random_directions, _require_clean
+from tqsl.bounds import K_EPS, _Correction, _cumulative_trapezoid, _random_directions, _require_clean
 from tqsl.dynamics import STACK_BLOCK, frobenius_inner
 from tqsl.linalg import eigh
 from tqsl.uncertainty import _clamp_nonnegative
@@ -64,9 +63,10 @@ def integrand(c: _Correction, basis: OrthonormalBasis) -> np.ndarray:
 
 
 def tau_tqsl(c: _Correction, basis: OrthonormalBasis) -> float:
-    """The bound at the trajectory's endpoint for one basis."""
-    value, _ = integrate_correction(np.column_stack([c.traj.times, integrand(c, basis)]))
-    return float(c.geodesic()[-1]) + value
+    """The bound at the trajectory's endpoint for one basis, integrated by
+    the package's one quadrature routine."""
+    cum, _ = _cumulative_trapezoid(c.traj.times, integrand(c, basis))
+    return float(c.geodesic()[-1] + cum[-1])
 
 
 def rotation(dec, s: float) -> np.ndarray:

@@ -7,6 +7,7 @@ check is reproducible.
 """
 
 import dataclasses
+import re
 import time
 from pathlib import Path
 
@@ -214,3 +215,13 @@ def test_10_identical_seeds_reproduce_csv_bytes(gue_batch, spin_run, tmp_path):
         runner(dataclasses.replace(batch["cfg"], output_path=str(rerun_dir)))
         for name in names:
             assert (rerun_dir / name).read_bytes() == (batch["out"] / name).read_bytes()
+
+
+def test_11_readme_library_example_runs(capsys):
+    # the README's Library block, as written: it calls tqsl_bound and
+    # optimize_basis and asserts the endpoint report is a series' last row
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 and lines[1].startswith("optimize[")

@@ -15,7 +15,6 @@ from tqsl import (
     DimensionMismatch,
     GueConfig,
     InvalidBasis,
-    NonFiniteSample,
     Observable,
     OptimizerConfig,
     OrthonormalBasis,
@@ -31,7 +30,6 @@ from tqsl import (
     default_initial_state,
     evolve_mixed,
     evolve_pure,
-    integrate_correction,
     optimize_basis,
     random_basis,
     sample_gue,
@@ -43,7 +41,7 @@ from tqsl import (
 import sequential_optimizer as oracle
 import tqsl.bounds
 from conftest import random_density, random_pure
-from tqsl.bounds import _Correction, _mixed_k_series, _random_directions
+from tqsl.bounds import _Correction, _cumulative_trapezoid, _mixed_k_series, _random_directions
 from tqsl.states import basis_failures
 
 SIN_EPS = 1e-8
@@ -165,51 +163,49 @@ class TestMixedGeodesicTerm:
 
 
 class TestIntegrateCorrection:
+    """bounds._cumulative_trapezoid, the one quadrature behind every series
+    and report, checked at every row. Even rows lie on the half-resolution
+    grid; an odd row's error estimate also carries the gap of interpolating
+    the half-grid integral linearly onto it."""
+
     def test_constant_is_exact(self):
         t = np.linspace(0.0, 2.0, 21)
-        value, est = integrate_correction(np.column_stack([t, np.full(21, 1.5)]))
-        assert value == pytest.approx(3.0, abs=1e-14)
-        assert est == pytest.approx(0.0, abs=1e-14)
+        value, est = _cumulative_trapezoid(t, np.full(21, 1.5))
+        np.testing.assert_allclose(value, 1.5 * t, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(est, 0.0, rtol=0, atol=1e-14)
 
     def test_linear_is_exact(self):
         t = np.linspace(0.0, 1.0, 17)
-        value, est = integrate_correction(np.column_stack([t, 3.0 * t]))
-        assert value == pytest.approx(1.5, abs=1e-14)
-        assert est == pytest.approx(0.0, abs=1e-14)
+        value, est = _cumulative_trapezoid(t, 3.0 * t)
+        np.testing.assert_allclose(value, 1.5 * t * t, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(est[::2], 0.0, rtol=0, atol=1e-14)
+        # 1.5 t^2 interpolated from its two neighbours is off by 1.5 h^2
+        h = t[1]
+        np.testing.assert_allclose(est[1::2], 0.5 * h * h, rtol=1e-12)
 
     def test_second_order_convergence(self):
         errors = {}
         for n in (51, 101):
             t = np.linspace(0.0, 1.0, n)
-            value, est = integrate_correction(np.column_stack([t, t * t]))
-            errors[n] = abs(value - 1.0 / 3.0)
-            # Richardson estimate should track the true error closely here
-            assert 0.5 * errors[n] <= est <= 2.0 * errors[n]
-        assert errors[51] / errors[101] == pytest.approx(4.0, rel=0.05)
+            value, est = _cumulative_trapezoid(t, t * t)
+            errors[n] = err = np.abs(value - t**3 / 3.0)
+            # the trapezoid error of t^2 is t h^2 / 6 at every row
+            np.testing.assert_allclose(err, t * t[1] ** 2 / 6.0, rtol=1e-9)
+            # the Richardson estimate is exact on the half grid and three
+            # times the error between its points
+            np.testing.assert_allclose(est[::2], err[::2], rtol=1e-9)
+            np.testing.assert_allclose(est[1::2], 3.0 * err[1::2], rtol=1e-9)
+        np.testing.assert_allclose(errors[51][1:] / errors[101][2::2], 4.0, rtol=1e-9)
 
     def test_even_point_count(self):
-        # half grid appends the final point when n is even
+        # the half grid appends the final point when n is even, so the last
+        # row shares its estimate with the row before it
         t = np.linspace(0.0, 1.0, 10)
-        value, _ = integrate_correction(np.column_stack([t, np.exp(t)]))
-        assert value == pytest.approx(math.e - 1.0, abs=1e-2)
-
-    def test_rejects_non_finite(self):
-        t = np.linspace(0.0, 1.0, 5)
-        f = np.ones(5)
-        f[3] = np.nan
-        with pytest.raises(NonFiniteSample):
-            integrate_correction(np.column_stack([t, f]))
-
-    def test_rejects_unsorted_times(self):
-        samples = np.array([[0.0, 1.0], [0.5, 1.0], [0.5, 1.0]])
-        with pytest.raises(ValueError, match="ascending"):
-            integrate_correction(samples)
-
-    def test_rejects_bad_shape(self):
-        with pytest.raises(ValueError, match="samples"):
-            integrate_correction(np.array([[0.0, 1.0]]))
-        with pytest.raises(ValueError, match="samples"):
-            integrate_correction(np.ones((4, 3)))
+        value, est = _cumulative_trapezoid(t, np.exp(t))
+        err = np.abs(value - (np.exp(t) - 1.0))
+        np.testing.assert_allclose(value, np.exp(t) - 1.0, rtol=0, atol=1e-2)
+        np.testing.assert_allclose(est[2:-1:2], err[2:-1:2], rtol=1e-2)
+        assert est[-1] == pytest.approx(est[-2], rel=1e-12)
 
 
 class TestCorrectionSamples:
@@ -399,6 +395,20 @@ class TestTqslPure:
         assert rep.tau_tqsl <= rep.tau_actual + 1e-6
         assert rep.basis_id == "user"
 
+    @pytest.mark.parametrize(
+        "tau, steps, hbar, match",
+        [
+            (1.0, 2.5, 1.0, "steps must be an integer"),
+            (1.0, True, 1.0, "steps must be an integer"),
+            (math.nan, 10, 1.0, "t_max must be positive and finite"),
+            (1.0, 10, math.nan, "hbar must be positive and finite"),
+            (1.0, 10, math.inf, "hbar must be positive and finite"),
+        ],
+    )
+    def test_rejects_bad_grid_arguments(self, sigma_x, ket0, tau, steps, hbar, match):
+        with pytest.raises(ValueError, match=match):
+            tqsl_bound(sigma_x, ket0, tau, OrthonormalBasis.identity(2), steps, hbar)
+
     def test_rejects_run_past_validity(self, sigma_x, ket0):
         with pytest.raises(ValidityExceeded, match="turns around"):
             tqsl_bound(sigma_x, ket0, 2.0, OrthonormalBasis.identity(2), steps=100)
@@ -430,6 +440,37 @@ class TestTqslMixed:
             tqsl_bound(sigma_x, qubit_mixed, 2.0, OrthonormalBasis.identity(2), steps=100)
 
 
+def endpoint_draw(k):
+    """Draw k: a GUE Hamiltonian of dim 3-5, a pure initial state for even
+    k and a Wishart one for odd k, a random basis, a grid size and hbar."""
+    dim = 3 + k % 3
+    h = sample_gue(GueConfig(dim=dim, seed=100 + k))
+    if k % 2:
+        state = random_density(np.random.default_rng([k, 9]), dim)
+    else:
+        state = default_initial_state(dim)
+    return h, state, random_basis(dim, 500 + k), 60 + k, 2.0 if k % 4 == 3 else 1.0
+
+
+class TestReportIsLastSeriesRow:
+    """Every endpoint report is the last row of the matching bound_series,
+    field for field and bit for bit."""
+
+    @pytest.mark.parametrize("k", range(20))
+    def test_tqsl_bound(self, k):
+        h, state, basis, steps, hbar = endpoint_draw(k)
+        rep = tqsl_bound(h, state, 0.7, basis, steps, hbar, basis_id="draw")
+        traj = sample_trajectory(h, state, 0.7, steps, hbar)
+        assert rep == bound_series(traj, basis, "draw")[-1]
+
+    @pytest.mark.parametrize("k", range(20))
+    def test_optimize_basis(self, k):
+        h, state, _, steps, hbar = endpoint_draw(k)
+        traj = sample_trajectory(h, state, 0.7, steps, hbar)
+        basis, rep = optimize_basis(traj, OptimizerConfig(restarts=2, iterations=30, seed=k))
+        assert rep == bound_series(traj, basis, rep.basis_id)[-1]
+
+
 class TestBoundSeries:
     def test_first_row_is_all_zero(self):
         h, traj = gue_trajectory(seed=0, tau=1.0, steps=40)
@@ -452,12 +493,7 @@ class TestBoundSeries:
         basis = random_basis(3, 5)
         series = bound_series(traj, basis, basis_id="shared")
         rep = tqsl_bound(h, default_initial_state(3), 1.0, basis, steps=60, basis_id="shared")
-        last = series[-1]
-        assert last.tau_tqsl == pytest.approx(rep.tau_tqsl, abs=1e-12)
-        assert last.correction_integral == pytest.approx(rep.correction_integral, abs=1e-12)
-        assert last.quadrature.estimated_error == pytest.approx(
-            rep.quadrature.estimated_error, abs=1e-12
-        )
+        assert rep == series[-1]
 
     def test_rows_past_validity_are_flagged(self, sigma_x, ket0):
         traj = sample_trajectory(sigma_x, ket0, 2.0, 101)

@@ -205,6 +205,28 @@ class TestSampleTrajectory:
         with pytest.raises(DimensionMismatch):
             sample_trajectory(sigma_x, PureState(np.array([1.0, 0, 0])), 1.0, 10)
 
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("steps", 2.5, "steps must be an integer"),
+            ("steps", True, "steps must be an integer"),
+            ("t_max", math.nan, "t_max must be positive and finite"),
+            ("t_max", math.inf, "t_max must be positive and finite"),
+            ("hbar", math.nan, "hbar must be positive and finite"),
+            ("hbar", math.inf, "hbar must be positive and finite"),
+            ("hbar", 0.0, "hbar must be positive and finite"),
+        ],
+    )
+    def test_rejects_bad_grid_arguments(self, sigma_x, ket0, qubit_mixed, field, value, match):
+        # rejected before any propagation, not truncated or left to fail later
+        args = {"t_max": 1.0, "steps": 10, "hbar": 1.0, field: value}
+        for state in (ket0, qubit_mixed):
+            with pytest.raises(ValueError, match=match):
+                sample_trajectory(sigma_x, state, **args)
+
+    def test_takes_integer_like_steps(self, sigma_x, ket0):
+        assert len(sample_trajectory(sigma_x, ket0, 1.0, np.int64(10)).times) == 10
+
     def test_mixed_angle_can_outrun_pure_rate(self):
         # Pinned counterexample: this mixed trajectory's angle moves faster
         # than 2*dH/hbar between two grid points, which is why the Lipschitz

@@ -31,6 +31,16 @@ class TestGueConfig:
         with pytest.raises(ConfigError, match="seed"):
             GueConfig(dim=3, seed=-1)
 
+    @pytest.mark.parametrize("field, value", [("dim", 2.5), ("dim", True), ("seed", 1.5), ("seed", True)])
+    def test_rejects_non_integer_fields(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            GueConfig(**{"dim": 3, "seed": 0, field: value})
+
+    def test_takes_integer_like_fields(self):
+        cfg = GueConfig(dim=np.int64(3), seed=np.uint8(2))
+        assert (cfg.dim, cfg.seed) == (3, 2)
+        assert type(cfg.dim) is int and type(cfg.seed) is int
+
 
 class TestSampleGue:
     def test_is_exactly_hermitian(self):
@@ -78,6 +88,10 @@ class TestRandomBasis:
         b = random_basis(4, seed=5)
         assert np.array_equal(a.matrix, b.matrix)
 
+    def test_rejects_fractional_seed(self):
+        with pytest.raises(ConfigError, match="seed must be an integer"):
+            random_basis(3, 1.5)
+
     def test_seed_dependence(self):
         a = random_basis(3, seed=1)
         b = random_basis(3, seed=2)
@@ -102,6 +116,20 @@ class TestSpinChainConfig:
     def test_rejects_non_finite_couplings(self, field, value):
         with pytest.raises(ConfigError, match=f"{field} must be positive and finite"):
             SpinChainConfig(num_spins=2, **{field: value})
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            ({"num_spins": 2.5}, "num_spins must be an integer"),
+            ({"num_spins": True}, "num_spins must be an integer"),
+            ({"blocks": ((1.7, 2),)}, "block site must be an integer"),
+            ({"blocks": ((True, 2),)}, "block site must be an integer"),
+        ],
+    )
+    def test_rejects_non_integer_fields(self, kwargs, match):
+        # a fractional count or site is rejected, not truncated
+        with pytest.raises(ConfigError, match=match):
+            SpinChainConfig(**{"num_spins": 2, **kwargs})
 
     def test_rejects_repeated_block_site(self):
         with pytest.raises(BlockIndexOutOfRange, match="repeated"):

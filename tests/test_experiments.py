@@ -117,6 +117,12 @@ class TestExperimentConfig:
         cfg = ExperimentConfig(kind="spin", blocks=[[1, 2]])
         assert cfg.blocks == ((1, 2),)
 
+    @pytest.mark.parametrize("block", [(1.7, 2), (True, 2)])
+    def test_rejects_non_integer_block_sites(self, block):
+        # truncation would have made both blocks (1, 2)
+        with pytest.raises(ConfigError, match="block site must be an integer"):
+            ExperimentConfig(kind="spin", blocks=(block, (2, 3)))
+
 
 class TestDefaultInitialState:
     def test_dim_three_weights(self):
