@@ -7,7 +7,8 @@ behind them (tests/golden/).
 - summary_runs.json: the summary "runs" of the same CLI cases, and
   verify_checks.json: the "checks" of `verify --trials 8 --seeds 0`, both
   captured before the two sweeps shared one runner and the property checks
-  one verdict rule.
+  one verdict rule. Its quadrature-order slack alone was recaptured when the
+  bound's two trapezoid codes became one cumulative routine.
 """
 import json
 from pathlib import Path
