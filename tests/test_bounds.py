@@ -685,13 +685,17 @@ class TestOptimizeBasis:
     def test_pinned_mixed_state_result(self):
         # captured before the correction kernel was prepared once per
         # trajectory and the directions were decomposed in one batch: the
-        # hill climb compares floats, so any change in the values moves it
+        # hill climb compares floats, so any change in the values moves it.
+        # tau_tqsl was recaptured (...685 -> ...674, basis_id unchanged) when
+        # the report became the last row of the cumulative quadrature.
         h = sample_gue(GueConfig(dim=4, seed=2))
         rho = random_density(np.random.default_rng([2, 4]), 4)
         cfg = OptimizerConfig(restarts=3, iterations=40, seed=2)
-        _, rep = optimize_basis(sample_trajectory(h, rho, 0.8, 80), cfg)
+        traj = sample_trajectory(h, rho, 0.8, 80)
+        basis, rep = optimize_basis(traj, cfg)
         assert rep.basis_id == "optimize[gue-eigenbasis:seed=4, 7 moves]"
-        assert repr(rep.tau_tqsl) == "0.32020880606861685"
+        assert repr(rep.tau_tqsl) == "0.32020880606861674"
+        assert rep == bound_series(traj, basis, rep.basis_id)[-1]
 
     def test_directions_follow_the_one_at_a_time_stream(self):
         # drawing all directions up front must consume the generator in the
