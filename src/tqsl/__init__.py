@@ -60,7 +60,6 @@ from .linalg import (
     eigh,
     expm_i_hermitian,
     hermitian_defect,
-    kron,
     sqrtm_psd,
 )
 from .states import (

@@ -89,36 +89,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    seeds = parse_seeds(args.seeds)
+    if args.command == "verify":
+        return ExperimentConfig(kind="verify", seeds=seeds, trials=args.trials, output_path=args.out)
+    sweep = dict(
+        kind=args.command, t_max=args.tmax, steps=args.steps, seeds=seeds,
+        basis_mode=args.basis, hbar=args.hbar, output_path=args.out,
+    )
     if args.command == "gue":
-        return ExperimentConfig(
-            kind="gue",
-            dim=args.dim,
-            t_max=args.tmax,
-            steps=args.steps,
-            seeds=parse_seeds(args.seeds),
-            basis_mode=args.basis,
-            hbar=args.hbar,
-            output_path=args.out,
-        )
-    if args.command == "spin":
-        return ExperimentConfig(
-            kind="spin",
-            num_spins=args.spins,
-            blocks=parse_blocks(args.blocks),
-            omega0=args.omega0,
-            omega=args.omega,
-            t_max=args.tmax,
-            steps=args.steps,
-            seeds=parse_seeds(args.seeds),
-            basis_mode=args.basis,
-            hbar=args.hbar,
-            output_path=args.out,
-        )
+        return ExperimentConfig(dim=args.dim, **sweep)
     return ExperimentConfig(
-        kind="verify",
-        seeds=parse_seeds(args.seeds),
-        trials=args.trials,
-        output_path=args.out,
+        num_spins=args.spins, blocks=parse_blocks(args.blocks), omega0=args.omega0, omega=args.omega,
+        **sweep,
     )
 
 

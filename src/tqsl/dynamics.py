@@ -24,13 +24,13 @@ from .errors import (
 from .linalg import HERMITICITY_TOL, eigh, expm_i_hermitian, sqrtm_psd
 from .states import (
     EXPECTATION_IMAG_TOL,
-    NORM_TOL,
     PSD_TOL,
     TRACE_TOL,
     DensityMatrix,
     Observable,
     PureState,
     State,
+    _require_unit_kets,
     purity,
     variance,
 )
@@ -108,16 +108,8 @@ def _require_real(means: np.ndarray) -> None:
 
 
 def _ket_spreads(h: np.ndarray, kets: np.ndarray, offset: int) -> np.ndarray:
-    """Energy spread of each ket, after the PureState checks on the block
-    that starts at grid index `offset`."""
-    norms = np.linalg.norm(kets, axis=1)
-    bad = np.abs(norms - 1.0) > NORM_TOL
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ValueError(
-            f"state norm {float(norms[k])!r} at grid index {offset + k} "
-            f"differs from 1 beyond {NORM_TOL:.0e}"
-        )
+    """Energy spread of each ket of a block; Trajectory has checked the kets.
+    `offset`, the block's first grid index, keeps _root_spreads's signature."""
     hk = kets @ h.T  # row k is H psi_k
     means = np.einsum("ki,ki->k", kets.conj(), hk)
     _require_real(means)
@@ -204,15 +196,16 @@ class Trajectory:
             raise ValueError(f"valid_until {self.valid_until} outside grid")
         dim = self.hamiltonian.dim
         if stack.ndim == 2:
+            _require_unit_kets(stack)
             spreads_of = _ket_spreads
         elif stack.ndim == 3 and stack.shape[1] == stack.shape[2]:
+            if not np.all(np.isfinite(stack)):
+                raise ValueError("state stack entries must be finite")
             spreads_of = _root_spreads
         else:
             raise ValueError(f"state stack must be (n, d) or (n, d, d), got {stack.shape}")
         if stack.shape[1] != dim:
             raise DimensionMismatch(f"H dim {dim} vs state dim {stack.shape[1]}")
-        if not np.all(np.isfinite(stack)):
-            raise ValueError("state stack entries must be finite")
         h = self.hamiltonian.matrix
         spreads = np.concatenate(
             [spreads_of(h, stack[i : i + STACK_BLOCK], i) for i in range(0, n, STACK_BLOCK)]

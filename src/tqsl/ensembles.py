@@ -21,13 +21,13 @@ from .errors import (
     _integer_fields,
     _positive_finite_fields,
 )
-from .linalg import kron
-from .states import Observable, OrthonormalBasis, PureState, basis_from_observable
+from .dynamics import STACK_BLOCK
+from .states import (
+    Observable, OrthonormalBasis, PureState, _require_unit_kets, basis_from_observable,
+)
 
 MAX_SPINS = 10
 PRODUCT_TOL = 1e-10
-
-_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -103,19 +103,19 @@ class SpinChainConfig:
         return 2 ** self.num_spins
 
 
-def _x_string(num_spins: int, sites) -> np.ndarray:
-    """Tensor product with sigma_x on the listed 1-based sites."""
-    chosen = set(sites)
-    op = np.eye(1, dtype=complex)
-    for site in range(1, num_spins + 1):
-        op = kron(op, _SIGMA_X if site in chosen else np.eye(2, dtype=complex))
-    return op
-
-
 def _flip_mask(num_spins: int, sites) -> int:
-    """Basis-index bits that _x_string(num_spins, sites) flips: its kron
-    order makes site 1 the most significant bit, so (X @ v)[i] = v[i ^ mask]."""
+    """Basis-index bits the x-string on the listed 1-based sites flips; site 1
+    is the most significant bit (kron order), so (X @ v)[i] = v[i ^ mask]."""
     return sum(1 << (num_spins - site) for site in set(sites))
+
+
+def _x_string(num_spins: int, sites) -> np.ndarray:
+    """Tensor product with sigma_x on the listed 1-based sites: the 0/1
+    permutation matrix of the index flip."""
+    idx = np.arange(2 ** num_spins)
+    op = np.zeros((len(idx), len(idx)), dtype=complex)
+    op[idx, idx ^ _flip_mask(num_spins, sites)] = 1.0
+    return op
 
 
 def spin_chain_hamiltonian(cfg: SpinChainConfig, hbar: float = 1.0) -> Observable:
@@ -140,24 +140,41 @@ def _require_product_state(psi: PureState, num_spins: int) -> None:
             raise NotProductState(f"qubit {i + 1} marginal purity {p!r} < 1")
 
 
-def spin_chain_evolved_state(cfg: SpinChainConfig, psi0: PureState, t: float) -> PureState:
-    """Closed-form evolution from the commuting factor structure.
+def spin_chain_evolved_state(cfg: SpinChainConfig, psi0: PureState, times) -> np.ndarray:
+    """Closed-form evolution to real, finite times (a scalar or a 1-d array),
+    as a read-only (n, d) stack whose row k is the state at times[k].
 
     All Hamiltonian terms are x-strings, so the propagator factorizes into
     a global phase times per-site and per-block rotations; each string
-    squares to the identity, giving cos + i sin factors. hbar cancels
-    because the couplings carry it explicitly.
+    squares to the identity, giving cos + i sin factors, taken time by time
+    from the scalar math functions. hbar cancels because the couplings
+    carry it explicitly.
     """
     if psi0.dim != cfg.dim:
         raise ConfigError(f"state dim {psi0.dim} does not match {cfg.num_spins} spins")
+    grid = np.asarray(times)
+    if grid.ndim > 1 or grid.dtype.kind not in "iuf" or not np.isfinite(grid).all():
+        raise ValueError(f"times must be real, finite and at most 1-d, got {times!r}")
+    times = grid.astype(float).reshape(-1).tolist()
     _require_product_state(psi0, cfg.num_spins)
-    amps = psi0.amplitudes.astype(complex)
+
+    def col(f) -> np.ndarray:
+        return np.array([[f(t)] for t in times])
+
+    energy = cfg.num_spins * cfg.omega0 + len(cfg.blocks) * cfg.omega
+    phase = col(lambda t: cmath.exp(-1j * energy * t))
+    site = col(lambda t: math.cos(cfg.omega0 * t)), col(lambda t: 1j * math.sin(cfg.omega0 * t))
+    block = col(lambda t: math.cos(cfg.omega * t)), col(lambda t: 1j * math.sin(cfg.omega * t))
     idx = np.arange(cfg.dim)
-    c0, s0 = math.cos(cfg.omega0 * t), math.sin(cfg.omega0 * t)
-    for site in range(1, cfg.num_spins + 1):
-        amps = c0 * amps + 1j * s0 * amps[idx ^ _flip_mask(cfg.num_spins, (site,))]
-    c1, s1 = math.cos(cfg.omega * t), math.sin(cfg.omega * t)
-    for block in cfg.blocks:
-        amps = c1 * amps + 1j * s1 * amps[idx ^ _flip_mask(cfg.num_spins, block)]
-    phase = cmath.exp(-1j * (cfg.num_spins * cfg.omega0 + len(cfg.blocks) * cfg.omega) * t)
-    return PureState(phase * amps)
+    rotations = [(*site, idx ^ _flip_mask(cfg.num_spins, (i,))) for i in range(1, cfg.num_spins + 1)]
+    rotations += [(*block, idx ^ _flip_mask(cfg.num_spins, b)) for b in cfg.blocks]
+    out = np.empty((len(times), cfg.dim), dtype=complex)
+    for i in range(0, len(times), STACK_BLOCK):
+        rows = slice(i, i + STACK_BLOCK)
+        amps = np.broadcast_to(psi0.amplitudes, out[rows].shape)
+        for c, s, flipped in rotations:
+            amps = c[rows] * amps + s[rows] * amps[:, flipped]
+        np.multiply(phase[rows], amps, out=out[rows])
+        _require_unit_kets(out[rows], i)
+    out.setflags(write=False)
+    return out

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -38,7 +37,9 @@ from .ensembles import (
     spin_chain_evolved_state,
     spin_chain_hamiltonian,
 )
-from .errors import ConfigError, NonHermitianInput, QslError, _integer_fields, _positive_finite_fields
+from .errors import (
+    ConfigError, NonHermitianInput, QslError, _index, _integer_fields, _positive_finite_fields,
+)
 from .states import (
     DensityMatrix,
     Observable,
@@ -98,8 +99,8 @@ class ExperimentConfig:
         if self.seeds is None:
             object.__setattr__(self, "seeds", (0,) if self.kind == "verify" else (0, 1, 2))
         try:
-            seeds = tuple(operator.index(s) for s in self.seeds)
-        except TypeError as err:
+            seeds = tuple(_index("seed", s) for s in self.seeds)
+        except (TypeError, ConfigError) as err:
             raise ConfigError(f"seeds must be nonnegative integers, got {self.seeds!r}") from err
         if any(s < 0 for s in seeds):
             raise ConfigError(f"seeds must be nonnegative integers, got {min(seeds)}")
@@ -174,7 +175,7 @@ def run_experiment_spin(cfg: ExperimentConfig) -> dict:
     psi0 = PureState(amps)
 
     def fidelity(traj: Trajectory) -> np.ndarray:
-        exact = (spin_chain_evolved_state(spin_cfg, psi0, float(t)).amplitudes for t in traj.times)
+        exact = spin_chain_evolved_state(spin_cfg, psi0, traj.times)
         return np.array([min(abs(complex(np.vdot(e, ket))), 1.0) for e, ket in zip(exact, traj.stack)])
 
     return _run_sweep(cfg, lambda seed: (h, psi0), fidelity)

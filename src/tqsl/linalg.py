@@ -89,11 +89,6 @@ class EigenDecomposition:
         object.__setattr__(member, "eigenvectors", self.eigenvectors[j])
         return member
 
-    def reconstruct(self) -> np.ndarray:
-        """V diag(w) V^dagger."""
-        v = self.eigenvectors
-        return (v * self.eigenvalues[..., None, :]) @ _dagger(v)
-
 
 def eigh(h) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, or of each matrix in a
@@ -130,8 +125,3 @@ def sqrtm_psd(rho) -> np.ndarray:
     w[w < len(w) * np.finfo(float).eps * w[-1]] = 0.0
     v = dec.eigenvectors
     return (v * np.sqrt(w)) @ v.conj().T
-
-
-def kron(a, b) -> np.ndarray:
-    """Tensor product of two matrices."""
-    return np.kron(as_complex_matrix(a), as_complex_matrix(b))

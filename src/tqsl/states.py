@@ -107,6 +107,23 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
+def _require_unit_kets(kets: np.ndarray, offset: int = 0) -> None:
+    """The PureState checks on each row of an (n, d) ket stack: finite
+    amplitudes and unit norm. An error names the row's grid index, counted
+    from `offset`."""
+    finite = np.isfinite(kets).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"state amplitudes at grid index {offset + np.argmin(finite)} must be finite")
+    norms = np.linalg.norm(kets, axis=1)
+    bad = np.abs(norms - 1.0) > NORM_TOL
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(
+            f"state norm {float(norms[k])!r} at grid index {offset + k} "
+            f"differs from 1 beyond {NORM_TOL:.0e}"
+        )
+
+
 State = Union[PureState, DensityMatrix]
 
 

@@ -100,15 +100,18 @@ def _clamp_nonnegative(value, what: str):
     return np.maximum(value, 0.0)
 
 
-def robertson_schrodinger_bound(a: Observable, b: Observable, state: State) -> float:
-    """Square root of the commutator/anticommutator split, from raw moments."""
+def _moment_split(a: Observable, b: Observable, state: State, factor: float = 1.0) -> tuple:
+    """|<[A,B]>|/2 and <{A,B}>/2 - factor <A><B>, from raw moments."""
     _check_pair(a, b, state)
     am, bm = a.matrix, b.matrix
     comm = _raw_moment(am @ bm - bm @ am, state)
     anti = _raw_moment(am @ bm + bm @ am, state)
-    mean_a = expectation(a, state)
-    mean_b = expectation(b, state)
-    return math.hypot(0.5 * abs(comm), 0.5 * anti.real - mean_a * mean_b)
+    return 0.5 * abs(comm), 0.5 * anti.real - factor * expectation(a, state) * expectation(b, state)
+
+
+def robertson_schrodinger_bound(a: Observable, b: Observable, state: State) -> float:
+    """Square root of the commutator/anticommutator split, from raw moments."""
+    return math.hypot(*_moment_split(a, b, state))
 
 
 def cross_term(a: Observable, b: Observable, state: State) -> float:
@@ -223,12 +226,5 @@ def moment_identity_residual(
     variant replaces <A><B> by 2<A><B>; it is kept purely as a diagnostic
     and is generally far from zero.
     """
-    _check_pair(a, b, state)
-    am, bm = a.matrix, b.matrix
-    comm = _raw_moment(am @ bm - bm @ am, state)
-    anti = _raw_moment(am @ bm + bm @ am, state)
-    factor = 2.0 if doubled_mean_product else 1.0
-    mean_a = expectation(a, state)
-    mean_b = expectation(b, state)
-    split = (0.5 * abs(comm)) ** 2 + (0.5 * anti.real - factor * mean_a * mean_b) ** 2
-    return abs(_product_moment(a, b, state)) ** 2 - split
+    comm_part, anti_part = _moment_split(a, b, state, 2.0 if doubled_mean_product else 1.0)
+    return abs(_product_moment(a, b, state)) ** 2 - (comm_part ** 2 + anti_part ** 2)

@@ -316,8 +316,14 @@ class TestTrajectoryValidation:
 
     def test_rejects_non_finite_ket(self, parts):
         parts["stack"][4, 1] = np.nan
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="grid index 4 must be finite"):
             Trajectory(**parts)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_root(self, mixed_parts, bad):
+        mixed_parts["stack"][9][1, 0] = bad
+        with pytest.raises(ValueError, match="entries must be finite"):
+            Trajectory(**mixed_parts)
 
     def test_rejects_non_unit_trace_root(self, mixed_parts):
         mixed_parts["stack"][6] *= 1.01

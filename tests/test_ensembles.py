@@ -1,4 +1,5 @@
 """GUE sampling and the x-string spin chain."""
+import itertools
 import math
 
 import numpy as np
@@ -17,9 +18,12 @@ from tqsl import (
     hermitian_defect,
     random_basis,
     sample_gue,
+    sample_trajectory,
     spin_chain_evolved_state,
     spin_chain_hamiltonian,
 )
+from spin_oracle_loop import evolved_ket, evolved_rows
+from tqsl.ensembles import _x_string
 
 
 class TestGueConfig:
@@ -180,6 +184,29 @@ class TestSpinChainHamiltonian:
             assert np.max(np.abs(h @ x - x @ h)) < 1e-12
 
 
+class TestXString:
+    @staticmethod
+    def kron_chain(num_spins, sites):
+        pauli = np.array([[0, 1], [1, 0]], dtype=complex)
+        x = np.eye(1, dtype=complex)
+        for s in range(1, num_spins + 1):
+            x = np.kron(x, pauli if s in sites else np.eye(2, dtype=complex))
+        return x
+
+    @pytest.mark.parametrize("num_spins", [1, 2, 3, 4])
+    def test_matches_kron_chain_on_every_subset(self, num_spins):
+        for r in range(num_spins + 1):
+            for sites in itertools.combinations(range(1, num_spins + 1), r):
+                want = self.kron_chain(num_spins, sites)
+                assert np.array_equal(_x_string(num_spins, sites), want), sites
+
+    def test_matches_kron_chain_at_eight_spins(self):
+        rng = np.random.default_rng(9)
+        for r in (1, 2, 3, 5, 8):
+            sites = tuple(sorted(rng.choice(np.arange(1, 9), size=r, replace=False).tolist()))
+            assert np.array_equal(_x_string(8, sites), self.kron_chain(8, sites)), sites
+
+
 class TestSpinChainEvolvedState:
     def ket(self, *bits):
         v = np.zeros(2 ** len(bits), dtype=complex)
@@ -189,38 +216,91 @@ class TestSpinChainEvolvedState:
     def test_zero_time_is_identity(self):
         cfg = SpinChainConfig(num_spins=2, blocks=((1, 2),))
         psi = self.ket(0, 0)
-        out = spin_chain_evolved_state(cfg, psi, 0.0)
-        np.testing.assert_allclose(out.amplitudes, psi.amplitudes, atol=1e-15)
+        out = spin_chain_evolved_state(cfg, psi, np.zeros(3))
+        np.testing.assert_allclose(out, np.tile(psi.amplitudes, (3, 1)), atol=1e-15)
 
     def test_matches_dense_exponential(self):
         cfg = SpinChainConfig(num_spins=2, blocks=((1, 2),), omega0=1.3, omega=0.7)
         h = spin_chain_hamiltonian(cfg)
         psi = self.ket(0, 0)
-        for t in (0.3, 0.9, 1.7):
-            want = scipy.linalg.expm(-1j * h.matrix * t) @ psi.amplitudes
-            got = spin_chain_evolved_state(cfg, psi, t).amplitudes
-            np.testing.assert_allclose(got, want, atol=1e-10)
+        times = np.array([0.3, 0.9, 1.7, -0.6])  # the closed form holds backwards too
+        want = np.array([scipy.linalg.expm(-1j * h.matrix * t) @ psi.amplitudes for t in times])
+        np.testing.assert_allclose(spin_chain_evolved_state(cfg, psi, times), want, atol=1e-10)
 
     def test_three_site_block_matches_evolution(self):
         cfg = SpinChainConfig(num_spins=3, blocks=((1, 2, 3),))
         h = spin_chain_hamiltonian(cfg)
         plus = PureState(np.ones(2, dtype=complex) / math.sqrt(2.0))
         psi = PureState(np.kron(np.kron(plus.amplitudes, [1.0, 0.0]), [1.0, 0.0]))
-        for t in (0.4, 1.1):
-            want = evolve_pure(h, psi, t).amplitudes
-            got = spin_chain_evolved_state(cfg, psi, t).amplitudes
-            fid = abs(complex(np.vdot(got, want)))
-            assert fid >= 1.0 - 1e-10
-            np.testing.assert_allclose(got, want, atol=1e-9)
+        times = np.array([0.4, 1.1])
+        want = np.array([evolve_pure(h, psi, t).amplitudes for t in times])
+        got = spin_chain_evolved_state(cfg, psi, times)
+        fid = np.abs(np.einsum("ki,ki->k", got.conj(), want))
+        assert np.all(fid >= 1.0 - 1e-10)
+        np.testing.assert_allclose(got, want, atol=1e-9)
 
     def test_fidelity_along_grid(self):
         cfg = SpinChainConfig(num_spins=2, blocks=((1, 2),))
         h = spin_chain_hamiltonian(cfg)
         psi = self.ket(0, 0)
-        for t in np.linspace(0.0, 2.0, 50):
-            want = evolve_pure(h, psi, float(t))
-            got = spin_chain_evolved_state(cfg, psi, float(t))
-            assert abs(complex(np.vdot(got.amplitudes, want.amplitudes))) >= 1.0 - 1e-10
+        traj = sample_trajectory(h, psi, 2.0, 50)
+        got = spin_chain_evolved_state(cfg, psi, traj.times)
+        fid = np.abs(np.einsum("ki,ki->k", got.conj(), traj.stack))
+        assert np.all(fid >= 1.0 - 1e-10)
+
+    @pytest.mark.parametrize(
+        "num_spins, blocks, omega0, omega, steps",
+        [
+            (8, tuple((i, i + 1) for i in range(1, 8)), 1.0, 1.0, 200),
+            (5, ((1, 2, 3), (2, 5)), 0.7, 1.9, 301),
+        ],
+    )
+    def test_matches_per_time_loop_bit_for_bit(self, num_spins, blocks, omega0, omega, steps):
+        cfg = SpinChainConfig(num_spins=num_spins, blocks=blocks, omega0=omega0, omega=omega)
+        psi = self.ket(*([0] * num_spins))
+        times = np.linspace(0.0, 2.0, steps)
+        got = spin_chain_evolved_state(cfg, psi, times)
+        assert got.shape == (steps, cfg.dim)
+        assert np.array_equal(got, evolved_rows(cfg, psi.amplitudes, times))
+
+    def test_scalar_time_is_one_row(self):
+        cfg = SpinChainConfig(num_spins=3, blocks=((1, 3),), omega0=0.8)
+        psi = self.ket(0, 1, 0)
+        for t in (0.0, 1.25, np.float64(-0.5), 2):
+            got = spin_chain_evolved_state(cfg, psi, t)
+            assert got.shape == (1, 8)
+            assert np.array_equal(got[0], evolved_ket(cfg, psi.amplitudes, float(t)))
+
+    def test_empty_grid_gives_no_rows(self):
+        cfg = SpinChainConfig(num_spins=2)
+        assert spin_chain_evolved_state(cfg, self.ket(0, 0), np.array([])).shape == (0, 4)
+
+    def test_stack_is_read_only(self):
+        cfg = SpinChainConfig(num_spins=2, blocks=((1, 2),))
+        out = spin_chain_evolved_state(cfg, self.ket(0, 0), np.linspace(0.0, 1.0, 5))
+        with pytest.raises(ValueError, match="read-only"):
+            out[0, 0] = 0.0
+
+    @pytest.mark.parametrize(
+        "times",
+        [
+            math.inf,
+            -math.inf,
+            math.nan,
+            np.array([0.0, 0.5, math.nan]),
+            np.array([0.0, math.inf]),
+            np.zeros((2, 2)),
+            1.0 + 0.5j,
+            np.array([0.0, 1.0j]),
+            "3",
+            None,
+            True,
+        ],
+    )
+    def test_rejects_bad_times(self, times):
+        cfg = SpinChainConfig(num_spins=2, blocks=((1, 2),))
+        with pytest.raises(ValueError, match="times"):
+            spin_chain_evolved_state(cfg, self.ket(0, 0), times)
 
     def test_rejects_entangled_state(self):
         cfg = SpinChainConfig(num_spins=2, blocks=((1, 2),))

@@ -103,6 +103,16 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="integers"):
             ExperimentConfig(kind="gue", seeds=(1.7, 2.2))
 
+    @pytest.mark.parametrize("seeds", [(True, False), (0, True), (1.5,), ("3",), (np.float64(2.0),), 3])
+    def test_rejects_non_integer_seeds(self, seeds):
+        # a bool is not taken as 0 or 1, a float or string not converted
+        with pytest.raises(ConfigError, match="seeds must be nonnegative integers"):
+            ExperimentConfig(kind="gue", seeds=seeds)
+
+    def test_takes_integer_like_seeds(self):
+        cfg = ExperimentConfig(kind="spin", seeds=(np.int64(4), np.uint8(1)))
+        assert cfg.seeds == (4, 1) and all(type(s) is int for s in cfg.seeds)
+
     def test_default_seeds_per_kind(self):
         # verify takes one seed, so it defaults to one; the sweeps keep three
         assert ExperimentConfig(kind="verify").seeds == (0,)

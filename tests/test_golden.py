@@ -9,6 +9,8 @@ behind them (tests/golden/).
   captured before the two sweeps shared one runner and the property checks
   one verdict rule. Its quadrature-order slack alone was recaptured when the
   bound's two trapezoid codes became one cumulative routine.
+- spin8/: the 8-spin chain, CSVs and summary runs, captured before the
+  closed-form spin oracle took the whole time grid in one call.
 """
 import json
 from pathlib import Path
@@ -25,6 +27,11 @@ CASES = [
     (
         ["gue", "--basis", "optimize", "--dim", "3", "--tmax", "1.0", "--steps", "60", "--seeds", "0-2"],
         [f"optimize/gue_seed{s}.csv" for s in range(3)],
+    ),
+    (
+        ["spin", "--spins", "8", "--blocks", "1,2;2,3;3,4;4,5;5,6;6,7;7,8", "--tmax", "2.0",
+         "--steps", "200", "--seeds", "0-1"],
+        [f"spin8/spin_seed{s}.csv" for s in range(2)],
     ),
 ]
 
