@@ -40,6 +40,8 @@ BOOKKEEPING_TOL = 1e-12
 BOUND_SLACK = 1e-6
 
 BOUND_CSV_HEADER = "t,tau_mt,tau_tqsl,delta,quad_error,validity"
+_CSV_FORMAT = "%.12g,%.12g,%.12g,%.12g,%.12g,%s"
+_COLUMNS = ("t", "tau_mt", "correction", "tau_tqsl", "delta", "quad_error", "validity")
 
 
 @dataclass(frozen=True)
@@ -102,8 +104,7 @@ def _check_rows(t, tau_mt, correction, tau_tqsl, delta, validity) -> None:
 
 def _csv_row(t, tau_mt, tau_tqsl, delta, quad_error, validity) -> str:
     """One BOUND_CSV_HEADER row: 12 significant digits, lowercase flag."""
-    flag = "true" if validity else "false"
-    return f"{t:.12g},{tau_mt:.12g},{tau_tqsl:.12g},{delta:.12g},{quad_error:.12g},{flag}"
+    return _CSV_FORMAT % (t, tau_mt, tau_tqsl, delta, quad_error, "true" if validity else "false")
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,7 +114,7 @@ class BoundSeries(Sequence):
 
     The BoundReport invariants are checked here once, on whole columns.
     Indexing and iteration build BoundReport rows on demand, without
-    checking them again; csv_rows() formats straight from the columns.
+    checking them again; iteration and csv_rows() read whole columns.
     """
 
     t: np.ndarray
@@ -127,14 +128,13 @@ class BoundSeries(Sequence):
     step: float
 
     def __post_init__(self):
-        names = ("t", "tau_mt", "correction", "tau_tqsl", "delta", "quad_error", "validity")
         cols = {
             name: np.asarray(getattr(self, name), dtype=bool if name == "validity" else float)
-            for name in names
+            for name in _COLUMNS
         }
         if len({c.shape for c in cols.values()}) != 1 or cols["t"].ndim != 1:
             raise ValueError("bound series columns must be 1-d and share one length")
-        _check_rows(*(cols[n] for n in names[:5]), cols["validity"])
+        _check_rows(*(cols[n] for n in _COLUMNS[:5]), cols["validity"])
         for name, col in cols.items():
             col.setflags(write=False)
             object.__setattr__(self, name, col)
@@ -142,26 +142,27 @@ class BoundSeries(Sequence):
     def __len__(self) -> int:
         return len(self.t)
 
-    def __getitem__(self, k: int) -> BoundReport:
-        """Row k. Its columns passed the report check, so it is not checked again."""
+    def _row(self, t, tau_mt, correction, tau_tqsl, delta, quad_error, validity) -> BoundReport:
+        """A row of Python values from columns that passed the report check,
+        so it is not checked again."""
         row = object.__new__(BoundReport)
-        for name, value in (
-            ("tau_actual", float(self.t[k])),
-            ("tau_mt", float(self.tau_mt[k])),
-            ("correction_integral", float(self.correction[k])),
-            ("tau_tqsl", float(self.tau_tqsl[k])),
-            ("delta", float(self.delta[k])),
-            ("basis_id", self.basis_id),
-            ("validity", bool(self.validity[k])),
-            ("quadrature", QuadratureInfo(self.step, float(self.quad_error[k]))),
-        ):
-            object.__setattr__(row, name, value)
+        vars(row).update(
+            tau_actual=t, tau_mt=tau_mt, correction_integral=correction, tau_tqsl=tau_tqsl,
+            delta=delta, basis_id=self.basis_id, validity=validity,
+            quadrature=QuadratureInfo(self.step, quad_error),
+        )
         return row
+
+    def __getitem__(self, k: int) -> BoundReport:
+        return self._row(*(getattr(self, name)[k].item() for name in _COLUMNS))
+
+    def __iter__(self):
+        return map(self._row, *(getattr(self, name).tolist() for name in _COLUMNS))
 
     def csv_rows(self) -> list:
         """Every row as BoundReport.csv_row would format it."""
         cols = (self.t, self.tau_mt, self.tau_tqsl, self.delta, self.quad_error, self.validity)
-        return [_csv_row(*row) for row in zip(*(c.tolist() for c in cols))]
+        return list(map(_csv_row, *(c.tolist() for c in cols)))
 
 
 def _cumulative_trapezoid(t: np.ndarray, f: np.ndarray) -> tuple:

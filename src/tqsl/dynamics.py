@@ -17,19 +17,18 @@ from .errors import (
     DimensionMismatch,
     NonHermitianInput,
     NonRealExpectation,
-    NotPositiveSemidefinite,
     _index,
     _positive_finite,
 )
 from .linalg import HERMITICITY_TOL, eigh, expm_i_hermitian, sqrtm_psd
 from .states import (
     EXPECTATION_IMAG_TOL,
-    PSD_TOL,
     TRACE_TOL,
     DensityMatrix,
     Observable,
     PureState,
     State,
+    _require_psd,
     _require_unit_kets,
     purity,
     variance,
@@ -131,9 +130,7 @@ def _root_spreads(h: np.ndarray, roots: np.ndarray, offset: int) -> np.ndarray:
             f"trace {float(traces[k])!r} at grid index {offset + k} "
             f"differs from 1 beyond {TRACE_TOL:.0e}"
         )
-    min_eig = float(np.linalg.eigvalsh(roots)[:, 0].min())
-    if min_eig < -PSD_TOL:
-        raise NotPositiveSemidefinite(f"root has min eigenvalue {min_eig:.3e}")
+    _require_psd(roots, "root has ")
     rh = roots @ h
     means = frobenius_inner(roots, rh)
     _require_real(means)

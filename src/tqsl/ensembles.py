@@ -109,24 +109,21 @@ def _flip_mask(num_spins: int, sites) -> int:
     return sum(1 << (num_spins - site) for site in set(sites))
 
 
-def _x_string(num_spins: int, sites) -> np.ndarray:
-    """Tensor product with sigma_x on the listed 1-based sites: the 0/1
-    permutation matrix of the index flip."""
-    idx = np.arange(2 ** num_spins)
-    op = np.zeros((len(idx), len(idx)), dtype=complex)
-    op[idx, idx ^ _flip_mask(num_spins, sites)] = 1.0
-    return op
-
-
 def spin_chain_hamiltonian(cfg: SpinChainConfig, hbar: float = 1.0) -> Observable:
-    """hbar*omega0 * sum_i (1 - x_i) + hbar*omega * sum_j (1 - X_block_j)."""
-    dim = cfg.dim
-    eye = np.eye(dim, dtype=complex)
-    h = np.zeros((dim, dim), dtype=complex)
-    for site in range(1, cfg.num_spins + 1):
-        h += hbar * cfg.omega0 * (eye - _x_string(cfg.num_spins, (site,)))
-    for block in cfg.blocks:
-        h += hbar * cfg.omega * (eye - _x_string(cfg.num_spins, block))
+    """hbar*omega0 * sum_i (1 - x_i) + hbar*omega * sum_j (1 - X_block_j).
+
+    An x-string is the permutation matrix of its index flip, so each term
+    adds its coupling on the diagonal and subtracts it on the flipped
+    entries, term by term."""
+    idx = np.arange(cfg.dim)
+    terms = [(hbar * cfg.omega0, (site,)) for site in range(1, cfg.num_spins + 1)]
+    terms += [(hbar * cfg.omega, block) for block in cfg.blocks]
+    h = np.zeros((cfg.dim, cfg.dim), dtype=complex)
+    for c, sites in terms:
+        mask = _flip_mask(cfg.num_spins, sites)
+        if mask:  # an empty block's string is the identity, and its term 0
+            h[idx, idx] += c
+            h[idx, idx ^ mask] -= c
     return Observable(h)
 
 

@@ -9,6 +9,24 @@ from tqsl import DensityMatrix, Observable, PureState
 from tqsl.experiments import random_density, random_pure  # noqa: F401
 
 
+def with_spectrum(rng, eigenvalues) -> np.ndarray:
+    """A Hermitian matrix with the given eigenvalues in a random eigenbasis."""
+    d = len(eigenvalues)
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return (q * np.asarray(eigenvalues)) @ q.conj().T
+
+
+@pytest.fixture()
+def no_eigvalsh(monkeypatch):
+    """Make np.linalg.eigvalsh fail: the positivity check must accept on
+    its Cholesky factorization alone."""
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the positivity check fell back to eigvalsh")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+
+
 @pytest.fixture(scope="session")
 def sigma_x() -> Observable:
     return Observable(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))

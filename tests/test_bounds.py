@@ -1,4 +1,5 @@
 """Speed-limit bounds, correction quadrature, reports, basis optimization."""
+import dataclasses
 import math
 import re
 
@@ -41,7 +42,9 @@ from tqsl import (
 import sequential_optimizer as oracle
 import tqsl.bounds
 from conftest import random_density, random_pure
-from tqsl.bounds import _Correction, _cumulative_trapezoid, _mixed_k_series, _random_directions
+from tqsl.bounds import (
+    _Correction, _csv_row, _cumulative_trapezoid, _mixed_k_series, _random_directions,
+)
 from tqsl.states import basis_failures
 
 SIN_EPS = 1e-8
@@ -369,6 +372,18 @@ class TestBoundReport:
         )
         assert rep.csv_row() == "1,0.6,0.8,0.2,1e-07,true"
 
+    @staticmethod
+    def f_string_row(t, tau_mt, tau_tqsl, delta, quad_error, validity):
+        """The row as it was formatted before one printf-style format string."""
+        flag = "true" if validity else "false"
+        return f"{t:.12g},{tau_mt:.12g},{tau_tqsl:.12g},{delta:.12g},{quad_error:.12g},{flag}"
+
+    def test_csv_row_matches_f_string_format(self):
+        values = [0.0, -0.0, 5e-324, 1 / 3, 123456789012345.0, math.inf, -math.inf, math.nan, -1e-17]
+        for i, v in enumerate(values):
+            row = (v, values[i - 1], values[i - 2], -v, values[i - 3], i % 2 == 0)
+            assert _csv_row(*row) == self.f_string_row(*row)
+
 
 class TestTqslPure:
     """tqsl_bound on pure initial states."""
@@ -514,6 +529,28 @@ class TestBoundSeries:
         assert not traj.validity_clean
         assert series.csv_rows() == [r.csv_row() for r in series]
         assert len(series.csv_rows()) == len(series) == 120
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_iteration_matches_indexing(self, mixed):
+        if mixed:
+            traj = wishart_trajectory(dim=3, steps=70)
+        else:
+            h, traj = gue_trajectory(seed=4, tau=3.0, steps=130)
+            assert not traj.validity_clean
+        series = bound_series(traj, random_basis(3, 5), basis_id="b")
+        rows = list(series)
+        indexed = [series[k] for k in range(len(series))]
+        assert rows == indexed
+
+        def types(r):
+            return [type(getattr(r, f.name)) for f in dataclasses.fields(r)] + [
+                type(r.quadrature.estimated_error)
+            ]
+
+        want = [float] * 5 + [str, bool, QuadratureInfo, float]
+        assert all(types(a) == types(b) == want for a, b in zip(rows, indexed))
+        assert rows[-1] == series[-1]
+        assert list(reversed(series)) == rows[::-1]
 
     def test_columns_are_read_only(self):
         h, traj = gue_trajectory(seed=0, tau=1.0, steps=20)

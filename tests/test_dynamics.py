@@ -16,12 +16,14 @@ from tqsl import (
     Trajectory,
     bargmann_angle_mixed,
     bargmann_angle_pure,
+    default_initial_state,
     evolve_mixed,
     evolve_pure,
     sample_gue,
     sample_trajectory,
 )
-from conftest import random_density, random_pure
+from conftest import random_density, random_pure, with_spectrum
+from tqsl.states import PSD_TOL
 
 
 class TestBargmannAngle:
@@ -336,6 +338,35 @@ class TestTrajectoryValidation:
         mixed_parts["stack"][5] = (v * (w * np.array([-1.0, 1.0]))) @ v.conj().T
         with pytest.raises(NotPositiveSemidefinite):
             Trajectory(**mixed_parts)
+
+    @pytest.mark.parametrize("low", [-0.4, -0.9, -1.1])
+    def test_root_psd_threshold(self, low):
+        # rho0 has rank 2, so every root has a null vector to push below 0
+        h = sample_gue(GueConfig(dim=3, seed=2))
+        rho0 = DensityMatrix(with_spectrum(np.random.default_rng(5), [0.7, 0.3, 0.0]))
+        parts = trajectory_parts(sample_trajectory(h, rho0, 1.0, 11))
+        w, v = np.linalg.eigh(parts["stack"][5])
+        parts["stack"][5] += (low * PSD_TOL - w[0]) * np.outer(v[:, 0], v[:, 0].conj())
+        if low > -1.0:
+            Trajectory(**parts)
+        else:
+            with pytest.raises(NotPositiveSemidefinite) as err:
+                Trajectory(**parts)
+            assert str(err.value) == "root has min eigenvalue -1.100e-10"
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_pure_lift_roots_pass_on_the_cholesky_accept(self, dim, no_eigvalsh):
+        h = sample_gue(GueConfig(dim=dim, seed=dim))
+        rho0 = random_pure(np.random.default_rng(dim), dim).to_density()
+        assert sample_trajectory(h, rho0, 2.0, 150).kind == "mixed"
+
+    @pytest.mark.parametrize("eps", [1e-10, 1e-14])
+    def test_near_pure_roots_pass_on_the_cholesky_accept(self, eps, no_eigvalsh):
+        # the near-pure quadrature case: GUE seed 4, (1-eps)|psi><psi| + eps I/3
+        psi = default_initial_state(3)
+        rho0 = DensityMatrix((1.0 - eps) * psi.projector() + eps * np.eye(3) / 3.0)
+        traj = sample_trajectory(sample_gue(GueConfig(dim=3, seed=4)), rho0, 1.0, 400)
+        assert traj.kind == "mixed"
 
     def test_rejects_non_hermitian_root(self, mixed_parts):
         mixed_parts["stack"][3][0, 1] += 0.01

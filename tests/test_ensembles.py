@@ -22,8 +22,7 @@ from tqsl import (
     spin_chain_evolved_state,
     spin_chain_hamiltonian,
 )
-from spin_oracle_loop import evolved_ket, evolved_rows
-from tqsl.ensembles import _x_string
+from spin_oracle_loop import dense_hamiltonian, evolved_ket, evolved_rows, x_string
 
 
 class TestGueConfig:
@@ -184,6 +183,27 @@ class TestSpinChainHamiltonian:
             assert np.max(np.abs(h @ x - x @ h)) < 1e-12
 
 
+    @pytest.mark.parametrize(
+        "cfg, hbar",
+        [
+            (SpinChainConfig(num_spins=1, omega0=1.3), 1.0),
+            (SpinChainConfig(num_spins=2, blocks=((1, 2),)), 1.0),
+            (SpinChainConfig(num_spins=2, blocks=((1, 2),), omega0=1.3, omega=0.7), 1.0),
+            (SpinChainConfig(num_spins=2, blocks=((1, 2),)), 2.0),
+            (SpinChainConfig(num_spins=3, blocks=((1, 2), (2, 3))), 1.0),
+            (SpinChainConfig(num_spins=3, blocks=((1, 3), (1, 2, 3)), omega0=0.3, omega=1.7), 0.9),
+            # an empty block adds nothing: adding and subtracting 4.0 would
+            # round the diagonal's last bit
+            (SpinChainConfig(num_spins=2, blocks=((1, 2), ()), omega0=1.9, omega=4.0), 1.0),
+            # the benchmark's chain
+            (SpinChainConfig(num_spins=8, blocks=tuple((i, i + 1) for i in range(1, 8))), 1.0),
+        ],
+    )
+    def test_matches_dense_sum_bit_for_bit(self, cfg, hbar):
+        got = spin_chain_hamiltonian(cfg, hbar).matrix
+        assert np.array_equal(got.view(np.uint64), dense_hamiltonian(cfg, hbar).view(np.uint64))
+
+
 class TestXString:
     @staticmethod
     def kron_chain(num_spins, sites):
@@ -198,13 +218,13 @@ class TestXString:
         for r in range(num_spins + 1):
             for sites in itertools.combinations(range(1, num_spins + 1), r):
                 want = self.kron_chain(num_spins, sites)
-                assert np.array_equal(_x_string(num_spins, sites), want), sites
+                assert np.array_equal(x_string(num_spins, sites), want), sites
 
     def test_matches_kron_chain_at_eight_spins(self):
         rng = np.random.default_rng(9)
         for r in (1, 2, 3, 5, 8):
             sites = tuple(sorted(rng.choice(np.arange(1, 9), size=r, replace=False).tolist()))
-            assert np.array_equal(_x_string(8, sites), self.kron_chain(8, sites)), sites
+            assert np.array_equal(x_string(8, sites), self.kron_chain(8, sites)), sites
 
 
 class TestSpinChainEvolvedState:

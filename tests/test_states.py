@@ -23,8 +23,8 @@ from tqsl import (
     sample_gue,
     variance,
 )
-from conftest import random_density, random_pure
-from tqsl.states import _require_unit_kets
+from conftest import random_density, random_pure, with_spectrum
+from tqsl.states import PSD_TOL, _require_psd, _require_unit_kets
 
 
 class TestObservable:
@@ -112,6 +112,43 @@ class TestDensityMatrix:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NonHermitianInput):
             DensityMatrix(np.array([[0.5, 0.3], [0.0, 0.5]]))
+
+    @pytest.mark.parametrize("low", [-0.9, -1.1])
+    def test_psd_threshold(self, low):
+        rho = with_spectrum(np.random.default_rng(3), [0.6 - low * PSD_TOL, 0.4, low * PSD_TOL])
+        if low > -1.0:
+            DensityMatrix(rho)
+        else:
+            with pytest.raises(NotPositiveSemidefinite) as err:
+                DensityMatrix(rho)
+            assert str(err.value) == "min eigenvalue -1.100e-10"
+
+    @pytest.mark.parametrize("dim", [2, 3, 8])
+    def test_pure_lifts_pass_on_the_cholesky_accept(self, dim, no_eigvalsh):
+        DensityMatrix(random_pure(np.random.default_rng(dim), dim).projector())
+
+
+class TestRequirePsd:
+    @staticmethod
+    def eigenvalue_rule(stack, prefix):
+        """The check as eigenvalues alone decide it: None or the message."""
+        min_eig = float(np.linalg.eigvalsh(stack)[:, 0].min())
+        return f"{prefix}min eigenvalue {min_eig:.3e}" if min_eig < -PSD_TOL else None
+
+    @pytest.mark.parametrize("low", [-5.0, -1.1, -1.001, -0.999, -0.9, -0.6, -0.5, -0.4, 0.0, 1e-3])
+    @pytest.mark.parametrize("dim", [2, 8])
+    def test_same_verdict_and_message_as_eigenvalues(self, low, dim):
+        rng = np.random.default_rng([dim, 7])
+        stack = np.stack([with_spectrum(rng, rng.uniform(0.0, 1.0, dim)) for _ in range(5)])
+        stack[3] = with_spectrum(rng, [low * PSD_TOL, *rng.uniform(0.0, 1.0, dim - 1)])
+        want = self.eigenvalue_rule(stack, "root has ")
+        assert (want is None) == (low >= -1.0)
+        if want is None:
+            _require_psd(stack, "root has ")
+        else:
+            with pytest.raises(NotPositiveSemidefinite) as err:
+                _require_psd(stack, "root has ")
+            assert str(err.value) == want
 
 
 class TestOrthonormalBasis:
