@@ -21,14 +21,15 @@ from .errors import (
     ConfigError,
     DenominatorUnderflow,
     DimensionMismatch,
+    QslError,
     SingularIntegrand,
     ValidityExceeded,
     ZeroEnergyVariance,
     _integer_fields,
     _positive_finite_fields,
 )
-from .linalg import eigh, expm_i_hermitian
-from .states import Observable, OrthonormalBasis, State, basis_failures, purity
+from .linalg import EigenDecomposition, eigh, expm_i_hermitian
+from .states import Observable, OrthonormalBasis, State, basis_failures
 from .uncertainty import NONNEG_CLAMP
 
 DEFAULT_STEPS = 400
@@ -255,9 +256,11 @@ class _Correction:
             self.underflow = None
             self.scale = 2.0 / traj.delta_h
         else:
-            rho0 = traj.states[0]
-            self.rho0 = rho0.matrix
-            self.purity = p = purity(rho0)
+            # the first state from its checked root, as Trajectory.states
+            # builds it, without checking it again
+            r0 = traj.stack[0]
+            self.rho0 = r0 @ r0
+            self.purity = p = float(np.trace(self.rho0 @ self.rho0).real)
             c = traj.overlap
             radical = np.maximum(1.0 - p * c * c, 0.0)
             self.underflow = radical < RADICAL_EPS
@@ -423,73 +426,96 @@ def optimize_basis(traj: Trajectory, opt_config: OptimizerConfig = None) -> tupl
     shrinks after `patience` rejections. Best effort: the returned bound
     dominates every basis probed, nothing more is claimed.
 
-    The independent restarts run in lockstep: each round rotates, checks
-    and scores one candidate per live restart in one stacked evaluation.
-    A singular start skips its restart; any other error stops it, and the
-    lowest-numbered restart's error is raised at the end, as running the
-    restarts one after another would.
+    The restarts run in lockstep (`_climb`). A singular start skips its
+    restart; any other error stops it, and the lowest-numbered restart's
+    error is raised at the end, as one restart after another would.
     """
     cfg = opt_config if opt_config is not None else OptimizerConfig()
     _require_clean(traj)
-    dim = traj.hamiltonian.dim
-    correction = _Correction(traj)
-    n = cfg.restarts
-    starts = [np.eye(dim, dtype=complex)] + [random_basis(dim, cfg.seed + r).matrix for r in range(1, n)]
-    bases = np.stack(starts)
-    values, failures = _score(correction, bases, [None] * n)
+    (result,) = _climb([_Correction(traj)], cfg, [cfg.seed])
+    if isinstance(result, Exception):
+        raise result
+    basis, series = result
+    return basis, series[-1]
+
+
+def _climb(corrections: list, cfg: OptimizerConfig, seeds: list) -> list:
+    """optimize_basis on prepared trajectories of one dimension and grid
+    length, seeds[i] standing in for cfg.seed on trajectory i: per
+    trajectory, (best basis, its BoundSeries) or the error optimize_basis
+    raises on it alone. Every restart of every trajectory is a member of one
+    lockstep, its state held in per-member arrays; a round makes one stacked
+    exponential, basis check and trapezoid, and one integrands call per
+    trajectory."""
+    n, dim = cfg.restarts, corrections[0].dim
+    owner = np.repeat(np.arange(len(corrections)), n)
+    grids = np.stack([c.traj.times for c in corrections])
+
+    def score(bases, members, failures):
+        """Each member's objective, the trapezoid of its integrand; `failures`
+        gains the integrands' verdicts, and a member that has one scores 0."""
+        f = np.zeros((len(bases), grids.shape[1]))
+        todo = np.array([failure is None for failure in failures], dtype=bool)
+        for i, correction in enumerate(corrections):
+            rows = np.flatnonzero(todo & (owner[members] == i))
+            if len(rows):
+                f[rows], found = correction.integrands(bases[rows])
+                for k, failure in zip(rows.tolist(), found):
+                    failures[k] = failure
+        return np.trapezoid(f, grids[owner[members]]), failures
+
+    bases = np.stack([np.eye(dim, dtype=complex) if r == 0 else random_basis(dim, s + r).matrix
+                      for s in seeds for r in range(n)])
+    values, failures = score(bases, np.arange(len(owner)), [None] * len(bases))
     errors = [None if isinstance(f, _REJECTED) else f for f in failures]
-    live = [f is None for f in failures]
-    streams = (np.random.default_rng([cfg.seed, r]) for r in range(n))
-    directions = eigh(np.concatenate([_random_directions(g, cfg.iterations, dim) for g in streams]))
-    step, stall, moves = [cfg.initial_step] * n, [0] * n, [0] * n
+    live = np.array([f is None for f in failures])
+    # one eigh per trajectory: one for all of them raised the peak memory
+    directions = EigenDecomposition.concatenate([eigh(np.concatenate(
+        [_random_directions(np.random.default_rng([s, r]), cfg.iterations, dim) for r in range(n)]
+    )) for s in seeds])
+    step, (stall, moves) = np.full(len(owner), cfg.initial_step), np.zeros((2, len(owner)), dtype=int)
     for j in range(cfg.iterations):
-        idx = [r for r in range(n) if live[r] and step[r] >= cfg.min_step]
-        if not idx:
+        idx = np.flatnonzero(live & (step >= cfg.min_step))
+        if not len(idx):
             break
-        sel = [r * cfg.iterations + j for r in idx]
-        candidates = bases[idx] @ expm_i_hermitian(directions[sel], [-step[r] for r in idx])
-        cand_values, failures = _score(correction, candidates, basis_failures(candidates))
-        for r, candidate, value, failure in zip(idx, candidates, cand_values, failures):
-            if failure is not None and not isinstance(failure, _REJECTED):
-                errors[r], live[r] = failure, False
-            elif failure is None and value > values[r]:
-                bases[r], values[r], moves[r], stall[r] = candidate, value, moves[r] + 1, 0
-            else:
-                stall[r] += 1
-                if stall[r] >= cfg.patience:
-                    step[r], stall[r] = step[r] * cfg.shrink, 0
-    for error in errors:
-        if error is not None:
-            raise error
-    # max keeps the first of equal values, as a strict > over restarts does
-    best = max((r for r in range(n) if live[r]), key=values.__getitem__, default=None)
-    if best is None:
-        raise SingularIntegrand("every optimizer restart hit a singular integrand")
-    origin = "identity" if best == 0 else f"gue-eigenbasis:seed={cfg.seed + best}"
-    basis = OrthonormalBasis(bases[best])
-    return basis, _series(correction, basis, f"optimize[{origin}, {moves[best]} moves]")[-1]
-
-
-def _score(correction: _Correction, bases: np.ndarray, failures: list) -> tuple:
-    """The objective, the trapezoid integral of the integrand, of each
-    basis matrix in an (m, d, d) stack, or nan for a member that already
-    has a failure; `failures` gains those the integrands report."""
-    ok = [i for i, failure in enumerate(failures) if failure is None]
-    values = np.full(len(bases), math.nan)
-    if ok:
-        f, found = correction.integrands(bases[ok])
-        values[ok] = np.trapezoid(f, correction.traj.times)
-        for i, failure in zip(ok, found):
-            failures[i] = failure
-    return values.tolist(), failures
+        candidates = bases[idx] @ expm_i_hermitian(directions[idx * cfg.iterations + j], -step[idx])
+        cand_values, found = score(candidates, idx, basis_failures(candidates))
+        stopped = np.array([f is not None and not isinstance(f, _REJECTED) for f in found])
+        for k in np.flatnonzero(stopped).tolist():
+            errors[idx[k]], live[idx[k]] = found[k], False
+        better = np.array([f is None for f in found]) & (cand_values > values[idx])
+        up, waiting = idx[better], idx[~better & ~stopped]
+        bases[up], values[up], stall[up] = candidates[better], cand_values[better], 0
+        moves[up] += 1
+        stall[waiting] += 1
+        shrink = waiting[stall[waiting] >= cfg.patience]
+        step[shrink], stall[shrink] = step[shrink] * cfg.shrink, 0
+    results, values = [], values.tolist()
+    for i, correction in enumerate(corrections):
+        members = range(i * n, (i + 1) * n)
+        # max keeps the first of equal values, as a strict > over restarts does
+        best = max((k for k in members if live[k]), key=values.__getitem__, default=None)
+        result = next((errors[k] for k in members if errors[k] is not None), None)
+        if result is None and best is None:
+            result = SingularIntegrand("every optimizer restart hit a singular integrand")
+        if result is None:
+            origin = "identity" if best == i * n else f"gue-eigenbasis:seed={seeds[i] + best - i * n}"
+            basis = OrthonormalBasis(bases[best])
+            try:
+                result = basis, _series(correction, basis, f"optimize[{origin}, {moves[best]} moves]")
+            except QslError as err:
+                result = err
+        results.append(result)
+    return results
 
 
 def _random_directions(rng, count: int, dim: int) -> np.ndarray:
     """`count` random Hermitian directions of unit Frobenius norm, drawn in
-    the order a one-at-a-time loop would draw them."""
+    the order a one-at-a-time loop would draw them. The norms are stacked
+    forms of np.linalg.norm's: real parts' dot plus imaginary parts' dot."""
     z = rng.normal(size=(count, 2, dim, dim))
     g = z[:, 0] + 1j * z[:, 1]
     g += np.swapaxes(g.conj(), 1, 2)
-    for m in g:
-        m /= np.linalg.norm(m)
+    flat = g.reshape(count, 1, dim * dim)
+    g /= np.sqrt(flat.real @ flat.real.swapaxes(1, 2) + flat.imag @ flat.imag.swapaxes(1, 2))
     return g

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -16,10 +17,13 @@ import numpy as np
 
 from .bounds import (
     BOUND_CSV_HEADER,
+    BoundSeries,
     OptimizerConfig,
+    _climb,
+    _Correction,
     _cumulative_trapezoid,
+    _require_clean,
     bound_series,
-    optimize_basis,
 )
 from .dynamics import (
     Trajectory,
@@ -119,20 +123,24 @@ def default_initial_state(dim: int) -> PureState:
 
 
 def _sample_and_pick(cfg: ExperimentConfig, h: Observable, state0, seed: int):
-    """The run's trajectory, its resolving basis and the basis_id.
-
-    The optimizer works on the run's own trajectory, so it is sampled once.
-    """
+    """The run's trajectory, its fixed basis and the basis_id; both None in
+    optimize mode."""
+    basis = basis_id = None
     if cfg.basis_mode == "identity":
         basis, basis_id = OrthonormalBasis.identity(h.dim), "identity"
     elif cfg.basis_mode == "fixed-random":
         basis_seed = seed + BASIS_SEED_OFFSET
         basis, basis_id = random_basis(h.dim, basis_seed), f"gue-eigenbasis:seed={basis_seed}"
-    traj = sample_trajectory(h, state0, cfg.t_max, cfg.steps, cfg.hbar)
-    if cfg.basis_mode == "optimize":
-        basis, report = optimize_basis(traj, OptimizerConfig(seed=seed))
-        basis_id = report.basis_id
-    return traj, basis, basis_id
+    return sample_trajectory(h, state0, cfg.t_max, cfg.steps, cfg.hbar), basis, basis_id
+
+
+@contextmanager
+def _quarantine(run: dict):
+    """A QslError inside the block becomes one of the run's error flags."""
+    try:
+        yield
+    except QslError as err:
+        run["flags"].append(f"error:{type(err).__name__}:{err}")
 
 
 def _write_lines(path: Path, header: str, rows) -> None:
@@ -188,34 +196,45 @@ def _run_sweep(cfg: ExperimentConfig, system, fidelity=None) -> dict:
 
     `fidelity`, when given, maps the trajectory to one value per grid row:
     the CSVs gain it as a trailing column and each run its minimum.
+
+    A fixed-basis run is written once sampled. Optimize runs are prepared,
+    then climbed in one lockstep `_climb` and written from their winners.
     """
     out = Path(cfg.output_path)
     out.mkdir(parents=True, exist_ok=True)
     header = BOUND_CSV_HEADER if fidelity is None else BOUND_CSV_HEADER + ",fidelity"
-    runs = []
-    for seed in cfg.seeds:
-        run = {"seed": seed, "min_delta": None, "max_delta": None, "flags": []}
-        try:
-            h, psi0 = system(seed)
-            traj, basis, basis_id = _sample_and_pick(cfg, h, psi0, seed)
-            column = None if fidelity is None else fidelity(traj)
-            series = bound_series(traj, basis, basis_id)
-            rows = series.csv_rows()
-            if column is not None:
-                rows = [f"{row},{value:.12g}" for row, value in zip(rows, column.tolist())]
-            name = f"{cfg.kind}_seed{seed}.csv"
-            _write_lines(out / name, header, rows)
-            if not traj.validity_clean:
-                run["flags"].append(
-                    f"overlap-minimum@t={traj.times[traj.valid_until]:.6g}"
-                )
-            run.update(min_delta=float(series.delta.min()), max_delta=float(series.delta.max()))
-            if column is not None:
-                run["min_fidelity"] = float(column.min())
-            run.update(csv=name, basis_id=basis_id)
-        except QslError as err:
-            run["flags"].append(f"error:{type(err).__name__}:{err}")
-        runs.append(run)
+    runs = [{"seed": seed, "min_delta": None, "max_delta": None, "flags": []} for seed in cfg.seeds]
+
+    def emit(run: dict, traj: Trajectory, series: BoundSeries) -> None:
+        column = None if fidelity is None else fidelity(traj)
+        rows = series.csv_rows()
+        if column is not None:
+            rows = [f"{row},{value:.12g}" for row, value in zip(rows, column.tolist())]
+        name = f"{cfg.kind}_seed{run['seed']}.csv"
+        _write_lines(out / name, header, rows)
+        if not traj.validity_clean:
+            run["flags"].append(f"overlap-minimum@t={traj.times[traj.valid_until]:.6g}")
+        run.update(min_delta=float(series.delta.min()), max_delta=float(series.delta.max()))
+        if column is not None:
+            run["min_fidelity"] = float(column.min())
+        run.update(csv=name, basis_id=series.basis_id)
+
+    prepared = []  # optimize mode: (run, trajectory, its _Correction)
+    for run in runs:
+        with _quarantine(run):
+            traj, basis, basis_id = _sample_and_pick(cfg, *system(run["seed"]), run["seed"])
+            if basis is not None:
+                emit(run, traj, bound_series(traj, basis, basis_id))
+            else:
+                _require_clean(traj)
+                prepared.append((run, traj, _Correction(traj)))
+    if prepared:
+        climbed = _climb([c for *_, c in prepared], OptimizerConfig(), [r["seed"] for r, *_ in prepared])
+        for (run, traj, _), result in zip(prepared, climbed):
+            with _quarantine(run):
+                if isinstance(result, Exception):
+                    raise result
+                emit(run, traj, result[1])
     summary = {"config": asdict(cfg), "runs": runs, "ok": all(_run_ok(r) for r in runs)}
     _write_json(out / "summary.json", summary)
     return summary

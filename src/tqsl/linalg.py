@@ -89,6 +89,14 @@ class EigenDecomposition:
         object.__setattr__(member, "eigenvectors", self.eigenvectors[j])
         return member
 
+    @staticmethod
+    def concatenate(decs) -> "EigenDecomposition":
+        """Stacked decompositions end to end, checked with them, not again."""
+        joined = object.__new__(EigenDecomposition)
+        for name in ("eigenvalues", "eigenvectors"):
+            object.__setattr__(joined, name, np.concatenate([getattr(d, name) for d in decs]))
+        return joined
+
 
 def eigh(h) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, or of each matrix in a

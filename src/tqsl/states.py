@@ -18,7 +18,7 @@ from .errors import (
     NonRealExpectation,
     NotPositiveSemidefinite,
 )
-from .linalg import HERMITICITY_TOL, as_complex_matrix, eigh, hermitian_defect, sqrtm_psd
+from .linalg import HERMITICITY_TOL, as_complex_matrix, hermitian_defect, sqrtm_psd
 
 NORM_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -236,8 +236,10 @@ def purity(rho: DensityMatrix) -> float:
 
 
 def basis_from_observable(g: Observable) -> OrthonormalBasis:
-    """Eigenbasis of a Hermitian operator. Degenerate spectra are fine: any
-    orthonormal completion the eigensolver picks satisfies completeness."""
-    dec = eigh(g.matrix)
-    return OrthonormalBasis(dec.eigenvectors)
+    """Eigenbasis of a Hermitian operator, as linalg.eigh finds it on the
+    symmetrized matrix. The Observable is already checked, so the one check
+    is OrthonormalBasis's. Degenerate spectra are fine: any orthonormal
+    completion the eigensolver picks satisfies completeness."""
+    m = g.matrix
+    return OrthonormalBasis(np.linalg.eigh(0.5 * (m + m.conj().T))[1])
 

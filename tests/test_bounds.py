@@ -1,10 +1,13 @@
 """Speed-limit bounds, correction quadrature, reports, basis optimization."""
 import dataclasses
+import itertools
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tqsl import (
     BoundReport,
@@ -19,6 +22,7 @@ from tqsl import (
     Observable,
     OptimizerConfig,
     OrthonormalBasis,
+    QslError,
     QuadratureInfo,
     SingularIntegrand,
     Trajectory,
@@ -41,11 +45,13 @@ from tqsl import (
 )
 import sequential_optimizer as oracle
 import tqsl.bounds
+import tqsl.dynamics
 from conftest import random_density, random_pure
 from tqsl.bounds import (
-    _Correction, _csv_row, _cumulative_trapezoid, _mixed_k_series, _random_directions,
+    _climb, _Correction, _csv_row, _cumulative_trapezoid, _mixed_k_series, _random_directions,
+    _require_clean,
 )
-from tqsl.states import basis_failures
+from tqsl.states import basis_failures, purity
 
 SIN_EPS = 1e-8
 
@@ -61,11 +67,11 @@ def wishart_trajectory(dim=4, seed=2, tau=0.8, steps=80):
     return sample_trajectory(h, rho, tau, steps)
 
 
-def singular_trajectory():
-    """Pure d=3 trajectory doctored so that s0 returns to 0 at its last
-    point while K does not vanish there."""
-    h = sample_gue(GueConfig(dim=3, seed=0))
-    psi = default_initial_state(3)
+def singular_trajectory(dim=3, seed=0):
+    """Pure trajectory doctored so that s0 returns to 0 at its last point
+    while K does not vanish there."""
+    h = sample_gue(GueConfig(dim=dim, seed=seed))
+    psi = default_initial_state(dim)
     states = (psi, evolve_pure(h, psi, 0.8), evolve_pure(h, psi, 1.6))
     s_mid = 2.0 * math.acos(
         min(abs(complex(np.vdot(psi.amplitudes, states[1].amplitudes))), 1.0)
@@ -287,6 +293,20 @@ class TestCorrectionSamples:
         traj = sample_trajectory(Observable(np.eye(2)), ket0, 1.0, 5)
         with pytest.raises(ZeroEnergyVariance):
             _Correction(traj).integrand(OrthonormalBasis.identity(2))
+
+    def test_mixed_first_state_is_read_from_the_stack(self, monkeypatch):
+        # the root is checked with the trajectory, so no DensityMatrix is
+        # rebuilt; the matrix and purity are the ones that state would give
+        traj = wishart_trajectory()
+        want = traj.states[0]
+
+        def rebuilt(matrix):
+            raise AssertionError("the first state was rebuilt")
+
+        monkeypatch.setattr(tqsl.dynamics, "DensityMatrix", rebuilt)
+        c = _Correction(traj)
+        assert c.rho0.tobytes() == want.matrix.tobytes()
+        assert repr(c.purity) == repr(purity(want))
 
 
 class TestBoundReport:
@@ -745,6 +765,20 @@ class TestOptimizeBasis:
             want /= np.linalg.norm(want)
             np.testing.assert_array_equal(g, want)
 
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8])
+    def test_direction_norms_are_the_loop_norms_bit_for_bit(self, dim):
+        # one stacked product per norm, against np.linalg.norm one matrix at
+        # a time, on the streams OptimizerConfig() draws for seeds 0-9
+        cfg = OptimizerConfig()
+        for seed, r in itertools.product(range(10), range(cfg.restarts)):
+            got = _random_directions(np.random.default_rng([seed, r]), cfg.iterations, dim)
+            z = np.random.default_rng([seed, r]).normal(size=(cfg.iterations, 2, dim, dim))
+            want = z[:, 0] + 1j * z[:, 1]
+            want += np.swapaxes(want.conj(), 1, 2)
+            for m in want:
+                m /= np.linalg.norm(m)
+            assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+
     def test_propagates_validity_error(self, sigma_x, ket0):
         with pytest.raises(ValidityExceeded):
             optimize_basis(sample_trajectory(sigma_x, ket0, 2.0, 60))
@@ -907,3 +941,124 @@ class TestLockstepRestarts:
     def test_every_singular_start_raises(self):
         with pytest.raises(SingularIntegrand, match="every optimizer restart"):
             optimize_basis(singular_trajectory(), OptimizerConfig(restarts=2, iterations=5))
+
+
+def _alone(traj, cfg):
+    """optimize_basis on one trajectory: (basis, report) or its error."""
+    try:
+        return optimize_basis(traj, cfg)
+    except QslError as err:
+        return err
+
+
+def _climbed(trajectories, cfg, seeds):
+    """What an optimize sweep does: each trajectory prepared on its own, its
+    errors kept; then one _climb over the prepared ones."""
+    outcomes, prepared = [], []
+    for traj in trajectories:
+        try:
+            _require_clean(traj)
+            prepared.append((len(outcomes), _Correction(traj)))
+            outcomes.append(None)
+        except QslError as err:
+            outcomes.append(err)
+    picked = [seeds[k] for k, _ in prepared]
+    climbed = _climb([c for _, c in prepared], cfg, picked) if prepared else []
+    for (k, _), result in zip(prepared, climbed):
+        outcomes[k] = result
+    return outcomes
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+        return
+    (basis, series), (want_basis, report) = got, want
+    assert basis.matrix.tobytes() == want_basis.matrix.tobytes()
+    assert series.basis_id == report.basis_id
+    assert series[-1] == report
+
+
+def sweep_trajectory(kind, seed, dim, steps):
+    """One member of a random sweep; every kind but "pure" and "mixed" may
+    fail, before the climb or in it."""
+    if kind == "singular":
+        return singular_trajectory(dim, seed)
+    if kind == "zero-spread":
+        return sample_trajectory(Observable(np.eye(dim)), default_initial_state(dim), 0.8, steps)
+    h = sample_gue(GueConfig(dim=dim, seed=seed))
+    if kind.startswith("mixed"):
+        state = random_density(np.random.default_rng([seed, dim]), dim)
+    else:
+        state = default_initial_state(dim)
+    return sample_trajectory(h, state, 3.0 if kind.endswith("long") else 0.8, steps)
+
+
+class TestClimbAcrossTrajectories:
+    """An optimize sweep climbs every restart of every trajectory in one
+    lockstep; each trajectory's outcome is the one optimize_basis gives on
+    it alone."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        dim=st.sampled_from([2, 3, 4]),
+        steps=st.sampled_from([3, 40]),
+        members=st.lists(
+            st.tuples(
+                st.sampled_from(["pure", "pure-long", "mixed", "mixed-long", "zero-spread", "singular"]),
+                st.integers(0, 4),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_each_trajectory_as_if_alone(self, dim, steps, members):
+        # a singular trajectory has 3 grid points; the other kinds take its
+        # length, and the grids need not be equal
+        members = [(k, s) for k, s in members if k != "singular" or steps == 3]
+        assume(members)
+        cfg = OptimizerConfig(restarts=3, iterations=20)
+        trajectories = [sweep_trajectory(k, s, dim, steps) for k, s in members]
+        seeds = [s for _, s in members]
+        got = _climbed(trajectories, cfg, seeds)
+        for traj, seed, outcome in zip(trajectories, seeds, got):
+            assert_same_outcome(outcome, _alone(traj, dataclasses.replace(cfg, seed=seed)))
+
+    def test_covers_every_outcome(self):
+        # the property above meets each error, a repeated seed, mixed and
+        # pure members, and members that finish
+        kinds = ["pure", "pure-long", "mixed", "zero-spread", "singular", "pure", "pure"]
+        seeds = [0, 3, 2, 3, 0, 2, 2]
+        trajectories = [sweep_trajectory(k, s, 3, 3) for k, s in zip(kinds, seeds)]
+        cfg = OptimizerConfig(restarts=2, iterations=10)
+        got = _climbed(trajectories, cfg, seeds)
+        assert [type(g).__name__ for g in got] == [
+            "tuple", "ValidityExceeded", "tuple", "ZeroEnergyVariance", "SingularIntegrand",
+            "tuple", "tuple",
+        ]
+        assert got[5][0].matrix.tobytes() == got[6][0].matrix.tobytes()
+        for traj, seed, outcome in zip(trajectories, seeds, got):
+            assert_same_outcome(outcome, _alone(traj, dataclasses.replace(cfg, seed=seed)))
+
+    def test_an_error_stops_only_its_own_trajectory(self, monkeypatch):
+        # round 1 rotates restarts 0-2 of trajectory 0, then those of
+        # trajectory 1: failing member 3 fails trajectory 1's restart 0
+        real = basis_failures
+        rounds = []
+
+        def failing(stack):
+            failures = real(stack)
+            rounds.append(len(stack))
+            if len(rounds) == 1:
+                failures[3] = InvalidBasis("member 3")
+            return failures
+
+        trajectories = [gue_trajectory(seed=s, steps=60)[1] for s in (0, 1, 2)]
+        cfg = OptimizerConfig(restarts=3, iterations=10)
+        want = [_alone(t, dataclasses.replace(cfg, seed=s)) for t, s in zip(trajectories, (4, 5, 6))]
+        monkeypatch.setattr(tqsl.bounds, "basis_failures", failing)
+        got = _climbed(trajectories, cfg, [4, 5, 6])
+        assert rounds[:2] == [9, 8]
+        assert (type(got[1]), str(got[1])) == (InvalidBasis, "member 3")
+        assert_same_outcome(got[0], want[0])
+        assert_same_outcome(got[2], want[2])

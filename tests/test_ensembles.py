@@ -22,6 +22,7 @@ from tqsl import (
     spin_chain_evolved_state,
     spin_chain_hamiltonian,
 )
+from tqsl.linalg import eigh
 from spin_oracle_loop import dense_hamiltonian, evolved_ket, evolved_rows, x_string
 
 
@@ -99,6 +100,15 @@ class TestRandomBasis:
         a = random_basis(3, seed=1)
         b = random_basis(3, seed=2)
         assert not np.allclose(np.abs(a.matrix), np.abs(b.matrix))
+
+    @pytest.mark.parametrize("dim", [3, 8, 64, 256])
+    def test_bits_match_the_checked_eigh_route(self, dim):
+        # the basis is decomposed once and checked once, by OrthonormalBasis;
+        # it is the one linalg.eigh gives after its own checks
+        for seed in (0, 1):
+            want = eigh(sample_gue(GueConfig(dim=dim, seed=seed)).matrix).eigenvectors
+            got = random_basis(dim, seed).matrix
+            assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
 
 
 class TestSpinChainConfig:

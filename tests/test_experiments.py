@@ -228,6 +228,25 @@ class TestRunGue:
             assert float(last.split(",")[2]) == pytest.approx(report.tau_tqsl, rel=1e-11)
 
 
+    def test_optimize_sweep_writes_what_one_seed_runs_write(self, tmp_path):
+        # one lockstep climb over every seed, against one run per seed: a
+        # repeated seed, seeds whose window runs past validity, and a winning
+        # series whose first row overshoots t on this coarse grid
+        seeds = (0, 2, 1, 2, 4)
+        cfg = gue_config(tmp_path / "all", t_max=3.0, steps=40, seeds=seeds, basis_mode="optimize")
+        runs = run_experiment_gue(cfg)["runs"]
+        for k, seed in enumerate(seeds):
+            one = gue_config(tmp_path / str(k), t_max=3.0, steps=40, seeds=(seed,), basis_mode="optimize")
+            (want,) = run_experiment_gue(one)["runs"]
+            assert list(runs[k].items()) == list(want.items())
+            if "csv" in want:
+                name = want["csv"]
+                assert (tmp_path / "all" / name).read_bytes() == (tmp_path / str(k) / name).read_bytes()
+        assert [r["flags"][0].split(":")[1] if r["flags"] else "csv" for r in runs] == [
+            "ValidityExceeded", "BoundViolation", "csv", "BoundViolation", "ValidityExceeded",
+        ]
+
+
 class TestRunSpin:
     def spin_config(self, out, **overrides):
         kw = dict(
