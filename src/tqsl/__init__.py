@@ -21,7 +21,6 @@ from .dynamics import (
     bargmann_angle_mixed,
     bargmann_angle_pure,
     evolve_mixed,
-    evolve_pure,
     sample_trajectory,
 )
 from .ensembles import (

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import STACK_BLOCK, Trajectory, frobenius_inner, sample_trajectory
-from .ensembles import random_basis
+from .dynamics import STACK_BLOCK, Trajectory, _stacked, frobenius_inner, sample_trajectory
+from .ensembles import _gue_draws
 from .errors import (
     BoundViolation,
     ConfigError,
@@ -27,9 +27,10 @@ from .errors import (
     ZeroEnergyVariance,
     _integer_fields,
     _positive_finite_fields,
+    _trusted,
 )
 from .linalg import EigenDecomposition, eigh, expm_i_hermitian
-from .states import Observable, OrthonormalBasis, State, basis_failures
+from .states import Observable, OrthonormalBasis, State, _eigenbases, basis_failures
 from .uncertainty import NONNEG_CLAMP
 
 DEFAULT_STEPS = 400
@@ -84,7 +85,8 @@ class BoundReport:
 
 def _check_rows(t, tau_mt, correction, tau_tqsl, delta, validity) -> None:
     """The report invariants on float columns, one entry per row, with a
-    bool validity column: finite values, a nonnegative correction, delta
+    bool validity column, or on (k, n) stacks of such columns sharing one t:
+    finite values, a nonnegative correction, delta
     above -NONNEG_CLAMP, tau_tqsl = tau_mt + correction, and the bound at
     most the actual time t on valid rows."""
     if not all(np.all(np.isfinite(c)) for c in (t, tau_mt, correction, tau_tqsl, delta)):
@@ -97,10 +99,9 @@ def _check_rows(t, tau_mt, correction, tau_tqsl, delta, validity) -> None:
         raise BoundViolation("tau_tqsl is not geodesic term + correction")
     over = validity & (t < tau_tqsl - BOUND_SLACK)
     if over.any():
-        k = int(np.argmax(over))
-        raise BoundViolation(
-            f"bound {float(tau_tqsl[k])!r} exceeds actual time {float(t[k])!r} on a clean trajectory"
-        )
+        k = np.unravel_index(np.argmax(over), over.shape)
+        raise BoundViolation(f"bound {float(tau_tqsl[k])!r} exceeds actual time "
+                             f"{float(np.broadcast_to(t, over.shape)[k])!r} on a clean trajectory")
 
 
 def _csv_row(t, tau_mt, tau_tqsl, delta, quad_error, validity) -> str:
@@ -146,7 +147,7 @@ class BoundSeries(Sequence):
     def _row(self, t, tau_mt, correction, tau_tqsl, delta, quad_error, validity) -> BoundReport:
         """A row of Python values from columns that passed the report check,
         so it is not checked again."""
-        row = object.__new__(BoundReport)
+        row = object.__new__(BoundReport)  # _trusted's work, without a call per row
         vars(row).update(
             tau_actual=t, tau_mt=tau_mt, correction_integral=correction, tau_tqsl=tau_tqsl,
             delta=delta, basis_id=self.basis_id, validity=validity,
@@ -170,12 +171,18 @@ def _cumulative_trapezoid(t: np.ndarray, f: np.ndarray) -> tuple:
     """The composite trapezoid of f over the grid t, cumulative from t[0],
     and at every row its Richardson error estimate |full - half| / 3, where
     half integrates the half-resolution grid (every other point, plus the
-    last one) and is interpolated back onto t."""
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(t))])
+    last one) and is interpolated back onto t. f may also be a (..., n)
+    stack, integrated row by row."""
+
+    def cumulative(t, f):
+        cum = np.zeros(f.shape)
+        np.cumsum(0.5 * (f[..., 1:] + f[..., :-1]) * np.diff(t), axis=-1, out=cum[..., 1:])
+        return cum
+
     idx = np.append(np.arange(0, len(t) - 1, 2), len(t) - 1)
-    th, fh = t[idx], f[idx]
-    cum_half = np.concatenate([[0.0], np.cumsum(0.5 * (fh[1:] + fh[:-1]) * np.diff(th))])
-    return cum, np.abs(cum - np.interp(t, th, cum_half)) / 3.0
+    cum, half = cumulative(t, f), cumulative(t[idx], f[..., idx])
+    coarse = np.reshape([np.interp(t, t[idx], row) for row in half.reshape(-1, len(idx))], f.shape)
+    return cum, np.abs(cum - coarse) / 3.0
 
 
 def _mixed_k_series(traj: Trajectory, rho0: np.ndarray, bases: np.ndarray) -> np.ndarray:
@@ -216,12 +223,13 @@ def _kernel_failure(low: float, underflow: bool, singular: int):
 
 
 class _Correction:
-    """The correction integrand and the geodesic term, prepared for one
-    trajectory.
+    """The correction integrand and the geodesic term, prepared for k pure
+    trajectories on one grid, as stacks with one row per trajectory, or for
+    one mixed trajectory.
 
     What does not depend on the basis is computed here, once: the
     denominator, its gate and the prefactor, the initial state's purity for
-    a mixed trajectory, and for a pure one the X and Y columns of the K
+    a mixed trajectory, and for pure ones the X and Y columns of the K
     series. A stack of bases then costs only its own projections and the
     checks on its K series, in `integrands`.
 
@@ -231,31 +239,34 @@ class _Correction:
     optimizer would reuse them.
     """
 
-    def __init__(self, traj: Trajectory):
-        if traj.delta_h <= ZERO_SPREAD_TOL:
-            raise ZeroEnergyVariance(f"energy spread {traj.delta_h!r} is numerically zero")
-        self.traj = traj
+    def __init__(self, *trajs: Trajectory):
+        for traj in trajs:
+            if traj.delta_h <= ZERO_SPREAD_TOL:
+                raise ZeroEnergyVariance(f"energy spread {traj.delta_h!r} is numerically zero")
+        self.traj = traj = trajs[0]
         self.dim = traj.hamiltonian.dim
+        self.valid_until = np.array([[t.valid_until] for t in trajs])
         if traj.kind == "pure":
             # K = sum |conj(U^dagger X) * (U^dagger Y)| - |sum ...| per grid
             # column: completeness makes the plain sum the unresolved cross
-            # term. A C-contiguous (d, n) copy: multiplying a transposed view
+            # term. C-contiguous (d, n) copies: multiplying transposed views
             # instead changes the BLAS summation order, and the optimizer
             # compares values.
-            cols = np.ascontiguousarray(traj.stack.T)
-            a = traj.stack[0]
-            hm = traj.hamiltonian.matrix
-            o = a.conj() @ cols
+            cols = np.array([t.stack.T for t in trajs])
+            a = np.stack([t.stack[0] for t in trajs])
+            hm = _stacked([t.hamiltonian.matrix for t in trajs])
+            o = (a.conj()[:, None] @ cols)[:, 0]
             pop = (o.conj() * o).real
-            self.x = np.outer(a, o) - cols * pop[None, :]
-            mean_h = float(np.vdot(a, hm @ a).real)
+            self.x = a[:, :, None] * o[:, None] - cols * pop[:, None]
+            mean_h = np.array([[[np.vdot(v, h @ v).real]] for v, h in zip(a, hm)])
             self.y = hm @ cols - mean_h * cols
-            self.rho0 = None
-            den = np.sin(traj.s0)
-            den_gate = den
-            self.underflow = None
-            self.scale = 2.0 / traj.delta_h
+            self.rho0 = self.underflow = None
+            self.s0 = np.stack([t.s0 for t in trajs])
+            self.delta_h = np.array([[t.delta_h] for t in trajs])
+            den = den_gate = np.sin(self.s0)
+            self.scale = 2.0 / self.delta_h
         else:
+            (traj,) = trajs
             # the first state from its checked root, as Trajectory.states
             # builds it, without checking it again
             r0 = traj.stack[0]
@@ -317,37 +328,43 @@ class _Correction:
         return f
 
     def geodesic(self) -> np.ndarray:
-        """The geodesic term at every grid point, the Mandelstam-Tamm part of
-        the bound: hbar s0 / (2 dH) for a pure trajectory, and
-        hbar (arccos sqrt(Tr rho0 rho_t) - arccos sqrt(Tr rho0^2)) / dH for
-        a mixed one, which a pure lift collapses to the pure form."""
+        """The geodesic term at every grid point, one row per trajectory, the
+        Mandelstam-Tamm part of the bound: hbar s0 / (2 dH) for a pure
+        trajectory, and hbar (arccos sqrt(Tr rho0 rho_t) - arccos
+        sqrt(Tr rho0^2)) / dH for a mixed one, which a pure lift collapses to
+        the pure form."""
         traj = self.traj
         if self.rho0 is None:
-            return traj.hbar * traj.s0 / (2.0 * traj.delta_h)
+            return traj.hbar * self.s0 / (2.0 * self.delta_h)
         # overlap * sqrt(P) = sqrt(Tr(rho0 rho_t)); it starts at exactly 1 and
         # stays <= 1, so the term starts at 0 and never goes negative
         angle = np.arccos(traj.overlap * math.sqrt(min(self.purity, 1.0)))
-        return traj.hbar * (angle - angle[0]) / traj.delta_h
+        return (traj.hbar * (angle - angle[0]) / traj.delta_h)[None]
 
 
-def _series(correction: _Correction, basis: OrthonormalBasis, basis_id: str) -> BoundSeries:
-    """The BoundSeries of one basis on a prepared correction: the one place
-    a bound is integrated, so every endpoint report is a series' last row."""
-    traj = correction.traj
-    cum, err = _cumulative_trapezoid(traj.times, correction.integrand(basis))
+def _series(correction: _Correction, bases: np.ndarray, basis_ids: list) -> list:
+    """The BoundSeries of basis i of a (k, d, d) stack on trajectory i of a
+    prepared correction: the one place a bound is integrated, so every
+    endpoint report is a series' last row. The columns are computed and
+    checked as (k, n) stacks, and the first failure raises; the series are
+    built from the checked stacks without checking them again."""
+    f, failures = correction.integrands(bases)
+    failure = next(filter(None, failures), None)
+    if failure is not None:
+        raise failure
+    times = correction.traj.times
+    cum, err = _cumulative_trapezoid(times, f)
     tau_mt = correction.geodesic()
     tau_tqsl = tau_mt + cum
-    return BoundSeries(
-        t=traj.times,
-        tau_mt=tau_mt,
-        correction=cum,
-        tau_tqsl=tau_tqsl,
-        delta=tau_tqsl - tau_mt,
-        quad_error=err,
-        validity=traj.validity_flags(),
-        basis_id=basis_id,
-        step=float(traj.times[1] - traj.times[0]),
-    )
+    columns = (tau_mt, cum, tau_tqsl, tau_tqsl - tau_mt, err, np.arange(len(times)) <= correction.valid_until)
+    _check_rows(times, *columns[:4], columns[-1])
+    for col in columns:
+        col.setflags(write=False)
+    step = float(times[1] - times[0])
+    return [
+        _trusted(BoundSeries, t=times, **dict(zip(_COLUMNS[1:], member)), basis_id=basis_id, step=step)
+        for *member, basis_id in zip(*columns, basis_ids)
+    ]
 
 
 def _require_clean(traj: Trajectory) -> None:
@@ -372,7 +389,7 @@ def tqsl_bound(
     state: the last row of bound_series on the same trajectory and basis."""
     traj = sample_trajectory(h, state0, tau, steps, hbar)
     _require_clean(traj)
-    return _series(_Correction(traj), basis, basis_id)[-1]
+    return bound_series(traj, basis, basis_id)[-1]
 
 
 def bound_series(traj: Trajectory, basis: OrthonormalBasis, basis_id: str = "user") -> BoundSeries:
@@ -382,7 +399,8 @@ def bound_series(traj: Trajectory, basis: OrthonormalBasis, basis_id: str = "use
     Rows past the trajectory's validity index are still reported (flagged
     false) so sweeps can plot the whole window.
     """
-    return _series(_Correction(traj), basis, basis_id)
+    (series,) = _series(_Correction(traj), basis.matrix[None], [basis_id])
+    return series
 
 
 @dataclass(frozen=True)
@@ -464,8 +482,10 @@ def _climb(corrections: list, cfg: OptimizerConfig, seeds: list) -> list:
                     failures[k] = failure
         return np.trapezoid(f, grids[owner[members]]), failures
 
-    bases = np.stack([np.eye(dim, dtype=complex) if r == 0 else random_basis(dim, s + r).matrix
-                      for s in seeds for r in range(n)])
+    bases = np.tile(np.eye(dim, dtype=complex), (len(seeds), n, 1, 1))
+    starts = _eigenbases(_gue_draws(dim, [s + r for s in seeds for r in range(1, n)]))
+    bases[:, 1:] = starts.reshape(len(seeds), n - 1, dim, dim)  # random_basis(dim, s + r)
+    bases = bases.reshape(-1, dim, dim)
     values, failures = score(bases, np.arange(len(owner)), [None] * len(bases))
     errors = [None if isinstance(f, _REJECTED) else f for f in failures]
     live = np.array([f is None for f in failures])
@@ -502,7 +522,8 @@ def _climb(corrections: list, cfg: OptimizerConfig, seeds: list) -> list:
             origin = "identity" if best == i * n else f"gue-eigenbasis:seed={seeds[i] + best - i * n}"
             basis = OrthonormalBasis(bases[best])
             try:
-                result = basis, _series(correction, basis, f"optimize[{origin}, {moves[best]} moves]")
+                label = f"optimize[{origin}, {moves[best]} moves]"
+                result = basis, _series(correction, basis.matrix[None], [label])[0]
             except QslError as err:
                 result = err
         results.append(result)

@@ -19,6 +19,7 @@ from .errors import (
     NonRealExpectation,
     _index,
     _positive_finite,
+    _trusted,
 )
 from .linalg import HERMITICITY_TOL, eigh, expm_i_hermitian, sqrtm_psd
 from .states import (
@@ -61,15 +62,6 @@ def bargmann_angle_mixed(rho0: DensityMatrix, rhot: DensityMatrix) -> float:
     return 2.0 * math.acos(math.sqrt(min(max(ratio, 0.0), 1.0)))
 
 
-def evolve_pure(h: Observable, psi0: PureState, t: float, hbar: float = 1.0) -> PureState:
-    """e^{-iHt/hbar} |psi0>."""
-    if h.dim != psi0.dim:
-        raise DimensionMismatch(f"H dim {h.dim} vs state dim {psi0.dim}")
-    if t < 0:
-        raise ValueError("evolution time must be >= 0")
-    return PureState(expm_i_hermitian(h.matrix, t / hbar) @ psi0.amplitudes)
-
-
 def evolve_mixed(h: Observable, rho0: DensityMatrix, t: float, hbar: float = 1.0) -> DensityMatrix:
     """e^{-iHt/hbar} rho0 e^{+iHt/hbar}."""
     if h.dim != rho0.dim:
@@ -80,13 +72,14 @@ def evolve_mixed(h: Observable, rho0: DensityMatrix, t: float, hbar: float = 1.0
     return DensityMatrix(u @ rho0.matrix @ u.conj().T)
 
 
-def _first_overlap_minimum(overlap: np.ndarray) -> int:
-    """Index of the first interior overlap minimum, or the last index if the
-    overlap never turns around on the grid."""
-    turns = (overlap[2:] > overlap[1:-1] + _MINIMUM_EPS) & (
-        overlap[1:-1] <= overlap[:-2] + _MINIMUM_EPS
+def _first_overlap_minimum(overlap: np.ndarray) -> np.ndarray:
+    """Per row of a (k, n) overlap stack, the index of the first interior
+    minimum, or the last index if the overlap never turns around on the grid."""
+    turns = (overlap[:, 2:] > overlap[:, 1:-1] + _MINIMUM_EPS) & (
+        overlap[:, 1:-1] <= overlap[:, :-2] + _MINIMUM_EPS
     )
-    return int(np.argmax(turns)) + 1 if turns.any() else len(overlap) - 1
+    # a turn at the last point stands in for "none on the grid"
+    return np.argmax(np.column_stack([turns, np.ones(len(turns), dtype=bool)]), axis=1) + 1
 
 
 def frobenius_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -106,13 +99,36 @@ def _require_real(means: np.ndarray) -> None:
         )
 
 
-def _ket_spreads(h: np.ndarray, kets: np.ndarray, offset: int) -> np.ndarray:
-    """Energy spread of each ket of a block; Trajectory has checked the kets.
-    `offset`, the block's first grid index, keeps _root_spreads's signature."""
-    hk = kets @ h.T  # row k is H psi_k
-    means = np.einsum("ki,ki->k", kets.conj(), hk)
-    _require_real(means)
-    return np.linalg.norm(hk - means.real[:, None] * kets, axis=1)
+def _stacked(arrays: list) -> np.ndarray:
+    """Equal-shaped arrays as one (k, ...) stack: a view of a lone array,
+    which spares a d = 256 sweep a copy of its Hamiltonian."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _check_kets(h: np.ndarray, kets: np.ndarray, times: np.ndarray, s0: np.ndarray,
+                delta_h: np.ndarray, hbar: float) -> None:
+    """Trajectory's checks on k pure trajectories of one grid, h (k, d, d),
+    kets (k, n, d), s0 (k, n), delta_h (k,): unit kets with a real <H>, a
+    constant spread, and s0 within the Fubini-Study speed 2 dH/hbar. The
+    first failure raises, as Trajectory raises it on one trajectory."""
+    _require_unit_kets(kets.reshape(-1, kets.shape[-1]))
+    spreads = np.empty(kets.shape[:2])
+    for i in range(0, kets.shape[1], STACK_BLOCK):
+        block = kets[:, i : i + STACK_BLOCK]
+        hk = block @ h.swapaxes(-1, -2)  # row j of member m is H_m psi_mj
+        means = np.einsum("mji,mji->mj", block.conj(), hk)
+        _require_real(means)
+        spreads[:, i : i + STACK_BLOCK] = np.linalg.norm(hk - means.real[..., None] * block, axis=-1)
+    _require_constant_spread(spreads, delta_h[:, None])
+    excess = np.abs(np.diff(s0)) - (2.0 * delta_h[:, None] / hbar) * np.diff(times)
+    if float(excess.max()) > ANGLE_RATE_SLACK:
+        raise ValueError(f"s0 outruns the pure-state rate by {float(excess.max()):.3e}")
+
+
+def _require_constant_spread(spreads: np.ndarray, delta_h) -> None:
+    drift = float(np.max(np.abs(spreads - delta_h)))
+    if drift > DELTA_H_CONSTANCY_TOL:
+        raise ValueError(f"energy spread drifts by {drift:.3e} along the grid")
 
 
 def _root_spreads(h: np.ndarray, roots: np.ndarray, offset: int) -> np.ndarray:
@@ -191,31 +207,19 @@ class Trajectory:
             raise ValueError("s0 must start at 0 and stay in [0, pi]")
         if not 0 <= self.valid_until < n:
             raise ValueError(f"valid_until {self.valid_until} outside grid")
-        dim = self.hamiltonian.dim
-        if stack.ndim == 2:
-            _require_unit_kets(stack)
-            spreads_of = _ket_spreads
-        elif stack.ndim == 3 and stack.shape[1] == stack.shape[2]:
-            if not np.all(np.isfinite(stack)):
-                raise ValueError("state stack entries must be finite")
-            spreads_of = _root_spreads
-        else:
+        if stack.ndim not in (2, 3) or stack.ndim == 3 and stack.shape[1] != stack.shape[2]:
             raise ValueError(f"state stack must be (n, d) or (n, d, d), got {stack.shape}")
+        if stack.ndim == 3 and not np.all(np.isfinite(stack)):
+            raise ValueError("state stack entries must be finite")
+        dim, h = self.hamiltonian.dim, self.hamiltonian.matrix
         if stack.shape[1] != dim:
             raise DimensionMismatch(f"H dim {dim} vs state dim {stack.shape[1]}")
-        h = self.hamiltonian.matrix
-        spreads = np.concatenate(
-            [spreads_of(h, stack[i : i + STACK_BLOCK], i) for i in range(0, n, STACK_BLOCK)]
-        )
-        drift = float(np.max(np.abs(spreads - self.delta_h)))
-        if drift > DELTA_H_CONSTANCY_TOL:
-            raise ValueError(f"energy spread drifts by {drift:.3e} along the grid")
         if stack.ndim == 2:
-            # Fubini-Study speed is 2*dH/hbar, so s0 is Lipschitz with that
-            # rate. The mixed-state angle obeys no such rate in general.
-            excess = np.abs(np.diff(s0)) - (2.0 * self.delta_h / self.hbar) * np.diff(times)
-            if float(excess.max()) > ANGLE_RATE_SLACK:
-                raise ValueError(f"s0 outruns the pure-state rate by {float(excess.max()):.3e}")
+            _check_kets(h[None], stack[None], times, s0[None], np.array([self.delta_h]), self.hbar)
+        else:  # the mixed-state angle obeys no speed limit in general
+            _require_constant_spread(np.concatenate(
+                [_root_spreads(h, stack[i : i + STACK_BLOCK], i) for i in range(0, n, STACK_BLOCK)]
+            ), self.delta_h)
         for arr in (times, stack, s0, overlap):
             arr.setflags(write=False)
         object.__setattr__(self, "times", times)
@@ -252,6 +256,16 @@ def _propagated_roots(dec, root0: np.ndarray, times: np.ndarray, hbar: float) ->
     return roots
 
 
+def _grid(t_max: float, steps: int, hbar: float) -> np.ndarray:
+    """sample_trajectory's checks on its grid arguments, and the grid."""
+    _positive_finite("t_max", t_max, ValueError)
+    _positive_finite("hbar", hbar, ValueError)
+    steps = _index("steps", steps, ValueError)
+    if steps < 2:
+        raise ValueError(f"steps must be >= 2 grid points, got {steps}")
+    return np.linspace(0.0, float(t_max), steps)
+
+
 def sample_trajectory(
     h: Observable,
     state0: State,
@@ -260,43 +274,58 @@ def sample_trajectory(
     hbar: float = 1.0,
 ) -> Trajectory:
     """Evolve state0 over {0, ..., t_max} with `steps` grid points."""
-    _positive_finite("t_max", t_max, ValueError)
-    _positive_finite("hbar", hbar, ValueError)
-    steps = _index("steps", steps, ValueError)
-    if steps < 2:
-        raise ValueError(f"steps must be >= 2 grid points, got {steps}")
+    times = _grid(t_max, steps, hbar)
     if h.dim != state0.dim:
         raise DimensionMismatch(f"H dim {h.dim} vs state dim {state0.dim}")
-    times = np.linspace(0.0, float(t_max), steps)
-    dec = eigh(h.matrix)
-    # The t = 0 sample is the initial state itself; writing it (and its unit
-    # overlap) exactly keeps arccos from amplifying eigensolver round-off
-    # into a spurious starting angle.
     if isinstance(state0, PureState):
-        v0 = state0.amplitudes
-        c0 = dec.eigenvectors.conj().T @ v0
-        phases = np.exp(-1j * np.outer(dec.eigenvalues, times / hbar))
-        columns = dec.eigenvectors @ (phases * c0[:, None])
-        overlap = np.minimum(np.abs(v0.conj() @ columns), 1.0)
-        stack = columns.T.copy()
-        stack[0] = v0
-    else:
-        root0 = sqrtm_psd(state0.matrix)
-        stack = _propagated_roots(dec, root0, times, hbar)
-        stack[0] = root0
-        r0 = state0.matrix
-        blocks = [stack[i : i + STACK_BLOCK] for i in range(0, len(times), STACK_BLOCK)]
-        cross = np.concatenate([frobenius_inner(b, b @ r0).real for b in blocks])
-        overlap = np.sqrt(np.clip(cross / purity(state0), 0.0, 1.0))
+        return _pure_trajectories([h], state0, times, hbar)[0]
+    dec = eigh(h.matrix)
+    root0 = sqrtm_psd(state0.matrix)
+    stack = _propagated_roots(dec, root0, times, hbar)
+    stack[0] = root0  # the t = 0 sample exactly, as in _pure_trajectories
+    r0 = state0.matrix
+    blocks = [stack[i : i + STACK_BLOCK] for i in range(0, len(times), STACK_BLOCK)]
+    cross = np.concatenate([frobenius_inner(b, b @ r0).real for b in blocks])
+    overlap = np.sqrt(np.clip(cross / purity(state0), 0.0, 1.0))
     overlap[0] = 1.0
-    s0 = 2.0 * np.arccos(overlap)
     return Trajectory(
         hamiltonian=h,
         hbar=float(hbar),
         times=times,
         stack=stack,
-        s0=s0,
+        s0=2.0 * np.arccos(overlap),
         overlap=overlap,
         delta_h=math.sqrt(variance(h, state0)),
-        valid_until=_first_overlap_minimum(overlap),
+        valid_until=int(_first_overlap_minimum(overlap[None])[0]),
     )
+
+
+def _pure_trajectories(hs: list, psi0: PureState, times: np.ndarray, hbar: float) -> list:
+    """sample_trajectory's pure branch for Observables `hs` of psi0's
+    dimension, on a grid it has checked: one eigendecomposition of the
+    Hamiltonian stack, one propagation and one _check_kets for all of them.
+    The trajectories are built from the checked stacks without checking them
+    again."""
+    hm = _stacked([h.matrix for h in hs])
+    dec = eigh(hm)
+    v, v0 = dec.eigenvectors, psi0.amplitudes
+    c0 = v.conj().swapaxes(1, 2) @ v0
+    phases = np.exp(-1j * (dec.eigenvalues[:, :, None] * (times / hbar)))
+    columns = v @ (phases * c0[:, :, None])
+    overlap = np.minimum(np.abs(v0.conj() @ columns), 1.0)
+    # The t = 0 sample is the initial state itself; writing it (and its unit
+    # overlap) exactly keeps arccos from amplifying eigensolver round-off
+    # into a spurious starting angle.
+    kets = columns.swapaxes(1, 2).copy()
+    kets[:, 0] = v0
+    overlap[:, 0] = 1.0
+    s0 = 2.0 * np.arccos(overlap)
+    delta_h = np.array([math.sqrt(variance(h, psi0)) for h in hs])
+    _check_kets(hm, kets, times, s0, delta_h, hbar)
+    for arr in (times, kets, s0, overlap):
+        arr.setflags(write=False)
+    return [
+        _trusted(Trajectory, hamiltonian=h, hbar=float(hbar), times=times, stack=k, s0=a,
+                 overlap=o, delta_h=float(dh), valid_until=int(vu))
+        for h, k, a, o, dh, vu in zip(hs, kets, s0, overlap, delta_h, _first_overlap_minimum(overlap))
+    ]

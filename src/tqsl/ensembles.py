@@ -16,15 +16,16 @@ import numpy as np
 from .errors import (
     BlockIndexOutOfRange,
     ConfigError,
+    NonHermitianInput,
     NotProductState,
     _index,
     _integer_fields,
     _positive_finite_fields,
+    _trusted,
 )
 from .dynamics import STACK_BLOCK
-from .states import (
-    Observable, OrthonormalBasis, PureState, _require_unit_kets, basis_from_observable,
-)
+from .linalg import HERMITICITY_TOL, hermitian_defect
+from .states import Observable, OrthonormalBasis, PureState, _eigenbases, _require_unit_kets
 
 MAX_SPINS = 10
 PRODUCT_TOL = 1e-10
@@ -45,22 +46,39 @@ class GueConfig:
 
 def sample_gue(cfg: GueConfig) -> Observable:
     """One Hermitian draw; fixed draw order keeps seeds reproducible."""
-    d = cfg.dim
-    rng = np.random.default_rng(cfg.seed)
-    h = np.zeros((d, d), dtype=complex)
-    h[np.diag_indices(d)] = rng.normal(0.0, math.sqrt(1.0 / d), size=d)
-    rows, cols = np.triu_indices(d, k=1)
-    sigma = math.sqrt(1.0 / (2.0 * d))
-    re = rng.normal(0.0, sigma, size=len(rows))
-    im = rng.normal(0.0, sigma, size=len(rows))
-    h[rows, cols] = re + 1j * im
-    h[cols, rows] = re - 1j * im
-    return Observable(h)
+    return _trusted(Observable, matrix=_gue_draws(cfg.dim, [cfg.seed])[0])
+
+
+def _gue_draws(dim: int, seeds) -> np.ndarray:
+    """sample_gue's matrix for each seed, as one read-only (k, d, d) stack
+    checked as Observable checks each. Every seed has its own generator, which
+    draws the diagonal, then the real and the imaginary upper triangle."""
+    rows, cols = np.triu_indices(dim, k=1)
+    m = len(rows)
+    z = np.empty((len(seeds), dim + 2 * m))
+    for seed, row in zip(seeds, z):
+        np.random.default_rng(seed).standard_normal(out=row)
+    # Generator.normal(0, s) draws 0 + s * standard_normal, value by value
+    z[:, :dim] *= math.sqrt(1.0 / dim)
+    z[:, dim:] *= math.sqrt(1.0 / (2.0 * dim))
+    z += 0.0
+    h = np.zeros((len(z), dim, dim), dtype=complex)
+    diag = np.arange(dim)
+    h[:, diag, diag] = z[:, :dim]
+    re, im = z[:, dim : dim + m], z[:, dim + m :]
+    h[:, rows, cols] = re + 1j * im
+    h[:, cols, rows] = re - 1j * im
+    defect = hermitian_defect(h)
+    if defect > HERMITICITY_TOL:
+        raise NonHermitianInput(f"Hermiticity defect {defect:.3e}")
+    h.setflags(write=False)
+    return h
 
 
 def random_basis(dim: int, seed: int) -> OrthonormalBasis:
     """Eigenbasis of an independent GUE draw."""
-    return basis_from_observable(sample_gue(GueConfig(dim=dim, seed=seed)))
+    cfg = GueConfig(dim=dim, seed=seed)
+    return _trusted(OrthonormalBasis, matrix=_eigenbases(_gue_draws(cfg.dim, [cfg.seed]))[0])
 
 
 def _block_sites(blocks) -> tuple:

@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the integer and
+"""Exception types shared across the package, the integer and
 positive-finite checks that configs (ConfigError) and sample_trajectory
-(ValueError) apply to their inputs.
+(ValueError) apply to their inputs, and `_trusted`, which builds a value
+from parts that have passed its checks.
 
 Every precondition failure raises a distinct class so callers (and the
 property suite) can tell a rejected input from a genuine numerical bug.
@@ -89,3 +90,12 @@ def _positive_finite_fields(cfg, *names: str) -> None:
     """Each named field of a config must be a positive, finite number."""
     for name in names:
         _positive_finite(name, getattr(cfg, name))
+
+
+def _trusted(cls, **fields):
+    """A `cls` instance holding `fields`, which have already passed the
+    checks its constructor makes (on a stack they belong to), without making
+    them again."""
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj

@@ -7,6 +7,7 @@ quarantined into the run's flags instead of aborting the batch.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from contextlib import contextmanager
@@ -23,10 +24,13 @@ from .bounds import (
     _Correction,
     _cumulative_trapezoid,
     _require_clean,
+    _series,
     bound_series,
 )
 from .dynamics import (
     Trajectory,
+    _grid,
+    _pure_trajectories,
     bargmann_angle_mixed,
     bargmann_angle_pure,
     evolve_mixed,
@@ -36,19 +40,20 @@ from .ensembles import (
     GueConfig,
     SpinChainConfig,
     _block_sites,
+    _gue_draws,
     random_basis,
     sample_gue,
     spin_chain_evolved_state,
     spin_chain_hamiltonian,
 )
 from .errors import (
-    ConfigError, NonHermitianInput, QslError, _index, _integer_fields, _positive_finite_fields,
+    ConfigError, NonHermitianInput, QslError, _index, _integer_fields, _positive_finite_fields, _trusted,
 )
 from .states import (
     DensityMatrix,
     Observable,
-    OrthonormalBasis,
     PureState,
+    _eigenbases,
     _raw_moment,
     centered,
     expectation,
@@ -65,6 +70,9 @@ from .uncertainty import (
 
 DELTA_TOL = 1e-9
 BASIS_SEED_OFFSET = 1_000_003
+# Seeds x grid points x dimension that a sweep computes as one stack: it
+# bounds the block's arrays, so memory does not grow with the seed count.
+BLOCK_ELEMENTS = 9000
 
 _KINDS = ("gue", "spin", "verify")
 _BASIS_MODES = ("fixed-random", "optimize", "identity")
@@ -122,16 +130,13 @@ def default_initial_state(dim: int) -> PureState:
     return PureState(np.full(dim, 1.0 / math.sqrt(dim), dtype=complex))
 
 
-def _sample_and_pick(cfg: ExperimentConfig, h: Observable, state0, seed: int):
-    """The run's trajectory, its fixed basis and the basis_id; both None in
-    optimize mode."""
-    basis = basis_id = None
+def _fixed_bases(cfg: ExperimentConfig, dim: int, seeds: list) -> tuple:
+    """The fixed bases of a block of runs as a (k, d, d) stack, and their
+    basis_ids."""
     if cfg.basis_mode == "identity":
-        basis, basis_id = OrthonormalBasis.identity(h.dim), "identity"
-    elif cfg.basis_mode == "fixed-random":
-        basis_seed = seed + BASIS_SEED_OFFSET
-        basis, basis_id = random_basis(h.dim, basis_seed), f"gue-eigenbasis:seed={basis_seed}"
-    return sample_trajectory(h, state0, cfg.t_max, cfg.steps, cfg.hbar), basis, basis_id
+        return np.broadcast_to(np.eye(dim, dtype=complex), (len(seeds), dim, dim)), ["identity"] * len(seeds)
+    basis_seeds = [seed + BASIS_SEED_OFFSET for seed in seeds]
+    return _eigenbases(_gue_draws(dim, basis_seeds)), [f"gue-eigenbasis:seed={s}" for s in basis_seeds]
 
 
 @contextmanager
@@ -168,11 +173,19 @@ def run_experiment_gue(cfg: ExperimentConfig) -> dict:
     """One CSV per sampled Hamiltonian, plus summary.json."""
     _require_kind(cfg, "gue")
     psi0 = default_initial_state(cfg.dim)
-    return _run_sweep(cfg, lambda seed: (sample_gue(GueConfig(dim=cfg.dim, seed=seed)), psi0))
+    times = _grid(cfg.t_max, cfg.steps, cfg.hbar)
+
+    def sample(seeds: list) -> list:
+        hs = [_trusted(Observable, matrix=m) for m in _gue_draws(cfg.dim, seeds)]
+        return _pure_trajectories(hs, psi0, times, cfg.hbar)
+
+    return _run_sweep(cfg, cfg.dim, sample)
 
 
 def run_experiment_spin(cfg: ExperimentConfig) -> dict:
-    """Spin-chain sweep; CSV rows gain a trailing closed-form fidelity column."""
+    """Spin-chain sweep; CSV rows gain a trailing closed-form fidelity column.
+    Every seed shares one Hamiltonian and initial state, so the trajectory
+    and its fidelity column are computed once and serve every run."""
     _require_kind(cfg, "spin")
     spin_cfg = SpinChainConfig(
         num_spins=cfg.num_spins, blocks=cfg.blocks, omega0=cfg.omega0, omega=cfg.omega
@@ -182,28 +195,42 @@ def run_experiment_spin(cfg: ExperimentConfig) -> dict:
     amps[0] = 1.0
     psi0 = PureState(amps)
 
-    def fidelity(traj: Trajectory) -> np.ndarray:
+    @functools.cache  # an error is not cached: each run that asks meets it
+    def sampled() -> tuple:
+        traj = sample_trajectory(h, psi0, cfg.t_max, cfg.steps, cfg.hbar)
         exact = spin_chain_evolved_state(spin_cfg, psi0, traj.times)
-        return np.array([min(abs(complex(np.vdot(e, ket))), 1.0) for e, ket in zip(exact, traj.stack)])
+        return traj, np.array([min(abs(complex(np.vdot(e, ket))), 1.0) for e, ket in zip(exact, traj.stack)])
 
-    return _run_sweep(cfg, lambda seed: (h, psi0), fidelity)
+    return _run_sweep(cfg, spin_cfg.dim, lambda seeds: [sampled()[0]] * len(seeds), lambda traj: sampled()[1])
 
 
-def _run_sweep(cfg: ExperimentConfig, system, fidelity=None) -> dict:
-    """The sweep behind both runners: for each seed, `system(seed)` gives
-    the Hamiltonian and initial state, and the run writes one
-    `<kind>_seed<seed>.csv`; then summary.json.
+def _run_sweep(cfg: ExperimentConfig, dim: int, sample, fidelity=None) -> dict:
+    """The sweep behind both runners: `sample(seeds)` gives the pure
+    trajectories of a list of seeds, in dimension `dim`, and each run writes
+    one `<kind>_seed<seed>.csv`; then summary.json.
 
-    `fidelity`, when given, maps the trajectory to one value per grid row:
+    `fidelity`, when given, maps a trajectory to one value per grid row:
     the CSVs gain it as a trailing column and each run its minimum.
 
-    A fixed-basis run is written once sampled. Optimize runs are prepared,
-    then climbed in one lockstep `_climb` and written from their winners.
+    Seeds go in blocks of up to BLOCK_ELEMENTS / (steps * dim), each sampled
+    and, with a fixed basis, bounded and written as one stack. A block that
+    raises anything is computed again seed by seed, so each seed gets the
+    flag a one-seed sweep gives it, and any other error ends the sweep where
+    one seed after another would. Optimize runs are prepared, then climbed
+    in one lockstep `_climb` and written from their winners.
     """
     out = Path(cfg.output_path)
     out.mkdir(parents=True, exist_ok=True)
     header = BOUND_CSV_HEADER if fidelity is None else BOUND_CSV_HEADER + ",fidelity"
     runs = [{"seed": seed, "min_delta": None, "max_delta": None, "flags": []} for seed in cfg.seeds]
+
+    def stacked(seeds: list) -> list:
+        """Per seed, its trajectory and, with a fixed basis, its bound series."""
+        if cfg.basis_mode == "optimize":
+            return [(traj, None) for traj in sample(seeds)]
+        bases, basis_ids = _fixed_bases(cfg, dim, seeds)
+        trajs = sample(seeds)
+        return list(zip(trajs, _series(_Correction(*trajs), bases, basis_ids)))
 
     def emit(run: dict, traj: Trajectory, series: BoundSeries) -> None:
         column = None if fidelity is None else fidelity(traj)
@@ -220,14 +247,20 @@ def _run_sweep(cfg: ExperimentConfig, system, fidelity=None) -> dict:
         run.update(csv=name, basis_id=series.basis_id)
 
     prepared = []  # optimize mode: (run, trajectory, its _Correction)
-    for run in runs:
-        with _quarantine(run):
-            traj, basis, basis_id = _sample_and_pick(cfg, *system(run["seed"]), run["seed"])
-            if basis is not None:
-                emit(run, traj, bound_series(traj, basis, basis_id))
-            else:
-                _require_clean(traj)
-                prepared.append((run, traj, _Correction(traj)))
+    size = max(1, BLOCK_ELEMENTS // (cfg.steps * dim))
+    for block in (runs[i : i + size] for i in range(0, len(runs), size)):
+        try:
+            done = stacked([run["seed"] for run in block])
+        except Exception:  # recomputed one seed at a time below
+            done = None
+        for i, run in enumerate(block):
+            with _quarantine(run):
+                traj, series = done[i] if done else stacked([run["seed"]])[0]
+                if series is not None:
+                    emit(run, traj, series)
+                else:
+                    _require_clean(traj)
+                    prepared.append((run, traj, _Correction(traj)))
     if prepared:
         climbed = _climb([c for *_, c in prepared], OptimizerConfig(), [r["seed"] for r, *_ in prepared])
         for (run, traj, _), result in zip(prepared, climbed):

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonHermitianInput, NotPositiveSemidefinite
+from .errors import NonHermitianInput, NotPositiveSemidefinite, _trusted
 
 HERMITICITY_TOL = 1e-9
 ORTHONORMALITY_TOL = 1e-10
@@ -84,18 +84,14 @@ class EigenDecomposition:
         array selects, checked with the stack."""
         if self.eigenvectors.ndim != 3:
             raise TypeError("only a stacked decomposition can be indexed")
-        member = object.__new__(EigenDecomposition)
-        object.__setattr__(member, "eigenvalues", self.eigenvalues[j])
-        object.__setattr__(member, "eigenvectors", self.eigenvectors[j])
-        return member
+        return _trusted(EigenDecomposition, eigenvalues=self.eigenvalues[j], eigenvectors=self.eigenvectors[j])
 
     @staticmethod
     def concatenate(decs) -> "EigenDecomposition":
         """Stacked decompositions end to end, checked with them, not again."""
-        joined = object.__new__(EigenDecomposition)
-        for name in ("eigenvalues", "eigenvectors"):
-            object.__setattr__(joined, name, np.concatenate([getattr(d, name) for d in decs]))
-        return joined
+        return _trusted(EigenDecomposition, **{
+            name: np.concatenate([getattr(d, name) for d in decs]) for name in ("eigenvalues", "eigenvectors")
+        })
 
 
 def eigh(h) -> EigenDecomposition:

@@ -1,12 +1,22 @@
 """Shared fixtures: Pauli matrices and a couple of canonical states.
 
 random_pure and random_density are the property suite's own draws,
-re-exported for the test modules."""
+re-exported for the test modules. evolve_pure is the one-state-at-a-time
+propagator that trajectories and the spin oracle are checked against."""
 import numpy as np
 import pytest
 
-from tqsl import DensityMatrix, Observable, PureState
+from tqsl import DensityMatrix, DimensionMismatch, Observable, PureState, expm_i_hermitian
 from tqsl.experiments import random_density, random_pure  # noqa: F401
+
+
+def evolve_pure(h: Observable, psi0: PureState, t: float, hbar: float = 1.0) -> PureState:
+    """e^{-iHt/hbar} |psi0>, from the matrix exponential at the one time t."""
+    if h.dim != psi0.dim:
+        raise DimensionMismatch(f"H dim {h.dim} vs state dim {psi0.dim}")
+    if t < 0:
+        raise ValueError("evolution time must be >= 0")
+    return PureState(expm_i_hermitian(h.matrix, t / hbar) @ psi0.amplitudes)
 
 
 def with_spectrum(rng, eigenvalues) -> np.ndarray:

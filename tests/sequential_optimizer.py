@@ -27,7 +27,7 @@ def k_series(c: _Correction, basis: OrthonormalBasis) -> np.ndarray:
     u = basis.matrix
     if c.rho0 is None:
         uh = u.conj().T
-        prods = (uh @ c.x).conj() * (uh @ c.y)
+        prods = (uh @ c.x[0]).conj() * (uh @ c.y[0])
         gap = np.abs(prods).sum(axis=0) - np.abs(prods.sum(axis=0))
         return _clamp_nonnegative(gap, "correction series")
     traj = c.traj
@@ -49,16 +49,17 @@ def k_series(c: _Correction, basis: OrthonormalBasis) -> np.ndarray:
 def integrand(c: _Correction, basis: OrthonormalBasis) -> np.ndarray:
     """The correction integrand for one basis; raises what rejects it."""
     k = k_series(c, basis)
+    ok, den, scale = c.ok.ravel(), c.den.ravel(), np.ravel(c.scale)[0]  # trajectory 0's rows
     live = k >= K_EPS
     if c.underflow is not None and np.any(c.underflow & live):
         raise DenominatorUnderflow("purity radical underflows while K is nonzero")
-    singular = live & ~c.ok
+    singular = live & ~ok
     if np.any(singular):
         raise SingularIntegrand(
             f"{int(np.sum(singular))} grid points have K >= {K_EPS:.0e} with a vanishing denominator"
         )
     f = np.zeros(len(k))
-    f[c.ok] = c.scale * k[c.ok] / c.den[c.ok]
+    f[ok] = scale * k[ok] / den[ok]
     return f
 
 
@@ -66,7 +67,7 @@ def tau_tqsl(c: _Correction, basis: OrthonormalBasis) -> float:
     """The bound at the trajectory's endpoint for one basis, integrated by
     the package's one quadrature routine."""
     cum, _ = _cumulative_trapezoid(c.traj.times, integrand(c, basis))
-    return float(c.geodesic()[-1] + cum[-1])
+    return float(c.geodesic()[0, -1] + cum[-1])
 
 
 def rotation(dec, s: float) -> np.ndarray:

@@ -34,7 +34,6 @@ from tqsl import (
     correction_k_pure,
     default_initial_state,
     evolve_mixed,
-    evolve_pure,
     optimize_basis,
     random_basis,
     sample_gue,
@@ -46,10 +45,10 @@ from tqsl import (
 import sequential_optimizer as oracle
 import tqsl.bounds
 import tqsl.dynamics
-from conftest import random_density, random_pure
+from conftest import evolve_pure, random_density, random_pure
 from tqsl.bounds import (
     _climb, _Correction, _csv_row, _cumulative_trapezoid, _mixed_k_series, _random_directions,
-    _require_clean,
+    _require_clean, _series,
 )
 from tqsl.states import basis_failures, purity
 
@@ -507,6 +506,23 @@ class TestReportIsLastSeriesRow:
 
 
 class TestBoundSeries:
+    def test_a_stack_checks_every_member(self, monkeypatch):
+        # member 2 of 4 series on one grid gains 10 on its correction, past
+        # the actual time: the one report check on the stacked columns finds it
+        trajs = [gue_trajectory(seed=s, tau=1.0, steps=40)[1] for s in range(4)]
+        bases = np.stack([random_basis(3, 5 + s).matrix for s in range(4)])
+        _series(_Correction(*trajs), bases, ["a", "b", "c", "d"])
+        real = tqsl.bounds._cumulative_trapezoid
+
+        def inflated(t, f):
+            cum, err = real(t, f)
+            cum[2] += 10.0
+            return cum, err
+
+        monkeypatch.setattr(tqsl.bounds, "_cumulative_trapezoid", inflated)
+        with pytest.raises(BoundViolation, match="exceeds actual time"):
+            _series(_Correction(*trajs), bases, ["a", "b", "c", "d"])
+
     def test_first_row_is_all_zero(self):
         h, traj = gue_trajectory(seed=0, tau=1.0, steps=40)
         series = bound_series(traj, random_basis(3, 5))

@@ -18,11 +18,11 @@ from tqsl import (
     bargmann_angle_pure,
     default_initial_state,
     evolve_mixed,
-    evolve_pure,
     sample_gue,
     sample_trajectory,
 )
-from conftest import random_density, random_pure, with_spectrum
+from conftest import evolve_pure, random_density, random_pure, with_spectrum
+from tqsl.dynamics import _check_kets
 from tqsl.states import PSD_TOL
 
 
@@ -380,6 +380,44 @@ class TestTrajectoryValidation:
         mixed_parts["stack"] = np.zeros((11, 3, 3), dtype=complex)
         with pytest.raises(DimensionMismatch):
             Trajectory(**mixed_parts)
+
+
+class TestStackedKetCheck:
+    """_check_kets on several trajectories of one grid: a defect in any
+    member raises the error Trajectory raises on that member alone."""
+
+    def stacks(self):
+        psi = default_initial_state(3)
+        trajs = [sample_trajectory(sample_gue(GueConfig(dim=3, seed=s)), psi, 1.5, 60) for s in range(5)]
+        return {
+            "h": np.stack([t.hamiltonian.matrix for t in trajs]),
+            "kets": np.stack([t.stack for t in trajs]),
+            "times": trajs[0].times,
+            "s0": np.stack([t.s0 for t in trajs]),
+            "delta_h": np.array([t.delta_h for t in trajs]),
+            "hbar": 1.0,
+        }
+
+    def test_clean_stacks_pass(self):
+        _check_kets(**self.stacks())
+
+    def test_a_stretched_ket_in_one_member_raises(self):
+        stacks = self.stacks()
+        stacks["kets"][2, 7] *= 1.01
+        with pytest.raises(ValueError, match="state norm"):
+            _check_kets(**stacks)
+
+    def test_a_wrong_spread_in_one_member_raises(self):
+        stacks = self.stacks()
+        stacks["delta_h"][2] += 1e-6
+        with pytest.raises(ValueError, match="energy spread drifts"):
+            _check_kets(**stacks)
+
+    def test_a_fast_angle_in_one_member_raises(self):
+        stacks = self.stacks()
+        stacks["s0"][2, 10:] += 0.3
+        with pytest.raises(ValueError, match="outruns the pure-state rate"):
+            _check_kets(**stacks)
 
 
 class TestStatesView:

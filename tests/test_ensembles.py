@@ -14,7 +14,6 @@ from tqsl import (
     Observable,
     PureState,
     SpinChainConfig,
-    evolve_pure,
     hermitian_defect,
     random_basis,
     sample_gue,
@@ -22,6 +21,7 @@ from tqsl import (
     spin_chain_evolved_state,
     spin_chain_hamiltonian,
 )
+from conftest import evolve_pure
 from tqsl.linalg import eigh
 from spin_oracle_loop import dense_hamiltonian, evolved_ket, evolved_rows, x_string
 

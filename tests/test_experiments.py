@@ -1,9 +1,14 @@
 """Experiment runners: configs, artifacts, quarantine, property suite."""
+import dataclasses
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tqsl.bounds
 import tqsl.experiments
@@ -12,16 +17,24 @@ from tqsl import (
     ConfigError,
     ExperimentConfig,
     GueConfig,
+    Observable,
     OptimizerConfig,
     SingularIntegrand,
     default_initial_state,
+    bound_series,
     optimize_basis,
+    random_basis,
     run_experiment_gue,
     run_experiment_spin,
     run_property_suite,
     sample_gue,
     sample_trajectory,
 )
+from tqsl.bounds import _Correction, _series
+from tqsl.dynamics import _pure_trajectories
+from tqsl.ensembles import _gue_draws
+from tqsl.errors import _trusted
+from tqsl.states import _eigenbases
 
 EXPECTED_CHECKS = {
     "pure-chain",
@@ -208,17 +221,23 @@ class TestRunGue:
             run_experiment_gue(cfg)
 
     def test_optimize_mode_samples_once_and_matches_optimize_basis(self, tmp_path, monkeypatch):
+        # both seeds are sampled once, as one stack, and nothing samples again
         sampled = []
+        stacked = tqsl.experiments._pure_trajectories
 
-        def counting(*args, **kwargs):
-            sampled.append(args[2])
-            return sample_trajectory(*args, **kwargs)
+        def counting(hs, psi0, times, hbar):
+            sampled.append((len(hs), float(times[-1])))
+            return stacked(hs, psi0, times, hbar)
 
+        def again(*args, **kwargs):
+            raise AssertionError("a trajectory was sampled again")
+
+        monkeypatch.setattr(tqsl.experiments, "_pure_trajectories", counting)
         for module in (tqsl.experiments, tqsl.bounds):
-            monkeypatch.setattr(module, "sample_trajectory", counting)
+            monkeypatch.setattr(module, "sample_trajectory", again)
         cfg = gue_config(tmp_path / "g", t_max=1.0, seeds=(0, 1), basis_mode="optimize")
         summary = run_experiment_gue(cfg)
-        assert sampled == [1.0, 1.0]
+        assert sampled == [(2, 1.0)]
         for run in summary["runs"]:
             h = sample_gue(GueConfig(dim=3, seed=run["seed"]))
             traj = sample_trajectory(h, default_initial_state(3), 1.0, 60)
@@ -245,6 +264,156 @@ class TestRunGue:
         assert [r["flags"][0].split(":")[1] if r["flags"] else "csv" for r in runs] == [
             "ValidityExceeded", "BoundViolation", "csv", "BoundViolation", "ValidityExceeded",
         ]
+
+
+def _gue_drawn_one_at_a_time(dim: int, seed: int) -> np.ndarray:
+    """A GUE matrix from three Generator.normal calls: the diagonal, then the
+    real and the imaginary upper triangle."""
+    rng = np.random.default_rng(seed)
+    h = np.zeros((dim, dim), dtype=complex)
+    h[np.diag_indices(dim)] = rng.normal(0.0, math.sqrt(1.0 / dim), size=dim)
+    rows, cols = np.triu_indices(dim, k=1)
+    sigma = math.sqrt(1.0 / (2.0 * dim))
+    re = rng.normal(0.0, sigma, size=len(rows))
+    im = rng.normal(0.0, sigma, size=len(rows))
+    h[rows, cols] = re + 1j * im
+    h[cols, rows] = re - 1j * im
+    return h
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestStackedBlocks:
+    """A gue sweep computes each block of seeds as one stack. Every CSV and
+    run record must be what a one-seed sweep writes for that seed."""
+
+    def sweep_per_seed(self, out: Path, cfg: ExperimentConfig, monkeypatch) -> list:
+        """Each seed of cfg in a one-seed sweep of its own, against cfg's
+        sweep; returns that sweep's runs and the sizes of the stacks it
+        sampled, in order."""
+        blocks = []
+        stacked = tqsl.experiments._pure_trajectories
+
+        def recording(hs, *args):
+            blocks.append(len(hs))
+            return stacked(hs, *args)
+
+        monkeypatch.setattr(tqsl.experiments, "_pure_trajectories", recording)
+        runs = run_experiment_gue(cfg)["runs"]
+        swept = list(blocks)
+        for k, seed in enumerate(cfg.seeds):
+            one = dataclasses.replace(cfg, seeds=(seed,), output_path=str(out / str(k)))
+            (want,) = run_experiment_gue(one)["runs"]
+            assert list(runs[k].items()) == list(want.items()), seed
+            if "csv" in want:
+                name = want["csv"]
+                got = (Path(cfg.output_path) / name).read_bytes()
+                assert got == (out / str(k) / name).read_bytes(), seed
+        return runs, swept
+
+    @pytest.mark.parametrize("basis_mode", ["fixed-random", "identity", "optimize"])
+    @pytest.mark.parametrize("count", [1, 4, 5, 50])
+    @settings(max_examples=3, deadline=None)
+    @given(
+        dim=st.sampled_from([2, 3, 5]),
+        hbar=st.sampled_from([1.0, 2.0]),
+        t_max=st.sampled_from([1.0, 3.0]),
+        drawn=st.lists(st.integers(0, 40), min_size=50, max_size=50),
+    )
+    def test_blocks_write_what_one_seed_sweeps_write(self, basis_mode, count, dim, hbar, t_max, drawn):
+        # four seeds to a block, so the counts are one seed, one block, one
+        # block and one seed more, and many blocks with a partial last one;
+        # every list of two or more seeds repeats its first seed
+        seeds = tuple(drawn[: count - 1] + drawn[:1]) if count > 1 else tuple(drawn[:1])
+        steps = 24
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tqsl.experiments, "BLOCK_ELEMENTS", 4 * steps * dim)
+            # a shorter climb, the same for both sides
+            mp.setattr(tqsl.experiments, "OptimizerConfig", lambda: OptimizerConfig(iterations=6))
+            out = Path(tmp)
+            cfg = ExperimentConfig(
+                kind="gue", dim=dim, t_max=t_max, steps=steps, seeds=seeds, basis_mode=basis_mode,
+                hbar=hbar, output_path=str(out / "all"),
+            )
+            runs, blocks = self.sweep_per_seed(out, cfg, mp)
+        # a fixed-basis block with an error runs again one seed at a time
+        expected = []
+        for i in range(0, count, 4):
+            block = runs[i : i + 4]
+            expected.append(len(block))
+            if basis_mode != "optimize" and any(f.startswith("error:") for r in block for f in r["flags"]):
+                expected += [1] * len(block)
+        assert blocks == expected
+        if count == 50 and t_max == 3.0:
+            # the long window turns the overlap around on most seeds
+            assert any(f.startswith(("overlap-minimum", "error:ValidityExceeded")) for r in runs for f in r["flags"])
+
+    @pytest.mark.parametrize("dim", [3, 8, 64])
+    def test_stacks_match_one_item_calls_bit_for_bit(self, dim):
+        seeds = [4, 0, 4, 9, 1]
+        psi0 = default_initial_state(dim)
+        draws = _gue_drawn_one_at_a_time
+        h_stack = _gue_draws(dim, seeds)
+        bases = _eigenbases(h_stack)
+        times = np.linspace(0.0, 1.0, 200)
+        trajs = _pure_trajectories([_trusted(Observable, matrix=m) for m in h_stack], psi0, times, 0.7)
+        ids = [f"b{seed}" for seed in seeds]
+        other = [seed + 100 for seed in seeds]  # bases that are no trajectory's eigenbasis
+        series = _series(_Correction(*trajs), _eigenbases(_gue_draws(dim, other)), ids)
+        for k, seed in enumerate(seeds):
+            h = sample_gue(GueConfig(dim=dim, seed=seed))
+            assert _same_bits(h.matrix.view(np.uint64), draws(dim, seed).view(np.uint64))
+            assert _same_bits(h_stack[k].view(np.uint64), h.matrix.view(np.uint64))
+            assert _same_bits(bases[k].view(np.uint64), random_basis(dim, seed).matrix.view(np.uint64))
+            one = sample_trajectory(h, psi0, 1.0, 200, hbar=0.7)
+            for name in ("times", "stack", "s0", "overlap"):
+                assert _same_bits(getattr(trajs[k], name), getattr(one, name)), name
+            assert (repr(trajs[k].delta_h), trajs[k].valid_until) == (repr(one.delta_h), one.valid_until)
+            alone = bound_series(one, random_basis(dim, other[k]), ids[k])
+            for name in ("t", "tau_mt", "correction", "tau_tqsl", "delta", "quad_error", "validity"):
+                assert _same_bits(getattr(series[k], name), getattr(alone, name)), name
+            assert (series[k].basis_id, series[k].step) == (alone.basis_id, alone.step)
+
+    def test_the_draw_order_is_generator_normal_s(self):
+        for dim in (2, 3, 8):
+            for seed in range(100):
+                got = sample_gue(GueConfig(dim=dim, seed=seed)).matrix
+                assert _same_bits(got.view(np.uint64), _gue_drawn_one_at_a_time(dim, seed).view(np.uint64))
+
+    def doctor(self, monkeypatch, seed: int, matrix):
+        """Seed `seed`'s GUE draw becomes `matrix`, in any block."""
+        real = tqsl.experiments._gue_draws
+
+        def doctored(dim, seeds):
+            h = np.array(real(dim, seeds))
+            h[np.array(seeds) == seed] = matrix
+            return h
+
+        monkeypatch.setattr(tqsl.experiments, "_gue_draws", doctored)
+
+    def test_an_error_stays_with_its_seed(self, tmp_path, monkeypatch):
+        # seed 7's Hamiltonian is 2 * identity, in the middle of a block
+        self.doctor(monkeypatch, 7, 2.0 * np.eye(3))
+        monkeypatch.setattr(tqsl.experiments, "BLOCK_ELEMENTS", 4 * 60 * 3)
+        cfg = gue_config(tmp_path / "all", seeds=(5, 6, 7, 8, 9, 10))
+        runs, blocks = self.sweep_per_seed(tmp_path, cfg, monkeypatch)
+        # the first block failed and ran again seed by seed
+        assert blocks == [4, 1, 1, 1, 1, 2]
+        assert runs[2]["flags"][0].startswith("error:ZeroEnergyVariance:energy spread")
+        assert [k for k, r in enumerate(runs) if any(f.startswith("error:") for f in r["flags"])] == [2]
+
+    def test_a_crash_ends_the_sweep_after_the_earlier_seeds(self, tmp_path, monkeypatch):
+        # a non-finite Hamiltonian is no QslError: as one seed after another,
+        # the sweep writes seeds 5 and 6, then raises on seed 7
+        self.doctor(monkeypatch, 7, np.full((3, 3), np.nan))
+        monkeypatch.setattr(tqsl.experiments, "BLOCK_ELEMENTS", 4 * 60 * 3)
+        cfg = gue_config(tmp_path / "all", seeds=(5, 6, 7, 8, 9, 10))
+        with pytest.raises(ValueError, match="finite"):
+            run_experiment_gue(cfg)
+        assert sorted(p.name for p in (tmp_path / "all").iterdir()) == ["gue_seed5.csv", "gue_seed6.csv"]
 
 
 class TestRunSpin:
@@ -298,10 +467,10 @@ class TestRunSpin:
 
 class TestErrorQuarantine:
     def test_failing_run_is_flagged_and_batch_continues(self, tmp_path, monkeypatch):
-        def explode(traj, basis, basis_id="user"):
+        def explode(correction, bases, basis_ids):
             raise SingularIntegrand("boom")
 
-        monkeypatch.setattr(tqsl.experiments, "bound_series", explode)
+        monkeypatch.setattr(tqsl.experiments, "_series", explode)
         cfg = gue_config(tmp_path / "g", seeds=(0, 1))
         summary = run_experiment_gue(cfg)
         assert not summary["ok"]

@@ -11,6 +11,10 @@ behind them (tests/golden/).
   bound's two trapezoid codes became one cumulative routine.
 - spin8/: the 8-spin chain, CSVs and summary runs, captured before the
   closed-form spin oracle took the whole time grid in one call.
+- identity/: a 13-seed identity-basis sweep at d = 4, CSVs and summary
+  runs, captured before fixed-basis sweeps computed their seeds in stacked
+  blocks. 12 of its seeds carry an overlap-minimum flag, and 13 seeds fill
+  no whole number of blocks, so a partial block is pinned too.
 """
 import json
 from pathlib import Path
@@ -32,6 +36,10 @@ CASES = [
         ["spin", "--spins", "8", "--blocks", "1,2;2,3;3,4;4,5;5,6;6,7;7,8", "--tmax", "2.0",
          "--steps", "200", "--seeds", "0-1"],
         [f"spin8/spin_seed{s}.csv" for s in range(2)],
+    ),
+    (
+        ["gue", "--basis", "identity", "--dim", "4", "--tmax", "3.0", "--steps", "80", "--seeds", "0-12"],
+        [f"identity/gue_seed{s}.csv" for s in range(13)],
     ),
 ]
 

@@ -17,14 +17,13 @@ from tqsl import (
     basis_from_observable,
     bargmann_angle_pure,
     centered,
-    evolve_pure,
     expectation,
     purity,
     sample_gue,
     variance,
 )
-from conftest import random_density, random_pure, with_spectrum
-from tqsl.states import PSD_TOL, _require_psd, _require_unit_kets
+from conftest import evolve_pure, random_density, random_pure, with_spectrum
+from tqsl.states import PSD_TOL, _eigenbases, _require_psd, _require_unit_kets
 
 
 class TestObservable:
@@ -255,6 +254,22 @@ class TestBasisFromObservable:
         basis = basis_from_observable(g)
         gram = basis.matrix.conj().T @ basis.matrix
         assert np.max(np.abs(gram - np.eye(3))) < 1e-9
+
+    def test_a_stack_checks_every_member(self, monkeypatch):
+        # eigenvectors of member 2 of 5 come back stretched: the stack's one
+        # check must find them, with the error OrthonormalBasis raises
+        stack = np.stack([sample_gue(GueConfig(dim=3, seed=s)).matrix for s in range(5)])
+        _eigenbases(stack)
+        real = np.linalg.eigh
+
+        def stretched(m):
+            w, v = real(m)
+            v[2] *= 1.01
+            return w, v
+
+        monkeypatch.setattr(np.linalg, "eigh", stretched)
+        with pytest.raises(InvalidBasis, match="orthonormality defect"):
+            _eigenbases(stack)
 
 
 @settings(max_examples=30, deadline=None)
