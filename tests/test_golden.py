@@ -10,17 +10,23 @@ behind them (tests/golden/).
   one verdict rule. Its quadrature-order slack alone was recaptured when the
   bound's two trapezoid codes became one cumulative routine.
 - spin8/: the 8-spin chain, CSVs and summary runs, captured before the
-  closed-form spin oracle took the whole time grid in one call.
+  closed-form spin oracle took the whole time grid in one call, and
+  recaptured with BLAS pinned to one thread: its last digits move with the
+  BLAS thread count, so its cases run in a subprocess under that pin.
 - identity/: a 13-seed identity-basis sweep at d = 4, CSVs and summary
   runs, captured before fixed-basis sweeps computed their seeds in stacked
   blocks. 12 of its seeds carry an overlap-minimum flag, and 13 seeds fill
   no whole number of blocks, so a partial block is pinned too.
 """
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import tqsl
 from tqsl.cli import main
 
 GOLDEN = Path(__file__).with_name("golden")
@@ -44,6 +50,20 @@ CASES = [
 ]
 
 
+PINNED_BLAS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def _cli(argv: list, names: list) -> int:
+    """The CLI on argv, in this process, or for the spin8 cases in a
+    subprocess with every BLAS pinned to one thread."""
+    if not names[0].startswith("spin8/"):
+        return main(argv)
+    src = str(Path(tqsl.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, **PINNED_BLAS, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-m", "tqsl.cli", *argv], env=env, capture_output=True).returncode
+
+
 def _golden_json(name: str):
     return json.loads((GOLDEN / name).read_text(encoding="utf-8"))
 
@@ -56,14 +76,14 @@ def _ordered(records: list) -> list:
 @pytest.mark.parametrize("argv, names", CASES)
 def test_cli_csvs_match_golden_bytes(tmp_path, argv, names):
     out = tmp_path / Path(names[0]).parent
-    assert main([*argv, "--out", str(out)]) == 0
+    assert _cli([*argv, "--out", str(out)], names) == 0
     for name in names:
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("argv, names", CASES)
 def test_cli_summary_runs_match_golden(tmp_path, argv, names):
-    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert _cli([*argv, "--out", str(tmp_path)], names) == 0
     summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
     assert _ordered(summary["runs"]) == _ordered(_golden_json("summary_runs.json")[" ".join(argv)])
 
