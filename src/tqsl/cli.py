@@ -121,10 +121,8 @@ def _print_runs(summary: dict) -> int:
 def _print_suite(report: dict) -> int:
     for check in report["checks"]:
         mark = "ok  " if check["passed"] else "FAIL"
-        print(
-            f"{mark} {check['name']:<24} trials={check['trials']:<5} "
-            f"worst={check['worst_slack']:+.3e} tol={check['tolerance']:g}"
-        )
+        detail = check.get("error") or f"worst={check['worst_slack']:+.3e} tol={check['tolerance']:g}"
+        print(f"{mark} {check['name']:<24} trials={check['trials']:<5} {detail}")
     print("passed" if report["passed"] else "failed")
     return 0 if report["passed"] else 1
 

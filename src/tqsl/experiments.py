@@ -7,9 +7,12 @@ quarantined into the run's flags instead of aborting the batch.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
+import os
+import signal
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -148,10 +151,6 @@ def _quarantine(run: dict):
         run["flags"].append(f"error:{type(err).__name__}:{err}")
 
 
-def _write_lines(path: Path, header: str, rows) -> None:
-    path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8", newline="\n")
-
-
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8", newline="\n")
 
@@ -162,11 +161,8 @@ def _require_kind(cfg: ExperimentConfig, kind: str) -> None:
 
 
 def _run_ok(run: dict) -> bool:
-    if run.get("min_delta") is None:
-        return False
-    return run["min_delta"] >= -DELTA_TOL and not any(
-        f.startswith("error:") for f in run["flags"]
-    )
+    errors = any(f.startswith("error:") for f in run["flags"])
+    return run["min_delta"] is not None and run["min_delta"] >= -DELTA_TOL and not errors
 
 
 def run_experiment_gue(cfg: ExperimentConfig) -> dict:
@@ -187,9 +183,7 @@ def run_experiment_spin(cfg: ExperimentConfig) -> dict:
     Every seed shares one Hamiltonian and initial state, so the trajectory
     and its fidelity column are computed once and serve every run."""
     _require_kind(cfg, "spin")
-    spin_cfg = SpinChainConfig(
-        num_spins=cfg.num_spins, blocks=cfg.blocks, omega0=cfg.omega0, omega=cfg.omega
-    )
+    spin_cfg = SpinChainConfig(num_spins=cfg.num_spins, blocks=cfg.blocks, omega0=cfg.omega0, omega=cfg.omega)
     h = spin_chain_hamiltonian(spin_cfg, cfg.hbar)
     amps = np.zeros(spin_cfg.dim, dtype=complex)
     amps[0] = 1.0
@@ -201,82 +195,164 @@ def run_experiment_spin(cfg: ExperimentConfig) -> dict:
         exact = spin_chain_evolved_state(spin_cfg, psi0, traj.times)
         return traj, np.array([min(abs(complex(np.vdot(e, ket))), 1.0) for e, ket in zip(exact, traj.stack)])
 
+    with contextlib.suppress(Exception):  # once, before the sweep forks; each run meets an error again
+        sampled()
     return _run_sweep(cfg, spin_cfg.dim, lambda seeds: [sampled()[0]] * len(seeds), lambda traj: sampled()[1])
 
 
 def _run_sweep(cfg: ExperimentConfig, dim: int, sample, fidelity=None) -> dict:
     """The sweep behind both runners: `sample(seeds)` gives the pure
     trajectories of a list of seeds, in dimension `dim`, and each run writes
-    one `<kind>_seed<seed>.csv`; then summary.json.
+    one `<kind>_seed<seed>.csv`, then summary.json. `fidelity`, when given,
+    maps a trajectory to one value per grid row: the CSVs gain it as a
+    trailing column and each run its minimum.
 
-    `fidelity`, when given, maps a trajectory to one value per grid row:
-    the CSVs gain it as a trailing column and each run its minimum.
-
-    Seeds go in blocks of up to BLOCK_ELEMENTS / (steps * dim), each sampled
-    and, with a fixed basis, bounded and written as one stack. A block that
-    raises anything is computed again seed by seed, so each seed gets the
-    flag a one-seed sweep gives it, and any other error ends the sweep where
-    one seed after another would. Optimize runs are prepared, then climbed
-    in one lockstep `_climb` and written from their winners.
-    """
+    The seeds split into `_workers` contiguous shares: this process
+    computes the first and a forked child each other one, then this process
+    writes every file in seed order. A share whose child fails in any way is
+    computed here again, so the error and the files written are the serial
+    sweep's. In a share, seeds go in blocks of up to BLOCK_ELEMENTS /
+    (steps * dim), each sampled and, with a fixed basis, bounded as one
+    stack. A block that raises anything is computed again seed by seed, so
+    each seed gets the flag a one-seed sweep gives it, and any other error
+    ends the sweep where one seed after another would. Optimize runs are
+    prepared, then climbed in one lockstep `_climb`."""
     out = Path(cfg.output_path)
     out.mkdir(parents=True, exist_ok=True)
     header = BOUND_CSV_HEADER if fidelity is None else BOUND_CSV_HEADER + ",fidelity"
     runs = [{"seed": seed, "min_delta": None, "max_delta": None, "flags": []} for seed in cfg.seeds]
+    optimize = cfg.basis_mode == "optimize"
 
     def stacked(seeds: list) -> list:
         """Per seed, its trajectory and, with a fixed basis, its bound series."""
-        if cfg.basis_mode == "optimize":
+        if optimize:
             return [(traj, None) for traj in sample(seeds)]
         bases, basis_ids = _fixed_bases(cfg, dim, seeds)
         trajs = sample(seeds)
         return list(zip(trajs, _series(_Correction(*trajs), bases, basis_ids)))
 
-    def emit(run: dict, traj: Trajectory, series: BoundSeries) -> None:
+    def emit(run: dict, traj: Trajectory, series: BoundSeries, files: list) -> None:
         column = None if fidelity is None else fidelity(traj)
         rows = series.csv_rows()
         if column is not None:
             rows = [f"{row},{value:.12g}" for row, value in zip(rows, column.tolist())]
+            run["min_fidelity"] = float(column.min())
         name = f"{cfg.kind}_seed{run['seed']}.csv"
-        _write_lines(out / name, header, rows)
+        files.append((name, "\n".join([header, *rows]) + "\n"))
         if not traj.validity_clean:
             run["flags"].append(f"overlap-minimum@t={traj.times[traj.valid_until]:.6g}")
         run.update(min_delta=float(series.delta.min()), max_delta=float(series.delta.max()))
-        if column is not None:
-            run["min_fidelity"] = float(column.min())
         run.update(csv=name, basis_id=series.basis_id)
 
-    prepared = []  # optimize mode: (run, trajectory, its _Correction)
-    size = max(1, BLOCK_ELEMENTS // (cfg.steps * dim))
-    for block in (runs[i : i + size] for i in range(0, len(runs), size)):
+    def compute(share: list) -> tuple:
+        """A share's files as (name, text) in seed order, the error that ended
+        it or None, and whether its files had begun (optimize: after _climb)."""
+        files, prepared, climbed = [], [], None  # prepared: (run, trajectory, its _Correction)
+        size = max(1, BLOCK_ELEMENTS // (cfg.steps * dim))
         try:
-            done = stacked([run["seed"] for run in block])
-        except Exception:  # recomputed one seed at a time below
-            done = None
-        for i, run in enumerate(block):
-            with _quarantine(run):
-                traj, series = done[i] if done else stacked([run["seed"]])[0]
-                if series is not None:
-                    emit(run, traj, series)
-                else:
-                    _require_clean(traj)
-                    prepared.append((run, traj, _Correction(traj)))
-    if prepared:
-        climbed = _climb([c for *_, c in prepared], OptimizerConfig(), [r["seed"] for r, *_ in prepared])
-        for (run, traj, _), result in zip(prepared, climbed):
-            with _quarantine(run):
-                if isinstance(result, Exception):
-                    raise result
-                emit(run, traj, result[1])
+            for block in (share[i : i + size] for i in range(0, len(share), size)):
+                try:
+                    done = stacked([run["seed"] for run in block])
+                except Exception:  # recomputed one seed at a time below
+                    done = None
+                for i, run in enumerate(block):
+                    with _quarantine(run):
+                        traj, series = done[i] if done else stacked([run["seed"]])[0]
+                        if series is not None:
+                            emit(run, traj, series, files)
+                        else:
+                            _require_clean(traj)
+                            prepared.append((run, traj, _Correction(traj)))
+            seeds = [run["seed"] for run, *_ in prepared]
+            climbed = prepared and _climb([c for *_, c in prepared], OptimizerConfig(), seeds)
+            for (run, traj, _), result in zip(prepared, climbed):
+                with _quarantine(run):
+                    if isinstance(result, Exception):
+                        raise result
+                    emit(run, traj, result[1], files)
+        except Exception as err:
+            return files, err, not optimize or climbed is not None
+        return files, None, True
+
+    n = len(runs)
+    w = _workers(n, n * (OptimizerConfig().restarts if optimize else 1) * cfg.steps * dim)
+    shares = [slice(n * k // w, n * (k + 1) // w) for k in range(w)]
+    children, outcomes = [None] * w, []
+
+    def fetch(k: int) -> tuple:
+        """Share k's outcome: its child's, or computed here if the child failed
+        in any way."""
+        if children[k]:
+            pid, read = children[k]
+            with open(read, encoding="utf-8") as pipe:
+                payload = pipe.read()
+            status, children[k] = os.waitpid(pid, 0)[1], None
+            if status == 0:
+                with contextlib.suppress(ValueError):  # a truncated payload
+                    runs[shares[k]], files = json.loads(payload)
+                    return files, None, True
+        return compute(runs[shares[k]])
+
+    try:
+        for k in range(1, w):
+            children[k] = _fork(compute, runs[shares[k]])
+        for k in range(w):
+            outcomes.append(fetch(k))
+            if optimize and outcomes[-1][1] is not None and not outcomes[-1][2]:
+                raise outcomes[-1][1]  # serially, no optimize file comes before every climb
+            while outcomes and (not optimize or k == w - 1):  # in seed order; optimize: after every climb
+                for name, text in outcomes[0][0]:
+                    (out / name).write_text(text, encoding="utf-8", newline="\n")
+                err = outcomes.pop(0)[1]
+                if err is not None:
+                    raise err
+    finally:  # no child outlives the sweep
+        for pid, read in filter(None, children):
+            with contextlib.suppress(OSError):  # one that fetch reaped as an error struck
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                os.close(read)
     summary = {"config": asdict(cfg), "runs": runs, "ok": all(_run_ok(r) for r in runs)}
     _write_json(out / "summary.json", summary)
     return summary
 
 
+def _workers(seeds: int, work: int) -> int:
+    """Processes for a sweep of `seeds` seeds and `work` elements a round
+    (members x steps x dim): one per usable core and per BLOCK_ELEMENTS of
+    work, which outweighs a fork. Only a single-threaded Linux process
+    forks: a BLAS thread pool already runs in parallel and is unsafe to fork."""
+    try:
+        alone = hasattr(os, "fork") and len(os.listdir("/proc/self/task")) == 1
+        return max(1, min(len(os.sched_getaffinity(0)) if alone else 1, seeds, work // BLOCK_ELEMENTS))
+    except (OSError, AttributeError):  # no /proc or no sched_getaffinity
+        return 1
+
+
+def _fork(compute, share: list) -> tuple:
+    """(pid, pipe read end) of a child that runs compute(share) and sends the
+    share's run records and files back as JSON; one that fails exits 1."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write)
+        return pid, read
+    status = 1
+    try:
+        os.close(read)  # a child whose parent is gone then fails to write, and exits
+        files, err, _ = compute(share)
+        if err is None:
+            with open(write, "w", encoding="utf-8") as pipe:
+                json.dump([share, files], pipe)
+            status = 0
+    finally:
+        os._exit(status)
+
+
 # ---------------------------------------------------------------------------
 # Property suite: seeded fuzz checks over every module's stated invariants.
-# Each check reports its most adverse signed margin; a check passes when the
-# margin stays above minus its tolerance.
+# Each check returns (trials, its most adverse signed margin, tolerance); it
+# passes when the margin stays above minus its tolerance.
 
 def random_pure(rng, dim: int) -> PureState:
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
@@ -289,14 +365,14 @@ def random_density(rng, dim: int) -> DensityMatrix:
     return DensityMatrix(m / np.trace(m).real)
 
 
-def _verdict(name: str, trials: int, worst_slack: float, tolerance: float) -> dict:
-    return {
-        "name": name,
-        "trials": trials,
-        "worst_slack": worst_slack,
-        "tolerance": tolerance,
-        "passed": worst_slack >= -tolerance,
-    }
+def _verdict(name: str, check) -> dict:
+    """The report entry of check(); a QslError inside it fails the check."""
+    try:
+        trials, worst, tolerance = check()
+    except QslError as err:
+        return {"name": name, "trials": 0, "worst_slack": None, "tolerance": None, "passed": False,
+                "error": f"{type(err).__name__}: {err}"}
+    return {"name": name, "trials": trials, "worst_slack": worst, "tolerance": tolerance, "passed": worst >= -tolerance}
 
 
 def _derived_seed(rng) -> int:
@@ -311,7 +387,7 @@ def _draw(rng, dim: int, mixed: bool):
     return a, b, state, basis
 
 
-def _check_chain(trials: int, seed: int, mixed: bool) -> dict:
+def _check_chain(trials: int, seed: int, mixed: bool) -> tuple:
     rng = np.random.default_rng([seed, 1 if mixed else 0])
     worst = math.inf
     for k in range(trials):
@@ -327,10 +403,10 @@ def _check_chain(trials: int, seed: int, mixed: bool) -> dict:
         am, bm = a.matrix, b.matrix
         half_comm = 0.5 * abs(_raw_moment(am @ bm - bm @ am, state))
         worst = min(worst, da * db - tighter, tighter - cross, cross - half_comm)
-    return _verdict("mixed-chain" if mixed else "pure-chain", trials, worst, 1e-9)
+    return trials, worst, 1e-9
 
 
-def _check_moment_identity(trials: int, seed: int) -> dict:
+def _check_moment_identity(trials: int, seed: int) -> tuple:
     rng = np.random.default_rng([seed, 2])
     worst = 0.0
     for k in range(trials):
@@ -338,10 +414,10 @@ def _check_moment_identity(trials: int, seed: int) -> dict:
         mixed = k % 2 == 1
         a, b, state, _ = _draw(rng, dim, mixed)
         worst = max(worst, abs(moment_identity_residual(a, b, state)))
-    return _verdict("moment-identity", trials, -worst, 1e-9)
+    return trials, -worst, 1e-9
 
 
-def _check_f_positivity(trials: int, seed: int) -> dict:
+def _check_f_positivity(trials: int, seed: int) -> tuple:
     rng = np.random.default_rng([seed, 3])
     worst = math.inf
     for k in range(trials):
@@ -351,10 +427,10 @@ def _check_f_positivity(trials: int, seed: int) -> dict:
         abar = centered(a, rho).matrix
         f = abar @ rho.matrix @ abar
         worst = min(worst, float(np.linalg.eigvalsh(0.5 * (f + f.conj().T))[0]))
-    return _verdict("f-positivity", trials, worst, 1e-10)
+    return trials, worst, 1e-10
 
 
-def _check_side_insensitivity(trials: int, seed: int) -> dict:
+def _check_side_insensitivity(trials: int, seed: int) -> tuple:
     """Diagonal fast route against literal per-projector traces, with the
     projector attached on either side of the centered operator."""
     rng = np.random.default_rng([seed, 4])
@@ -376,10 +452,10 @@ def _check_side_insensitivity(trials: int, seed: int) -> dict:
                 sandwich = bn @ r @ bn.conj().T if attach == "left" else bn.conj().T @ r @ bn
                 total += math.sqrt(abs(complex(np.trace(f @ sandwich))))
             worst = max(worst, abs(total - fast))
-    return _verdict("side-insensitivity", trials, -worst, 1e-9)
+    return trials, -worst, 1e-9
 
 
-def _check_pure_reduction(trials: int, seed: int) -> dict:
+def _check_pure_reduction(trials: int, seed: int) -> tuple:
     rng = np.random.default_rng([seed, 5])
     worst = 0.0
     for k in range(trials):
@@ -390,10 +466,10 @@ def _check_pure_reduction(trials: int, seed: int) -> dict:
             - tighter_bound_pure(a, b, psi, basis)
         )
         worst = max(worst, diff)
-    return _verdict("pure-reduction", trials, -worst, 1e-9)
+    return trials, -worst, 1e-9
 
 
-def _check_lift_agreement(trials: int, seed: int) -> dict:
+def _check_lift_agreement(trials: int, seed: int) -> tuple:
     rng = np.random.default_rng([seed, 6])
     worst = 0.0
     for k in range(trials):
@@ -406,10 +482,10 @@ def _check_lift_agreement(trials: int, seed: int) -> dict:
             abs(expectation(a, psi) - expectation(a, rho)),
             abs(variance(a, psi) - variance(a, rho)),
         )
-    return _verdict("state-lift-agreement", trials, -worst, 1e-10)
+    return trials, -worst, 1e-10
 
 
-def _check_bargmann_symmetry(trials: int, seed: int) -> dict:
+def _check_bargmann_symmetry(trials: int, seed: int) -> tuple:
     rng = np.random.default_rng([seed, 7])
     worst = 0.0
     for k in range(trials):
@@ -422,10 +498,10 @@ def _check_bargmann_symmetry(trials: int, seed: int) -> dict:
         worst = max(
             worst, abs(bargmann_angle_mixed(rho0, rhot) - bargmann_angle_mixed(rhot, rho0))
         )
-    return _verdict("bargmann-symmetry", trials, -worst, 1e-10)
+    return trials, -worst, 1e-10
 
 
-def _check_correction_nonnegative(trials: int, seed: int) -> dict:
+def _check_correction_nonnegative(trials: int, seed: int) -> tuple:
     rng = np.random.default_rng([seed, 8])
     worst = math.inf
     for k in range(trials):
@@ -436,10 +512,10 @@ def _check_correction_nonnegative(trials: int, seed: int) -> dict:
             worst = min(worst, correction_k_mixed(a, b, state, basis))
         else:
             worst = min(worst, correction_k_pure(a, b, state, basis))
-    return _verdict("correction-nonnegative", trials, worst, 0.0)
+    return trials, worst, 0.0
 
 
-def _check_delta_nonnegative(seed: int) -> dict:
+def _check_delta_nonnegative(seed: int) -> tuple:
     worst = math.inf
     trials = 5
     for k in range(trials):
@@ -447,10 +523,10 @@ def _check_delta_nonnegative(seed: int) -> dict:
         basis = random_basis(3, seed + k + BASIS_SEED_OFFSET)
         traj = sample_trajectory(h, default_initial_state(3), 1.5, 100)
         worst = min(worst, float(bound_series(traj, basis).delta.min()))
-    return _verdict("delta-nonnegative", trials, worst, 1e-9)
+    return trials, worst, 1e-9
 
 
-def _check_quadrature_order(seed: int) -> dict:
+def _check_quadrature_order() -> tuple:
     def f(t):
         return np.sin(3.0 * t) + t * t
 
@@ -460,16 +536,15 @@ def _check_quadrature_order(seed: int) -> dict:
     e1 = abs(float(_cumulative_trapezoid(t1, f(t1))[0][-1]) - exact)
     e2 = abs(float(_cumulative_trapezoid(t2, f(t2))[0][-1]) - exact)
     ratio = e1 / e2
-    return _verdict("quadrature-order", 1, -abs(ratio - 4.0), 0.5)
+    return 1, -abs(ratio - 4.0), 0.5
 
 
-def _check_hermiticity_rejection(seed: int) -> dict:
-    caught = False
+def _check_hermiticity_rejection() -> tuple:
     try:
         Observable(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
     except NonHermitianInput:
-        caught = True
-    return _verdict("hermiticity-rejection", 1, 0.0 if caught else -1.0, 0.0)
+        return 1, 0.0, 0.0
+    return 1, -1.0, 0.0
 
 
 def run_property_suite(cfg: ExperimentConfig) -> dict:
@@ -480,20 +555,21 @@ def run_property_suite(cfg: ExperimentConfig) -> dict:
         raise ConfigError(f"verify runs take one seed, got {len(cfg.seeds)}")
     seed = cfg.seeds[0] if cfg.seeds else 0
     trials = cfg.trials
-    checks = [
-        _check_chain(trials, seed, mixed=False),
-        _check_chain(trials, seed, mixed=True),
-        _check_moment_identity(trials, seed),
-        _check_f_positivity(trials, seed),
-        _check_side_insensitivity(max(trials // 4, 1), seed),
-        _check_pure_reduction(trials, seed),
-        _check_lift_agreement(trials, seed),
-        _check_bargmann_symmetry(max(trials // 4, 1), seed),
-        _check_correction_nonnegative(trials, seed),
-        _check_delta_nonnegative(seed),
-        _check_quadrature_order(seed),
-        _check_hermiticity_rejection(seed),
-    ]
+    quarter = max(trials // 4, 1)
+    checks = [_verdict(name, check) for name, check in (
+        ("pure-chain", lambda: _check_chain(trials, seed, mixed=False)),
+        ("mixed-chain", lambda: _check_chain(trials, seed, mixed=True)),
+        ("moment-identity", lambda: _check_moment_identity(trials, seed)),
+        ("f-positivity", lambda: _check_f_positivity(trials, seed)),
+        ("side-insensitivity", lambda: _check_side_insensitivity(quarter, seed)),
+        ("pure-reduction", lambda: _check_pure_reduction(trials, seed)),
+        ("state-lift-agreement", lambda: _check_lift_agreement(trials, seed)),
+        ("bargmann-symmetry", lambda: _check_bargmann_symmetry(quarter, seed)),
+        ("correction-nonnegative", lambda: _check_correction_nonnegative(trials, seed)),
+        ("delta-nonnegative", lambda: _check_delta_nonnegative(seed)),
+        ("quadrature-order", _check_quadrature_order),
+        ("hermiticity-rejection", _check_hermiticity_rejection),
+    )]
     rng = np.random.default_rng([seed, 99])
     doubled = 0.0
     for _ in range(16):

@@ -2,6 +2,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,10 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tqsl
 import tqsl.bounds
+import tqsl.cli
 import tqsl.experiments
 from tqsl import (
     BOUND_CSV_HEADER,
+    BoundViolation,
     ConfigError,
     ExperimentConfig,
     GueConfig,
@@ -50,6 +56,12 @@ EXPECTED_CHECKS = {
     "quadrature-order",
     "hermiticity-rejection",
 }
+
+
+def serial(seeds: int, work: int) -> int:
+    """In place of experiments._workers: a sweep runs in this one process,
+    so that a test can count the calls it makes."""
+    return 1
 
 
 def gue_config(out, **overrides):
@@ -233,6 +245,7 @@ class TestRunGue:
             raise AssertionError("a trajectory was sampled again")
 
         monkeypatch.setattr(tqsl.experiments, "_pure_trajectories", counting)
+        monkeypatch.setattr(tqsl.experiments, "_workers", serial)
         for module in (tqsl.experiments, tqsl.bounds):
             monkeypatch.setattr(module, "sample_trajectory", again)
         cfg = gue_config(tmp_path / "g", t_max=1.0, seeds=(0, 1), basis_mode="optimize")
@@ -302,6 +315,7 @@ class TestStackedBlocks:
             return stacked(hs, *args)
 
         monkeypatch.setattr(tqsl.experiments, "_pure_trajectories", recording)
+        monkeypatch.setattr(tqsl.experiments, "_workers", serial)
         runs = run_experiment_gue(cfg)["runs"]
         swept = list(blocks)
         for k, seed in enumerate(cfg.seeds):
@@ -522,8 +536,115 @@ class TestPropertySuite:
         assert report["config"]["seeds"] == (0,)
         assert report["passed"]
 
+    def test_an_error_inside_a_check_fails_that_check(self, tmp_path, monkeypatch, capsys):
+        def violated(*args, **kwargs):
+            raise BoundViolation("bound 2 exceeds actual time 1")
+
+        monkeypatch.setattr(tqsl.experiments, "bound_series", violated)
+        report = run_property_suite(self.verify_config(tmp_path / "v", trials=8))
+        assert not report["passed"]
+        assert [c for c in report["checks"] if not c["passed"]] == [{
+            "name": "delta-nonnegative", "trials": 0, "worst_slack": None, "tolerance": None, "passed": False,
+            "error": "BoundViolation: bound 2 exceeds actual time 1",
+        }]
+        assert json.loads((tmp_path / "v" / "verify.json").read_text(encoding="utf-8")) == json.loads(json.dumps(report))
+        assert tqsl.cli.main(["verify", "--trials", "8", "--out", str(tmp_path / "cli")]) == 1
+        (line,) = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+        assert line.split() == ["FAIL", "delta-nonnegative", "trials=0", "BoundViolation:", *"bound 2 exceeds actual time 1".split()]
+
     def test_takes_one_seed(self, tmp_path):
         # the suite runs one seed, so it must not accept and echo a second
         with pytest.raises(ConfigError, match="one seed"):
             run_property_suite(self.verify_config(tmp_path / "v", seeds=(3, 9)))
         assert not (tmp_path / "v").exists()
+
+
+FORKED_SWEEP = Path(__file__).with_name("forked_sweep.py")
+
+
+def forked_sweep(tmp_path, kind: str, cfg: dict, variants: list, **extra) -> list:
+    """tests/forked_sweep.py on one config, in a subprocess with BLAS pinned
+    to one thread; its results, one per variant."""
+    src = str(Path(tqsl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    spec = {"kind": kind, "cfg": cfg, "out": str(tmp_path / "out"), "variants": variants, **extra}
+    done = subprocess.run([sys.executable, str(FORKED_SWEEP), json.dumps(spec)], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="sweeps fork only on Linux")
+class TestForkedSweep:
+    """A sweep split across forked children writes, flags and raises exactly
+    what the same sweep in one process does. Each forked run sees the
+    number of cores it is given, so a one-core host forks too."""
+
+    def same_as_serial(self, results: list, forks: list) -> None:
+        serial, *forked = results
+        assert serial["forks"] == 0
+        for got, want in zip(forked, forks):
+            assert got["forks"] == want, got["variant"]
+            assert (got["files"], got["error"]) == (serial["files"], serial["error"]), got["variant"]
+        assert not any(r["leftover"] for r in results)
+
+    @pytest.mark.parametrize("basis_mode, t_max, seeds, forks", [
+        # fixed bases fork from 20 seeds of 300 steps at d = 3, 2 * BLOCK_ELEMENTS
+        ("fixed-random", 3.0, 19, 0),
+        ("fixed-random", 3.0, 20, 1),
+        ("identity", 3.0, 19, 0),
+        ("identity", 3.0, 20, 1),
+        # four restarts to a seed: from 5 seeds
+        ("optimize", 1.0, 4, 0),
+        ("optimize", 1.0, 5, 1),
+    ])
+    def test_gue_bytes_match_the_serial_sweep(self, tmp_path, basis_mode, t_max, seeds, forks):
+        cfg = dict(dim=3, t_max=t_max, steps=300, seeds=list(range(seeds)), basis_mode=basis_mode)
+        results = forked_sweep(tmp_path, "gue", cfg, ["serial", 2])
+        self.same_as_serial(results, [forks])
+        assert len(results[0]["files"]) == seeds + 1 and results[0]["error"] is None
+
+    def test_three_shares(self, tmp_path):
+        # 30 seeds are 3 * BLOCK_ELEMENTS of work: two children on three cores
+        cfg = dict(dim=3, t_max=3.0, steps=300, seeds=list(range(30)))
+        self.same_as_serial(forked_sweep(tmp_path, "gue", cfg, ["serial", 3]), [2])
+
+    def test_spin8_bytes_match_the_serial_sweep(self, tmp_path):
+        cfg = dict(num_spins=8, blocks=[[i, i + 1] for i in range(1, 8)], t_max=2.0, steps=200, seeds=[0, 1])
+        results = forked_sweep(tmp_path, "spin", cfg, ["serial", 2])
+        self.same_as_serial(results, [1])
+        assert sorted(results[0]["files"]) == ["spin_seed0.csv", "spin_seed1.csv", "summary.json"]
+
+    # 20 fixed-basis seeds split 10 | 10, and 5 optimize seeds 2 | 3
+    SHARES = {"fixed-random": (3, 15), "optimize": (1, 3)}
+
+    @pytest.mark.parametrize("basis_mode", ["fixed-random", "optimize"])
+    @pytest.mark.parametrize("share", [0, 1])
+    def test_an_error_keeps_to_its_seed_in_either_share(self, tmp_path, basis_mode, share):
+        seed = self.SHARES[basis_mode][share]
+        cfg = dict(dim=3, t_max=1.0, steps=300, seeds=list(range(20 if basis_mode != "optimize" else 5)),
+                   basis_mode=basis_mode)
+        results = forked_sweep(tmp_path, "gue", cfg, ["serial", 2], doctor=[seed, "2I"])
+        self.same_as_serial(results, [1])
+        runs = json.loads(results[0]["files"]["summary.json"])["runs"]
+        flagged = [r["seed"] for r in runs if any(f.startswith("error:ZeroEnergyVariance") for f in r["flags"])]
+        assert flagged == [seed]
+
+    @pytest.mark.parametrize("basis_mode", ["fixed-random", "optimize"])
+    @pytest.mark.parametrize("share", [0, 1])
+    def test_a_crash_in_either_share_is_the_serial_crash(self, tmp_path, basis_mode, share):
+        seed = self.SHARES[basis_mode][share]
+        cfg = dict(dim=3, t_max=1.0, steps=300, seeds=list(range(20 if basis_mode != "optimize" else 5)),
+                   basis_mode=basis_mode)
+        results = forked_sweep(tmp_path, "gue", cfg, ["serial", 2], doctor=[seed, "nan"])
+        self.same_as_serial(results, [1])
+        assert results[0]["error"][0] == "ValueError"
+        # a fixed-basis sweep writes the seeds before the crash; an optimize
+        # sweep's files wait for its climb, which the crash never reaches
+        want = [f"gue_seed{s}.csv" for s in range(seed)] if basis_mode != "optimize" else []
+        assert sorted(results[0]["files"]) == sorted(want)
+
+    @pytest.mark.parametrize("child", ["killed", "truncated"])
+    def test_a_failed_child_is_computed_again_here(self, tmp_path, child):
+        cfg = dict(dim=3, t_max=1.0, steps=300, seeds=list(range(5)), basis_mode="optimize")
+        self.same_as_serial(forked_sweep(tmp_path, "gue", cfg, ["serial", 2], child=child), [1])
