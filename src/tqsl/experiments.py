@@ -13,6 +13,7 @@ import json
 import math
 import os
 import signal
+import tempfile
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -76,6 +77,10 @@ BASIS_SEED_OFFSET = 1_000_003
 # Seeds x grid points x dimension that a sweep computes as one stack: it
 # bounds the block's arrays, so memory does not grow with the seed count.
 BLOCK_ELEMENTS = 9000
+# A sweep forks into at most this many processes: the core count on which
+# forking was measured to pay (BENCH_13.json).
+MAX_WORKERS = 2
+CGROUP = Path("/sys/fs/cgroup")
 
 _KINDS = ("gue", "spin", "verify")
 _BASIS_MODES = ("fixed-random", "optimize", "identity")
@@ -161,8 +166,11 @@ def _require_kind(cfg: ExperimentConfig, kind: str) -> None:
 
 
 def _run_ok(run: dict) -> bool:
-    errors = any(f.startswith("error:") for f in run["flags"])
-    return run["min_delta"] is not None and run["min_delta"] >= -DELTA_TOL and not errors
+    if run.get("min_delta") is None:
+        return False
+    return run["min_delta"] >= -DELTA_TOL and not any(
+        f.startswith("error:") for f in run["flags"]
+    )
 
 
 def run_experiment_gue(cfg: ExperimentConfig) -> dict:
@@ -183,7 +191,9 @@ def run_experiment_spin(cfg: ExperimentConfig) -> dict:
     Every seed shares one Hamiltonian and initial state, so the trajectory
     and its fidelity column are computed once and serve every run."""
     _require_kind(cfg, "spin")
-    spin_cfg = SpinChainConfig(num_spins=cfg.num_spins, blocks=cfg.blocks, omega0=cfg.omega0, omega=cfg.omega)
+    spin_cfg = SpinChainConfig(
+        num_spins=cfg.num_spins, blocks=cfg.blocks, omega0=cfg.omega0, omega=cfg.omega
+    )
     h = spin_chain_hamiltonian(spin_cfg, cfg.hbar)
     amps = np.zeros(spin_cfg.dim, dtype=complex)
     amps[0] = 1.0
@@ -195,8 +205,9 @@ def run_experiment_spin(cfg: ExperimentConfig) -> dict:
         exact = spin_chain_evolved_state(spin_cfg, psi0, traj.times)
         return traj, np.array([min(abs(complex(np.vdot(e, ket))), 1.0) for e, ket in zip(exact, traj.stack)])
 
-    with contextlib.suppress(Exception):  # once, before the sweep forks; each run meets an error again
-        sampled()
+    if len(cfg.seeds) > 1:  # once, before the sweep may fork; each run meets an error again
+        with contextlib.suppress(Exception):
+            sampled()
     return _run_sweep(cfg, spin_cfg.dim, lambda seeds: [sampled()[0]] * len(seeds), lambda traj: sampled()[1])
 
 
@@ -208,15 +219,16 @@ def _run_sweep(cfg: ExperimentConfig, dim: int, sample, fidelity=None) -> dict:
     trailing column and each run its minimum.
 
     The seeds split into `_workers` contiguous shares: this process
-    computes the first and a forked child each other one, then this process
-    writes every file in seed order. A share whose child fails in any way is
-    computed here again, so the error and the files written are the serial
-    sweep's. In a share, seeds go in blocks of up to BLOCK_ELEMENTS /
-    (steps * dim), each sampled and, with a fixed basis, bounded as one
-    stack. A block that raises anything is computed again seed by seed, so
-    each seed gets the flag a one-seed sweep gives it, and any other error
-    ends the sweep where one seed after another would. Optimize runs are
-    prepared, then climbed in one lockstep `_climb`."""
+    computes the first and a forked child each other one. A child spools
+    its files and this process writes them, in seed order. A share whose
+    child fails in any way is computed here again, so the error and the
+    files written are the serial sweep's. In a share, seeds go in blocks of
+    up to BLOCK_ELEMENTS / (steps * dim), each sampled and, with a fixed
+    basis, bounded and written as one stack. A block that raises anything
+    is computed again seed by seed, so each seed gets the flag a one-seed
+    sweep gives it, and any other error ends the sweep where one seed after
+    another would. Optimize runs are prepared, then climbed in one lockstep
+    `_climb` and written from their winners."""
     out = Path(cfg.output_path)
     out.mkdir(parents=True, exist_ok=True)
     header = BOUND_CSV_HEADER if fidelity is None else BOUND_CSV_HEADER + ",fidelity"
@@ -231,23 +243,25 @@ def _run_sweep(cfg: ExperimentConfig, dim: int, sample, fidelity=None) -> dict:
         trajs = sample(seeds)
         return list(zip(trajs, _series(_Correction(*trajs), bases, basis_ids)))
 
-    def emit(run: dict, traj: Trajectory, series: BoundSeries, files: list) -> None:
+    def emit(run: dict, traj: Trajectory, series: BoundSeries, put) -> None:
         column = None if fidelity is None else fidelity(traj)
         rows = series.csv_rows()
         if column is not None:
             rows = [f"{row},{value:.12g}" for row, value in zip(rows, column.tolist())]
-            run["min_fidelity"] = float(column.min())
         name = f"{cfg.kind}_seed{run['seed']}.csv"
-        files.append((name, "\n".join([header, *rows]) + "\n"))
+        put(name, "\n".join([header, *rows]) + "\n")
         if not traj.validity_clean:
             run["flags"].append(f"overlap-minimum@t={traj.times[traj.valid_until]:.6g}")
         run.update(min_delta=float(series.delta.min()), max_delta=float(series.delta.max()))
+        if column is not None:
+            run["min_fidelity"] = float(column.min())
         run.update(csv=name, basis_id=series.basis_id)
 
-    def compute(share: list) -> tuple:
-        """A share's files as (name, text) in seed order, the error that ended
-        it or None, and whether its files had begun (optimize: after _climb)."""
-        files, prepared, climbed = [], [], None  # prepared: (run, trajectory, its _Correction)
+    def compute(share: list, put) -> tuple:
+        """Computes a share and hands put(name, text) each of its files in
+        seed order. Gives the error that ended it or None, and whether its
+        files had begun (optimize: after _climb)."""
+        prepared, climbed = [], None  # prepared: (run, trajectory, its _Correction)
         size = max(1, BLOCK_ELEMENTS // (cfg.steps * dim))
         try:
             for block in (share[i : i + size] for i in range(0, len(share), size)):
@@ -259,7 +273,7 @@ def _run_sweep(cfg: ExperimentConfig, dim: int, sample, fidelity=None) -> dict:
                     with _quarantine(run):
                         traj, series = done[i] if done else stacked([run["seed"]])[0]
                         if series is not None:
-                            emit(run, traj, series, files)
+                            emit(run, traj, series, put)
                         else:
                             _require_clean(traj)
                             prepared.append((run, traj, _Correction(traj)))
@@ -269,49 +283,61 @@ def _run_sweep(cfg: ExperimentConfig, dim: int, sample, fidelity=None) -> dict:
                 with _quarantine(run):
                     if isinstance(result, Exception):
                         raise result
-                    emit(run, traj, result[1], files)
+                    emit(run, traj, result[1], put)
         except Exception as err:
-            return files, err, not optimize or climbed is not None
-        return files, None, True
+            return err, not optimize or climbed is not None
+        return None, True
+
+    def write(name: str, text: str) -> None:
+        (out / name).write_text(text, encoding="utf-8", newline="\n")
 
     n = len(runs)
     w = _workers(n, n * (OptimizerConfig().restarts if optimize else 1) * cfg.steps * dim)
     shares = [slice(n * k // w, n * (k + 1) // w) for k in range(w)]
+    # A share's spool, an unlinked file in `out`, holds its files as JSON
+    # lines until they may be written. Serially, no optimize file comes
+    # before every climb, so there the first share's files wait too.
+    try:
+        spools = [tempfile.TemporaryFile("w+", encoding="utf-8", dir=out) for _ in range(w)] if w > 1 else [None]
+    except OSError:  # no spool, no fork: this process runs the sweep alone
+        w, shares, spools = 1, [slice(0, n)], [None]
     children, outcomes = [None] * w, []
 
     def fetch(k: int) -> tuple:
-        """Share k's outcome: its child's, or computed here if the child failed
-        in any way."""
+        """Share k's outcome: its child's, whose spool ends with its run
+        records, or computed here if the child failed in any way."""
         if children[k]:
-            pid, read = children[k]
-            with open(read, encoding="utf-8") as pipe:
-                payload = pipe.read()
-            status, children[k] = os.waitpid(pid, 0)[1], None
-            if status == 0:
-                with contextlib.suppress(ValueError):  # a truncated payload
-                    runs[shares[k]], files = json.loads(payload)
-                    return files, None, True
-        return compute(runs[shares[k]])
+            pid, children[k] = children[k], None
+            if os.waitpid(pid, 0)[1] == 0 and (records := _records(spools[k])) is not None:
+                runs[shares[k]] = records
+                return None, True
+            spools[k].seek(0)
+            spools[k].truncate()
+        return compute(runs[shares[k]], write if not optimize or w == 1 else functools.partial(_spool, spools[k]))
 
     try:
         for k in range(1, w):
-            children[k] = _fork(compute, runs[shares[k]])
+            with contextlib.suppress(OSError):  # a fork that fails: fetch computes the share here
+                children[k] = _fork(compute, runs[shares[k]], spools[k])
         for k in range(w):
-            outcomes.append(fetch(k))
-            if optimize and outcomes[-1][1] is not None and not outcomes[-1][2]:
-                raise outcomes[-1][1]  # serially, no optimize file comes before every climb
-            while outcomes and (not optimize or k == w - 1):  # in seed order; optimize: after every climb
-                for name, text in outcomes[0][0]:
-                    (out / name).write_text(text, encoding="utf-8", newline="\n")
-                err = outcomes.pop(0)[1]
-                if err is not None:
-                    raise err
+            err, begun = fetch(k)
+            if optimize and err is not None and not begun:
+                raise err  # serially, no optimize file comes before every climb
+            outcomes.append((k, err))
+            if not optimize or k == w - 1:  # in seed order; optimize: after every climb
+                for j, err in outcomes:
+                    for name, text in _unspool(spools[j]):
+                        write(name, text)
+                    if err is not None:
+                        raise err
+                outcomes.clear()
     finally:  # no child outlives the sweep
-        for pid, read in filter(None, children):
-            with contextlib.suppress(OSError):  # one that fetch reaped as an error struck
+        for pid in filter(None, children):
+            with contextlib.suppress(OSError):  # one reaped elsewhere
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-                os.close(read)
+        for spool in filter(None, spools):
+            spool.close()
     summary = {"config": asdict(cfg), "runs": runs, "ok": all(_run_ok(r) for r in runs)}
     _write_json(out / "summary.json", summary)
     return summary
@@ -324,29 +350,67 @@ def _workers(seeds: int, work: int) -> int:
     forks: a BLAS thread pool already runs in parallel and is unsafe to fork."""
     try:
         alone = hasattr(os, "fork") and len(os.listdir("/proc/self/task")) == 1
-        return max(1, min(len(os.sched_getaffinity(0)) if alone else 1, seeds, work // BLOCK_ELEMENTS))
-    except (OSError, AttributeError):  # no /proc or no sched_getaffinity
+        return max(1, min(_cores() if alone else 1, seeds, work // BLOCK_ELEMENTS))
+    except (OSError, AttributeError, ValueError):  # no /proc, no sched_getaffinity, an unreadable quota
         return 1
 
 
-def _fork(compute, share: list) -> tuple:
-    """(pid, pipe read end) of a child that runs compute(share) and sends the
-    share's run records and files back as JSON; one that fails exits 1."""
-    read, write = os.pipe()
+def _cores() -> int:
+    """Usable cores: this process's CPU affinity, capped at MAX_WORKERS and
+    at the CPU time its cgroup grants (v2 cpu.max, else v1's CFS quota)."""
+    try:
+        quota, period = (CGROUP / "cpu.max").read_text().split()
+    except OSError:
+        try:
+            quota, period = ((CGROUP / f"cpu/cpu.cfs_{f}_us").read_text() for f in ("quota", "period"))
+        except OSError:  # no cgroup file system
+            quota, period = "max", "1"
+    granted = math.inf if quota.strip() in ("max", "-1") else int(quota) / int(period)
+    return int(min(len(os.sched_getaffinity(0)), MAX_WORKERS, granted))
+
+
+def _fork(compute, share: list, spool) -> int:
+    """The pid of a child that runs compute(share, put), put adding each file
+    to `spool`, then adds the share's run records; one that fails exits 1."""
     pid = os.fork()
     if pid:
-        os.close(write)
-        return pid, read
+        return pid
     status = 1
     try:
-        os.close(read)  # a child whose parent is gone then fails to write, and exits
-        files, err, _ = compute(share)
-        if err is None:
-            with open(write, "w", encoding="utf-8") as pipe:
-                json.dump([share, files], pipe)
+        if compute(share, functools.partial(_spool, spool))[0] is None:
+            _spool(spool, None, share)
+            spool.flush()
             status = 0
     finally:
         os._exit(status)
+
+
+def _spool(spool, name: str | None, value) -> None:
+    """One line on a spool: a file's name and text, or None and run records."""
+    spool.write(json.dumps([name, value]) + "\n")
+
+
+def _records(spool) -> list | None:
+    """The run records on a spool's last line, or None if that line is not
+    there whole."""
+    spool.seek(0)
+    last = "null"
+    for last in spool:
+        pass
+    with contextlib.suppress(ValueError, TypeError):  # a truncated spool
+        name, records = json.loads(last)
+        return records if name is None else None
+    return None
+
+
+def _unspool(spool):
+    """The (name, text) of each file on a spool, if there is one."""
+    if spool is not None:
+        spool.seek(0)
+        for line in spool:
+            name, text = json.loads(line)
+            if name is not None:
+                yield name, text
 
 
 # ---------------------------------------------------------------------------

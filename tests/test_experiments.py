@@ -365,6 +365,24 @@ class TestStackedBlocks:
             # the long window turns the overlap around on most seeds
             assert any(f.startswith(("overlap-minimum", "error:ValidityExceeded")) for r in runs for f in r["flags"])
 
+    @pytest.mark.parametrize("basis_mode", ["fixed-random", "identity"])
+    def test_each_block_is_written_before_the_next_is_sampled(self, tmp_path, monkeypatch, basis_mode):
+        # a fixed-basis sweep keeps no seed's CSV text past its block, so its
+        # memory does not grow with the seed count
+        out = tmp_path / "g"
+        on_disk = []
+        stacked = tqsl.experiments._pure_trajectories
+
+        def recording(hs, *args):
+            on_disk.append(sorted(p.name for p in out.glob("*.csv")))
+            return stacked(hs, *args)
+
+        monkeypatch.setattr(tqsl.experiments, "_pure_trajectories", recording)
+        monkeypatch.setattr(tqsl.experiments, "_workers", serial)
+        monkeypatch.setattr(tqsl.experiments, "BLOCK_ELEMENTS", 4 * 24 * 3)
+        run_experiment_gue(gue_config(out, steps=24, seeds=tuple(range(10)), basis_mode=basis_mode))
+        assert on_disk == [sorted(f"gue_seed{s}.csv" for s in range(done)) for done in (0, 4, 8)]
+
     @pytest.mark.parametrize("dim", [3, 8, 64])
     def test_stacks_match_one_item_calls_bit_for_bit(self, dim):
         seeds = [4, 0, 4, 9, 1]
@@ -559,6 +577,38 @@ class TestPropertySuite:
         assert not (tmp_path / "v").exists()
 
 
+class TestCores:
+    """A sweep uses no more processes than this process's CPU affinity, its
+    cgroup's CPU quota and MAX_WORKERS allow."""
+
+    V1 = ("cpu/cpu.cfs_quota_us", "cpu/cpu.cfs_period_us")
+
+    @pytest.mark.parametrize("files, max_workers, want", [
+        ({}, 2, 2),  # no cgroup file system: no quota
+        ({"cpu.max": "max 100000\n"}, 2, 2),
+        ({"cpu.max": "150000 100000\n"}, 2, 1),  # one and a half CPUs: one process
+        ({"cpu.max": "350000 100000\n"}, 8, 3),
+        ({"cpu.max": "800000 100000\n"}, 2, 2),
+        ({V1[0]: "-1\n", V1[1]: "100000\n"}, 2, 2),
+        ({V1[0]: "100000\n", V1[1]: "100000\n"}, 2, 1),
+        ({}, 16, 8),  # the affinity's eight cores
+    ])
+    def test_the_lowest_cap_holds(self, tmp_path, monkeypatch, files, max_workers, want):
+        for name, text in files.items():
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_text(text)
+        monkeypatch.setattr(tqsl.experiments, "CGROUP", tmp_path)
+        monkeypatch.setattr(tqsl.experiments, "MAX_WORKERS", max_workers)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        assert tqsl.experiments._cores() == want
+
+    def test_an_unreadable_quota_raises_for_workers_to_catch(self, tmp_path, monkeypatch):
+        (tmp_path / "cpu.max").write_text("garbage\n")
+        monkeypatch.setattr(tqsl.experiments, "CGROUP", tmp_path)
+        with pytest.raises(ValueError):
+            tqsl.experiments._cores()
+
+
 FORKED_SWEEP = Path(__file__).with_name("forked_sweep.py")
 
 
@@ -580,11 +630,14 @@ class TestForkedSweep:
     what the same sweep in one process does. Each forked run sees the
     number of cores it is given, so a one-core host forks too."""
 
-    def same_as_serial(self, results: list, forks: list) -> None:
+    def same_as_serial(self, results: list, forks: list, taken: int | None = None) -> None:
+        """Each forked variant made its count of forks, and this process took
+        the spools of `taken` children (default: every one)."""
         serial, *forked = results
         assert serial["forks"] == 0
         for got, want in zip(forked, forks):
             assert got["forks"] == want, got["variant"]
+            assert got["taken"] == (want if taken is None else taken), got["variant"]
             assert (got["files"], got["error"]) == (serial["files"], serial["error"]), got["variant"]
         assert not any(r["leftover"] for r in results)
 
@@ -637,14 +690,15 @@ class TestForkedSweep:
         cfg = dict(dim=3, t_max=1.0, steps=300, seeds=list(range(20 if basis_mode != "optimize" else 5)),
                    basis_mode=basis_mode)
         results = forked_sweep(tmp_path, "gue", cfg, ["serial", 2], doctor=[seed, "nan"])
-        self.same_as_serial(results, [1])
+        self.same_as_serial(results, [1], taken=0)
         assert results[0]["error"][0] == "ValueError"
         # a fixed-basis sweep writes the seeds before the crash; an optimize
         # sweep's files wait for its climb, which the crash never reaches
         want = [f"gue_seed{s}.csv" for s in range(seed)] if basis_mode != "optimize" else []
         assert sorted(results[0]["files"]) == sorted(want)
 
-    @pytest.mark.parametrize("child", ["killed", "truncated"])
+    @pytest.mark.parametrize("child", ["killed", "truncated", "unforked"])
     def test_a_failed_child_is_computed_again_here(self, tmp_path, child):
+        # "unforked": os.fork raises, and the share is computed here
         cfg = dict(dim=3, t_max=1.0, steps=300, seeds=list(range(5)), basis_mode="optimize")
-        self.same_as_serial(forked_sweep(tmp_path, "gue", cfg, ["serial", 2], child=child), [1])
+        self.same_as_serial(forked_sweep(tmp_path, "gue", cfg, ["serial", 2], child=child), [1], taken=0)
