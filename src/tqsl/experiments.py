@@ -80,7 +80,11 @@ BLOCK_ELEMENTS = 9000
 # A sweep forks into at most this many processes: the core count on which
 # forking was measured to pay (BENCH_13.json).
 MAX_WORKERS = 2
+# Seeds x dim**3 of a block's fixed-basis eigensolve that a helper child
+# computes: a 128-dim eigh takes 3 ms, as a fork and its spool take 3-4 ms.
+HELPER_WORK = 128**3
 CGROUP = Path("/sys/fs/cgroup")
+PROC_CGROUP = Path("/proc/self/cgroup")
 
 _KINDS = ("gue", "spin", "verify")
 _BASIS_MODES = ("fixed-random", "optimize", "identity")
@@ -138,13 +142,14 @@ def default_initial_state(dim: int) -> PureState:
     return PureState(np.full(dim, 1.0 / math.sqrt(dim), dtype=complex))
 
 
-def _fixed_bases(cfg: ExperimentConfig, dim: int, seeds: list) -> tuple:
+def _fixed_bases(cfg: ExperimentConfig, dim: int, seeds: list, helped=None) -> tuple:
     """The fixed bases of a block of runs as a (k, d, d) stack, and their
-    basis_ids."""
+    basis_ids; `helped`, if given, is the stack a helper child computed."""
     if cfg.basis_mode == "identity":
         return np.broadcast_to(np.eye(dim, dtype=complex), (len(seeds), dim, dim)), ["identity"] * len(seeds)
     basis_seeds = [seed + BASIS_SEED_OFFSET for seed in seeds]
-    return _eigenbases(_gue_draws(dim, basis_seeds)), [f"gue-eigenbasis:seed={s}" for s in basis_seeds]
+    stack = _eigenbases(_gue_draws(dim, basis_seeds)) if helped is None else helped
+    return stack, [f"gue-eigenbasis:seed={s}" for s in basis_seeds]
 
 
 @contextmanager
@@ -224,7 +229,8 @@ def _run_sweep(cfg: ExperimentConfig, dim: int, sample, fidelity=None) -> dict:
     child fails in any way is computed here again, so the error and the
     files written are the serial sweep's. In a share, seeds go in blocks of
     up to BLOCK_ELEMENTS / (steps * dim), each sampled and, with a fixed
-    basis, bounded and written as one stack. A block that raises anything
+    basis, bounded and written as one stack (a large fixed-random block's
+    bases by a forked helper, if a core is spare). A block that raises anything
     is computed again seed by seed, so each seed gets the flag a one-seed
     sweep gives it, and any other error ends the sweep where one seed after
     another would. Optimize runs are prepared, then climbed in one lockstep
@@ -239,8 +245,16 @@ def _run_sweep(cfg: ExperimentConfig, dim: int, sample, fidelity=None) -> dict:
         """Per seed, its trajectory and, with a fixed basis, its bound series."""
         if optimize:
             return [(traj, None) for traj in sample(seeds)]
-        bases, basis_ids = _fixed_bases(cfg, dim, seeds)
-        trajs = sample(seeds)
+        with contextlib.ExitStack() as stack:
+            pid = spool = None
+            if helper and len(seeds) * dim**3 >= HELPER_WORK:
+                with contextlib.suppress(OSError):  # no spool: no helper
+                    spool = stack.enter_context(tempfile.TemporaryFile(dir=out))
+                    pid = _fork(lambda f: np.save(f, _fixed_bases(cfg, dim, seeds)[0]), spool, children)
+            try:
+                trajs = sample(seeds)
+            finally:  # serially the bases come first, so their error wins over sampling's
+                bases, basis_ids = _fixed_bases(cfg, dim, seeds, _loaded(spool) if reaped(pid) else None)
         return list(zip(trajs, _series(_Correction(*trajs), bases, basis_ids)))
 
     def emit(run: dict, traj: Trajectory, series: BoundSeries, put) -> None:
@@ -291,8 +305,24 @@ def _run_sweep(cfg: ExperimentConfig, dim: int, sample, fidelity=None) -> dict:
     def write(name: str, text: str) -> None:
         (out / name).write_text(text, encoding="utf-8", newline="\n")
 
+    def shared(k: int, spool) -> None:
+        """A share's payload: its files on its spool, then its run records."""
+        if (err := compute(runs[shares[k]], functools.partial(_spool, spool))[0]) is not None:
+            raise err
+        _spool(spool, None, runs[shares[k]])
+
+    def reaped(pid: int | None) -> bool:
+        """Waits for a child, if there is one: whether it exited 0."""
+        if pid is None:
+            return False
+        status = os.waitpid(pid, 0)[1]
+        children.remove(pid)
+        return status == 0
+
     n = len(runs)
     w = _workers(n, n * (OptimizerConfig().restarts if optimize else 1) * cfg.steps * dim)
+    # a helper is one process more than the shares: there must be a core for it
+    helper = cfg.basis_mode == "fixed-random" and _workers(w + 1, (w + 1) * BLOCK_ELEMENTS) > w
     shares = [slice(n * k // w, n * (k + 1) // w) for k in range(w)]
     # A share's spool, an unlinked file in `out`, holds its files as JSON
     # lines until they may be written. Serially, no optimize file comes
@@ -301,14 +331,13 @@ def _run_sweep(cfg: ExperimentConfig, dim: int, sample, fidelity=None) -> dict:
         spools = [tempfile.TemporaryFile("w+", encoding="utf-8", dir=out) for _ in range(w)] if w > 1 else [None]
     except OSError:  # no spool, no fork: this process runs the sweep alone
         w, shares, spools = 1, [slice(0, n)], [None]
-    children, outcomes = [None] * w, []
+    children, pids, outcomes = [], [None] * w, []  # children: every child not yet reaped
 
     def fetch(k: int) -> tuple:
         """Share k's outcome: its child's, whose spool ends with its run
         records, or computed here if the child failed in any way."""
-        if children[k]:
-            pid, children[k] = children[k], None
-            if os.waitpid(pid, 0)[1] == 0 and (records := _records(spools[k])) is not None:
+        if pids[k] is not None:
+            if reaped(pids[k]) and (records := _records(spools[k])) is not None:
                 runs[shares[k]] = records
                 return None, True
             spools[k].seek(0)
@@ -316,9 +345,8 @@ def _run_sweep(cfg: ExperimentConfig, dim: int, sample, fidelity=None) -> dict:
         return compute(runs[shares[k]], write if not optimize or w == 1 else functools.partial(_spool, spools[k]))
 
     try:
-        for k in range(1, w):
-            with contextlib.suppress(OSError):  # a fork that fails: fetch computes the share here
-                children[k] = _fork(compute, runs[shares[k]], spools[k])
+        for k in range(1, w):  # a fork that fails: fetch computes the share here
+            pids[k] = _fork(functools.partial(shared, k), spools[k], children)
         for k in range(w):
             err, begun = fetch(k)
             if optimize and err is not None and not begun:
@@ -332,7 +360,7 @@ def _run_sweep(cfg: ExperimentConfig, dim: int, sample, fidelity=None) -> dict:
                         raise err
                 outcomes.clear()
     finally:  # no child outlives the sweep
-        for pid in filter(None, children):
+        for pid in children:
             with contextlib.suppress(OSError):  # one reaped elsewhere
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
@@ -357,30 +385,44 @@ def _workers(seeds: int, work: int) -> int:
 
 def _cores() -> int:
     """Usable cores: this process's CPU affinity, capped at MAX_WORKERS and
-    at the CPU time its cgroup grants (v2 cpu.max, else v1's CFS quota)."""
+    at the lowest CPU time granted on its cgroup's path, from its own cgroup
+    up to the root (v2 cpu.max, v1's CFS quota)."""
     try:
-        quota, period = (CGROUP / "cpu.max").read_text().split()
-    except OSError:
-        try:
-            quota, period = ((CGROUP / f"cpu/cpu.cfs_{f}_us").read_text() for f in ("quota", "period"))
-        except OSError:  # no cgroup file system
-            quota, period = "max", "1"
-    granted = math.inf if quota.strip() in ("max", "-1") else int(quota) / int(period)
+        lines = PROC_CGROUP.read_text().splitlines()
+    except OSError:  # no /proc: the root's quota alone
+        lines = []
+    paths = {"": "/", "cpu": "/"}  # the v2 path, and v1's of the cpu controller
+    for line in lines:
+        _, controllers, path = line.split(":", 2)
+        paths.update(dict.fromkeys({"", "cpu"} & set(controllers.split(",")), path))
+    granted = math.inf
+    for controller, names in (("", ["cpu.max"]), ("cpu", ["cpu.cfs_quota_us", "cpu.cfs_period_us"])):
+        own = Path(paths[controller])
+        for group in (CGROUP / controller / path.relative_to("/") for path in (own, *own.parents)):
+            try:
+                quota, period = " ".join((group / f).read_text() for f in names).split()
+            except OSError:  # not there: no quota at this level
+                continue
+            granted = min(granted, math.inf if quota in ("max", "-1") else int(quota) / int(period))
     return int(min(len(os.sched_getaffinity(0)), MAX_WORKERS, granted))
 
 
-def _fork(compute, share: list, spool) -> int:
-    """The pid of a child that runs compute(share, put), put adding each file
-    to `spool`, then adds the share's run records; one that fails exits 1."""
-    pid = os.fork()
+def _fork(payload, spool, children: list) -> int | None:
+    """The pid of a child that runs payload(spool), a share's or a helper's
+    work, flushes the spool and exits 0, or exits 1 if payload raises. The
+    pid joins `children`; a fork that fails (OSError) gives None."""
+    try:
+        pid = os.fork()
+    except OSError:
+        return None
     if pid:
+        children.append(pid)
         return pid
     status = 1
     try:
-        if compute(share, functools.partial(_spool, spool))[0] is None:
-            _spool(spool, None, share)
-            spool.flush()
-            status = 0
+        payload(spool)
+        spool.flush()
+        status = 0
     finally:
         os._exit(status)
 
@@ -400,6 +442,14 @@ def _records(spool) -> list | None:
     with contextlib.suppress(ValueError, TypeError):  # a truncated spool
         name, records = json.loads(last)
         return records if name is None else None
+    return None
+
+
+def _loaded(spool) -> np.ndarray | None:
+    """The array a child saved on a spool, or None if it is not there whole."""
+    with contextlib.suppress(ValueError, EOFError, OSError):
+        spool.seek(0)
+        return np.load(spool)
     return None
 
 

@@ -1,7 +1,8 @@
 """Run one sweep config in this process, once per variant, and print what
 each run left behind as one JSON line: the files written (bytes as latin-1
-text), the error raised, the forks tried, the children whose spooled
-files and run records were taken, and whether a child outlived it.
+text), the error raised, the forks tried, the children whose spools were
+taken (a share's files and run records, or a helper's bases), and whether
+a child outlived it.
 
     python tests/forked_sweep.py '<spec as JSON>'
 
@@ -9,12 +10,15 @@ The spec holds `kind` ("gue" or "spin"), `cfg` (ExperimentConfig fields
 but kind and output_path), `out` (the output directory, emptied before
 each run) and `variants`: "serial" pins the sweep to this process, and an
 integer N makes the sweep see N usable cores, whatever its CPU quota or
-MAX_WORKERS, so that it forks on a host with fewer. Optional:
-`block_elements` (BLOCK_ELEMENTS for every variant), `doctor` ([seed, "2I"
-or "nan"]: that seed's GUE draw becomes 2 * identity or all NaN) and
-`child` ("killed", "truncated" or "unforked": each forked child dies by
-SIGKILL, or spools only the start of its last line and exits 0; or each
-fork fails with EAGAIN).
+MAX_WORKERS, so that it forks on a host with fewer: with one core to
+spare, a fixed-random sweep's large blocks fork a helper for their bases.
+Optional: `block_elements` (BLOCK_ELEMENTS for every variant), `doctor`
+(a list of [seed, "2I", "nan" or "raise"]: that seed's GUE draw becomes
+2 * identity or all NaN, or a draw that holds it raises a QslError naming
+the seed; a basis draws seed + BASIS_SEED_OFFSET) and `child` ("killed",
+"failing", "truncated" or "unforked": each forked child dies by SIGKILL,
+exits 1 before its work, or does its work, loses the last bytes of its
+spool and exits 0; or each fork fails with EAGAIN).
 
 BLAS is pinned to one thread before numpy is imported, so the process is
 single-threaded and the sweep may fork.
@@ -46,15 +50,17 @@ def patch(spec: dict, variant) -> None:
 
 
 def failing_fork(how: str):
-    def fork(compute, share, spool):
-        def dying(share, put):
+    def fork(payload, spool, children):
+        def dying(spool):
             if how == "killed":
                 os.kill(os.getpid(), signal.SIGKILL)
-            outcome = compute(share, put)
-            ex._spool = lambda spool, name, value: spool.write(json.dumps([name, value])[:100])
-            return outcome
+            if how == "failing":
+                raise RuntimeError("a failing child")
+            payload(spool)
+            spool.flush()
+            os.ftruncate(spool.fileno(), os.fstat(spool.fileno()).st_size - 8)
 
-        return FORK(dying, share, spool)
+        return FORK(dying, spool, children)
 
     return fork
 
@@ -63,8 +69,11 @@ def doctor(seed: int, kind: str) -> None:
     real = ex._gue_draws
 
     def doctored(dim, seeds):
+        if kind == "raise" and seed in seeds:
+            raise ex.QslError(f"doctored draw {seed}")
         h = np.array(real(dim, seeds))
-        h[np.array(seeds) == seed] = DOCTORED[kind](dim)
+        if kind != "raise":
+            h[np.array(seeds) == seed] = DOCTORED[kind](dim)
         return h
 
     ex._gue_draws = doctored
@@ -83,12 +92,15 @@ def run(spec: dict, variant) -> dict:
             raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
         return real_fork()
 
-    def records(spool):
-        found = RECORDS(spool)
-        taken.append(found is not None)
+    def taking(read):
+        def found(spool):
+            got = read(spool)
+            taken.append(got is not None)
+            return got
+
         return found
 
-    os.fork, ex._records = counting, records
+    os.fork, ex._records, ex._loaded = counting, taking(RECORDS), taking(LOADED)
     cfg = ex.ExperimentConfig(kind=spec["kind"], output_path=str(out), **spec["cfg"])
     runner = ex.run_experiment_gue if spec["kind"] == "gue" else ex.run_experiment_spin
     error = None
@@ -108,12 +120,12 @@ def run(spec: dict, variant) -> dict:
             "leftover": leftover}
 
 
-WORKERS, CORES, FORK, RECORDS = ex._workers, ex._cores, ex._fork, ex._records
+WORKERS, CORES, FORK, RECORDS, LOADED = ex._workers, ex._cores, ex._fork, ex._records, ex._loaded
 
 if __name__ == "__main__":
     spec = json.loads(sys.argv[1])
     if spec.get("block_elements"):
         ex.BLOCK_ELEMENTS = spec["block_elements"]
-    if spec.get("doctor"):
-        doctor(*spec["doctor"])
+    for seed, kind in spec.get("doctor", []):
+        doctor(seed, kind)
     print(json.dumps([run(spec, variant) for variant in spec["variants"]]))

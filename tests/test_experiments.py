@@ -578,10 +578,25 @@ class TestPropertySuite:
 
 
 class TestCores:
-    """A sweep uses no more processes than this process's CPU affinity, its
-    cgroup's CPU quota and MAX_WORKERS allow."""
+    """A sweep uses no more processes than this process's CPU affinity, the
+    CPU quotas on its cgroup's path and MAX_WORKERS allow."""
 
     V1 = ("cpu/cpu.cfs_quota_us", "cpu/cpu.cfs_period_us")
+
+    def cores(self, root: Path, monkeypatch, files: dict, cgroup: str | None = None, max_workers: int = 2) -> int:
+        """_cores() with eight cores of affinity, on a fake cgroup file system
+        that holds `files` and a fake /proc/self/cgroup that holds `cgroup`
+        (no such file if None)."""
+        for name, text in files.items():
+            (root / "fs" / name).parent.mkdir(parents=True, exist_ok=True)
+            (root / "fs" / name).write_text(text)
+        if cgroup is not None:
+            (root / "cgroup").write_text(cgroup)
+        monkeypatch.setattr(tqsl.experiments, "CGROUP", root / "fs")
+        monkeypatch.setattr(tqsl.experiments, "PROC_CGROUP", root / "cgroup")
+        monkeypatch.setattr(tqsl.experiments, "MAX_WORKERS", max_workers)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        return tqsl.experiments._cores()
 
     @pytest.mark.parametrize("files, max_workers, want", [
         ({}, 2, 2),  # no cgroup file system: no quota
@@ -594,19 +609,48 @@ class TestCores:
         ({}, 16, 8),  # the affinity's eight cores
     ])
     def test_the_lowest_cap_holds(self, tmp_path, monkeypatch, files, max_workers, want):
-        for name, text in files.items():
-            (tmp_path / name).parent.mkdir(exist_ok=True)
-            (tmp_path / name).write_text(text)
-        monkeypatch.setattr(tqsl.experiments, "CGROUP", tmp_path)
-        monkeypatch.setattr(tqsl.experiments, "MAX_WORKERS", max_workers)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-        assert tqsl.experiments._cores() == want
+        # no /proc/self/cgroup: the root's quota alone
+        assert self.cores(tmp_path, monkeypatch, files, max_workers=max_workers) == want
+
+    PERIODS = {"cpu.max": " 100000\n", "cpu.cfs_quota_us": "\n"}
+
+    @pytest.mark.parametrize("cgroup, quotas, want", [
+        # v2: the process's own cgroup, below the root's quota and an ancestor's
+        ("0::/a/b\n", {"cpu.max": "800000", "a/cpu.max": "max", "a/b/cpu.max": "150000"}, 1),
+        # v2: an ancestor's quota binds a cgroup that has none
+        ("0::/a/b\n", {"a/cpu.max": "100000", "a/b/cpu.max": "max"}, 1),
+        # v2: the root's quota binds a looser nested one
+        ("0::/a/b\n", {"cpu.max": "100000", "a/b/cpu.max": "800000"}, 1),
+        ("0::/a/b\n", {"a/b/cpu.max": "350000"}, 3),
+        # a cgroup the file system does not show: the levels it shows
+        ("0::/elsewhere/c\n", {"cpu.max": "350000"}, 3),
+        # v1: the cpu controller's line, here joined with cpuacct, on a
+        # hybrid host whose v2 hierarchy has no cpu controller
+        ("4:memory:/m\n3:cpu,cpuacct:/a/b\n0::/\n", {"cpu/a/b/cpu.cfs_quota_us": "100000"}, 1),
+        ("2:cpu:/a/b\n", {"cpu/cpu.cfs_quota_us": "-1", "cpu/a/cpu.cfs_quota_us": "150000"}, 1),
+        # v1: another controller's path is not the cpu controller's
+        ("3:memory:/a\n2:cpuacct:/a\n1:cpu:/\n", {"cpu/a/cpu.cfs_quota_us": "100000"}, 8),
+    ])
+    def test_the_lowest_quota_on_the_path_holds(self, tmp_path, monkeypatch, cgroup, quotas, want):
+        files = {}
+        for name, quota in quotas.items():
+            leaf = Path(name).name
+            files[name] = quota + self.PERIODS[leaf]
+            if leaf == "cpu.cfs_quota_us":
+                files[str(Path(name).with_name("cpu.cfs_period_us"))] = "100000\n"
+        assert self.cores(tmp_path, monkeypatch, files, cgroup, max_workers=16) == want
 
     def test_an_unreadable_quota_raises_for_workers_to_catch(self, tmp_path, monkeypatch):
-        (tmp_path / "cpu.max").write_text("garbage\n")
-        monkeypatch.setattr(tqsl.experiments, "CGROUP", tmp_path)
         with pytest.raises(ValueError):
-            tqsl.experiments._cores()
+            self.cores(tmp_path, monkeypatch, {"cpu.max": "garbage\n"})
+
+    @pytest.mark.parametrize("cgroup, files", [
+        ("0::/a\n", {"a/cpu.max": "garbage\n"}),  # a nested quota
+        ("no colons here\n", {}),  # a line of /proc/self/cgroup
+    ])
+    def test_an_unreadable_nested_quota_raises_too(self, tmp_path, monkeypatch, cgroup, files):
+        with pytest.raises(ValueError):
+            self.cores(tmp_path, monkeypatch, files, cgroup)
 
 
 FORKED_SWEEP = Path(__file__).with_name("forked_sweep.py")
@@ -677,7 +721,7 @@ class TestForkedSweep:
         seed = self.SHARES[basis_mode][share]
         cfg = dict(dim=3, t_max=1.0, steps=300, seeds=list(range(20 if basis_mode != "optimize" else 5)),
                    basis_mode=basis_mode)
-        results = forked_sweep(tmp_path, "gue", cfg, ["serial", 2], doctor=[seed, "2I"])
+        results = forked_sweep(tmp_path, "gue", cfg, ["serial", 2], doctor=[[seed, "2I"]])
         self.same_as_serial(results, [1])
         runs = json.loads(results[0]["files"]["summary.json"])["runs"]
         flagged = [r["seed"] for r in runs if any(f.startswith("error:ZeroEnergyVariance") for f in r["flags"])]
@@ -689,7 +733,7 @@ class TestForkedSweep:
         seed = self.SHARES[basis_mode][share]
         cfg = dict(dim=3, t_max=1.0, steps=300, seeds=list(range(20 if basis_mode != "optimize" else 5)),
                    basis_mode=basis_mode)
-        results = forked_sweep(tmp_path, "gue", cfg, ["serial", 2], doctor=[seed, "nan"])
+        results = forked_sweep(tmp_path, "gue", cfg, ["serial", 2], doctor=[[seed, "nan"]])
         self.same_as_serial(results, [1], taken=0)
         assert results[0]["error"][0] == "ValueError"
         # a fixed-basis sweep writes the seeds before the crash; an optimize
@@ -702,3 +746,44 @@ class TestForkedSweep:
         # "unforked": os.fork raises, and the share is computed here
         cfg = dict(dim=3, t_max=1.0, steps=300, seeds=list(range(5)), basis_mode="optimize")
         self.same_as_serial(forked_sweep(tmp_path, "gue", cfg, ["serial", 2], child=child), [1], taken=0)
+
+    SPIN8 = dict(num_spins=8, blocks=[[i, i + 1] for i in range(1, 8)], t_max=2.0, steps=200)
+    SPIN8_ARGV = "spin --spins 8 --blocks 1,2;2,3;3,4;4,5;5,6;6,7;7,8 --tmax 2.0 --steps 200 --seeds 0-1"
+
+    @pytest.mark.parametrize("child, taken", [(None, 1), ("unforked", 0), ("failing", 0), ("truncated", 0)])
+    def test_spin8_one_seed_helper_writes_the_golden_bytes(self, tmp_path, child, taken):
+        # one seed is one process, so on two cores its one 256-dim block forks
+        # a helper for its basis; whether the helper's bases are taken or
+        # computed here, the files are the spin8 golden's seed 0
+        extra = {"child": child} if child else {}
+        results = forked_sweep(tmp_path, "spin", {**self.SPIN8, "seeds": [0]}, ["serial", 2], **extra)
+        self.same_as_serial(results, [1], taken=taken)
+        golden = Path(__file__).with_name("golden")
+        want = json.loads((golden / "summary_runs.json").read_text(encoding="utf-8"))[self.SPIN8_ARGV][0]
+        for got in results:
+            assert got["files"]["spin_seed0.csv"].encode("latin-1") == (golden / "spin8/spin_seed0.csv").read_bytes()
+            (run,) = json.loads(got["files"]["summary.json"])["runs"]
+            assert list(run.items()) == list(want.items())
+
+    # d = 128 with 20 steps: blocks of three seeds, each large enough for a helper
+    HELPED = dict(dim=128, t_max=1.0, steps=20, seeds=[0, 1, 2, 3, 4])
+
+    def test_the_bases_error_wins_over_the_trajectories_error(self, tmp_path):
+        # seed 1's trajectory draw and basis draw both raise; serially the
+        # basis comes first, so its error is the flag, in either block pass
+        doctor = [[1, "raise"], [1 + tqsl.experiments.BASIS_SEED_OFFSET, "raise"]]
+        results = forked_sweep(tmp_path, "gue", self.HELPED, ["serial", 2], doctor=doctor)
+        # one helper per block, and per seed of the block that failed
+        self.same_as_serial(results, [5], taken=3)
+        runs = json.loads(results[0]["files"]["summary.json"])["runs"]
+        assert [r["flags"] for r in runs if any(f.startswith("error:") for f in r["flags"])] == [
+            [f"error:QslError:doctored draw {1 + tqsl.experiments.BASIS_SEED_OFFSET}"]
+        ]
+
+    def test_a_crash_in_sampling_leaves_no_helper_behind(self, tmp_path):
+        # seed 4's trajectory is all NaN, no QslError: the sweep ends there
+        results = forked_sweep(tmp_path, "gue", self.HELPED, ["serial", 2], doctor=[[4, "nan"]])
+        # a helper for each block, then for seeds 3 and 4 of the one that failed
+        self.same_as_serial(results, [4])
+        assert results[0]["error"] == ["ValueError", "matrix entries must be finite"]
+        assert sorted(results[0]["files"]) == [f"gue_seed{s}.csv" for s in range(4)]
