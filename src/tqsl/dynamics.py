@@ -240,9 +240,6 @@ class Trajectory:
     def validity_clean(self) -> bool:
         return self.valid_until == len(self.times) - 1
 
-    def validity_flags(self) -> np.ndarray:
-        return np.arange(len(self.times)) <= self.valid_until
-
 
 def _propagated_roots(dec, root0: np.ndarray, times: np.ndarray, hbar: float) -> np.ndarray:
     """U_t root0 U_t^dagger on the grid, built in H's eigenbasis block by block."""

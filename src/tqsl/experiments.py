@@ -12,6 +12,7 @@ import functools
 import json
 import math
 import os
+import pickle
 import signal
 import tempfile
 from contextlib import contextmanager
@@ -224,37 +225,54 @@ def _run_sweep(cfg: ExperimentConfig, dim: int, sample, fidelity=None) -> dict:
     trailing column and each run its minimum.
 
     The seeds split into `_workers` contiguous shares: this process
-    computes the first and a forked child each other one. A child spools
-    its files and this process writes them, in seed order. A share whose
-    child fails in any way is computed here again, so the error and the
-    files written are the serial sweep's. In a share, seeds go in blocks of
-    up to BLOCK_ELEMENTS / (steps * dim), each sampled and, with a fixed
-    basis, bounded and written as one stack (a large fixed-random block's
-    bases by a forked helper, if a core is spare). A block that raises anything
-    is computed again seed by seed, so each seed gets the flag a one-seed
-    sweep gives it, and any other error ends the sweep where one seed after
-    another would. Optimize runs are prepared, then climbed in one lockstep
-    `_climb` and written from their winners."""
+    computes the first and writes its files as it goes, and a forked child
+    computes each other one and spools its files, which this process then
+    writes, in seed order. A share whose child fails in any way is computed
+    here again, so the error and the files written are the serial sweep's.
+    In a share, seeds go in blocks of up to BLOCK_ELEMENTS / (steps * dim),
+    each sampled, bounded and written as one stack: with a fixed basis (a
+    large fixed-random block's bases by a forked helper, if a core is
+    spare), or with the winners of one lockstep `_climb` over the block's
+    clean seeds. A block that raises anything is computed again seed by
+    seed, so each seed gets the flag a one-seed sweep gives it, and any
+    other error ends the sweep where one seed after another would."""
     out = Path(cfg.output_path)
     out.mkdir(parents=True, exist_ok=True)
     header = BOUND_CSV_HEADER if fidelity is None else BOUND_CSV_HEADER + ",fidelity"
     runs = [{"seed": seed, "min_delta": None, "max_delta": None, "flags": []} for seed in cfg.seeds]
     optimize = cfg.basis_mode == "optimize"
 
+    def prepared(traj: Trajectory):
+        """An optimize run's prepared correction, or the QslError it meets."""
+        try:
+            _require_clean(traj)
+            return _Correction(traj)
+        except QslError as err:
+            return err
+
     def stacked(seeds: list) -> list:
-        """Per seed, its trajectory and, with a fixed basis, its bound series."""
+        """Per seed, its trajectory and its bound series; an optimize seed's
+        own QslError stands in for its series."""
         if optimize:
-            return [(traj, None) for traj in sample(seeds)]
+            trajs = sample(seeds)
+            found = [prepared(traj) for traj in trajs]
+            clean = [i for i, c in enumerate(found) if isinstance(c, _Correction)]
+            if clean:
+                climbed = _climb([found[i] for i in clean], OptimizerConfig(), [seeds[i] for i in clean])
+                for i, result in zip(clean, climbed):
+                    found[i] = result if isinstance(result, Exception) else result[1]
+            return list(zip(trajs, found))
         with contextlib.ExitStack() as stack:
             pid = spool = None
             if helper and len(seeds) * dim**3 >= HELPER_WORK:
                 with contextlib.suppress(OSError):  # no spool: no helper
                     spool = stack.enter_context(tempfile.TemporaryFile(dir=out))
-                    pid = _fork(lambda f: np.save(f, _fixed_bases(cfg, dim, seeds)[0]), spool, children)
+                    pid = _fork(lambda f: pickle.dump(_fixed_bases(cfg, dim, seeds)[0], f), spool, children)
             try:
                 trajs = sample(seeds)
             finally:  # serially the bases come first, so their error wins over sampling's
-                bases, basis_ids = _fixed_bases(cfg, dim, seeds, _loaded(spool) if reaped(pid) else None)
+                taken = _taken(spool, np.ndarray) if reaped(pid) else None
+                bases, basis_ids = _fixed_bases(cfg, dim, seeds, taken)
         return list(zip(trajs, _series(_Correction(*trajs), bases, basis_ids)))
 
     def emit(run: dict, traj: Trajectory, series: BoundSeries, put) -> None:
@@ -271,45 +289,29 @@ def _run_sweep(cfg: ExperimentConfig, dim: int, sample, fidelity=None) -> dict:
             run["min_fidelity"] = float(column.min())
         run.update(csv=name, basis_id=series.basis_id)
 
-    def compute(share: list, put) -> tuple:
+    def compute(share: list, put) -> None:
         """Computes a share and hands put(name, text) each of its files in
-        seed order. Gives the error that ended it or None, and whether its
-        files had begun (optimize: after _climb)."""
-        prepared, climbed = [], None  # prepared: (run, trajectory, its _Correction)
+        seed order; an error that is not a QslError ends it there."""
         size = max(1, BLOCK_ELEMENTS // (cfg.steps * dim))
-        try:
-            for block in (share[i : i + size] for i in range(0, len(share), size)):
-                try:
-                    done = stacked([run["seed"] for run in block])
-                except Exception:  # recomputed one seed at a time below
-                    done = None
-                for i, run in enumerate(block):
-                    with _quarantine(run):
-                        traj, series = done[i] if done else stacked([run["seed"]])[0]
-                        if series is not None:
-                            emit(run, traj, series, put)
-                        else:
-                            _require_clean(traj)
-                            prepared.append((run, traj, _Correction(traj)))
-            seeds = [run["seed"] for run, *_ in prepared]
-            climbed = prepared and _climb([c for *_, c in prepared], OptimizerConfig(), seeds)
-            for (run, traj, _), result in zip(prepared, climbed):
+        for block in (share[i : i + size] for i in range(0, len(share), size)):
+            try:
+                done = stacked([run["seed"] for run in block])
+            except Exception:  # recomputed one seed at a time below
+                done = None
+            for i, run in enumerate(block):
                 with _quarantine(run):
-                    if isinstance(result, Exception):
-                        raise result
-                    emit(run, traj, result[1], put)
-        except Exception as err:
-            return err, not optimize or climbed is not None
-        return None, True
+                    traj, series = done[i] if done else stacked([run["seed"]])[0]
+                    if isinstance(series, Exception):
+                        raise series
+                    emit(run, traj, series, put)
 
     def write(name: str, text: str) -> None:
         (out / name).write_text(text, encoding="utf-8", newline="\n")
 
     def shared(k: int, spool) -> None:
         """A share's payload: its files on its spool, then its run records."""
-        if (err := compute(runs[shares[k]], functools.partial(_spool, spool))[0]) is not None:
-            raise err
-        _spool(spool, None, runs[shares[k]])
+        compute(runs[shares[k]], lambda name, text: pickle.dump((name, text), spool))
+        pickle.dump(runs[shares[k]], spool)
 
     def reaped(pid: int | None) -> bool:
         """Waits for a child, if there is one: whether it exited 0."""
@@ -324,41 +326,22 @@ def _run_sweep(cfg: ExperimentConfig, dim: int, sample, fidelity=None) -> dict:
     # a helper is one process more than the shares: there must be a core for it
     helper = cfg.basis_mode == "fixed-random" and _workers(w + 1, (w + 1) * BLOCK_ELEMENTS) > w
     shares = [slice(n * k // w, n * (k + 1) // w) for k in range(w)]
-    # A share's spool, an unlinked file in `out`, holds its files as JSON
-    # lines until they may be written. Serially, no optimize file comes
-    # before every climb, so there the first share's files wait too.
-    try:
-        spools = [tempfile.TemporaryFile("w+", encoding="utf-8", dir=out) for _ in range(w)] if w > 1 else [None]
+    try:  # each child's spool, an unlinked file in `out`
+        spools = [None] + [tempfile.TemporaryFile(dir=out) for _ in range(1, w)]
     except OSError:  # no spool, no fork: this process runs the sweep alone
         w, shares, spools = 1, [slice(0, n)], [None]
-    children, pids, outcomes = [], [None] * w, []  # children: every child not yet reaped
-
-    def fetch(k: int) -> tuple:
-        """Share k's outcome: its child's, whose spool ends with its run
-        records, or computed here if the child failed in any way."""
-        if pids[k] is not None:
-            if reaped(pids[k]) and (records := _records(spools[k])) is not None:
-                runs[shares[k]] = records
-                return None, True
-            spools[k].seek(0)
-            spools[k].truncate()
-        return compute(runs[shares[k]], write if not optimize or w == 1 else functools.partial(_spool, spools[k]))
-
+    children, pids = [], [None] * w  # children: every child not yet reaped
     try:
-        for k in range(1, w):  # a fork that fails: fetch computes the share here
+        for k in range(1, w):  # a fork that fails: the share is computed here
             pids[k] = _fork(functools.partial(shared, k), spools[k], children)
         for k in range(w):
-            err, begun = fetch(k)
-            if optimize and err is not None and not begun:
-                raise err  # serially, no optimize file comes before every climb
-            outcomes.append((k, err))
-            if not optimize or k == w - 1:  # in seed order; optimize: after every climb
-                for j, err in outcomes:
-                    for name, text in _unspool(spools[j]):
-                        write(name, text)
-                    if err is not None:
-                        raise err
-                outcomes.clear()
+            if reaped(pids[k]) and (records := _taken(spools[k], list)) is not None:
+                for item in _spooled(spools[k]):
+                    if isinstance(item, tuple):
+                        write(*item)
+                runs[shares[k]] = records
+            else:  # this process's share, or one whose child failed in any way
+                compute(runs[shares[k]], write)
     finally:  # no child outlives the sweep
         for pid in children:
             with contextlib.suppress(OSError):  # one reaped elsewhere
@@ -427,40 +410,23 @@ def _fork(payload, spool, children: list) -> int | None:
         os._exit(status)
 
 
-def _spool(spool, name: str | None, value) -> None:
-    """One line on a spool: a file's name and text, or None and run records."""
-    spool.write(json.dumps([name, value]) + "\n")
-
-
-def _records(spool) -> list | None:
-    """The run records on a spool's last line, or None if that line is not
-    there whole."""
+def _spooled(spool):
+    """Each object a child pickled on its spool, in order, up to the first
+    that is not there whole. A spool is an unlinked file that only this
+    process and its child hold, so what it holds is safe to unpickle."""
     spool.seek(0)
-    last = "null"
-    for last in spool:
+    with contextlib.suppress(EOFError, pickle.UnpicklingError):  # the end, or a truncated object
+        while True:
+            yield pickle.load(spool)
+
+
+def _taken(spool, kind: type):
+    """The last object on a spool, which a child pickles last, if it is
+    there whole and a `kind`: a share's run records or a helper's bases."""
+    last = None
+    for last in _spooled(spool):
         pass
-    with contextlib.suppress(ValueError, TypeError):  # a truncated spool
-        name, records = json.loads(last)
-        return records if name is None else None
-    return None
-
-
-def _loaded(spool) -> np.ndarray | None:
-    """The array a child saved on a spool, or None if it is not there whole."""
-    with contextlib.suppress(ValueError, EOFError, OSError):
-        spool.seek(0)
-        return np.load(spool)
-    return None
-
-
-def _unspool(spool):
-    """The (name, text) of each file on a spool, if there is one."""
-    if spool is not None:
-        spool.seek(0)
-        for line in spool:
-            name, text = json.loads(line)
-            if name is not None:
-                yield name, text
+    return last if isinstance(last, kind) else None
 
 
 # ---------------------------------------------------------------------------
@@ -684,17 +650,7 @@ def run_property_suite(cfg: ExperimentConfig) -> dict:
         ("quadrature-order", _check_quadrature_order),
         ("hermiticity-rejection", _check_hermiticity_rejection),
     )]
-    rng = np.random.default_rng([seed, 99])
-    doubled = 0.0
-    for _ in range(16):
-        a, b, rho, _ = _draw(rng, 3, mixed=True)
-        doubled = max(doubled, abs(moment_identity_residual(a, b, rho, doubled_mean_product=True)))
-    report = {
-        "config": asdict(cfg),
-        "checks": checks,
-        "diagnostics": {"doubled_mean_product_residual_max": doubled},
-        "passed": all(c["passed"] for c in checks),
-    }
+    report = {"config": asdict(cfg), "checks": checks, "passed": all(c["passed"] for c in checks)}
     out = Path(cfg.output_path)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "verify.json", report)

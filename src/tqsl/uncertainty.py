@@ -100,13 +100,13 @@ def _clamp_nonnegative(value, what: str):
     return np.maximum(value, 0.0)
 
 
-def _moment_split(a: Observable, b: Observable, state: State, factor: float = 1.0) -> tuple:
-    """|<[A,B]>|/2 and <{A,B}>/2 - factor <A><B>, from raw moments."""
+def _moment_split(a: Observable, b: Observable, state: State) -> tuple:
+    """|<[A,B]>|/2 and <{A,B}>/2 - <A><B>, from raw moments."""
     _check_pair(a, b, state)
     am, bm = a.matrix, b.matrix
     comm = _raw_moment(am @ bm - bm @ am, state)
     anti = _raw_moment(am @ bm + bm @ am, state)
-    return 0.5 * abs(comm), 0.5 * anti.real - factor * expectation(a, state) * expectation(b, state)
+    return 0.5 * abs(comm), 0.5 * anti.real - expectation(a, state) * expectation(b, state)
 
 
 def robertson_schrodinger_bound(a: Observable, b: Observable, state: State) -> float:
@@ -217,14 +217,8 @@ def uncertainty_report(
     )
 
 
-def moment_identity_residual(
-    a: Observable, b: Observable, state: State, doubled_mean_product: bool = False
-) -> float:
-    """Signed residual of |<Abar Bbar>|^2 against its moment split.
-
-    The split is (|<[A,B]>|/2)^2 + (<{A,B}>/2 - <A><B>)^2. The doubled
-    variant replaces <A><B> by 2<A><B>; it is kept purely as a diagnostic
-    and is generally far from zero.
-    """
-    comm_part, anti_part = _moment_split(a, b, state, 2.0 if doubled_mean_product else 1.0)
+def moment_identity_residual(a: Observable, b: Observable, state: State) -> float:
+    """Signed residual of |<Abar Bbar>|^2 against its moment split,
+    (|<[A,B]>|/2)^2 + (<{A,B}>/2 - <A><B>)^2."""
+    comm_part, anti_part = _moment_split(a, b, state)
     return abs(_product_moment(a, b, state)) ** 2 - (comm_part ** 2 + anti_part ** 2)

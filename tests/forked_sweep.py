@@ -92,15 +92,12 @@ def run(spec: dict, variant) -> dict:
             raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
         return real_fork()
 
-    def taking(read):
-        def found(spool):
-            got = read(spool)
-            taken.append(got is not None)
-            return got
+    def taking(spool, kind):
+        got = TAKEN(spool, kind)
+        taken.append(got is not None)
+        return got
 
-        return found
-
-    os.fork, ex._records, ex._loaded = counting, taking(RECORDS), taking(LOADED)
+    os.fork, ex._taken = counting, taking
     cfg = ex.ExperimentConfig(kind=spec["kind"], output_path=str(out), **spec["cfg"])
     runner = ex.run_experiment_gue if spec["kind"] == "gue" else ex.run_experiment_spin
     error = None
@@ -120,7 +117,7 @@ def run(spec: dict, variant) -> dict:
             "leftover": leftover}
 
 
-WORKERS, CORES, FORK, RECORDS, LOADED = ex._workers, ex._cores, ex._fork, ex._records, ex._loaded
+WORKERS, CORES, FORK, TAKEN = ex._workers, ex._cores, ex._fork, ex._taken
 
 if __name__ == "__main__":
     spec = json.loads(sys.argv[1])

@@ -12,10 +12,12 @@ from tqsl import (
     NonHermitianInput,
     NotPositiveSemidefinite,
     Observable,
+    OrthonormalBasis,
     PureState,
     Trajectory,
     bargmann_angle_mixed,
     bargmann_angle_pure,
+    bound_series,
     default_initial_state,
     evolve_mixed,
     sample_gue,
@@ -171,7 +173,7 @@ class TestSampleTrajectory:
         assert not traj.validity_clean
         t_turn = traj.times[traj.valid_until]
         assert abs(t_turn - math.pi / 2) < 0.02
-        flags = traj.validity_flags()
+        flags = bound_series(traj, OrthonormalBasis(np.eye(2, dtype=complex))).validity
         assert flags[: traj.valid_until + 1].all()
         assert not flags[traj.valid_until + 1 :].any()
 

@@ -277,13 +277,6 @@ class TestMomentIdentity:
                 a, b, state, _ = draw(rng, 2 + k % 4, mixed)
                 assert abs(moment_identity_residual(a, b, state)) < 1e-9
 
-    def test_doubled_variant_is_far_from_zero(self, sigma_z, ket0):
-        # the doubled mean product is kept only as a diagnostic; on an
-        # eigenstate with <A><B> = 1 it misses by exactly 1
-        a = Observable(np.diag([1.0, 0.0]))
-        residual = moment_identity_residual(a, sigma_z, ket0, doubled_mean_product=True)
-        assert abs(residual) > 0.5
-
 
 class TestClampNonnegative:
     """The one clamp behind every K value and K series."""
