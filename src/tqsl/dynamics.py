@@ -21,7 +21,7 @@ from .errors import (
     _positive_finite,
     _trusted,
 )
-from .linalg import HERMITICITY_TOL, eigh, expm_i_hermitian, sqrtm_psd
+from .linalg import HERMITICITY_TOL, eigh, expm_i_hermitian, hermitian_defect, sqrtm_psd, tolerance_scale
 from .states import (
     EXPECTATION_IMAG_TOL,
     TRACE_TOL,
@@ -91,67 +91,53 @@ def frobenius_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("kij,kij->k", a.conj(), b)
 
 
-def _require_real(means: np.ndarray) -> None:
-    worst = float(np.max(np.abs(means.imag)))
-    if worst > EXPECTATION_IMAG_TOL:
-        raise NonRealExpectation(
-            f"imaginary part {worst:.3e} exceeds {EXPECTATION_IMAG_TOL:.0e}"
-        )
-
-
 def _stacked(arrays: list) -> np.ndarray:
     """Equal-shaped arrays as one (k, ...) stack: a view of a lone array,
     which spares a d = 256 sweep a copy of its Hamiltonian."""
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
-def _check_kets(h: np.ndarray, kets: np.ndarray, times: np.ndarray, s0: np.ndarray,
-                delta_h: np.ndarray, hbar: float) -> None:
-    """Trajectory's checks on k pure trajectories of one grid, h (k, d, d),
-    kets (k, n, d), s0 (k, n), delta_h (k,): unit kets with a real <H>, a
-    constant spread, and s0 within the Fubini-Study speed 2 dH/hbar. The
-    first failure raises, as Trajectory raises it on one trajectory."""
-    _require_unit_kets(kets.reshape(-1, kets.shape[-1]))
-    spreads = np.empty(kets.shape[:2])
-    for i in range(0, kets.shape[1], STACK_BLOCK):
-        block = kets[:, i : i + STACK_BLOCK]
-        hk = block @ h.swapaxes(-1, -2)  # row j of member m is H_m psi_mj
-        means = np.einsum("mji,mji->mj", block.conj(), hk)
-        _require_real(means)
-        spreads[:, i : i + STACK_BLOCK] = np.linalg.norm(hk - means.real[..., None] * block, axis=-1)
-    _require_constant_spread(spreads, delta_h[:, None])
-    excess = np.abs(np.diff(s0)) - (2.0 * delta_h[:, None] / hbar) * np.diff(times)
-    if float(excess.max()) > ANGLE_RATE_SLACK:
-        raise ValueError(f"s0 outruns the pure-state rate by {float(excess.max()):.3e}")
-
-
-def _require_constant_spread(spreads: np.ndarray, delta_h) -> None:
-    drift = float(np.max(np.abs(spreads - delta_h)))
-    if drift > DELTA_H_CONSTANCY_TOL:
-        raise ValueError(f"energy spread drifts by {drift:.3e} along the grid")
-
-
-def _root_spreads(h: np.ndarray, roots: np.ndarray, offset: int) -> np.ndarray:
-    """Energy spread of each rho = R^2, after the DensityMatrix checks on the
-    block that starts at grid index `offset`. Each R must be the positive
-    semidefinite root of its rho."""
-    defect = float(np.max(np.abs(roots - roots.conj().transpose(0, 2, 1))))
-    if defect > HERMITICITY_TOL:
-        raise NonHermitianInput(f"Hermiticity defect {defect:.3e}")
-    traces = np.sum(np.abs(roots) ** 2, axis=(1, 2))  # Tr(R R^dagger) = Tr rho
-    bad = np.abs(traces - 1.0) > TRACE_TOL
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ValueError(
-            f"trace {float(traces[k])!r} at grid index {offset + k} "
-            f"differs from 1 beyond {TRACE_TOL:.0e}"
-        )
-    _require_psd(roots, "root has ")
-    rh = roots @ h
-    means = frobenius_inner(roots, rh)
-    _require_real(means)
-    # ||Hbar R||_F = ||R Hbar||_F for Hermitian R
-    return np.linalg.norm(rh - means.real[:, None, None] * roots, axis=(1, 2))
+def _check_stack(h: np.ndarray, stack: np.ndarray, times: np.ndarray, s0: np.ndarray,
+                 delta_h: float, hbar: float) -> None:
+    """Trajectory's state checks on a caller's (n, d) ket or (n, d, d) root
+    stack: unit kets, or Hermitian positive semidefinite roots of unit-trace
+    states; a real <H> and the constant spread delta_h, to tolerances
+    relative to H's tolerance_scale; and for kets, s0 within the
+    Fubini-Study speed 2 dH/hbar. A ket psi is read as the 1 x d root
+    psi^dagger, so Tr(R^dagger R H) and ||R Hbar||_F give <H> and the spread
+    of either kind."""
+    mixed = stack.ndim == 3
+    if not mixed:  # kets only: the mixed-state angle obeys no speed limit in general
+        _require_unit_kets(stack)
+        excess = np.abs(np.diff(s0)) - (2.0 * delta_h / hbar) * np.diff(times)
+        if float(excess.max()) > ANGLE_RATE_SLACK:
+            raise ValueError(f"s0 outruns the pure-state rate by {float(excess.max()):.3e}")
+        stack = stack.conj()[:, None, :]
+    scale = float(tolerance_scale(h))
+    for i in range(0, len(stack), STACK_BLOCK):
+        roots = stack[i : i + STACK_BLOCK]
+        if mixed:
+            defect = hermitian_defect(roots)
+            if defect > HERMITICITY_TOL:
+                raise NonHermitianInput(f"Hermiticity defect {defect:.3e}")
+            traces = np.sum(np.abs(roots) ** 2, axis=(1, 2))  # Tr(R R^dagger) = Tr rho
+            bad = np.abs(traces - 1.0) > TRACE_TOL
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise ValueError(
+                    f"trace {float(traces[k])!r} at grid index {i + k} differs from 1 beyond {TRACE_TOL:.0e}"
+                )
+            _require_psd(roots, "root has ")
+        rh = roots @ h
+        means = frobenius_inner(roots, rh)
+        worst = float(np.max(np.abs(means.imag)))
+        if worst > EXPECTATION_IMAG_TOL * scale:
+            raise NonRealExpectation(f"imaginary part {worst:.3e} exceeds {EXPECTATION_IMAG_TOL * scale:.3e}")
+        # ||R Hbar||_F, which for a Hermitian root is ||Hbar R||_F
+        spreads = np.linalg.norm(rh - means.real[:, None, None] * roots, axis=(1, 2))
+        drift = float(np.max(np.abs(spreads - delta_h)))
+        if drift > DELTA_H_CONSTANCY_TOL * scale:
+            raise ValueError(f"energy spread drifts by {drift:.3e} along the grid")
 
 
 class _StateView(Sequence):
@@ -176,7 +162,10 @@ class Trajectory:
 
     `stack` holds the states as one array: an (n, d) stack of kets for a
     pure trajectory, or the (n, d, d) stack of roots sqrt(rho_t) for a mixed
-    one. Every state invariant is checked here once, on the whole stack, and
+    one. A trajectory built here has every state invariant checked once, on
+    the whole stack (_check_stack). sample_trajectory builds its
+    trajectories without these checks: its states come from one checked
+    eigendecomposition (linalg.eigh), so only round-off could fail them.
     `states` is a lazy view that builds PureState / DensityMatrix objects on
     access. valid_until is the last index before the overlap starts growing
     again; rows up to and including it are inside the derivation's
@@ -214,12 +203,7 @@ class Trajectory:
         dim, h = self.hamiltonian.dim, self.hamiltonian.matrix
         if stack.shape[1] != dim:
             raise DimensionMismatch(f"H dim {dim} vs state dim {stack.shape[1]}")
-        if stack.ndim == 2:
-            _check_kets(h[None], stack[None], times, s0[None], np.array([self.delta_h]), self.hbar)
-        else:  # the mixed-state angle obeys no speed limit in general
-            _require_constant_spread(np.concatenate(
-                [_root_spreads(h, stack[i : i + STACK_BLOCK], i) for i in range(0, n, STACK_BLOCK)]
-            ), self.delta_h)
+        _check_stack(h, stack, times, s0, self.delta_h, self.hbar)
         for arr in (times, stack, s0, overlap):
             arr.setflags(write=False)
         object.__setattr__(self, "times", times)
@@ -285,24 +269,18 @@ def sample_trajectory(
     cross = np.concatenate([frobenius_inner(b, b @ r0).real for b in blocks])
     overlap = np.sqrt(np.clip(cross / purity(state0), 0.0, 1.0))
     overlap[0] = 1.0
-    return Trajectory(
-        hamiltonian=h,
-        hbar=float(hbar),
-        times=times,
-        stack=stack,
-        s0=2.0 * np.arccos(overlap),
-        overlap=overlap,
-        delta_h=math.sqrt(variance(h, state0)),
-        valid_until=int(_first_overlap_minimum(overlap[None])[0]),
-    )
+    s0 = 2.0 * np.arccos(overlap)
+    for arr in (times, stack, s0, overlap):
+        arr.setflags(write=False)
+    return _trusted(Trajectory, hamiltonian=h, hbar=float(hbar), times=times, stack=stack, s0=s0,
+                    overlap=overlap, delta_h=math.sqrt(variance(h, state0)),
+                    valid_until=int(_first_overlap_minimum(overlap[None])[0]))
 
 
 def _pure_trajectories(hs: list, psi0: PureState, times: np.ndarray, hbar: float) -> list:
     """sample_trajectory's pure branch for Observables `hs` of psi0's
-    dimension, on a grid it has checked: one eigendecomposition of the
-    Hamiltonian stack, one propagation and one _check_kets for all of them.
-    The trajectories are built from the checked stacks without checking them
-    again."""
+    dimension, on a grid it has checked: one checked eigendecomposition of
+    the Hamiltonian stack and one propagation for all of them."""
     hm = _stacked([h.matrix for h in hs])
     dec = eigh(hm)
     v, v0 = dec.eigenvectors, psi0.amplitudes
@@ -317,8 +295,7 @@ def _pure_trajectories(hs: list, psi0: PureState, times: np.ndarray, hbar: float
     kets[:, 0] = v0
     overlap[:, 0] = 1.0
     s0 = 2.0 * np.arccos(overlap)
-    delta_h = np.array([math.sqrt(variance(h, psi0)) for h in hs])
-    _check_kets(hm, kets, times, s0, delta_h, hbar)
+    delta_h = [math.sqrt(variance(h, psi0)) for h in hs]
     for arr in (times, kets, s0, overlap):
         arr.setflags(write=False)
     return [

@@ -94,12 +94,28 @@ class EigenDecomposition:
         })
 
 
+def tolerance_scale(m: np.ndarray) -> np.ndarray:
+    """max(1, max|M|), or per matrix of a (k, d, d) stack: the factor that
+    scales an absolute tolerance with the size of an operator's entries."""
+    return np.abs(m).max(axis=(-2, -1), initial=1.0)
+
+
 def eigh(h) -> EigenDecomposition:
     """Eigendecomposition of a Hermitian matrix, or of each matrix in a
-    (k, d, d) stack, eigenvalues ascending."""
+    (k, d, d) stack, eigenvalues ascending.
+
+    Besides the eigenvectors' Gram check, each matrix's residual
+    max|HV - V diag(w)| must be within ORTHONORMALITY_TOL relative to its
+    tolerance_scale. Everything propagated from the decomposition is then
+    exact up to round-off, so the propagated states need no checks of
+    their own."""
     m = require_hermitian(h)
     w, v = np.linalg.eigh(m)
-    return EigenDecomposition(w, v)
+    dec = EigenDecomposition(w, v)
+    residual = np.abs(m @ v - v * w[..., None, :]).max(axis=(-2, -1), initial=0.0) / tolerance_scale(m)
+    if np.any(residual > ORTHONORMALITY_TOL):
+        raise ValueError(f"eigensystem residual {float(residual.max()):.3e} relative to max(1, max|H|)")
+    return dec
 
 
 def expm_i_hermitian(h, s) -> np.ndarray:

@@ -19,7 +19,7 @@ from .errors import (
     NotPositiveSemidefinite,
     _trusted,
 )
-from .linalg import HERMITICITY_TOL, as_complex_matrix, hermitian_defect, sqrtm_psd
+from .linalg import HERMITICITY_TOL, as_complex_matrix, hermitian_defect, sqrtm_psd, tolerance_scale
 
 NORM_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -201,11 +201,13 @@ def _raw_moment(a: np.ndarray, state: State) -> complex:
 
 
 def expectation(a: Observable, state: State) -> float:
-    """<A> in the given state; the imaginary residue must be round-off only."""
+    """<A> in the given state; the imaginary residue must be round-off only,
+    within EXPECTATION_IMAG_TOL relative to A's tolerance_scale."""
     _check_dims(a, state)
     val = _raw_moment(a.matrix, state)
-    if abs(val.imag) > EXPECTATION_IMAG_TOL:
-        raise NonRealExpectation(f"imaginary part {val.imag:.3e} exceeds {EXPECTATION_IMAG_TOL:.0e}")
+    tol = EXPECTATION_IMAG_TOL * tolerance_scale(a.matrix)
+    if abs(val.imag) > tol:
+        raise NonRealExpectation(f"imaginary part {val.imag:.3e} exceeds {tol:.3e}")
     return val.real
 
 

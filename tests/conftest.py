@@ -1,7 +1,7 @@
 """Shared fixtures: Pauli matrices and a couple of canonical states.
 
 random_pure and random_density are the property suite's own draws,
-re-exported for the test modules. evolve_pure is the one-state-at-a-time
+re-exported for the test modules; wishart_density is the benchmark's. evolve_pure is the one-state-at-a-time
 propagator that trajectories and the spin oracle are checked against."""
 import numpy as np
 import pytest
@@ -17,6 +17,15 @@ def evolve_pure(h: Observable, psi0: PureState, t: float, hbar: float = 1.0) -> 
     if t < 0:
         raise ValueError("evolution time must be >= 0")
     return PureState(expm_i_hermitian(h.matrix, t / hbar) @ psi0.amplitudes)
+
+
+def wishart_density(item: int, dim: int = 8) -> np.ndarray:
+    """A full-rank Wishart draw normalised to unit trace: at dim 8, the
+    benchmark's mixed-sweep input for `item`."""
+    rng = np.random.default_rng([item, 7])
+    w = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    m = w @ w.conj().T
+    return m / np.trace(m).real
 
 
 def with_spectrum(rng, eigenvalues) -> np.ndarray:

@@ -10,6 +10,7 @@ from tqsl import (
     DimensionMismatch,
     GueConfig,
     NonHermitianInput,
+    NonRealExpectation,
     NotPositiveSemidefinite,
     Observable,
     OrthonormalBasis,
@@ -20,12 +21,15 @@ from tqsl import (
     bound_series,
     default_initial_state,
     evolve_mixed,
+    expectation,
+    random_basis,
     sample_gue,
     sample_trajectory,
 )
-from conftest import evolve_pure, random_density, random_pure, with_spectrum
-from tqsl.dynamics import _check_kets
-from tqsl.states import PSD_TOL
+from conftest import evolve_pure, random_density, random_pure, wishart_density, with_spectrum
+from tqsl import dynamics
+from tqsl.errors import _trusted
+from tqsl.states import EXPECTATION_IMAG_TOL, PSD_TOL
 
 
 class TestBargmannAngle:
@@ -304,14 +308,12 @@ class TestTrajectoryValidation:
         with pytest.raises(ValueError, match="length"):
             Trajectory(**parts)
 
-    def test_arrays_are_read_only(self, sigma_x, ket0):
-        traj = sample_trajectory(sigma_x, ket0, 1.0, 5)
-        with pytest.raises(ValueError):
-            traj.times[0] = 5.0
-        with pytest.raises(ValueError):
-            traj.s0[0] = 5.0
-        with pytest.raises(ValueError):
-            traj.stack[0, 0] = 5.0
+    def test_arrays_are_read_only(self, sigma_x, ket0, qubit_mixed):
+        for state in (ket0, qubit_mixed):
+            traj = sample_trajectory(sigma_x, state, 1.0, 5)
+            for arr in (traj.times, traj.stack, traj.s0, traj.overlap):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 5.0
 
     def test_rejects_non_unit_ket(self, parts):
         parts["stack"][7] *= 1.01
@@ -360,7 +362,8 @@ class TestTrajectoryValidation:
     def test_pure_lift_roots_pass_on_the_cholesky_accept(self, dim, no_eigvalsh):
         h = sample_gue(GueConfig(dim=dim, seed=dim))
         rho0 = random_pure(np.random.default_rng(dim), dim).to_density()
-        assert sample_trajectory(h, rho0, 2.0, 150).kind == "mixed"
+        traj = sample_trajectory(h, rho0, 2.0, 150)
+        assert Trajectory(**trajectory_parts(traj)).kind == "mixed"
 
     @pytest.mark.parametrize("eps", [1e-10, 1e-14])
     def test_near_pure_roots_pass_on_the_cholesky_accept(self, eps, no_eigvalsh):
@@ -368,7 +371,7 @@ class TestTrajectoryValidation:
         psi = default_initial_state(3)
         rho0 = DensityMatrix((1.0 - eps) * psi.projector() + eps * np.eye(3) / 3.0)
         traj = sample_trajectory(sample_gue(GueConfig(dim=3, seed=4)), rho0, 1.0, 400)
-        assert traj.kind == "mixed"
+        assert Trajectory(**trajectory_parts(traj)).kind == "mixed"
 
     def test_rejects_non_hermitian_root(self, mixed_parts):
         mixed_parts["stack"][3][0, 1] += 0.01
@@ -384,42 +387,93 @@ class TestTrajectoryValidation:
             Trajectory(**mixed_parts)
 
 
-class TestStackedKetCheck:
-    """_check_kets on several trajectories of one grid: a defect in any
-    member raises the error Trajectory raises on that member alone."""
+class TestSampledTrajectoriesAreTrusted:
+    """sample_trajectory's states come from one checked eigendecomposition,
+    so it makes no per-row state check; the checks stay with trajectories a
+    caller builds."""
 
-    def stacks(self):
+    def test_no_sampled_path_runs_the_state_checks(self, monkeypatch, sigma_x, ket0, qubit_mixed):
+        def fail(*args):
+            raise AssertionError("a sampled trajectory ran the state checks")
+
+        monkeypatch.setattr(dynamics, "_check_stack", fail)
+        for state in (ket0, qubit_mixed):
+            traj = sample_trajectory(sigma_x, state, 1.0, 200)
+            with pytest.raises(AssertionError, match="state checks"):
+                Trajectory(**trajectory_parts(traj))
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_a_wrong_eigensystem_raises(self, monkeypatch, mixed):
+        h = sample_gue(GueConfig(dim=3, seed=0))
+        state = DensityMatrix(wishart_density(0, 3)) if mixed else default_initial_state(3)
+        eigh = np.linalg.eigh
+
+        def shifted(m):
+            w, v = eigh(m)
+            return w + 1e-6, v
+
+        monkeypatch.setattr(np.linalg, "eigh", shifted)
+        with pytest.raises(ValueError, match="eigensystem residual"):
+            sample_trajectory(h, state, 1.0, 50)
+
+
+SCALES = [1e-9, 1e-3, 1e3, 1e6, 1e8, 1e9, 1e10, 1e12]
+
+
+class TestScaleCovariance:
+    """c H over a window tau / c is H's evolution over tau, so tau_tqsl / tau
+    must not move with c, and the trajectory a caller rebuilds from the
+    sampled one must pass its checks at every c: GUE seed 0, basis seed 7,
+    tau = 1, 400 steps."""
+
+    @staticmethod
+    def endpoint(state, c: float) -> float:
+        h = Observable(c * sample_gue(GueConfig(dim=3, seed=0)).matrix)
+        traj = sample_trajectory(h, state, 1.0 / c, 400)
+        Trajectory(**trajectory_parts(traj))
+        series = bound_series(traj, random_basis(3, 7))
+        return series[len(series) - 1].tau_tqsl * c
+
+    @pytest.mark.parametrize("c", SCALES)
+    def test_pure_bound_is_scale_free(self, c):
         psi = default_initial_state(3)
-        trajs = [sample_trajectory(sample_gue(GueConfig(dim=3, seed=s)), psi, 1.5, 60) for s in range(5)]
-        return {
-            "h": np.stack([t.hamiltonian.matrix for t in trajs]),
-            "kets": np.stack([t.stack for t in trajs]),
-            "times": trajs[0].times,
-            "s0": np.stack([t.s0 for t in trajs]),
-            "delta_h": np.array([t.delta_h for t in trajs]),
-            "hbar": 1.0,
-        }
+        assert self.endpoint(psi, c) == pytest.approx(self.endpoint(psi, 1.0), rel=1e-14, abs=0.0)
 
-    def test_clean_stacks_pass(self):
-        _check_kets(**self.stacks())
+    @pytest.mark.parametrize("c", SCALES)
+    def test_mixed_bound_is_scale_free(self, c):
+        rho = DensityMatrix(wishart_density(0, 3))
+        assert self.endpoint(rho, c) == pytest.approx(self.endpoint(rho, 1.0), rel=1e-13, abs=0.0)
 
-    def test_a_stretched_ket_in_one_member_raises(self):
-        stacks = self.stacks()
-        stacks["kets"][2, 7] *= 1.01
-        with pytest.raises(ValueError, match="state norm"):
-            _check_kets(**stacks)
 
-    def test_a_wrong_spread_in_one_member_raises(self):
-        stacks = self.stacks()
-        stacks["delta_h"][2] += 1e-6
-        with pytest.raises(ValueError, match="energy spread drifts"):
-            _check_kets(**stacks)
+class TestImaginaryTolerance:
+    """An imaginary <H> beyond EXPECTATION_IMAG_TOL x max(1, max|H|) raises
+    NonRealExpectation, from the caller-built trajectory's check as from
+    the moment itself; round-off on a Hermitian H of max|H| = 1e12 does not."""
 
-    def test_a_fast_angle_in_one_member_raises(self):
-        stacks = self.stacks()
-        stacks["s0"][2, 10:] += 0.3
-        with pytest.raises(ValueError, match="outruns the pure-state rate"):
-            _check_kets(**stacks)
+    @pytest.fixture()
+    def parts(self):
+        h = sample_gue(GueConfig(dim=3, seed=0)).matrix
+        big = Observable(h * (1e12 / np.abs(h).max()))
+        return trajectory_parts(sample_trajectory(big, default_initial_state(3), 1e-12, 100))
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_skew_part_against_the_scaled_tolerance(self, parts, factor):
+        h = parts["hamiltonian"].matrix
+        # <H + i x I> = <H> + i x, and max|H + i x I| stays 1e12 to 1e-16
+        skewed = _trusted(Observable, matrix=h + 1j * factor * EXPECTATION_IMAG_TOL * 1e12 * np.eye(3))
+        parts["hamiltonian"] = skewed
+        if factor < 1.0:
+            Trajectory(**parts)
+            expectation(skewed, default_initial_state(3))
+            return
+        with pytest.raises(NonRealExpectation, match="imaginary part 2.000e\\+04 exceeds 1.000e\\+04"):
+            Trajectory(**parts)
+        with pytest.raises(NonRealExpectation):
+            expectation(skewed, default_initial_state(3))
+
+    def test_hermitian_h_at_1e12_passes(self, parts):
+        Trajectory(**parts)
+        assert np.isfinite(expectation(parts["hamiltonian"], default_initial_state(3)))
 
 
 class TestStatesView:

@@ -17,6 +17,10 @@ behind them (tests/golden/).
   runs, captured before fixed-basis sweeps computed their seeds in stacked
   blocks. 12 of its seeds carry an overlap-minimum flag, and 13 seeds fill
   no whole number of blocks, so a partial block is pinned too.
+- mixed/: the bound series of the benchmark's mixed sweep, items 0-3 (d = 8
+  Wishart states, 400 steps), built through the library, captured before
+  the mixed sampled trajectory stopped re-checking its roots. These bytes
+  do not move with the BLAS thread count.
 """
 import json
 import os
@@ -27,7 +31,9 @@ from pathlib import Path
 import pytest
 
 import tqsl
+from tqsl import BOUND_CSV_HEADER, DensityMatrix, GueConfig, bound_series, random_basis, sample_gue, sample_trajectory
 from tqsl.cli import main
+from conftest import wishart_density
 
 GOLDEN = Path(__file__).with_name("golden")
 
@@ -92,3 +98,17 @@ def test_verify_checks_match_golden(tmp_path):
     assert main(["verify", "--trials", "8", "--seeds", "0", "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "verify.json").read_text(encoding="utf-8"))
     assert _ordered(report["checks"]) == _ordered(_golden_json("verify_checks.json"))
+
+
+def mixed_csv(item: int) -> str:
+    """The benchmark's mixed-sweep CSV for `item`: a GUE Hamiltonian of seed
+    `item` and a fixed random basis, over t = 1 with 400 steps."""
+    h, rho = sample_gue(GueConfig(dim=8, seed=item)), DensityMatrix(wishart_density(item))
+    traj = sample_trajectory(h, rho, 1.0, 400)
+    series = bound_series(traj, random_basis(8, item + 1_000_003))
+    return "\n".join([BOUND_CSV_HEADER, *series.csv_rows()]) + "\n"
+
+
+@pytest.mark.parametrize("item", range(4))
+def test_mixed_sweep_csvs_match_golden_bytes(item):
+    assert mixed_csv(item).encode("utf-8") == (GOLDEN / f"mixed/mixed_seed{item}.csv").read_bytes()

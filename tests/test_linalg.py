@@ -106,6 +106,22 @@ class TestEigh:
         with pytest.raises(ValueError):
             dec.eigenvalues[0] = 5.0
 
+    @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e12])
+    def test_residual_is_relative_to_max_entry(self, scale):
+        h = scale * sample_gue(GueConfig(dim=8, seed=3)).matrix
+        assert eigh(h).eigenvalues.shape == (8,)
+
+    def test_rejects_shifted_eigenvalues(self, monkeypatch):
+        # orthonormal columns pass the Gram check; only the residual
+        # max|HV - V diag(w)| sees that they no longer go with w
+        h = sample_gue(GueConfig(dim=3, seed=0)).matrix
+        real = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: (real(m)[0] + 1e-6, real(m)[1]))
+        with pytest.raises(ValueError, match="eigensystem residual"):
+            eigh(h)
+        with pytest.raises(ValueError, match="eigensystem residual"):
+            eigh(np.stack([h, h]))
+
 
 class TestStackedEigh:
     def directions(self, count=12, dim=3):
