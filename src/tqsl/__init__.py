@@ -16,13 +16,7 @@ from .bounds import (
     optimize_basis,
     tqsl_bound,
 )
-from .dynamics import (
-    Trajectory,
-    bargmann_angle_mixed,
-    bargmann_angle_pure,
-    evolve_mixed,
-    sample_trajectory,
-)
+from .dynamics import Trajectory, sample_trajectory
 from .ensembles import (
     GueConfig,
     SpinChainConfig,
@@ -66,7 +60,6 @@ from .states import (
     Observable,
     OrthonormalBasis,
     PureState,
-    basis_from_observable,
     centered,
     expectation,
     purity,

@@ -30,7 +30,7 @@ from .errors import (
     _trusted,
 )
 from .linalg import EigenDecomposition, eigh, expm_i_hermitian
-from .states import Observable, OrthonormalBasis, State, _eigenbases, basis_failures
+from .states import Observable, OrthonormalBasis, State, basis_failures
 from .uncertainty import NONNEG_CLAMP
 
 DEFAULT_STEPS = 400
@@ -240,8 +240,8 @@ class _Correction:
     """
 
     def __init__(self, *trajs: Trajectory):
-        for traj in trajs:
-            if traj.delta_h <= ZERO_SPREAD_TOL:
+        for traj in trajs:  # relative to max|H|, with no floor: dH scales with H
+            if traj.delta_h <= ZERO_SPREAD_TOL * np.abs(traj.hamiltonian.matrix).max():
                 raise ZeroEnergyVariance(f"energy spread {traj.delta_h!r} is numerically zero")
         self.traj = traj = trajs[0]
         self.dim = traj.hamiltonian.dim
@@ -267,8 +267,7 @@ class _Correction:
             self.scale = 2.0 / self.delta_h
         else:
             (traj,) = trajs
-            # the first state from its checked root, as Trajectory.states
-            # builds it, without checking it again
+            # the first state from its checked root, without checking it again
             r0 = traj.stack[0]
             self.rho0 = r0 @ r0
             self.purity = p = float(np.trace(self.rho0 @ self.rho0).real)
@@ -483,7 +482,7 @@ def _climb(corrections: list, cfg: OptimizerConfig, seeds: list) -> list:
         return np.trapezoid(f, grids[owner[members]]), failures
 
     bases = np.tile(np.eye(dim, dtype=complex), (len(seeds), n, 1, 1))
-    starts = _eigenbases(_gue_draws(dim, [s + r for s in seeds for r in range(1, n)]))
+    starts = eigh(_gue_draws(dim, [s + r for s in seeds for r in range(1, n)])).eigenvectors
     bases[:, 1:] = starts.reshape(len(seeds), n - 1, dim, dim)  # random_basis(dim, s + r)
     bases = bases.reshape(-1, dim, dim)
     values, failures = score(bases, np.arange(len(owner)), [None] * len(bases))

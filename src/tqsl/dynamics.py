@@ -8,7 +8,6 @@ overlap minimum; integrands derived from s0 are only trustworthy before it.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,11 +20,10 @@ from .errors import (
     _positive_finite,
     _trusted,
 )
-from .linalg import HERMITICITY_TOL, eigh, expm_i_hermitian, hermitian_defect, sqrtm_psd, tolerance_scale
+from .linalg import HERMITICITY_TOL, eigh, hermitian_defect, sqrtm_psd, tolerance_scale
 from .states import (
     EXPECTATION_IMAG_TOL,
     TRACE_TOL,
-    DensityMatrix,
     Observable,
     PureState,
     State,
@@ -43,33 +41,6 @@ _MINIMUM_EPS = 1e-12
 # from it: bounds the (block, d, d) temporaries, so memory does not grow
 # with the grid beyond the stack itself.
 STACK_BLOCK = 64
-
-
-def bargmann_angle_pure(psi0: PureState, psit: PureState) -> float:
-    """2 arccos |<psi0|psit>|, the Fubini-Study geodesic angle in [0, pi]."""
-    if psi0.dim != psit.dim:
-        raise DimensionMismatch(f"state dims {psi0.dim} vs {psit.dim}")
-    overlap = min(abs(complex(np.vdot(psi0.amplitudes, psit.amplitudes))), 1.0)
-    return 2.0 * math.acos(overlap)
-
-
-def bargmann_angle_mixed(rho0: DensityMatrix, rhot: DensityMatrix) -> float:
-    """2 arccos sqrt(Tr(rho0 rhot) / Tr(rho0^2)); pure lifts recover the
-    pure-state angle since both traces collapse to overlap moduli."""
-    if rho0.dim != rhot.dim:
-        raise DimensionMismatch(f"state dims {rho0.dim} vs {rhot.dim}")
-    ratio = float(np.trace(rho0.matrix @ rhot.matrix).real) / purity(rho0)
-    return 2.0 * math.acos(math.sqrt(min(max(ratio, 0.0), 1.0)))
-
-
-def evolve_mixed(h: Observable, rho0: DensityMatrix, t: float, hbar: float = 1.0) -> DensityMatrix:
-    """e^{-iHt/hbar} rho0 e^{+iHt/hbar}."""
-    if h.dim != rho0.dim:
-        raise DimensionMismatch(f"H dim {h.dim} vs state dim {rho0.dim}")
-    if t < 0:
-        raise ValueError("evolution time must be >= 0")
-    u = expm_i_hermitian(h.matrix, t / hbar)
-    return DensityMatrix(u @ rho0.matrix @ u.conj().T)
 
 
 def _first_overlap_minimum(overlap: np.ndarray) -> np.ndarray:
@@ -140,22 +111,6 @@ def _check_stack(h: np.ndarray, stack: np.ndarray, times: np.ndarray, s0: np.nda
             raise ValueError(f"energy spread drifts by {drift:.3e} along the grid")
 
 
-class _StateView(Sequence):
-    """Trajectory.states: the k-th state object is built when it is read."""
-
-    def __init__(self, stack: np.ndarray):
-        self._stack = stack
-
-    def __len__(self) -> int:
-        return len(self._stack)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return tuple(self[i] for i in range(*k.indices(len(self))))
-        m = self._stack[k]
-        return PureState(m) if m.ndim == 1 else DensityMatrix(m @ m)
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """States sampled on a uniform grid, with derived angle data.
@@ -166,10 +121,8 @@ class Trajectory:
     the whole stack (_check_stack). sample_trajectory builds its
     trajectories without these checks: its states come from one checked
     eigendecomposition (linalg.eigh), so only round-off could fail them.
-    `states` is a lazy view that builds PureState / DensityMatrix objects on
-    access. valid_until is the last index before the overlap starts growing
-    again; rows up to and including it are inside the derivation's
-    assumptions.
+    valid_until is the last index before the overlap starts growing again;
+    rows up to and including it are inside the derivation's assumptions.
     """
 
     hamiltonian: Observable
@@ -214,11 +167,6 @@ class Trajectory:
     @property
     def kind(self) -> str:
         return "pure" if self.stack.ndim == 2 else "mixed"
-
-    @property
-    def states(self) -> Sequence:
-        """The grid states as PureState / DensityMatrix objects, built on access."""
-        return _StateView(self.stack)
 
     @property
     def validity_clean(self) -> bool:

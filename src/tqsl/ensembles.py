@@ -24,8 +24,8 @@ from .errors import (
     _trusted,
 )
 from .dynamics import STACK_BLOCK
-from .linalg import HERMITICITY_TOL, hermitian_defect
-from .states import Observable, OrthonormalBasis, PureState, _eigenbases, _require_unit_kets
+from .linalg import HERMITICITY_TOL, eigh, hermitian_defect
+from .states import Observable, OrthonormalBasis, PureState, _require_unit_kets
 
 MAX_SPINS = 10
 PRODUCT_TOL = 1e-10
@@ -78,7 +78,7 @@ def _gue_draws(dim: int, seeds) -> np.ndarray:
 def random_basis(dim: int, seed: int) -> OrthonormalBasis:
     """Eigenbasis of an independent GUE draw."""
     cfg = GueConfig(dim=dim, seed=seed)
-    return _trusted(OrthonormalBasis, matrix=_eigenbases(_gue_draws(cfg.dim, [cfg.seed]))[0])
+    return _trusted(OrthonormalBasis, matrix=eigh(_gue_draws(cfg.dim, [cfg.seed])).eigenvectors[0])
 
 
 def _block_sites(blocks) -> tuple:

@@ -32,15 +32,7 @@ from .bounds import (
     _series,
     bound_series,
 )
-from .dynamics import (
-    Trajectory,
-    _grid,
-    _pure_trajectories,
-    bargmann_angle_mixed,
-    bargmann_angle_pure,
-    evolve_mixed,
-    sample_trajectory,
-)
+from .dynamics import Trajectory, _grid, _pure_trajectories, sample_trajectory
 from .ensembles import (
     GueConfig,
     SpinChainConfig,
@@ -54,11 +46,11 @@ from .ensembles import (
 from .errors import (
     ConfigError, NonHermitianInput, QslError, _index, _integer_fields, _positive_finite_fields, _trusted,
 )
+from .linalg import eigh
 from .states import (
     DensityMatrix,
     Observable,
     PureState,
-    _eigenbases,
     _raw_moment,
     centered,
     expectation,
@@ -149,7 +141,7 @@ def _fixed_bases(cfg: ExperimentConfig, dim: int, seeds: list, helped=None) -> t
     if cfg.basis_mode == "identity":
         return np.broadcast_to(np.eye(dim, dtype=complex), (len(seeds), dim, dim)), ["identity"] * len(seeds)
     basis_seeds = [seed + BASIS_SEED_OFFSET for seed in seeds]
-    stack = _eigenbases(_gue_draws(dim, basis_seeds)) if helped is None else helped
+    stack = eigh(_gue_draws(dim, basis_seeds)).eigenvectors if helped is None else helped
     return stack, [f"gue-eigenbasis:seed={s}" for s in basis_seeds]
 
 
@@ -432,7 +424,8 @@ def _taken(spool, kind: type):
 # ---------------------------------------------------------------------------
 # Property suite: seeded fuzz checks over every module's stated invariants.
 # Each check returns (trials, its most adverse signed margin, tolerance); it
-# passes when the margin stays above minus its tolerance.
+# passes when the margin stays above minus its tolerance. A seeded check is
+# a per-trial margin function that _trial_margins runs.
 
 def random_pure(rng, dim: int) -> PureState:
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
@@ -467,132 +460,95 @@ def _draw(rng, dim: int, mixed: bool):
     return a, b, state, basis
 
 
-def _check_chain(trials: int, seed: int, mixed: bool) -> tuple:
-    rng = np.random.default_rng([seed, 1 if mixed else 0])
+def _trial_margins(trial, trials: int, seed: int, stream: int, tolerance: float) -> tuple:
+    """A seeded check: trial(rng, dim, k) for k < trials, each trial's dim
+    the next of _SUITE_DIMS, all drawing from default_rng([seed, stream]);
+    (trials, the smallest margin, tolerance)."""
+    rng = np.random.default_rng([seed, stream])
     worst = math.inf
     for k in range(trials):
-        dim = _SUITE_DIMS[k % len(_SUITE_DIMS)]
-        a, b, state, basis = _draw(rng, dim, mixed)
-        da = math.sqrt(variance(a, state))
-        db = math.sqrt(variance(b, state))
-        if mixed:
-            tighter = tighter_bound_mixed(a, b, state, basis)
-        else:
-            tighter = tighter_bound_pure(a, b, state, basis)
-        cross = cross_term(a, b, state)
-        am, bm = a.matrix, b.matrix
-        half_comm = 0.5 * abs(_raw_moment(am @ bm - bm @ am, state))
-        worst = min(worst, da * db - tighter, tighter - cross, cross - half_comm)
-    return trials, worst, 1e-9
+        worst = min(worst, float(trial(rng, _SUITE_DIMS[k % len(_SUITE_DIMS)], k)))
+    return trials, worst, tolerance
 
 
-def _check_moment_identity(trials: int, seed: int) -> tuple:
-    rng = np.random.default_rng([seed, 2])
-    worst = 0.0
-    for k in range(trials):
-        dim = _SUITE_DIMS[k % len(_SUITE_DIMS)]
-        mixed = k % 2 == 1
-        a, b, state, _ = _draw(rng, dim, mixed)
-        worst = max(worst, abs(moment_identity_residual(a, b, state)))
-    return trials, -worst, 1e-9
+def _chain_margin(rng, dim: int, k: int, mixed: bool) -> float:
+    """dA dB >= the tighter bound >= the cross term >= |<[A, B]>| / 2."""
+    a, b, state, basis = _draw(rng, dim, mixed)
+    da = math.sqrt(variance(a, state))
+    db = math.sqrt(variance(b, state))
+    tighter = (tighter_bound_mixed if mixed else tighter_bound_pure)(a, b, state, basis)
+    cross = cross_term(a, b, state)
+    am, bm = a.matrix, b.matrix
+    half_comm = 0.5 * abs(_raw_moment(am @ bm - bm @ am, state))
+    return min(da * db - tighter, tighter - cross, cross - half_comm)
 
 
-def _check_f_positivity(trials: int, seed: int) -> tuple:
-    rng = np.random.default_rng([seed, 3])
-    worst = math.inf
-    for k in range(trials):
-        dim = _SUITE_DIMS[k % len(_SUITE_DIMS)]
-        a = sample_gue(GueConfig(dim=dim, seed=_derived_seed(rng)))
-        rho = random_density(rng, dim)
-        abar = centered(a, rho).matrix
-        f = abar @ rho.matrix @ abar
-        worst = min(worst, float(np.linalg.eigvalsh(0.5 * (f + f.conj().T))[0]))
-    return trials, worst, 1e-10
+def _moment_margin(rng, dim: int, k: int) -> float:
+    a, b, state, _ = _draw(rng, dim, mixed=k % 2 == 1)
+    return -abs(moment_identity_residual(a, b, state))
 
 
-def _check_side_insensitivity(trials: int, seed: int) -> tuple:
+def _f_positivity_margin(rng, dim: int, k: int) -> float:
+    a = sample_gue(GueConfig(dim=dim, seed=_derived_seed(rng)))
+    rho = random_density(rng, dim)
+    abar = centered(a, rho).matrix
+    f = abar @ rho.matrix @ abar
+    return float(np.linalg.eigvalsh(0.5 * (f + f.conj().T))[0])
+
+
+def _side_margin(rng, dim: int, k: int) -> float:
     """Diagonal fast route against literal per-projector traces, with the
     projector attached on either side of the centered operator."""
-    rng = np.random.default_rng([seed, 4])
+    a, b, rho, basis = _draw(rng, dim, mixed=True)
+    fast = tighter_bound_mixed(a, b, rho, basis)
+    abar = centered(a, rho).matrix
+    bbar = centered(b, rho).matrix
+    r = rho.matrix
+    f = abar @ r @ abar
+    u = basis.matrix
     worst = 0.0
-    for k in range(trials):
-        dim = _SUITE_DIMS[k % len(_SUITE_DIMS)]
-        a, b, rho, basis = _draw(rng, dim, mixed=True)
-        fast = tighter_bound_mixed(a, b, rho, basis)
-        abar = centered(a, rho).matrix
-        bbar = centered(b, rho).matrix
-        r = rho.matrix
-        f = abar @ r @ abar
-        u = basis.matrix
-        for attach in ("left", "right"):
-            total = 0.0
-            for n in range(dim):
-                pn = np.outer(u[:, n], u[:, n].conj())
-                bn = pn @ bbar if attach == "left" else bbar @ pn
-                sandwich = bn @ r @ bn.conj().T if attach == "left" else bn.conj().T @ r @ bn
-                total += math.sqrt(abs(complex(np.trace(f @ sandwich))))
-            worst = max(worst, abs(total - fast))
-    return trials, -worst, 1e-9
+    for attach in ("left", "right"):
+        total = 0.0
+        for n in range(dim):
+            pn = np.outer(u[:, n], u[:, n].conj())
+            bn = pn @ bbar if attach == "left" else bbar @ pn
+            sandwich = bn @ r @ bn.conj().T if attach == "left" else bn.conj().T @ r @ bn
+            total += math.sqrt(abs(complex(np.trace(f @ sandwich))))
+        worst = max(worst, abs(total - fast))
+    return -worst
 
 
-def _check_pure_reduction(trials: int, seed: int) -> tuple:
-    rng = np.random.default_rng([seed, 5])
+def _pure_reduction_margin(rng, dim: int, k: int) -> float:
+    a, b, psi, basis = _draw(rng, dim, mixed=False)
+    return -abs(tighter_bound_mixed(a, b, psi.to_density(), basis) - tighter_bound_pure(a, b, psi, basis))
+
+
+def _lift_margin(rng, dim: int, k: int) -> float:
+    a = sample_gue(GueConfig(dim=dim, seed=_derived_seed(rng)))
+    psi = random_pure(rng, dim)
+    rho = psi.to_density()
+    return -max(abs(expectation(a, psi) - expectation(a, rho)), abs(variance(a, psi) - variance(a, rho)))
+
+
+def _bargmann_margin(rng, dim: int, k: int) -> float:
+    """The angle s0 a two-point trajectory finds from a random ket, then a
+    random density matrix, to its state at t equals the angle from that
+    state back under -H."""
+    h = sample_gue(GueConfig(dim=dim, seed=_derived_seed(rng)))
+    t = float(rng.uniform(0.1, 2.0))
     worst = 0.0
-    for k in range(trials):
-        dim = _SUITE_DIMS[k % len(_SUITE_DIMS)]
-        a, b, psi, basis = _draw(rng, dim, mixed=False)
-        diff = abs(
-            tighter_bound_mixed(a, b, psi.to_density(), basis)
-            - tighter_bound_pure(a, b, psi, basis)
-        )
-        worst = max(worst, diff)
-    return trials, -worst, 1e-9
+    for state in (random_pure(rng, dim), random_density(rng, dim)):
+        traj = sample_trajectory(h, state, t, 2)
+        end = traj.stack[-1]  # a ket, or the root of a density matrix
+        end = PureState(end) if end.ndim == 1 else DensityMatrix(end @ end)
+        worst = max(worst, abs(traj.s0[-1] - sample_trajectory(Observable(-h.matrix), end, t, 2).s0[-1]))
+    return -worst
 
 
-def _check_lift_agreement(trials: int, seed: int) -> tuple:
-    rng = np.random.default_rng([seed, 6])
-    worst = 0.0
-    for k in range(trials):
-        dim = _SUITE_DIMS[k % len(_SUITE_DIMS)]
-        a = sample_gue(GueConfig(dim=dim, seed=_derived_seed(rng)))
-        psi = random_pure(rng, dim)
-        rho = psi.to_density()
-        worst = max(
-            worst,
-            abs(expectation(a, psi) - expectation(a, rho)),
-            abs(variance(a, psi) - variance(a, rho)),
-        )
-    return trials, -worst, 1e-10
-
-
-def _check_bargmann_symmetry(trials: int, seed: int) -> tuple:
-    rng = np.random.default_rng([seed, 7])
-    worst = 0.0
-    for k in range(trials):
-        dim = _SUITE_DIMS[k % len(_SUITE_DIMS)]
-        p1, p2 = random_pure(rng, dim), random_pure(rng, dim)
-        worst = max(worst, abs(bargmann_angle_pure(p1, p2) - bargmann_angle_pure(p2, p1)))
-        h = sample_gue(GueConfig(dim=dim, seed=_derived_seed(rng)))
-        rho0 = random_density(rng, dim)
-        rhot = evolve_mixed(h, rho0, float(rng.uniform(0.1, 2.0)))
-        worst = max(
-            worst, abs(bargmann_angle_mixed(rho0, rhot) - bargmann_angle_mixed(rhot, rho0))
-        )
-    return trials, -worst, 1e-10
-
-
-def _check_correction_nonnegative(trials: int, seed: int) -> tuple:
-    rng = np.random.default_rng([seed, 8])
-    worst = math.inf
-    for k in range(trials):
-        dim = _SUITE_DIMS[k % len(_SUITE_DIMS)]
-        mixed = k % 2 == 1
-        a, b, state, basis = _draw(rng, dim, mixed)
-        if mixed:
-            worst = min(worst, correction_k_mixed(a, b, state, basis))
-        else:
-            worst = min(worst, correction_k_pure(a, b, state, basis))
-    return trials, worst, 0.0
+def _correction_margin(rng, dim: int, k: int) -> float:
+    mixed = k % 2 == 1
+    a, b, state, basis = _draw(rng, dim, mixed)
+    return (correction_k_mixed if mixed else correction_k_pure)(a, b, state, basis)
 
 
 def _check_delta_nonnegative(seed: int) -> tuple:
@@ -634,18 +590,22 @@ def run_property_suite(cfg: ExperimentConfig) -> dict:
     if len(cfg.seeds) > 1:
         raise ConfigError(f"verify runs take one seed, got {len(cfg.seeds)}")
     seed = cfg.seeds[0] if cfg.seeds else 0
-    trials = cfg.trials
-    quarter = max(trials // 4, 1)
-    checks = [_verdict(name, check) for name, check in (
-        ("pure-chain", lambda: _check_chain(trials, seed, mixed=False)),
-        ("mixed-chain", lambda: _check_chain(trials, seed, mixed=True)),
-        ("moment-identity", lambda: _check_moment_identity(trials, seed)),
-        ("f-positivity", lambda: _check_f_positivity(trials, seed)),
-        ("side-insensitivity", lambda: _check_side_insensitivity(quarter, seed)),
-        ("pure-reduction", lambda: _check_pure_reduction(trials, seed)),
-        ("state-lift-agreement", lambda: _check_lift_agreement(trials, seed)),
-        ("bargmann-symmetry", lambda: _check_bargmann_symmetry(quarter, seed)),
-        ("correction-nonnegative", lambda: _check_correction_nonnegative(trials, seed)),
+    trials, quarter = cfg.trials, max(cfg.trials // 4, 1)
+    seeded = (  # a check's random stream is its row here
+        ("pure-chain", functools.partial(_chain_margin, mixed=False), trials, 1e-9),
+        ("mixed-chain", functools.partial(_chain_margin, mixed=True), trials, 1e-9),
+        ("moment-identity", _moment_margin, trials, 1e-9),
+        ("f-positivity", _f_positivity_margin, trials, 1e-10),
+        ("side-insensitivity", _side_margin, quarter, 1e-9),
+        ("pure-reduction", _pure_reduction_margin, trials, 1e-9),
+        ("state-lift-agreement", _lift_margin, trials, 1e-10),
+        ("bargmann-symmetry", _bargmann_margin, quarter, 1e-10),
+        ("correction-nonnegative", _correction_margin, trials, 0.0),
+    )
+    checks = [
+        _verdict(name, functools.partial(_trial_margins, trial, n, seed, stream, tolerance))
+        for stream, (name, trial, n, tolerance) in enumerate(seeded)
+    ] + [_verdict(name, check) for name, check in (
         ("delta-nonnegative", lambda: _check_delta_nonnegative(seed)),
         ("quadrature-order", _check_quadrature_order),
         ("hermiticity-rejection", _check_hermiticity_rejection),

@@ -40,19 +40,19 @@ def hermitian_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - _dagger(m)))) if m.size else 0.0
 
 
-def require_hermitian(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def require_hermitian(m) -> np.ndarray:
     """Return the symmetrized matrix (M + M^dagger)/2, or raise.
 
     M may also be a (k, d, d) stack; it is then checked and symmetrized as
     a whole. Symmetrizing absorbs round-off from tensor-product
-    construction; anything beyond `tol` is treated as a caller bug.
+    construction; anything beyond HERMITICITY_TOL is a caller bug.
     """
     a = _finite_complex(m, (2, 3), "a 2-d matrix or a 3-d stack")
     if a.shape[-2] != a.shape[-1]:
         raise NonHermitianInput(f"matrix is not square: {a.shape}")
     defect = hermitian_defect(a)
-    if defect > tol:
-        raise NonHermitianInput(f"Hermiticity defect {defect:.3e} exceeds {tol:.0e}")
+    if defect > HERMITICITY_TOL:
+        raise NonHermitianInput(f"Hermiticity defect {defect:.3e} exceeds {HERMITICITY_TOL:.0e}")
     return 0.5 * (a + _dagger(a))
 
 

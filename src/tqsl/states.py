@@ -17,7 +17,6 @@ from .errors import (
     NonHermitianInput,
     NonRealExpectation,
     NotPositiveSemidefinite,
-    _trusted,
 )
 from .linalg import HERMITICITY_TOL, as_complex_matrix, hermitian_defect, sqrtm_psd, tolerance_scale
 
@@ -236,24 +235,4 @@ def centered(a: Observable, state: State) -> Observable:
 def purity(rho: DensityMatrix) -> float:
     """Tr(rho^2); equals 1 exactly on pure states."""
     return float(np.trace(rho.matrix @ rho.matrix).real)
-
-
-def basis_from_observable(g: Observable) -> OrthonormalBasis:
-    """Eigenbasis of a Hermitian operator, as linalg.eigh finds it on the
-    symmetrized matrix. Degenerate spectra are fine: any orthonormal
-    completion the eigensolver picks satisfies completeness."""
-    return _trusted(OrthonormalBasis, matrix=_eigenbases(g.matrix[None])[0])
-
-
-def _eigenbases(stack: np.ndarray) -> np.ndarray:
-    """basis_from_observable's matrices for a (k, d, d) stack of checked
-    Hermitian matrices, as one read-only stack: one eigh, and the one check
-    is OrthonormalBasis's, made by basis_failures on the whole stack. The
-    first member that fails raises its error."""
-    vecs = np.linalg.eigh(0.5 * (stack + stack.conj().swapaxes(-1, -2)))[1]
-    failure = next(filter(None, basis_failures(vecs)), None)
-    if failure is not None:
-        raise failure
-    vecs.setflags(write=False)
-    return vecs
 

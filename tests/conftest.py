@@ -1,10 +1,13 @@
 """Shared fixtures: Pauli matrices and a couple of canonical states.
 
 random_pure and random_density are the property suite's own draws,
-re-exported for the test modules; wishart_density is the benchmark's. evolve_pure is the one-state-at-a-time
-propagator that trajectories and the spin oracle are checked against."""
+re-exported for the test modules; wishart_density is the benchmark's.
+evolve_pure and evolve_mixed are the one-state-at-a-time propagators that
+trajectories and the spin oracle are checked against, and grid_states reads
+a trajectory's states back from its stack."""
 import numpy as np
 import pytest
+import scipy.linalg
 
 from tqsl import DensityMatrix, DimensionMismatch, Observable, PureState, expm_i_hermitian
 from tqsl.experiments import random_density, random_pure  # noqa: F401
@@ -17,6 +20,18 @@ def evolve_pure(h: Observable, psi0: PureState, t: float, hbar: float = 1.0) -> 
     if t < 0:
         raise ValueError("evolution time must be >= 0")
     return PureState(expm_i_hermitian(h.matrix, t / hbar) @ psi0.amplitudes)
+
+
+def evolve_mixed(h: Observable, rho0: DensityMatrix, t: float, hbar: float = 1.0) -> DensityMatrix:
+    """e^{-iHt/hbar} rho0 e^{+iHt/hbar}, from scipy's dense exponential."""
+    u = scipy.linalg.expm(-1j * h.matrix * (t / hbar))
+    return DensityMatrix(u @ rho0.matrix @ u.conj().T)
+
+
+def grid_states(traj) -> list:
+    """A trajectory's grid states: a PureState per ket row of its stack, or
+    a DensityMatrix R @ R per root R."""
+    return [PureState(m) if m.ndim == 1 else DensityMatrix(m @ m) for m in traj.stack]
 
 
 def wishart_density(item: int, dim: int = 8) -> np.ndarray:

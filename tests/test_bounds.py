@@ -28,12 +28,10 @@ from tqsl import (
     Trajectory,
     ValidityExceeded,
     ZeroEnergyVariance,
-    bargmann_angle_mixed,
     bound_series,
     correction_k_mixed,
     correction_k_pure,
     default_initial_state,
-    evolve_mixed,
     optimize_basis,
     random_basis,
     sample_gue,
@@ -45,7 +43,7 @@ from tqsl import (
 import sequential_optimizer as oracle
 import tqsl.bounds
 import tqsl.dynamics
-from conftest import evolve_pure, random_density, random_pure
+from conftest import evolve_mixed, evolve_pure, grid_states, random_density, random_pure
 from tqsl.bounds import (
     _climb, _Correction, _csv_row, _cumulative_trapezoid, _mixed_k_series, _random_directions,
     _require_clean, _series,
@@ -99,7 +97,7 @@ def underflow_trajectory():
     )
     st1 = evolve_mixed(h, r0, 0.6)
     st2 = evolve_mixed(h, r0, 1.2)
-    s0 = np.array([0.0, bargmann_angle_mixed(r0, st1), 0.0])
+    s0 = np.array([0.0, 2.0 * math.acos(math.sqrt(np.trace(r0.matrix @ st1.matrix).real / purity(r0))), 0.0])
     return Trajectory(
         hamiltonian=h,
         hbar=1.0,
@@ -231,13 +229,14 @@ class TestCorrectionSamples:
         h, traj = gue_trajectory(seed=0, tau=1.0, steps=40)
         basis = random_basis(3, 5)
         f = _Correction(traj).integrand(basis)
-        proj = Observable(traj.states[0].projector())
+        states = grid_states(traj)
+        proj = Observable(states[0].projector())
         scale = 2.0 / traj.delta_h
         for k in range(len(traj.times)):
             den = math.sin(traj.s0[k])
             want = 0.0
             if den >= SIN_EPS:
-                want = scale * correction_k_pure(proj, h, traj.states[k], basis) / den
+                want = scale * correction_k_pure(proj, h, states[k], basis) / den
             assert f[k] == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("dim", [2, 3, 8])
@@ -247,10 +246,10 @@ class TestCorrectionSamples:
         h = sample_gue(GueConfig(dim=dim, seed=dim))
         traj = sample_trajectory(h, random_density(rng, dim), 1.3, 150)
         basis = random_basis(dim, 17)
-        rho0 = traj.states[0]
-        (got,) = _mixed_k_series(traj, rho0.matrix, basis.matrix[None])
-        a = Observable(rho0.matrix)
-        want = [correction_k_mixed(a, h, rho, basis) for rho in traj.states]
+        states = grid_states(traj)
+        (got,) = _mixed_k_series(traj, states[0].matrix, basis.matrix[None])
+        a = Observable(states[0].matrix)
+        want = [correction_k_mixed(a, h, rho, basis) for rho in states]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_times_column_is_the_grid(self, sigma_x, ket0):
@@ -297,12 +296,12 @@ class TestCorrectionSamples:
         # the root is checked with the trajectory, so no DensityMatrix is
         # rebuilt; the matrix and purity are the ones that state would give
         traj = wishart_trajectory()
-        want = traj.states[0]
+        want = grid_states(traj)[0]
 
-        def rebuilt(matrix):
+        def rebuilt(self):
             raise AssertionError("the first state was rebuilt")
 
-        monkeypatch.setattr(tqsl.dynamics, "DensityMatrix", rebuilt)
+        monkeypatch.setattr(DensityMatrix, "__post_init__", rebuilt)
         c = _Correction(traj)
         assert c.rho0.tobytes() == want.matrix.tobytes()
         assert repr(c.purity) == repr(purity(want))

@@ -16,42 +16,56 @@ from tqsl import (
     OrthonormalBasis,
     PureState,
     Trajectory,
-    bargmann_angle_mixed,
-    bargmann_angle_pure,
+    ZeroEnergyVariance,
     bound_series,
     default_initial_state,
-    evolve_mixed,
+    eigh,
     expectation,
     random_basis,
     sample_gue,
     sample_trajectory,
 )
-from conftest import evolve_pure, random_density, random_pure, wishart_density, with_spectrum
+from conftest import (
+    evolve_mixed, evolve_pure, grid_states, random_density, random_pure, wishart_density, with_spectrum,
+)
 from tqsl import dynamics
 from tqsl.errors import _trusted
 from tqsl.states import EXPECTATION_IMAG_TOL, PSD_TOL
 
 
-class TestBargmannAngle:
-    def test_identical_states_give_zero(self, ket0, ket_plus, qubit_mixed):
-        assert bargmann_angle_pure(ket0, ket0) == 0.0
-        # arccos amplifies the norm round-off of 1/sqrt(2) amplitudes, so
-        # states that are not exactly unit-norm only reach ~1e-8
-        assert bargmann_angle_pure(ket_plus, ket_plus) == pytest.approx(0.0, abs=1e-7)
-        assert bargmann_angle_mixed(qubit_mixed, qubit_mixed) == pytest.approx(0.0, abs=1e-7)
+def final_angle(h: Observable, state, t: float) -> float:
+    """The Bargmann angle s0 from `state` to its evolved state at t."""
+    return float(sample_trajectory(h, state, t, 2).s0[-1])
 
-    def test_orthogonal_states_give_pi(self, ket0, ket1):
-        assert bargmann_angle_pure(ket0, ket1) == pytest.approx(math.pi)
+
+def reversed_angle(h: Observable, state, t: float) -> float:
+    """The angle from the state at t back to `state`, under -H."""
+    end = grid_states(sample_trajectory(h, state, t, 2))[-1]
+    return final_angle(Observable(-h.matrix), end, t)
+
+
+class TestBargmannAngle:
+    """The angle s0 as a trajectory carries it."""
+
+    def test_identical_states_give_zero(self, sigma_x, sigma_z, ket0, ket_plus, qubit_mixed):
+        assert sample_trajectory(sigma_x, ket0, 1.0, 5).s0[0] == 0.0
+        # stationary states: arccos amplifies eigensolver round-off, so an
+        # overlap within 1e-16 of 1 only gives an angle of ~1e-8
+        assert final_angle(sigma_x, ket_plus, 0.9) == pytest.approx(0.0, abs=1e-7)
+        assert final_angle(sigma_z, qubit_mixed, 0.9) == pytest.approx(0.0, abs=1e-7)
+
+    def test_orthogonal_states_give_pi(self, sigma_x, ket0):
+        assert final_angle(sigma_x, ket0, math.pi / 2) == pytest.approx(math.pi)
 
     def test_precession_angle_is_twice_time(self, sigma_x, ket0):
         for t in (0.2, 0.7, 1.4):
-            psit = evolve_pure(sigma_x, ket0, t)
-            assert bargmann_angle_pure(ket0, psit) == pytest.approx(2.0 * t, abs=1e-12)
+            assert final_angle(sigma_x, ket0, t) == pytest.approx(2.0 * t, abs=1e-12)
 
     def test_pure_symmetry(self):
         rng = np.random.default_rng(30)
-        a, b = random_pure(rng, 4), random_pure(rng, 4)
-        assert bargmann_angle_pure(a, b) == pytest.approx(bargmann_angle_pure(b, a))
+        h = sample_gue(GueConfig(dim=4, seed=8))
+        psi = random_pure(rng, 4)
+        assert final_angle(h, psi, 1.1) == pytest.approx(reversed_angle(h, psi, 1.1), abs=1e-12)
 
     def test_mixed_symmetric_for_unitary_pairs(self):
         # equal purity on both sides, so the normalization does not break the
@@ -59,33 +73,28 @@ class TestBargmannAngle:
         rng = np.random.default_rng(31)
         rho0 = random_density(rng, 3)
         h = sample_gue(GueConfig(dim=3, seed=9))
-        rhot = evolve_mixed(h, rho0, 1.1)
-        assert bargmann_angle_mixed(rho0, rhot) == pytest.approx(
-            bargmann_angle_mixed(rhot, rho0), abs=1e-12
-        )
+        assert final_angle(h, rho0, 1.1) == pytest.approx(reversed_angle(h, rho0, 1.1), abs=1e-12)
 
     def test_mixed_qubit_closed_form(self, sigma_x, qubit_mixed):
         # Tr(rho0 rho_t) = 0.5 + 0.18 cos 2t and purity 0.68 for diag(.8, .2)
         # precessing under sigma_x
         for t in (0.4, math.pi / 2, 2.0):
-            rhot = evolve_mixed(sigma_x, qubit_mixed, t)
             want = 2.0 * math.acos(math.sqrt((0.5 + 0.18 * math.cos(2 * t)) / 0.68))
-            assert bargmann_angle_mixed(qubit_mixed, rhot) == pytest.approx(want, abs=1e-12)
+            assert final_angle(sigma_x, qubit_mixed, t) == pytest.approx(want, abs=1e-12)
 
     def test_mixed_agrees_with_pure_on_lifts(self):
         rng = np.random.default_rng(32)
-        a, b = random_pure(rng, 4), random_pure(rng, 4)
-        assert bargmann_angle_mixed(a.to_density(), b.to_density()) == pytest.approx(
-            bargmann_angle_pure(a, b), abs=1e-9
-        )
+        h = sample_gue(GueConfig(dim=4, seed=10))
+        psi = random_pure(rng, 4)
+        pure = sample_trajectory(h, psi, 1.3, 20).s0
+        lift = sample_trajectory(h, psi.to_density(), 1.3, 20).s0
+        np.testing.assert_allclose(lift, pure, rtol=0, atol=1e-9)
 
-    def test_dimension_mismatch(self, ket0):
+    def test_dimension_mismatch(self, sigma_x):
         with pytest.raises(DimensionMismatch):
-            bargmann_angle_pure(ket0, PureState(np.array([1.0, 0, 0])))
+            sample_trajectory(sigma_x, PureState(np.array([1.0, 0, 0])), 1.0, 5)
         with pytest.raises(DimensionMismatch):
-            bargmann_angle_mixed(
-                DensityMatrix(np.eye(2) / 2), DensityMatrix(np.eye(3) / 3)
-            )
+            sample_trajectory(sigma_x, DensityMatrix(np.eye(3) / 3), 1.0, 5)
 
 
 class TestEvolve:
@@ -122,8 +131,9 @@ class TestEvolve:
     def test_rejects_negative_time(self, sigma_x, ket0, qubit_mixed):
         with pytest.raises(ValueError, match=">= 0"):
             evolve_pure(sigma_x, ket0, -0.1)
-        with pytest.raises(ValueError, match=">= 0"):
-            evolve_mixed(sigma_x, qubit_mixed, -0.1)
+        for state in (ket0, qubit_mixed):
+            with pytest.raises(ValueError, match="t_max"):
+                sample_trajectory(sigma_x, state, -0.1, 5)
 
     def test_rejects_dimension_mismatch(self, sigma_x):
         with pytest.raises(DimensionMismatch):
@@ -132,7 +142,7 @@ class TestEvolve:
     def test_maximally_mixed_is_invariant(self):
         h = sample_gue(GueConfig(dim=4, seed=3))
         rho = DensityMatrix(np.eye(4) / 4)
-        out = evolve_mixed(h, rho, 1.9)
+        out = grid_states(sample_trajectory(h, rho, 1.9, 2))[-1]
         np.testing.assert_allclose(out.matrix, rho.matrix, atol=1e-12)
 
     def test_mixed_evolution_lifts_pure(self):
@@ -140,14 +150,14 @@ class TestEvolve:
         h = sample_gue(GueConfig(dim=3, seed=4))
         psi = random_pure(rng, 3)
         via_pure = evolve_pure(h, psi, 1.3).to_density()
-        via_mixed = evolve_mixed(h, psi.to_density(), 1.3)
+        via_mixed = grid_states(sample_trajectory(h, psi.to_density(), 1.3, 2))[-1]
         np.testing.assert_allclose(via_mixed.matrix, via_pure.matrix, atol=1e-9)
 
     def test_spectrum_preserved(self):
         rng = np.random.default_rng(36)
         h = sample_gue(GueConfig(dim=4, seed=5))
         rho = random_density(rng, 4)
-        out = evolve_mixed(h, rho, 2.7)
+        out = grid_states(sample_trajectory(h, rho, 2.7, 2))[-1]
         np.testing.assert_allclose(
             np.linalg.eigvalsh(out.matrix), np.linalg.eigvalsh(rho.matrix), atol=1e-10
         )
@@ -417,7 +427,7 @@ class TestSampledTrajectoriesAreTrusted:
             sample_trajectory(h, state, 1.0, 50)
 
 
-SCALES = [1e-9, 1e-3, 1e3, 1e6, 1e8, 1e9, 1e10, 1e12]
+SCALES = [1e-16, 1e-12, 1e-9, 1e-3, 1e3, 1e6, 1e8, 1e9, 1e10, 1e12]
 
 
 class TestScaleCovariance:
@@ -443,6 +453,15 @@ class TestScaleCovariance:
     def test_mixed_bound_is_scale_free(self, c):
         rho = DensityMatrix(wishart_density(0, 3))
         assert self.endpoint(rho, c) == pytest.approx(self.endpoint(rho, 1.0), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+    def test_eigenstate_spread_is_zero_at_every_scale(self, c):
+        # the zero-spread gate is relative to max|H|, so an eigenstate's
+        # round-off spread, which scales with c, raises at every c
+        h = c * sample_gue(GueConfig(dim=3, seed=0)).matrix
+        traj = sample_trajectory(Observable(h), PureState(eigh(h).eigenvectors[:, 1]), 1.0 / c, 400)
+        with pytest.raises(ZeroEnergyVariance, match="numerically zero"):
+            bound_series(traj, random_basis(3, 7))
 
 
 class TestImaginaryTolerance:
@@ -477,16 +496,17 @@ class TestImaginaryTolerance:
 
 
 class TestStatesView:
+    """The grid states read back from a trajectory's stack."""
+
     @pytest.mark.parametrize("dim", [2, 3, 8])
     def test_pure_states_match_evolve_pure(self, dim):
         rng = np.random.default_rng(50 + dim)
         h = sample_gue(GueConfig(dim=dim, seed=dim))
         psi = random_pure(rng, dim)
         traj = sample_trajectory(h, psi, 1.7, 40, hbar=0.8)
-        assert len(traj.states) == 40
-        for k, t in enumerate(traj.times):
+        for state, t in zip(grid_states(traj), traj.times):
             want = evolve_pure(h, psi, float(t), hbar=0.8).amplitudes
-            np.testing.assert_allclose(traj.states[k].amplitudes, want, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(state.amplitudes, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("dim", [2, 3, 8])
     def test_mixed_states_match_evolve_mixed(self, dim):
@@ -494,18 +514,6 @@ class TestStatesView:
         h = sample_gue(GueConfig(dim=dim, seed=dim))
         rho = random_density(rng, dim)
         traj = sample_trajectory(h, rho, 1.7, 40, hbar=0.8)
-        for k, t in enumerate(traj.times):
+        for state, t in zip(grid_states(traj), traj.times):
             want = evolve_mixed(h, rho, float(t), hbar=0.8).matrix
-            np.testing.assert_allclose(traj.states[k].matrix, want, rtol=0, atol=1e-12)
-
-    def test_view_indexes_like_a_tuple(self, sigma_x, ket0, qubit_mixed):
-        traj = sample_trajectory(sigma_x, ket0, 1.0, 5)
-        states = traj.states
-        assert isinstance(states[-1], PureState)
-        np.testing.assert_array_equal(states[-1].amplitudes, states[4].amplitudes)
-        assert len(states[1:3]) == 2
-        assert len(list(states)) == 5
-        with pytest.raises(IndexError):
-            states[5]
-        assert isinstance(sample_trajectory(sigma_x, qubit_mixed, 1.0, 5).states[2], DensityMatrix)
-
+            np.testing.assert_allclose(state.matrix, want, rtol=0, atol=1e-12)

@@ -9,6 +9,7 @@ import scipy.linalg
 from tqsl import (
     BlockIndexOutOfRange,
     ConfigError,
+    ExperimentConfig,
     GueConfig,
     NotProductState,
     Observable,
@@ -22,6 +23,7 @@ from tqsl import (
     spin_chain_hamiltonian,
 )
 from conftest import evolve_pure
+from tqsl.experiments import _fixed_bases
 from tqsl.linalg import eigh
 from spin_oracle_loop import dense_hamiltonian, evolved_ket, evolved_rows, x_string
 
@@ -103,12 +105,27 @@ class TestRandomBasis:
 
     @pytest.mark.parametrize("dim", [3, 8, 64, 256])
     def test_bits_match_the_checked_eigh_route(self, dim):
-        # the basis is decomposed once and checked once, by OrthonormalBasis;
-        # it is the one linalg.eigh gives after its own checks
+        # the basis is decomposed and checked once, by linalg.eigh
         for seed in (0, 1):
             want = eigh(sample_gue(GueConfig(dim=dim, seed=seed)).matrix).eigenvectors
             got = random_basis(dim, seed).matrix
             assert got.view(np.uint64).tobytes() == want.view(np.uint64).tobytes()
+
+    def test_a_failed_eigenbasis_raises_eighs_error(self, monkeypatch):
+        # eigenvectors that come back stretched fail linalg.eigh's Gram
+        # check, for one basis and for a sweep's stack of fixed bases
+        real = np.linalg.eigh
+
+        def stretched(m):
+            w, v = real(m)
+            v[..., 0] *= 1.01
+            return w, v
+
+        monkeypatch.setattr(np.linalg, "eigh", stretched)
+        with pytest.raises(ValueError, match="not orthonormal"):
+            random_basis(3, 0)
+        with pytest.raises(ValueError, match="not orthonormal"):
+            _fixed_bases(ExperimentConfig(kind="gue"), 3, [0, 1])
 
 
 class TestSpinChainConfig:

@@ -40,7 +40,7 @@ from tqsl.bounds import _Correction, _series
 from tqsl.dynamics import _pure_trajectories
 from tqsl.ensembles import _gue_draws
 from tqsl.errors import _trusted
-from tqsl.states import _eigenbases
+from tqsl.linalg import eigh
 
 EXPECTED_CHECKS = {
     "pure-chain",
@@ -405,12 +405,12 @@ class TestStackedBlocks:
         psi0 = default_initial_state(dim)
         draws = _gue_drawn_one_at_a_time
         h_stack = _gue_draws(dim, seeds)
-        bases = _eigenbases(h_stack)
+        bases = eigh(h_stack).eigenvectors
         times = np.linspace(0.0, 1.0, 200)
         trajs = _pure_trajectories([_trusted(Observable, matrix=m) for m in h_stack], psi0, times, 0.7)
         ids = [f"b{seed}" for seed in seeds]
         other = [seed + 100 for seed in seeds]  # bases that are no trajectory's eigenbasis
-        series = _series(_Correction(*trajs), _eigenbases(_gue_draws(dim, other)), ids)
+        series = _series(_Correction(*trajs), eigh(_gue_draws(dim, other)).eigenvectors, ids)
         for k, seed in enumerate(seeds):
             h = sample_gue(GueConfig(dim=dim, seed=seed))
             assert _same_bits(h.matrix.view(np.uint64), draws(dim, seed).view(np.uint64))
@@ -579,6 +579,18 @@ class TestPropertySuite:
         assert tqsl.cli.main(["verify", "--trials", "8", "--out", str(tmp_path / "cli")]) == 1
         (line,) = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
         assert line.split() == ["FAIL", "delta-nonnegative", "trials=0", "BoundViolation:", *"bound 2 exceeds actual time 1".split()]
+
+    def test_bargmann_symmetry_sees_a_state_dependent_normalisation(self, tmp_path, monkeypatch):
+        # a mixed angle normalised by a purity that depends on the state's
+        # [0, 0] entry is not symmetric under exchange, and only this check
+        # reads the angle both ways
+        real = tqsl.dynamics.purity
+        monkeypatch.setattr(tqsl.dynamics, "purity", lambda rho: real(rho) * (1.0 + rho.matrix[0, 0].real))
+        report = run_property_suite(self.verify_config(tmp_path / "v", trials=8))
+        (failed,) = [c for c in report["checks"] if not c["passed"]]
+        assert failed["name"] == "bargmann-symmetry"
+        assert failed["passed"] is False
+        assert failed["worst_slack"] < -1e-10
 
     def test_takes_one_seed(self, tmp_path):
         # the suite runs one seed, so it must not accept and echo a second

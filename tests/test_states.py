@@ -14,16 +14,16 @@ from tqsl import (
     Observable,
     OrthonormalBasis,
     PureState,
-    basis_from_observable,
-    bargmann_angle_pure,
     centered,
+    eigh,
     expectation,
     purity,
     sample_gue,
+    sample_trajectory,
     variance,
 )
-from conftest import evolve_pure, random_density, random_pure, with_spectrum
-from tqsl.states import PSD_TOL, _eigenbases, _require_psd, _require_unit_kets
+from conftest import random_density, random_pure, with_spectrum
+from tqsl.states import PSD_TOL, _require_psd, _require_unit_kets
 
 
 class TestObservable:
@@ -192,10 +192,9 @@ class TestMoments:
     def test_projector_variance_tracks_angle(self, sigma_x, ket0):
         # A = |psi(0)><psi(0)| on the evolved state has variance sin^2(s0)/4
         a = Observable(ket0.projector())
-        for t in (0.3, 0.7, 1.1):
-            psi_t = evolve_pure(sigma_x, ket0, t)
-            s0 = bargmann_angle_pure(ket0, psi_t)
-            assert variance(a, psi_t) == pytest.approx(0.25 * np.sin(s0) ** 2, abs=1e-12)
+        traj = sample_trajectory(sigma_x, ket0, 1.1, 12)
+        for ket, s0 in zip(traj.stack, traj.s0):
+            assert variance(a, PureState(ket)) == pytest.approx(0.25 * np.sin(s0) ** 2, abs=1e-12)
 
     def test_variance_equals_centered_second_moment(self):
         rng = np.random.default_rng(2)
@@ -238,28 +237,29 @@ class TestPurity:
 
 
 class TestBasisFromObservable:
+    """An observable's eigenbasis, as linalg.eigh finds it."""
+
     def test_sigma_z_gives_computational_basis(self, sigma_z):
-        basis = basis_from_observable(sigma_z)
+        basis = OrthonormalBasis(eigh(sigma_z.matrix).eigenvectors)
         # ascending eigenvalues put |1> first; compare moduli to ignore phase
         want = np.array([[0.0, 1.0], [1.0, 0.0]])
         np.testing.assert_allclose(np.abs(basis.matrix), want, atol=1e-12)
 
     def test_degenerate_spectrum_still_complete(self):
-        basis = basis_from_observable(Observable(np.eye(4)))
+        basis = OrthonormalBasis(eigh(np.eye(4)).eigenvectors)
         defect = np.max(np.abs(basis.matrix @ basis.matrix.conj().T - np.eye(4)))
         assert defect < 1e-9
 
     def test_random_hermitian_gram(self):
-        g = sample_gue(GueConfig(dim=3, seed=23))
-        basis = basis_from_observable(g)
-        gram = basis.matrix.conj().T @ basis.matrix
+        vecs = eigh(sample_gue(GueConfig(dim=3, seed=23)).matrix).eigenvectors
+        gram = vecs.conj().T @ vecs
         assert np.max(np.abs(gram - np.eye(3))) < 1e-9
 
     def test_a_stack_checks_every_member(self, monkeypatch):
         # eigenvectors of member 2 of 5 come back stretched: the stack's one
-        # check must find them, with the error OrthonormalBasis raises
+        # check must find them
         stack = np.stack([sample_gue(GueConfig(dim=3, seed=s)).matrix for s in range(5)])
-        _eigenbases(stack)
+        eigh(stack)
         real = np.linalg.eigh
 
         def stretched(m):
@@ -268,8 +268,8 @@ class TestBasisFromObservable:
             return w, v
 
         monkeypatch.setattr(np.linalg, "eigh", stretched)
-        with pytest.raises(InvalidBasis, match="orthonormality defect"):
-            _eigenbases(stack)
+        with pytest.raises(ValueError, match="not orthonormal"):
+            eigh(stack)
 
 
 @settings(max_examples=30, deadline=None)

@@ -17,11 +17,11 @@ from tqsl import (
     OrthonormalBasis,
     PureState,
     UncertaintyReport,
-    basis_from_observable,
     centered,
     correction_k_mixed,
     correction_k_pure,
     cross_term,
+    eigh,
     moment_identity_residual,
     random_basis,
     robertson_schrodinger_bound,
@@ -114,7 +114,7 @@ class TestTighterMixed:
         # Delta A * Delta B = 1 and each term contributes sqrt(1/4) twice,
         # independent of the resolving basis.
         rho = DensityMatrix(np.eye(2) / 2.0)
-        for basis in (OrthonormalBasis.identity(2), basis_from_observable(sigma_y)):
+        for basis in (OrthonormalBasis.identity(2), OrthonormalBasis(eigh(sigma_y.matrix).eigenvectors)):
             assert tighter_bound_mixed(sigma_x, sigma_y, rho, basis) == pytest.approx(1.0)
 
     def test_reduces_to_pure_on_lifts(self):
