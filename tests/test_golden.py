@@ -8,7 +8,9 @@ behind them (tests/golden/).
   verify_checks.json: the "checks" of `verify --trials 8 --seeds 0`, both
   captured before the two sweeps shared one runner and the property checks
   one verdict rule. Its quadrature-order slack alone was recaptured when the
-  bound's two trapezoid codes became one cumulative routine.
+  bound's two trapezoid codes became one cumulative routine, and its
+  bargmann-symmetry entry alone when that check began to read the angle of
+  sampled trajectories instead of a second angle and propagator.
 - spin8/: the 8-spin chain, CSVs and summary runs, captured before the
   closed-form spin oracle took the whole time grid in one call, and
   recaptured with BLAS pinned to one thread: its last digits move with the
