@@ -42,7 +42,6 @@ from tqsl import (
 )
 import sequential_optimizer as oracle
 import tqsl.bounds
-import tqsl.dynamics
 from conftest import evolve_mixed, evolve_pure, grid_states, random_density, random_pure
 from tqsl.bounds import (
     _climb, _Correction, _csv_row, _cumulative_trapezoid, _mixed_k_series, _random_directions,
@@ -97,7 +96,8 @@ def underflow_trajectory():
     )
     st1 = evolve_mixed(h, r0, 0.6)
     st2 = evolve_mixed(h, r0, 1.2)
-    s0 = np.array([0.0, 2.0 * math.acos(math.sqrt(np.trace(r0.matrix @ st1.matrix).real / purity(r0))), 0.0])
+    ratio = np.trace(r0.matrix @ st1.matrix).real / purity(r0)  # the mixed angle's cos^2(s0/2)
+    s0 = np.array([0.0, 2.0 * math.acos(math.sqrt(ratio)), 0.0])
     return Trajectory(
         hamiltonian=h,
         hbar=1.0,
