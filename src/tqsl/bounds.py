@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import STACK_BLOCK, Trajectory, _stacked, frobenius_inner, sample_trajectory
+from .dynamics import STACK_BLOCK, Trajectory, _rmul, _stacked, frobenius_inner, sample_trajectory
 from .ensembles import _gue_draws
 from .errors import (
     BoundViolation,
@@ -185,6 +185,11 @@ def _cumulative_trapezoid(t: np.ndarray, f: np.ndarray) -> tuple:
     return cum, np.abs(cum - coarse) / 3.0
 
 
+def _trapezoid(steps: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """np.trapezoid(f, t) row by row, by its own formula, from steps = np.diff(t)."""
+    return (steps * (f[..., 1:] + f[..., :-1]) / 2.0).sum(-1)
+
+
 def _mixed_k_series(traj: Trajectory, rho0: np.ndarray, bases: np.ndarray) -> np.ndarray:
     """K(t) on the whole grid for A = rho0, B = H, from the root stack, one
     row per basis matrix of an (m, d, d) stack; not yet clamped.
@@ -194,16 +199,15 @@ def _mixed_k_series(traj: Trajectory, rho0: np.ndarray, bases: np.ndarray) -> np
     cross term is |Tr(Abar rho Bbar)| = |sum conj(P) * Q|.
     """
     hm = traj.hamiltonian.matrix
-    u = bases[:, None]
     k = np.empty((len(bases), len(traj.times)))
     for i in range(0, k.shape[1], STACK_BLOCK):
         r = traj.stack[i : i + STACK_BLOCK]
-        p = r @ rho0
-        q = r @ hm
+        p = _rmul(r, rho0)
+        q = _rmul(r, hm)
         p -= frobenius_inner(r, p).real[:, None, None] * r
         q -= frobenius_inner(r, q).real[:, None, None] * r
-        f_nn = np.sum(np.abs(p @ u) ** 2, axis=-2)
-        g_nn = np.sum(np.abs(q @ u) ** 2, axis=-2)
+        f_nn = np.sum(np.abs(_rmul(p, bases)) ** 2, axis=-2)
+        g_nn = np.sum(np.abs(_rmul(q, bases)) ** 2, axis=-2)
         cross = np.abs(frobenius_inner(p, q))
         k[:, i : i + STACK_BLOCK] = np.sqrt(f_nn * g_nn).sum(axis=-1) - cross
     return k
@@ -289,8 +293,10 @@ class _Correction:
         row per basis matrix of an (m, d, d) stack."""
         if self.rho0 is not None:
             return _mixed_k_series(self.traj, self.rho0, bases)
-        uh = bases.conj().swapaxes(-1, -2)
-        prods = (uh @ self.x).conj() * (uh @ self.y)
+        uh, x, y = bases.conj().swapaxes(-1, -2), self.x, self.y
+        if len(x) == 1 < len(bases):  # one trajectory, m bases: one (m d, d) @ (d, n) GEMM
+            uh, x, y = np.concatenate(uh), x[0], y[0]
+        prods = ((uh @ x).conj() * (uh @ y)).reshape(len(bases), self.dim, -1)
         return np.abs(prods).sum(axis=-2) - np.abs(prods.sum(axis=-2))
 
     def integrands(self, bases: np.ndarray) -> tuple:
@@ -466,12 +472,12 @@ def _climb(corrections: list, cfg: OptimizerConfig, seeds: list) -> list:
     trajectory."""
     n, dim = cfg.restarts, corrections[0].dim
     owner = np.repeat(np.arange(len(corrections)), n)
-    grids = np.stack([c.traj.times for c in corrections])
+    steps = np.diff(np.stack([c.traj.times for c in corrections]))
 
     def score(bases, members, failures):
         """Each member's objective, the trapezoid of its integrand; `failures`
         gains the integrands' verdicts, and a member that has one scores 0."""
-        f = np.zeros((len(bases), grids.shape[1]))
+        f = np.zeros((len(bases), steps.shape[1] + 1))
         todo = np.array([failure is None for failure in failures], dtype=bool)
         for i, correction in enumerate(corrections):
             rows = np.flatnonzero(todo & (owner[members] == i))
@@ -479,7 +485,7 @@ def _climb(corrections: list, cfg: OptimizerConfig, seeds: list) -> list:
                 f[rows], found = correction.integrands(bases[rows])
                 for k, failure in zip(rows.tolist(), found):
                     failures[k] = failure
-        return np.trapezoid(f, grids[owner[members]]), failures
+        return _trapezoid(steps[owner[members]], f), failures
 
     bases = np.tile(np.eye(dim, dtype=complex), (len(seeds), n, 1, 1))
     starts = eigh(_gue_draws(dim, [s + r for s in seeds for r in range(1, n)])).eigenvectors

@@ -29,6 +29,7 @@ from .states import (
     State,
     _require_psd,
     _require_unit_kets,
+    expectation,
     purity,
     variance,
 )
@@ -60,6 +61,13 @@ def frobenius_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     so expectations need only the roots.
     """
     return np.einsum("kij,kij->k", a.conj(), b)
+
+
+def _rmul(stack: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """stack @ m for a C-contiguous (..., d) stack and a (d, k) matrix, or each
+    of an (m, d, k) stack (result (m, ...)), as one GEMM per matrix on the
+    stack's rows: each entry the same dot product, in the same BLAS kernel."""
+    return (stack.reshape(-1, stack.shape[-1]) @ m).reshape(m.shape[:-2] + stack.shape[:-1] + m.shape[-1:])
 
 
 def _stacked(arrays: list) -> np.ndarray:
@@ -174,14 +182,15 @@ class Trajectory:
 
 
 def _propagated_roots(dec, root0: np.ndarray, times: np.ndarray, hbar: float) -> np.ndarray:
-    """U_t root0 U_t^dagger on the grid, built in H's eigenbasis block by block."""
+    """U_t root0 U_t^dagger on the grid, (V X_t) V^dagger in H's eigenbasis block
+    by block; only V^dagger, a right factor, folds into one GEMM bit for bit."""
     v = dec.eigenvectors
     r0e = v.conj().T @ root0 @ v
     phases = np.exp(-1j * np.outer(times / hbar, dec.eigenvalues))
     roots = np.empty((len(times),) + root0.shape, dtype=complex)
     for i in range(0, len(times), STACK_BLOCK):
         p = phases[i : i + STACK_BLOCK]
-        roots[i : i + STACK_BLOCK] = v @ (p[:, :, None] * r0e * p.conj()[:, None, :]) @ v.conj().T
+        roots[i : i + STACK_BLOCK] = _rmul(v @ (p[:, :, None] * r0e * p.conj()[:, None, :]), v.conj().T)
     return roots
 
 
@@ -212,16 +221,16 @@ def sample_trajectory(
     root0 = sqrtm_psd(state0.matrix)
     stack = _propagated_roots(dec, root0, times, hbar)
     stack[0] = root0  # the t = 0 sample exactly, as in _pure_trajectories
-    r0 = state0.matrix
     blocks = [stack[i : i + STACK_BLOCK] for i in range(0, len(times), STACK_BLOCK)]
-    cross = np.concatenate([frobenius_inner(b, b @ r0).real for b in blocks])
+    cross = np.concatenate([frobenius_inner(b, _rmul(b, state0.matrix)).real for b in blocks])
     overlap = np.sqrt(np.clip(cross / purity(state0), 0.0, 1.0))
     overlap[0] = 1.0
     s0 = 2.0 * np.arccos(overlap)
+    centred = (h.matrix - expectation(h, state0) * np.eye(h.dim)) @ root0  # variance's Hbar sqrt(rho0)
     for arr in (times, stack, s0, overlap):
         arr.setflags(write=False)
     return _trusted(Trajectory, hamiltonian=h, hbar=float(hbar), times=times, stack=stack, s0=s0,
-                    overlap=overlap, delta_h=math.sqrt(variance(h, state0)),
+                    overlap=overlap, delta_h=math.sqrt(float(np.linalg.norm(centred) ** 2)),
                     valid_until=int(_first_overlap_minimum(overlap[None])[0]))
 
 
