@@ -185,11 +185,6 @@ def _cumulative_trapezoid(t: np.ndarray, f: np.ndarray) -> tuple:
     return cum, np.abs(cum - coarse) / 3.0
 
 
-def _trapezoid(steps: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """np.trapezoid(f, t) row by row, by its own formula, from steps = np.diff(t)."""
-    return (steps * (f[..., 1:] + f[..., :-1]) / 2.0).sum(-1)
-
-
 def _mixed_k_series(traj: Trajectory, rho0: np.ndarray, bases: np.ndarray) -> np.ndarray:
     """K(t) on the whole grid for A = rho0, B = H, from the root stack, one
     row per basis matrix of an (m, d, d) stack; not yet clamped.
@@ -293,10 +288,8 @@ class _Correction:
         row per basis matrix of an (m, d, d) stack."""
         if self.rho0 is not None:
             return _mixed_k_series(self.traj, self.rho0, bases)
-        uh, x, y = bases.conj().swapaxes(-1, -2), self.x, self.y
-        if len(x) == 1 < len(bases):  # one trajectory, m bases: one (m d, d) @ (d, n) GEMM
-            uh, x, y = np.concatenate(uh), x[0], y[0]
-        prods = ((uh @ x).conj() * (uh @ y)).reshape(len(bases), self.dim, -1)
+        uh = bases.conj().swapaxes(-1, -2)
+        prods = (uh @ self.x).conj() * (uh @ self.y)
         return np.abs(prods).sum(axis=-2) - np.abs(prods.sum(axis=-2))
 
     def integrands(self, bases: np.ndarray) -> tuple:
@@ -472,12 +465,12 @@ def _climb(corrections: list, cfg: OptimizerConfig, seeds: list) -> list:
     trajectory."""
     n, dim = cfg.restarts, corrections[0].dim
     owner = np.repeat(np.arange(len(corrections)), n)
-    steps = np.diff(np.stack([c.traj.times for c in corrections]))
+    grids = np.stack([c.traj.times for c in corrections])
 
     def score(bases, members, failures):
         """Each member's objective, the trapezoid of its integrand; `failures`
         gains the integrands' verdicts, and a member that has one scores 0."""
-        f = np.zeros((len(bases), steps.shape[1] + 1))
+        f = np.zeros((len(bases), grids.shape[1]))
         todo = np.array([failure is None for failure in failures], dtype=bool)
         for i, correction in enumerate(corrections):
             rows = np.flatnonzero(todo & (owner[members] == i))
@@ -485,7 +478,7 @@ def _climb(corrections: list, cfg: OptimizerConfig, seeds: list) -> list:
                 f[rows], found = correction.integrands(bases[rows])
                 for k, failure in zip(rows.tolist(), found):
                     failures[k] = failure
-        return _trapezoid(steps[owner[members]], f), failures
+        return np.trapezoid(f, grids[owner[members]]), failures
 
     bases = np.tile(np.eye(dim, dtype=complex), (len(seeds), n, 1, 1))
     starts = eigh(_gue_draws(dim, [s + r for s in seeds for r in range(1, n)])).eigenvectors

@@ -29,7 +29,7 @@ from .states import (
     State,
     _require_psd,
     _require_unit_kets,
-    expectation,
+    _variance_from_root,
     purity,
     variance,
 )
@@ -66,7 +66,8 @@ def frobenius_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _rmul(stack: np.ndarray, m: np.ndarray) -> np.ndarray:
     """stack @ m for a C-contiguous (..., d) stack and a (d, k) matrix, or each
     of an (m, d, k) stack (result (m, ...)), as one GEMM per matrix on the
-    stack's rows: each entry the same dot product, in the same BLAS kernel."""
+    stack's rows. With OpenBLAS 0.3.31's SkylakeX kernels that gives the bits
+    of one matmul per stacked matrix; its Haswell kernels, for one, do not."""
     return (stack.reshape(-1, stack.shape[-1]) @ m).reshape(m.shape[:-2] + stack.shape[:-1] + m.shape[-1:])
 
 
@@ -183,7 +184,7 @@ class Trajectory:
 
 def _propagated_roots(dec, root0: np.ndarray, times: np.ndarray, hbar: float) -> np.ndarray:
     """U_t root0 U_t^dagger on the grid, (V X_t) V^dagger in H's eigenbasis block
-    by block; only V^dagger, a right factor, folds into one GEMM bit for bit."""
+    by block: V @ X_t stacked, then one GEMM with V^dagger per block."""
     v = dec.eigenvectors
     r0e = v.conj().T @ root0 @ v
     phases = np.exp(-1j * np.outer(times / hbar, dec.eigenvalues))
@@ -226,11 +227,10 @@ def sample_trajectory(
     overlap = np.sqrt(np.clip(cross / purity(state0), 0.0, 1.0))
     overlap[0] = 1.0
     s0 = 2.0 * np.arccos(overlap)
-    centred = (h.matrix - expectation(h, state0) * np.eye(h.dim)) @ root0  # variance's Hbar sqrt(rho0)
     for arr in (times, stack, s0, overlap):
         arr.setflags(write=False)
     return _trusted(Trajectory, hamiltonian=h, hbar=float(hbar), times=times, stack=stack, s0=s0,
-                    overlap=overlap, delta_h=math.sqrt(float(np.linalg.norm(centred) ** 2)),
+                    overlap=overlap, delta_h=math.sqrt(_variance_from_root(h, state0, root0)),
                     valid_until=int(_first_overlap_minimum(overlap[None])[0]))
 
 

@@ -219,10 +219,14 @@ def variance(a: Observable, state: State) -> float:
     cancels catastrophically whenever the true variance is near 0.
     """
     _check_dims(a, state)
+    root = state.amplitudes if isinstance(state, PureState) else sqrtm_psd(state.matrix)
+    return _variance_from_root(a, state, root)
+
+
+def _variance_from_root(a: Observable, state: State, root: np.ndarray) -> float:
+    """||Abar root||^2, the variance, from the state's ket or sqrt(rho) in hand."""
     abar = a.matrix - expectation(a, state) * np.eye(a.dim)
-    if isinstance(state, PureState):
-        return float(np.linalg.norm(abar @ state.amplitudes) ** 2)
-    return float(np.linalg.norm(abar @ sqrtm_psd(state.matrix)) ** 2)
+    return float(np.linalg.norm(abar @ root) ** 2)
 
 
 def centered(a: Observable, state: State) -> Observable:

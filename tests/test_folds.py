@@ -1,4 +1,4 @@
-"""Bit pins for the one-GEMM folds of the mixed route and the climber.
+"""Bit pins for the one-GEMM folds of the mixed route.
 
 Each product against one shared matrix runs as a single GEMM on the
 reshaped block (dynamics._rmul) rather than one matmul per stacked matrix.
@@ -8,23 +8,21 @@ STACK_BLOCK and for one or several bases. The small and odd dimensions
 matter: a fold into the GEMM's columns instead (bases side by side, or the
 shared left factor of V @ X_t) keeps the bits at d = 8 and 16 but moves
 them at d = 2 and 3.
+
+Bit equality is a property of the BLAS kernel, not of the formula. These
+pins hold with OpenBLAS 0.3.31's SkylakeX kernels, the ones the goldens
+under tests/golden/ were captured with; under its Haswell kernels
+(OPENBLAS_CORETYPE=Haswell) most d = 8 and 16 cases fail, and so does every
+golden, with or without the folds.
 """
 import math
 
 import numpy as np
 import pytest
 
-import tqsl.bounds
 from conftest import random_density
-from tqsl import (
-    GueConfig,
-    OptimizerConfig,
-    default_initial_state,
-    sample_gue,
-    sample_trajectory,
-    variance,
-)
-from tqsl.bounds import _climb, _Correction, _mixed_k_series
+from tqsl import GueConfig, sample_gue, sample_trajectory, variance
+from tqsl.bounds import _mixed_k_series
 from tqsl.dynamics import STACK_BLOCK, _propagated_roots, frobenius_inner
 from tqsl.ensembles import _gue_draws
 from tqsl.linalg import eigh, sqrtm_psd
@@ -63,13 +61,6 @@ def stacked_mixed_k(traj, rho0, bases):
     return k
 
 
-def stacked_pure_k(c, bases):
-    """_Correction.k_series on pure trajectories with one matmul per basis."""
-    uh = bases.conj().swapaxes(-1, -2)
-    prods = (uh @ c.x).conj() * (uh @ c.y)
-    return np.abs(prods).sum(axis=-2) - np.abs(prods.sum(axis=-2))
-
-
 def mixed_case(dim, steps):
     h = sample_gue(GueConfig(dim=dim, seed=dim + steps))
     rho = random_density(np.random.default_rng([dim, steps]), dim)
@@ -103,34 +94,6 @@ class TestMixedFolds:
         want = np.sqrt(np.clip(cross / np.trace(rho.matrix @ rho.matrix).real, 0.0, 1.0))
         want[0] = 1.0
         assert np.array_equal(traj.overlap, want)
-
-
-@pytest.mark.parametrize("m", [1, 4])
-@pytest.mark.parametrize("dim", [2, 3, 8])
-def test_one_trajectory_pure_k_series(dim, m):
-    h = sample_gue(GueConfig(dim=dim, seed=dim))
-    c = _Correction(sample_trajectory(h, default_initial_state(dim), 1.0, 300))
-    bases = eigh(_gue_draws(dim, list(range(10, 10 + m)))).eigenvectors
-    got = c.k_series(bases)
-    assert got.shape == (m, 300)
-    assert np.array_equal(got, stacked_pure_k(c, bases))
-
-
-def test_climber_score_is_np_trapezoid(monkeypatch):
-    """Every round's scores, from steps taken once, equal np.trapezoid on
-    the integrands the round computed."""
-    h = sample_gue(GueConfig(dim=3, seed=5))
-    traj = sample_trajectory(h, default_initial_state(3), 1.0, 120)
-    real, calls = tqsl.bounds._trapezoid, []
-
-    def spy(steps, f):
-        got = real(steps, f)
-        calls.append(np.array_equal(got, np.trapezoid(f, traj.times)))
-        return got
-
-    monkeypatch.setattr(tqsl.bounds, "_trapezoid", spy)
-    _climb([_Correction(traj)], OptimizerConfig(restarts=3, iterations=20), [0])
-    assert len(calls) == 21 and all(calls)
 
 
 def test_mixed_trajectory_takes_one_square_root(monkeypatch):
