@@ -67,13 +67,11 @@ from .states import (
 )
 from .uncertainty import (
     UncertaintyReport,
-    correction_k_mixed,
-    correction_k_pure,
+    correction_k,
     cross_term,
     moment_identity_residual,
     robertson_schrodinger_bound,
-    tighter_bound_mixed,
-    tighter_bound_pure,
+    tighter_bound,
     uncertainty_report,
 )
 

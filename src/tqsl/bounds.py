@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import STACK_BLOCK, Trajectory, _rmul, _stacked, frobenius_inner, sample_trajectory
+from .dynamics import Trajectory, _stacked, sample_trajectory
 from .ensembles import _gue_draws
 from .errors import (
     BoundViolation,
@@ -26,12 +26,11 @@ from .errors import (
     ValidityExceeded,
     ZeroEnergyVariance,
     _integer_fields,
-    _positive_finite_fields,
     _trusted,
 )
 from .linalg import EigenDecomposition, eigh, expm_i_hermitian
 from .states import Observable, OrthonormalBasis, State, basis_failures
-from .uncertainty import NONNEG_CLAMP
+from .uncertainty import NONNEG_CLAMP, _k_terms
 
 DEFAULT_STEPS = 400
 ZERO_SPREAD_TOL = 1e-12
@@ -185,29 +184,6 @@ def _cumulative_trapezoid(t: np.ndarray, f: np.ndarray) -> tuple:
     return cum, np.abs(cum - coarse) / 3.0
 
 
-def _mixed_k_series(traj: Trajectory, rho0: np.ndarray, bases: np.ndarray) -> np.ndarray:
-    """K(t) on the whole grid for A = rho0, B = H, from the root stack, one
-    row per basis matrix of an (m, d, d) stack; not yet clamped.
-
-    The batched form of uncertainty.correction_k_mixed: with P = R Abar and
-    Q = R Bbar, the diagonals are the column norms of P U and Q U, and the
-    cross term is |Tr(Abar rho Bbar)| = |sum conj(P) * Q|.
-    """
-    hm = traj.hamiltonian.matrix
-    k = np.empty((len(bases), len(traj.times)))
-    for i in range(0, k.shape[1], STACK_BLOCK):
-        r = traj.stack[i : i + STACK_BLOCK]
-        p = _rmul(r, rho0)
-        q = _rmul(r, hm)
-        p -= frobenius_inner(r, p).real[:, None, None] * r
-        q -= frobenius_inner(r, q).real[:, None, None] * r
-        f_nn = np.sum(np.abs(_rmul(p, bases)) ** 2, axis=-2)
-        g_nn = np.sum(np.abs(_rmul(q, bases)) ** 2, axis=-2)
-        cross = np.abs(frobenius_inner(p, q))
-        k[:, i : i + STACK_BLOCK] = np.sqrt(f_nn * g_nn).sum(axis=-1) - cross
-    return k
-
-
 def _kernel_failure(low: float, underflow: bool, singular: int):
     """The first check a basis's K series fails, as an error, or None."""
     if low < -NONNEG_CLAMP:
@@ -287,7 +263,8 @@ class _Correction:
         """K(t), not yet clamped, for A = the initial state, B = H: one grid
         row per basis matrix of an (m, d, d) stack."""
         if self.rho0 is not None:
-            return _mixed_k_series(self.traj, self.rho0, bases)
+            tighter, cross = _k_terms(self.traj.stack, self.rho0, self.traj.hamiltonian.matrix, bases)
+            return tighter - cross
         uh = bases.conj().swapaxes(-1, -2)
         prods = (uh @ self.x).conj() * (uh @ self.y)
         return np.abs(prods).sum(axis=-2) - np.abs(prods.sum(axis=-2))
@@ -401,6 +378,12 @@ def bound_series(traj: Trajectory, basis: OrthonormalBasis, basis_id: str = "use
     return series
 
 
+# The climber's step schedule: the first rotation step, the factor that
+# shrinks it after _PATIENCE rejections in a row, and the step below which
+# a restart stops.
+_INITIAL_STEP, _SHRINK, _PATIENCE, _MIN_STEP = 0.4, 0.5, 8, 1e-4
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Random-restart hill climbing over the unitary group."""
@@ -408,24 +391,15 @@ class OptimizerConfig:
     restarts: int = 4
     iterations: int = 120
     seed: int = 0
-    initial_step: float = 0.4
-    shrink: float = 0.5
-    patience: int = 8
-    min_step: float = 1e-4
 
     def __post_init__(self):
-        _integer_fields(self, "restarts", "iterations", "seed", "patience")
+        _integer_fields(self, "restarts", "iterations", "seed")
         if self.restarts < 1:
             raise ConfigError("need at least one restart")
         if self.iterations < 0:
             raise ConfigError("iterations must be >= 0")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if not 0.0 < self.shrink < 1.0:
-            raise ConfigError("shrink must lie in (0, 1)")
-        _positive_finite_fields(self, "initial_step", "min_step")
-        if self.patience < 1:
-            raise ConfigError("patience must be >= 1")
 
 
 _REJECTED = (SingularIntegrand, DenominatorUnderflow)  # reject a candidate, not the restart
@@ -439,7 +413,7 @@ def optimize_basis(traj: Trajectory, opt_config: OptimizerConfig = None) -> tupl
     Restart 0 is the identity basis; later restarts start from eigenbases
     of independent random Hermitian draws. Candidates rotate the current
     basis by e^{i step G} with G a random Hermitian direction; the step
-    shrinks after `patience` rejections. Best effort: the returned bound
+    shrinks after _PATIENCE rejections. Best effort: the returned bound
     dominates every basis probed, nothing more is claimed.
 
     The restarts run in lockstep (`_climb`). A singular start skips its
@@ -491,9 +465,9 @@ def _climb(corrections: list, cfg: OptimizerConfig, seeds: list) -> list:
     directions = EigenDecomposition.concatenate([eigh(np.concatenate(
         [_random_directions(np.random.default_rng([s, r]), cfg.iterations, dim) for r in range(n)]
     )) for s in seeds])
-    step, (stall, moves) = np.full(len(owner), cfg.initial_step), np.zeros((2, len(owner)), dtype=int)
+    step, (stall, moves) = np.full(len(owner), _INITIAL_STEP), np.zeros((2, len(owner)), dtype=int)
     for j in range(cfg.iterations):
-        idx = np.flatnonzero(live & (step >= cfg.min_step))
+        idx = np.flatnonzero(live & (step >= _MIN_STEP))
         if not len(idx):
             break
         candidates = bases[idx] @ expm_i_hermitian(directions[idx * cfg.iterations + j], -step[idx])
@@ -506,8 +480,8 @@ def _climb(corrections: list, cfg: OptimizerConfig, seeds: list) -> list:
         bases[up], values[up], stall[up] = candidates[better], cand_values[better], 0
         moves[up] += 1
         stall[waiting] += 1
-        shrink = waiting[stall[waiting] >= cfg.patience]
-        step[shrink], stall[shrink] = step[shrink] * cfg.shrink, 0
+        shrink = waiting[stall[waiting] >= _PATIENCE]
+        step[shrink], stall[shrink] = step[shrink] * _SHRINK, 0
     results, values = [], values.tolist()
     for i, correction in enumerate(corrections):
         members = range(i * n, (i + 1) * n)

@@ -51,19 +51,11 @@ from .states import (
     DensityMatrix,
     Observable,
     PureState,
-    _raw_moment,
     centered,
     expectation,
     variance,
 )
-from .uncertainty import (
-    correction_k_mixed,
-    correction_k_pure,
-    cross_term,
-    moment_identity_residual,
-    tighter_bound_mixed,
-    tighter_bound_pure,
-)
+from .uncertainty import _moment_split, _tighter_and_cross, correction_k, moment_identity_residual, tighter_bound
 
 DELTA_TOL = 1e-9
 BASIS_SEED_OFFSET = 1_000_003
@@ -476,10 +468,8 @@ def _chain_margin(rng, dim: int, k: int, mixed: bool) -> float:
     a, b, state, basis = _draw(rng, dim, mixed)
     da = math.sqrt(variance(a, state))
     db = math.sqrt(variance(b, state))
-    tighter = (tighter_bound_mixed if mixed else tighter_bound_pure)(a, b, state, basis)
-    cross = cross_term(a, b, state)
-    am, bm = a.matrix, b.matrix
-    half_comm = 0.5 * abs(_raw_moment(am @ bm - bm @ am, state))
+    tighter, cross = _tighter_and_cross(a, b, state, basis)
+    half_comm = _moment_split(a, b, state)[0]
     return min(da * db - tighter, tighter - cross, cross - half_comm)
 
 
@@ -500,7 +490,7 @@ def _side_margin(rng, dim: int, k: int) -> float:
     """Diagonal fast route against literal per-projector traces, with the
     projector attached on either side of the centered operator."""
     a, b, rho, basis = _draw(rng, dim, mixed=True)
-    fast = tighter_bound_mixed(a, b, rho, basis)
+    fast = tighter_bound(a, b, rho, basis)
     abar = centered(a, rho).matrix
     bbar = centered(b, rho).matrix
     r = rho.matrix
@@ -520,7 +510,7 @@ def _side_margin(rng, dim: int, k: int) -> float:
 
 def _pure_reduction_margin(rng, dim: int, k: int) -> float:
     a, b, psi, basis = _draw(rng, dim, mixed=False)
-    return -abs(tighter_bound_mixed(a, b, psi.to_density(), basis) - tighter_bound_pure(a, b, psi, basis))
+    return -abs(tighter_bound(a, b, psi.to_density(), basis) - tighter_bound(a, b, psi, basis))
 
 
 def _lift_margin(rng, dim: int, k: int) -> float:
@@ -546,9 +536,7 @@ def _bargmann_margin(rng, dim: int, k: int) -> float:
 
 
 def _correction_margin(rng, dim: int, k: int) -> float:
-    mixed = k % 2 == 1
-    a, b, state, basis = _draw(rng, dim, mixed)
-    return (correction_k_mixed if mixed else correction_k_pure)(a, b, state, basis)
+    return correction_k(*_draw(rng, dim, mixed=k % 2 == 1))
 
 
 def _check_delta_nonnegative(seed: int) -> tuple:

@@ -5,6 +5,10 @@ and its modulus is the Robertson-Schrodinger strength. Resolving the second
 operator over a complete orthonormal set before taking moduli gives a sum
 that can only grow (triangle inequality term by term), which is the tighter
 bound. The gap between the two is the correction functional K >= 0.
+
+One kernel, _k_terms, computes both sides of K on a stack of roots. The
+mixed bound route runs it on a trajectory's roots; the per-state functions
+here run its one-root case, so kets and density matrices share one formula.
 """
 from __future__ import annotations
 
@@ -13,19 +17,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .dynamics import STACK_BLOCK, _rmul, frobenius_inner
 from .errors import BoundViolation, DimensionMismatch
 from .linalg import sqrtm_psd
-from .states import (
-    DensityMatrix,
-    Observable,
-    OrthonormalBasis,
-    PureState,
-    State,
-    _raw_moment,
-    centered,
-    expectation,
-    variance,
-)
+from .states import Observable, OrthonormalBasis, PureState, State, _raw_moment, expectation, variance
 
 CHAIN_SLACK = 1e-9
 NONNEG_CLAMP = 1e-9
@@ -76,21 +71,6 @@ def _check_pair(a: Observable, b: Observable, state: State) -> None:
         )
 
 
-def _check_basis(state: State, basis: OrthonormalBasis) -> None:
-    if basis.dim != state.dim:
-        raise DimensionMismatch(f"basis dim {basis.dim} vs state dim {state.dim}")
-
-
-def _product_moment(a: Observable, b: Observable, state: State) -> complex:
-    """Mean of the centered operator product: <Abar Bbar>."""
-    abar = centered(a, state).matrix
-    bbar = centered(b, state).matrix
-    if isinstance(state, PureState):
-        v = state.amplitudes
-        return complex(np.vdot(abar @ v, bbar @ v))
-    return complex(np.trace(abar @ state.matrix @ bbar))
-
-
 def _clamp_nonnegative(value, what: str):
     """A number or array that is >= 0 in exact arithmetic, with round-off
     negatives set to 0; a dip below -NONNEG_CLAMP raises."""
@@ -114,102 +94,82 @@ def robertson_schrodinger_bound(a: Observable, b: Observable, state: State) -> f
     return math.hypot(*_moment_split(a, b, state))
 
 
+def _k_terms(roots: np.ndarray, a: np.ndarray, b: np.ndarray, bases: np.ndarray) -> tuple:
+    """The two sides of K = tighter - cross for each state of an (n, r, d)
+    stack of roots R, rho = R^dagger R, in each basis of an (m, d, d) stack:
+    the basis-resolved sums, (m, n), and the cross terms |<Abar Bbar>|, (n,).
+
+    With P = R Abar and Q = R Bbar, the diagonals of Abar rho Abar and
+    Bbar rho Bbar are the column norms of P U and Q U, nonnegative by
+    construction rather than through cancellation, and the cross term is
+    |Tr(P^dagger Q)|. Each root centres its own products, <A> = Tr(R^dagger
+    R A), and the roots go STACK_BLOCK at a time.
+    """
+    tighter = np.empty((len(bases), len(roots)))
+    cross = np.empty(len(roots))
+    for i in range(0, len(roots), STACK_BLOCK):
+        r = roots[i : i + STACK_BLOCK]
+        p = _rmul(r, a)
+        q = _rmul(r, b)
+        p -= frobenius_inner(r, p).real[:, None, None] * r
+        q -= frobenius_inner(r, q).real[:, None, None] * r
+        f_nn = np.sum(np.abs(_rmul(p, bases)) ** 2, axis=-2)
+        g_nn = np.sum(np.abs(_rmul(q, bases)) ** 2, axis=-2)
+        tighter[:, i : i + STACK_BLOCK] = np.sqrt(f_nn * g_nn).sum(axis=-1)
+        cross[i : i + STACK_BLOCK] = np.abs(frobenius_inner(p, q))
+    return tighter, cross
+
+
+def _tighter_and_cross(a: Observable, b: Observable, state: State, basis: OrthonormalBasis = None) -> tuple:
+    """The tighter bound in `basis` and the cross term of one state, from
+    the one-root case of _k_terms: a ket psi is the 1 x d root psi^dagger,
+    a density matrix the root sqrt(rho). With no basis the tighter bound is
+    an empty sum, 0.0."""
+    _check_pair(a, b, state)
+    if basis is not None and basis.dim != state.dim:
+        raise DimensionMismatch(f"basis dim {basis.dim} vs state dim {state.dim}")
+    expectation(a, state)  # raises NonRealExpectation; the kernel reads real parts only
+    expectation(b, state)
+    if isinstance(state, PureState):
+        root = state.amplitudes.conj()[None, None]
+    else:
+        root = sqrtm_psd(state.matrix)[None]
+    bases = np.empty((0, state.dim, state.dim)) if basis is None else basis.matrix[None]
+    tighter, cross = _k_terms(root, a.matrix, b.matrix, bases)
+    return float(tighter.sum()), float(cross[0])
+
+
 def cross_term(a: Observable, b: Observable, state: State) -> float:
     """|<Abar Bbar>|, the unresolved centered product strength."""
-    _check_pair(a, b, state)
-    return abs(_product_moment(a, b, state))
+    return _tighter_and_cross(a, b, state)[1]
 
 
-def _pure_products(
-    a: Observable, b: Observable, psi: PureState, basis: OrthonormalBasis
-) -> np.ndarray:
-    """Per-vector products <Psi|Abar|psi_n><psi_n|Bbar|Psi>, whose moduli
-    sum to the tighter bound.
+def tighter_bound(a: Observable, b: Observable, state: State, basis: OrthonormalBasis) -> float:
+    """Sum over the basis of sqrt(<n|Abar rho Abar|n> <n|Bbar rho Bbar|n>),
+    for a ket or a density matrix; it sits between |<Abar Bbar>| and dA*dB.
 
-    Summed without moduli they reproduce <Abar Bbar> exactly (completeness),
-    which is what makes the correction K nonnegative term by term.
+    For a ket each term is |<psi|Abar|n><n|Bbar|psi>|, and the terms summed
+    without moduli give <Abar Bbar> (completeness). Attaching the projector
+    |n><n| to the other side of Bbar transposes the same product, so no
+    side argument is needed.
     """
-    _check_pair(a, b, psi)
-    _check_basis(psi, basis)
-    abar = centered(a, psi).matrix
-    bbar = centered(b, psi).matrix
-    uh = basis.matrix.conj().T
-    v = psi.amplitudes
-    return (uh @ (abar @ v)).conj() * (uh @ (bbar @ v))
+    return _tighter_and_cross(a, b, state, basis)[0]
 
 
-def tighter_bound_pure(
-    a: Observable, b: Observable, psi: PureState, basis: OrthonormalBasis
-) -> float:
-    """Sum of per-vector moduli; sits between |<Abar Bbar>| and dA*dB."""
-    return float(np.sum(np.abs(_pure_products(a, b, psi, basis))))
-
-
-def correction_k_pure(
-    a: Observable, b: Observable, psi: PureState, basis: OrthonormalBasis
-) -> float:
-    """Gap between the basis-resolved sum and the unresolved modulus."""
-    prods = _pure_products(a, b, psi, basis)
-    gap = float(np.sum(np.abs(prods)) - abs(np.sum(prods)))
-    return float(_clamp_nonnegative(gap, "pure correction"))
-
-
-def _mixed_diagonals(
-    a: Observable, b: Observable, rho: DensityMatrix, basis: OrthonormalBasis
-) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonals of Abar rho Abar and Bbar rho Bbar in the given basis.
-
-    Each entry is evaluated as ||sqrt(rho) Mbar psi_n||^2 rather than as a
-    diagonal of the triple product: the value is the same, but it stays
-    nonnegative by construction instead of through cancellation, which
-    matters when rho is (nearly) pure and the exact value is 0.
-    """
-    _check_pair(a, b, rho)
-    _check_basis(rho, basis)
-    abar = centered(a, rho).matrix
-    bbar = centered(b, rho).matrix
-    root = sqrtm_psd(rho.matrix)
-    u = basis.matrix
-    f_nn = np.sum(np.abs(root @ (abar @ u)) ** 2, axis=0)
-    g_nn = np.sum(np.abs(root @ (bbar @ u)) ** 2, axis=0)
-    return f_nn, g_nn
-
-
-def tighter_bound_mixed(
-    a: Observable, b: Observable, rho: DensityMatrix, basis: OrthonormalBasis
-) -> float:
-    """Sum over the basis of sqrt of paired positive diagonals.
-
-    Each term is sqrt(Tr(Abar rho Abar P_n Bbar rho Bbar P_n)) with P_n the
-    n-th basis projector; attaching the projector to the other side of Bbar
-    transposes the same product, so no side argument is needed here.
-    """
-    f_nn, g_nn = _mixed_diagonals(a, b, rho, basis)
-    return float(np.sum(np.sqrt(f_nn * g_nn)))
-
-
-def correction_k_mixed(
-    a: Observable, b: Observable, rho: DensityMatrix, basis: OrthonormalBasis
-) -> float:
-    """Gap between the basis-resolved mixed bound and |Tr(Abar rho Bbar)|."""
-    gap = tighter_bound_mixed(a, b, rho, basis) - cross_term(a, b, rho)
-    return float(_clamp_nonnegative(gap, "mixed correction"))
+def correction_k(a: Observable, b: Observable, state: State, basis: OrthonormalBasis) -> float:
+    """K, the gap between the basis-resolved sum and the unresolved modulus."""
+    tighter, cross = _tighter_and_cross(a, b, state, basis)
+    return float(_clamp_nonnegative(tighter - cross, "correction"))
 
 
 def uncertainty_report(
     a: Observable, b: Observable, state: State, basis: OrthonormalBasis
 ) -> UncertaintyReport:
     """Evaluate the whole chain once and package it with its invariants."""
-    delta_a = math.sqrt(variance(a, state))
-    delta_b = math.sqrt(variance(b, state))
-    if isinstance(state, PureState):
-        tighter = tighter_bound_pure(a, b, state, basis)
-    else:
-        tighter = tighter_bound_mixed(a, b, state, basis)
-    cross = cross_term(a, b, state)
+    tighter, cross = _tighter_and_cross(a, b, state, basis)
     return UncertaintyReport(
-        delta_a=delta_a,
-        delta_b=delta_b,
+        delta_a=math.sqrt(variance(a, state)),
+        delta_b=math.sqrt(variance(b, state)),
         tighter_bound=tighter,
         rs_bound=robertson_schrodinger_bound(a, b, state),
         cross_term=cross,
@@ -221,4 +181,4 @@ def moment_identity_residual(a: Observable, b: Observable, state: State) -> floa
     """Signed residual of |<Abar Bbar>|^2 against its moment split,
     (|<[A,B]>|/2)^2 + (<{A,B}>/2 - <A><B>)^2."""
     comm_part, anti_part = _moment_split(a, b, state)
-    return abs(_product_moment(a, b, state)) ** 2 - (comm_part ** 2 + anti_part ** 2)
+    return cross_term(a, b, state) ** 2 - (comm_part ** 2 + anti_part ** 2)

@@ -16,7 +16,10 @@ from tqsl import (
     SingularIntegrand,
     random_basis,
 )
-from tqsl.bounds import K_EPS, _Correction, _cumulative_trapezoid, _random_directions, _require_clean
+from tqsl.bounds import (
+    _INITIAL_STEP, _MIN_STEP, _PATIENCE, _SHRINK, K_EPS, _Correction, _cumulative_trapezoid, _random_directions,
+    _require_clean,
+)
 from tqsl.dynamics import STACK_BLOCK, frobenius_inner
 from tqsl.linalg import eigh
 from tqsl.uncertainty import _clamp_nonnegative
@@ -99,11 +102,11 @@ def optimize_sequential(traj, cfg: OptimizerConfig) -> tuple:
             continue
         rng = np.random.default_rng([cfg.seed, r])
         directions = eigh(_random_directions(rng, cfg.iterations, dim))
-        step = cfg.initial_step
+        step = _INITIAL_STEP
         stall = 0
         moves = 0
         for j in range(cfg.iterations):
-            if step < cfg.min_step:
+            if step < _MIN_STEP:
                 break
             candidate = OrthonormalBasis(basis.matrix @ rotation(directions[j], -step))
             try:
@@ -115,8 +118,8 @@ def optimize_sequential(traj, cfg: OptimizerConfig) -> tuple:
                 stall = 0
             else:
                 stall += 1
-                if stall >= cfg.patience:
-                    step *= cfg.shrink
+                if stall >= _PATIENCE:
+                    step *= _SHRINK
                     stall = 0
         if best is None or value > best[0]:
             best = (value, basis, f"optimize[{origin}, {moves} moves]")

@@ -28,8 +28,7 @@ from tqsl import (
     run_experiment_spin,
     sample_gue,
     sample_trajectory,
-    tighter_bound_mixed,
-    tighter_bound_pure,
+    tighter_bound,
     tqsl_bound,
     variance,
 )
@@ -117,7 +116,7 @@ def test_03_uncertainty_chain_ordering():
             rho = random_density(rng, dim)
             basis = random_basis(dim, int(rng.integers(2**31)))
             upper = np.sqrt(variance(a, rho) * variance(b, rho))
-            tight = tighter_bound_mixed(a, b, rho, basis)
+            tight = tighter_bound(a, b, rho, basis)
             cross = cross_term(a, b, rho)
             comm = a.matrix @ b.matrix - b.matrix @ a.matrix
             lower = 0.5 * abs(np.trace(rho.matrix @ comm))
@@ -136,7 +135,7 @@ def test_04_pure_state_reduction():
         psi = random_pure(rng, dim)
         rho = DensityMatrix(np.outer(psi.amplitudes, psi.amplitudes.conj()))
         basis = random_basis(dim, int(rng.integers(2**31)))
-        gap = tighter_bound_mixed(a, b, rho, basis) - tighter_bound_pure(a, b, psi, basis)
+        gap = tighter_bound(a, b, rho, basis) - tighter_bound(a, b, psi, basis)
         worst_bound = max(worst_bound, abs(gap))
         # matched trajectories: same Hamiltonian, horizon, grid, and basis
         probe = sample_trajectory(a, psi, 1.0, 101)

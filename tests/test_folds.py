@@ -22,10 +22,10 @@ import pytest
 
 from conftest import random_density
 from tqsl import GueConfig, sample_gue, sample_trajectory, variance
-from tqsl.bounds import _mixed_k_series
 from tqsl.dynamics import STACK_BLOCK, _propagated_roots, frobenius_inner
 from tqsl.ensembles import _gue_draws
 from tqsl.linalg import eigh, sqrtm_psd
+from tqsl.uncertainty import _k_terms
 
 DIMS = (2, 3, 8, 16)
 STEPS = (2, STACK_BLOCK + 1, 2 * STACK_BLOCK + 2, 400)
@@ -43,22 +43,22 @@ def stacked_roots(dec, root0, times, hbar):
     return roots
 
 
-def stacked_mixed_k(traj, rho0, bases):
-    """_mixed_k_series with one matmul per grid point and basis."""
-    hm = traj.hamiltonian.matrix
+def stacked_k_terms(roots, a, b, bases):
+    """uncertainty._k_terms with one matmul per root and basis."""
     u = bases[:, None]
-    k = np.empty((len(bases), len(traj.times)))
-    for i in range(0, k.shape[1], STACK_BLOCK):
-        r = traj.stack[i : i + STACK_BLOCK]
-        p = r @ rho0
-        q = r @ hm
+    tighter = np.empty((len(bases), len(roots)))
+    cross = np.empty(len(roots))
+    for i in range(0, len(roots), STACK_BLOCK):
+        r = roots[i : i + STACK_BLOCK]
+        p = r @ a
+        q = r @ b
         p -= frobenius_inner(r, p).real[:, None, None] * r
         q -= frobenius_inner(r, q).real[:, None, None] * r
         f_nn = np.sum(np.abs(p @ u) ** 2, axis=-2)
         g_nn = np.sum(np.abs(q @ u) ** 2, axis=-2)
-        cross = np.abs(frobenius_inner(p, q))
-        k[:, i : i + STACK_BLOCK] = np.sqrt(f_nn * g_nn).sum(axis=-1) - cross
-    return k
+        tighter[:, i : i + STACK_BLOCK] = np.sqrt(f_nn * g_nn).sum(axis=-1)
+        cross[i : i + STACK_BLOCK] = np.abs(frobenius_inner(p, q))
+    return tighter, cross
 
 
 def mixed_case(dim, steps):
@@ -82,9 +82,11 @@ class TestMixedFolds:
         _, _, traj = mixed_case(dim, steps)
         bases = eigh(_gue_draws(dim, list(range(m)))).eigenvectors
         rho0 = traj.stack[0] @ traj.stack[0]
-        got = _mixed_k_series(traj, rho0, bases)
-        assert got.shape == (m, steps)
-        assert np.array_equal(got, stacked_mixed_k(traj, rho0, bases))
+        tighter, cross = _k_terms(traj.stack, rho0, traj.hamiltonian.matrix, bases)
+        assert tighter.shape == (m, steps) and cross.shape == (steps,)
+        want_tighter, want_cross = stacked_k_terms(traj.stack, rho0, traj.hamiltonian.matrix, bases)
+        assert np.array_equal(tighter, want_tighter)
+        assert np.array_equal(cross, want_cross)
 
     def test_overlap(self, dim, steps):
         h, rho, traj = mixed_case(dim, steps)

@@ -1,7 +1,9 @@
 """Uncertainty-bound chain: RS bound, cross term, tighter bounds, K.
 
 The per-vector sums are re-derived with explicit loops wherever the library
-uses a vectorized route, so the two computations check each other.
+uses a vectorized route, so the two computations check each other. The
+library evaluates kets and density matrices through one kernel, so each
+explicit-loop reference runs on both kinds of state.
 """
 import math
 
@@ -13,26 +15,27 @@ from tqsl import (
     DensityMatrix,
     DimensionMismatch,
     GueConfig,
+    NonRealExpectation,
     Observable,
     OrthonormalBasis,
     PureState,
     UncertaintyReport,
     centered,
-    correction_k_mixed,
-    correction_k_pure,
+    correction_k,
     cross_term,
     eigh,
     moment_identity_residual,
     random_basis,
     robertson_schrodinger_bound,
     sample_gue,
-    tighter_bound_mixed,
-    tighter_bound_pure,
+    sqrtm_psd,
+    tighter_bound,
     uncertainty_report,
     variance,
 )
 from conftest import random_density, random_pure
-from tqsl.uncertainty import NONNEG_CLAMP, _clamp_nonnegative
+from tqsl.errors import _trusted
+from tqsl.uncertainty import NONNEG_CLAMP, _clamp_nonnegative, _k_terms
 
 
 def draw(rng, dim, mixed):
@@ -41,6 +44,11 @@ def draw(rng, dim, mixed):
     basis = random_basis(dim, int(rng.integers(2**31)))
     state = random_density(rng, dim) if mixed else random_pure(rng, dim)
     return a, b, state, basis
+
+
+def density_matrix(state) -> np.ndarray:
+    """rho of a ket or a density matrix."""
+    return state.projector() if isinstance(state, PureState) else state.matrix
 
 
 class TestRobertsonSchrodinger:
@@ -77,17 +85,18 @@ class TestTighterPure:
     def test_saturates_for_pauli_pair(self, sigma_x, sigma_y, ket0):
         for seed in (0, 1, 2):
             basis = random_basis(2, seed)
-            assert tighter_bound_pure(sigma_x, sigma_y, ket0, basis) == pytest.approx(1.0)
+            assert tighter_bound(sigma_x, sigma_y, ket0, basis) == pytest.approx(1.0)
 
     def test_computational_basis_value(self, sigma_x, sigma_y, ket0):
         basis = OrthonormalBasis.identity(2)
-        assert tighter_bound_pure(sigma_x, sigma_y, ket0, basis) == pytest.approx(1.0)
+        assert tighter_bound(sigma_x, sigma_y, ket0, basis) == pytest.approx(1.0)
 
     def test_equal_operators_on_eigenstate(self, sigma_z, ket0):
         basis = OrthonormalBasis.identity(2)
-        assert tighter_bound_pure(sigma_z, sigma_z, ket0, basis) == pytest.approx(0.0, abs=1e-12)
+        assert tighter_bound(sigma_z, sigma_z, ket0, basis) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_explicit_sum(self):
+        # the ket's per-vector products, against the ket and its density matrix
         rng = np.random.default_rng(10)
         a, b, psi, basis = draw(rng, 3, mixed=False)
         abar = centered(a, psi).matrix
@@ -96,14 +105,15 @@ class TestTighterPure:
         for n in range(3):
             u = basis.matrix[:, n]
             total += abs(np.vdot(psi.amplitudes, abar @ u) * np.vdot(u, bbar @ psi.amplitudes))
-        assert tighter_bound_pure(a, b, psi, basis) == pytest.approx(total, abs=1e-12)
+        for state in (psi, psi.to_density()):
+            assert tighter_bound(a, b, state, basis) == pytest.approx(total, abs=1e-12)
 
     def test_chain_on_random_draws(self):
         rng = np.random.default_rng(12)
         for k in range(40):
             a, b, psi, basis = draw(rng, 2 + k % 5, mixed=False)
             upper = math.sqrt(variance(a, psi) * variance(b, psi))
-            tighter = tighter_bound_pure(a, b, psi, basis)
+            tighter = tighter_bound(a, b, psi, basis)
             cross = cross_term(a, b, psi)
             assert upper - tighter >= -1e-9
             assert tighter - cross >= -1e-9
@@ -115,16 +125,13 @@ class TestTighterMixed:
         # independent of the resolving basis.
         rho = DensityMatrix(np.eye(2) / 2.0)
         for basis in (OrthonormalBasis.identity(2), OrthonormalBasis(eigh(sigma_y.matrix).eigenvectors)):
-            assert tighter_bound_mixed(sigma_x, sigma_y, rho, basis) == pytest.approx(1.0)
+            assert tighter_bound(sigma_x, sigma_y, rho, basis) == pytest.approx(1.0)
 
     def test_reduces_to_pure_on_lifts(self):
         rng = np.random.default_rng(13)
         for k in range(25):
             a, b, psi, basis = draw(rng, 2 + k % 4, mixed=False)
-            diff = abs(
-                tighter_bound_mixed(a, b, psi.to_density(), basis)
-                - tighter_bound_pure(a, b, psi, basis)
-            )
+            diff = abs(tighter_bound(a, b, psi.to_density(), basis) - tighter_bound(a, b, psi, basis))
             assert diff < 1e-9
 
     def test_matches_per_projector_traces(self):
@@ -133,84 +140,159 @@ class TestTighterMixed:
         # Pn Mbar and Mbar Pn under Tr(rho . ) makes the placements equal.
         rng = np.random.default_rng(14)
         a, b, rho, basis = draw(rng, 4, mixed=True)
-        fast = tighter_bound_mixed(a, b, rho, basis)
-        abar = centered(a, rho).matrix
-        bbar = centered(b, rho).matrix
-        r = rho.matrix
-        total = 0.0
-        for n in range(4):
-            u = basis.matrix[:, n]
-            pn = np.outer(u, u.conj())
-            f_n = np.trace(abar @ r @ abar @ pn).real
-            g_n = np.trace(r @ bbar @ pn @ bbar).real
-            total += math.sqrt(max(f_n, 0.0) * max(g_n, 0.0))
-        assert fast == pytest.approx(total, abs=1e-9)
+        for state in (rho, random_pure(rng, 4)):
+            fast = tighter_bound(a, b, state, basis)
+            abar = centered(a, state).matrix
+            bbar = centered(b, state).matrix
+            r = density_matrix(state)
+            total = 0.0
+            for n in range(4):
+                u = basis.matrix[:, n]
+                pn = np.outer(u, u.conj())
+                f_n = np.trace(abar @ r @ abar @ pn).real
+                g_n = np.trace(r @ bbar @ pn @ bbar).real
+                total += math.sqrt(max(f_n, 0.0) * max(g_n, 0.0))
+            assert fast == pytest.approx(total, abs=1e-9)
 
     def test_each_term_dominates_its_cross_piece(self):
         # Cauchy-Schwarz term by term: sqrt(f_nn g_nn) >= |Tr(rho Abar Pn Bbar)|,
         # and the cross pieces sum to the unresolved cross term.
         rng = np.random.default_rng(24)
         a, b, rho, basis = draw(rng, 3, mixed=True)
-        abar = centered(a, rho).matrix
-        bbar = centered(b, rho).matrix
-        r = rho.matrix
-        pieces = []
-        for n in range(3):
-            u = basis.matrix[:, n]
-            pn = np.outer(u, u.conj())
-            piece = np.trace(r @ abar @ pn @ bbar)
-            f_n = np.trace(abar @ r @ abar @ pn).real
-            g_n = np.trace(bbar @ r @ bbar @ pn).real
-            assert abs(piece) <= math.sqrt(max(f_n, 0.0) * max(g_n, 0.0)) + 1e-12
-            pieces.append(piece)
-        assert abs(sum(pieces)) == pytest.approx(cross_term(a, b, rho), abs=1e-10)
+        for state in (rho, random_pure(rng, 3)):
+            abar = centered(a, state).matrix
+            bbar = centered(b, state).matrix
+            r = density_matrix(state)
+            pieces = []
+            for n in range(3):
+                u = basis.matrix[:, n]
+                pn = np.outer(u, u.conj())
+                piece = np.trace(r @ abar @ pn @ bbar)
+                f_n = np.trace(abar @ r @ abar @ pn).real
+                g_n = np.trace(bbar @ r @ bbar @ pn).real
+                assert abs(piece) <= math.sqrt(max(f_n, 0.0) * max(g_n, 0.0)) + 1e-12
+                pieces.append(piece)
+            assert abs(sum(pieces)) == pytest.approx(cross_term(a, b, state), abs=1e-10)
 
     def test_chain_on_random_draws(self):
         rng = np.random.default_rng(15)
         for k in range(40):
             a, b, rho, basis = draw(rng, 2 + k % 5, mixed=True)
             upper = math.sqrt(variance(a, rho) * variance(b, rho))
-            tighter = tighter_bound_mixed(a, b, rho, basis)
+            tighter = tighter_bound(a, b, rho, basis)
             cross = cross_term(a, b, rho)
             assert upper - tighter >= -1e-9
             assert tighter - cross >= -1e-9
+
+
+def old_pure_products(a, b, psi, basis):
+    """The ket formula the one-root kernel replaced: per-vector products
+    <psi|Abar|n><n|Bbar|psi>."""
+    abar = centered(a, psi).matrix
+    bbar = centered(b, psi).matrix
+    uh = basis.matrix.conj().T
+    v = psi.amplitudes
+    return (uh @ (abar @ v)).conj() * (uh @ (bbar @ v))
+
+
+def old_mixed_diagonals(a, b, rho, basis):
+    """The density-matrix formula the one-root kernel replaced: the
+    diagonals ||sqrt(rho) Mbar |n>||^2, and Tr(Abar rho Bbar)."""
+    abar = centered(a, rho).matrix
+    bbar = centered(b, rho).matrix
+    root = sqrtm_psd(rho.matrix)
+    u = basis.matrix
+    f_nn = np.sum(np.abs(root @ (abar @ u)) ** 2, axis=0)
+    g_nn = np.sum(np.abs(root @ (bbar @ u)) ** 2, axis=0)
+    return f_nn, g_nn, np.trace(abar @ rho.matrix @ bbar)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8, 16])
+class TestOneRootKernel:
+    """The per-state chain is the one-root case of _k_terms: a ket psi is
+    the 1 x d root psi^dagger, a density matrix the root sqrt(rho)."""
+
+    def test_ket_root(self, dim):
+        a, b, psi, basis = draw(np.random.default_rng([dim, 1]), dim, mixed=False)
+        tighter, cross = _k_terms(psi.amplitudes.conj()[None, None], a.matrix, b.matrix, basis.matrix[None])
+        prods = old_pure_products(a, b, psi, basis)
+        assert tighter.shape == (1, 1) and cross.shape == (1,)
+        np.testing.assert_allclose(tighter[0, 0], np.abs(prods).sum(), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(cross[0], abs(prods.sum()), rtol=1e-12, atol=0)
+
+    def test_density_root(self, dim):
+        a, b, rho, basis = draw(np.random.default_rng([dim, 2]), dim, mixed=True)
+        tighter, cross = _k_terms(sqrtm_psd(rho.matrix)[None], a.matrix, b.matrix, basis.matrix[None])
+        f_nn, g_nn, moment = old_mixed_diagonals(a, b, rho, basis)
+        np.testing.assert_allclose(tighter[0, 0], np.sqrt(f_nn * g_nn).sum(), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(cross[0], abs(moment), rtol=1e-12, atol=0)
+
+    def test_ket_matches_its_density_matrix(self, dim):
+        a, b, psi, basis = draw(np.random.default_rng([dim, 3]), dim, mixed=False)
+        want = tighter_bound(a, b, psi, basis)
+        assert tighter_bound(a, b, psi.to_density(), basis) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+class TestPerStateErrors:
+    """The per-state functions check their inputs for either kind of state."""
+
+    @pytest.fixture(params=["ket", "density"])
+    def state(self, request, ket0):
+        return ket0 if request.param == "ket" else DensityMatrix(np.diag([0.75, 0.25]))
+
+    @pytest.mark.parametrize("fn", [tighter_bound, correction_k, uncertainty_report])
+    def test_basis_dimension(self, fn, sigma_x, sigma_y, state):
+        with pytest.raises(DimensionMismatch, match="basis dim 3 vs state dim 2"):
+            fn(sigma_x, sigma_y, state, OrthonormalBasis.identity(3))
+
+    @pytest.mark.parametrize("fn", [tighter_bound, correction_k, cross_term])
+    def test_pair_dimension(self, fn, sigma_x, state):
+        b = Observable(np.eye(3))
+        with pytest.raises(DimensionMismatch, match="dims differ"):
+            fn(sigma_x, b, state, *([OrthonormalBasis.identity(2)] if fn is not cross_term else []))
+
+    @pytest.mark.parametrize("fn", [tighter_bound, correction_k, cross_term])
+    def test_imaginary_expectation(self, fn, sigma_x, state):
+        skewed = _trusted(Observable, matrix=sigma_x.matrix + 1j * np.eye(2))
+        with pytest.raises(NonRealExpectation):
+            fn(sigma_x, skewed, state, *([OrthonormalBasis.identity(2)] if fn is not cross_term else []))
 
 
 class TestCorrectionK:
     def test_pure_vanishes_when_a_annihilates(self, sigma_x, ket0):
         # A = |psi><psi| evaluated in |psi> itself: Abar|psi> = 0
         a = Observable(ket0.projector())
-        assert correction_k_pure(a, sigma_x, ket0, OrthonormalBasis.identity(2)) == 0.0
+        assert correction_k(a, sigma_x, ket0, OrthonormalBasis.identity(2)) == 0.0
 
     def test_pure_vanishes_when_saturated(self, sigma_x, sigma_y, ket0):
-        assert correction_k_pure(
+        assert correction_k(
             sigma_x, sigma_y, ket0, OrthonormalBasis.identity(2)
         ) == pytest.approx(0.0, abs=1e-12)
 
     def test_pure_is_the_gap(self):
         rng = np.random.default_rng(16)
         a, b, psi, basis = draw(rng, 3, mixed=False)
-        want = tighter_bound_pure(a, b, psi, basis) - cross_term(a, b, psi)
-        assert correction_k_pure(a, b, psi, basis) == pytest.approx(want, abs=1e-12)
+        want = tighter_bound(a, b, psi, basis) - cross_term(a, b, psi)
+        assert correction_k(a, b, psi, basis) == pytest.approx(want, abs=1e-12)
 
     def test_mixed_vanishes_for_commuting_diagonals(self):
         a = Observable(np.diag([1.0, -1.0, 0.5]))
         b = Observable(np.diag([0.3, 0.9, -0.2]))
         rho = DensityMatrix(np.diag([0.5, 0.3, 0.2]))
-        k = correction_k_mixed(a, b, rho, OrthonormalBasis.identity(3))
+        k = correction_k(a, b, rho, OrthonormalBasis.identity(3))
         assert k == pytest.approx(0.0, abs=1e-12)
 
     def test_mixed_reduces_to_pure(self, sigma_x, sigma_y, ket0):
         basis = OrthonormalBasis.identity(2)
-        pure = correction_k_pure(sigma_x, sigma_y, ket0, basis)
-        lifted = correction_k_mixed(sigma_x, sigma_y, ket0.to_density(), basis)
+        pure = correction_k(sigma_x, sigma_y, ket0, basis)
+        lifted = correction_k(sigma_x, sigma_y, ket0.to_density(), basis)
         assert lifted == pytest.approx(pure, abs=1e-9)
 
     def test_mixed_nonnegative_on_draws(self):
         rng = np.random.default_rng(17)
         for k in range(60):
             a, b, rho, basis = draw(rng, 2 + k % 5, mixed=True)
-            assert correction_k_mixed(a, b, rho, basis) >= 0.0
+            assert correction_k(a, b, rho, basis) >= 0.0
 
 
 class TestUncertaintyReport:
