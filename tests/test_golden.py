@@ -10,7 +10,12 @@ behind them (tests/golden/).
   one verdict rule. Its quadrature-order slack alone was recaptured when the
   bound's two trapezoid codes became one cumulative routine, and its
   bargmann-symmetry entry alone when that check began to read the angle of
-  sampled trajectories instead of a second angle and propagator.
+  sampled trajectories instead of a second angle and propagator. Its
+  pure-chain, mixed-chain, moment-identity and side-insensitivity slacks
+  were recaptured, each moved by at most 1.2e-16, when the per-state
+  uncertainty chain began to run the mixed route's stacked K kernel; the
+  explicit-loop references in test_uncertainty.py check that kernel on
+  kets and density matrices instead of a byte pin.
 - spin8/: the 8-spin chain, CSVs and summary runs, captured before the
   closed-form spin oracle took the whole time grid in one call, and
   recaptured with BLAS pinned to one thread: its last digits move with the
