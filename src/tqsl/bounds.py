@@ -412,9 +412,11 @@ def optimize_basis(traj: Trajectory, opt_config: OptimizerConfig = None) -> tupl
 
     Restart 0 is the identity basis; later restarts start from eigenbases
     of independent random Hermitian draws. Candidates rotate the current
-    basis by e^{i step G} with G a random Hermitian direction; the step
-    shrinks after _PATIENCE rejections. Best effort: the returned bound
-    dominates every basis probed, nothing more is claimed.
+    basis by e^{i step G} with G a random Hermitian direction; the step,
+    0.4 at first, halves after 8 rejections in a row, and a restart stops
+    below 1e-4 (_INITIAL_STEP, _SHRINK, _PATIENCE, _MIN_STEP). Best
+    effort: the returned bound dominates every basis probed, nothing more
+    is claimed.
 
     The restarts run in lockstep (`_climb`). A singular start skips its
     restart; any other error stops it, and the lowest-numbered restart's
