@@ -53,9 +53,10 @@ class QuadratureInfo:
     estimated_error: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BoundReport:
-    """One bound evaluation at the trajectory endpoint (or one grid row)."""
+    """One bound evaluation at the trajectory endpoint (or one grid row): a
+    row of a BoundSeries, which only the library builds."""
 
     tau_actual: float
     tau_mt: float
@@ -65,11 +66,6 @@ class BoundReport:
     basis_id: str
     validity: bool
     quadrature: QuadratureInfo
-
-    def __post_init__(self):
-        values = (self.tau_actual, self.tau_mt, self.correction_integral, self.tau_tqsl, self.delta)
-        rows = (np.array([v], dtype=float) for v in values)
-        _check_rows(*rows, np.array([self.validity], dtype=bool))
 
     def csv_row(self) -> str:
         return _csv_row(
@@ -108,14 +104,16 @@ def _csv_row(t, tau_mt, tau_tqsl, delta, quad_error, validity) -> str:
     return _CSV_FORMAT % (t, tau_mt, tau_tqsl, delta, quad_error, "true" if validity else "false")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class BoundSeries(Sequence):
     """bound_series result: one read-only column per report field, in grid
-    order, sharing one basis_id and quadrature step.
+    order, sharing one basis_id and quadrature step. Only the library
+    builds one, so it has no constructor.
 
-    The BoundReport invariants are checked here once, on whole columns.
-    Indexing and iteration build BoundReport rows on demand, without
-    checking them again; iteration and csv_rows() read whole columns.
+    The report invariants are checked once, on whole columns, before the
+    series is built (_check_rows in _series). Indexing and iteration build
+    BoundReport rows on demand, without checking them again; iteration and
+    csv_rows() read whole columns.
     """
 
     t: np.ndarray
@@ -127,18 +125,6 @@ class BoundSeries(Sequence):
     validity: np.ndarray
     basis_id: str
     step: float
-
-    def __post_init__(self):
-        cols = {
-            name: np.asarray(getattr(self, name), dtype=bool if name == "validity" else float)
-            for name in _COLUMNS
-        }
-        if len({c.shape for c in cols.values()}) != 1 or cols["t"].ndim != 1:
-            raise ValueError("bound series columns must be 1-d and share one length")
-        _check_rows(*(cols[n] for n in _COLUMNS[:5]), cols["validity"])
-        for name, col in cols.items():
-            col.setflags(write=False)
-            object.__setattr__(self, name, col)
 
     def __len__(self) -> int:
         return len(self.t)

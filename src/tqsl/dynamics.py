@@ -12,31 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NonHermitianInput,
-    NonRealExpectation,
-    _index,
-    _positive_finite,
-    _trusted,
-)
-from .linalg import HERMITICITY_TOL, eigh, hermitian_defect, sqrtm_psd, tolerance_scale
-from .states import (
-    EXPECTATION_IMAG_TOL,
-    TRACE_TOL,
-    Observable,
-    PureState,
-    State,
-    _require_psd,
-    _require_unit_kets,
-    _variance_from_root,
-    purity,
-    variance,
-)
+from .errors import DimensionMismatch, _index, _positive_finite, _trusted
+from .linalg import eigh, sqrtm_psd
+from .states import Observable, PureState, State, _variance_from_root, purity, variance
 
-S0_START_TOL = 1e-9
-DELTA_H_CONSTANCY_TOL = 1e-9
-ANGLE_RATE_SLACK = 1e-6
 _MINIMUM_EPS = 1e-12
 # Grid points per block when checking a state stack or computing a series
 # from it: bounds the (block, d, d) temporaries, so memory does not grow
@@ -77,59 +56,16 @@ def _stacked(arrays: list) -> np.ndarray:
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
-def _check_stack(h: np.ndarray, stack: np.ndarray, times: np.ndarray, s0: np.ndarray,
-                 delta_h: float, hbar: float) -> None:
-    """Trajectory's state checks on a caller's (n, d) ket or (n, d, d) root
-    stack: unit kets, or Hermitian positive semidefinite roots of unit-trace
-    states; a real <H> and the constant spread delta_h, to tolerances
-    relative to H's tolerance_scale; and for kets, s0 within the
-    Fubini-Study speed 2 dH/hbar. A ket psi is read as the 1 x d root
-    psi^dagger, so Tr(R^dagger R H) and ||R Hbar||_F give <H> and the spread
-    of either kind."""
-    mixed = stack.ndim == 3
-    if not mixed:  # kets only: the mixed-state angle obeys no speed limit in general
-        _require_unit_kets(stack)
-        excess = np.abs(np.diff(s0)) - (2.0 * delta_h / hbar) * np.diff(times)
-        if float(excess.max()) > ANGLE_RATE_SLACK:
-            raise ValueError(f"s0 outruns the pure-state rate by {float(excess.max()):.3e}")
-        stack = stack.conj()[:, None, :]
-    scale = float(tolerance_scale(h))
-    for i in range(0, len(stack), STACK_BLOCK):
-        roots = stack[i : i + STACK_BLOCK]
-        if mixed:
-            defect = hermitian_defect(roots)
-            if defect > HERMITICITY_TOL:
-                raise NonHermitianInput(f"Hermiticity defect {defect:.3e}")
-            traces = np.sum(np.abs(roots) ** 2, axis=(1, 2))  # Tr(R R^dagger) = Tr rho
-            bad = np.abs(traces - 1.0) > TRACE_TOL
-            if bad.any():
-                k = int(np.argmax(bad))
-                raise ValueError(
-                    f"trace {float(traces[k])!r} at grid index {i + k} differs from 1 beyond {TRACE_TOL:.0e}"
-                )
-            _require_psd(roots, "root has ")
-        rh = roots @ h
-        means = frobenius_inner(roots, rh)
-        worst = float(np.max(np.abs(means.imag)))
-        if worst > EXPECTATION_IMAG_TOL * scale:
-            raise NonRealExpectation(f"imaginary part {worst:.3e} exceeds {EXPECTATION_IMAG_TOL * scale:.3e}")
-        # ||R Hbar||_F, which for a Hermitian root is ||Hbar R||_F
-        spreads = np.linalg.norm(rh - means.real[:, None, None] * roots, axis=(1, 2))
-        drift = float(np.max(np.abs(spreads - delta_h)))
-        if drift > DELTA_H_CONSTANCY_TOL * scale:
-            raise ValueError(f"energy spread drifts by {drift:.3e} along the grid")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Trajectory:
-    """States sampled on a uniform grid, with derived angle data.
+    """States sampled on a uniform grid, with derived angle data: a result
+    that only sample_trajectory builds, so it has no constructor.
 
-    `stack` holds the states as one array: an (n, d) stack of kets for a
-    pure trajectory, or the (n, d, d) stack of roots sqrt(rho_t) for a mixed
-    one. A trajectory built here has every state invariant checked once, on
-    the whole stack (_check_stack). sample_trajectory builds its
-    trajectories without these checks: its states come from one checked
-    eigendecomposition (linalg.eigh), so only round-off could fail them.
+    `stack` holds the states as one read-only array: an (n, d) stack of
+    kets for a pure trajectory, or the (n, d, d) stack of roots sqrt(rho_t)
+    for a mixed one. No state is checked row by row: they all come from one
+    checked eigendecomposition (linalg.eigh), so only round-off could break
+    a state invariant.
     valid_until is the last index before the overlap starts growing again;
     rows up to and including it are inside the derivation's assumptions.
     """
@@ -142,36 +78,6 @@ class Trajectory:
     overlap: np.ndarray
     delta_h: float
     valid_until: int
-
-    def __post_init__(self):
-        _positive_finite("hbar", self.hbar, ValueError)
-        times = np.asarray(self.times, dtype=float)
-        stack = np.asarray(self.stack, dtype=complex)
-        s0 = np.asarray(self.s0, dtype=float)
-        overlap = np.asarray(self.overlap, dtype=float)
-        n = len(times)
-        if not (n == len(s0) == len(overlap) == len(stack)):
-            raise ValueError("grid arrays and the state stack must share one length")
-        if n < 2 or abs(times[0]) > 1e-12 or np.any(np.diff(times) <= 0):
-            raise ValueError("times must ascend from 0 with at least 2 points")
-        if s0[0] > S0_START_TOL or np.any(s0 < -1e-12) or np.any(s0 > math.pi + 1e-12):
-            raise ValueError("s0 must start at 0 and stay in [0, pi]")
-        if not 0 <= self.valid_until < n:
-            raise ValueError(f"valid_until {self.valid_until} outside grid")
-        if stack.ndim not in (2, 3) or stack.ndim == 3 and stack.shape[1] != stack.shape[2]:
-            raise ValueError(f"state stack must be (n, d) or (n, d, d), got {stack.shape}")
-        if stack.ndim == 3 and not np.all(np.isfinite(stack)):
-            raise ValueError("state stack entries must be finite")
-        dim, h = self.hamiltonian.dim, self.hamiltonian.matrix
-        if stack.shape[1] != dim:
-            raise DimensionMismatch(f"H dim {dim} vs state dim {stack.shape[1]}")
-        _check_stack(h, stack, times, s0, self.delta_h, self.hbar)
-        for arr in (times, stack, s0, overlap):
-            arr.setflags(write=False)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "stack", stack)
-        object.__setattr__(self, "s0", s0)
-        object.__setattr__(self, "overlap", overlap)
 
     @property
     def kind(self) -> str:

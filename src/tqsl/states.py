@@ -105,22 +105,22 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-def _require_psd(stack: np.ndarray, prefix: str = "") -> None:
+def _require_psd(stack: np.ndarray) -> None:
     """The PSD_TOL rule on an (n, d, d) stack of Hermitian matrices, each
     read from its lower triangle: NotPositiveSemidefinite, naming the
-    stack's smallest eigenvalue, if that is below -PSD_TOL.
+    stack's smallest eigenvalue, if that is below -PSD_TOL. DensityMatrix
+    runs it on its matrix as a one-matrix stack.
 
     A Cholesky factorization of the stack shifted by PSD_TOL/2 accepts it
     without eigenvalues: it succeeds only if every eigenvalue is above
     -PSD_TOL/2 less a rounding error of order d eps times the trace, far
-    inside the rule for states and their roots. If it fails, eigvalsh
-    decides."""
+    inside the rule for unit-trace states. If it fails, eigvalsh decides."""
     try:
         np.linalg.cholesky(stack + 0.5 * PSD_TOL * np.eye(stack.shape[-1]))
     except np.linalg.LinAlgError:
         min_eig = float(np.linalg.eigvalsh(stack)[:, 0].min())
         if min_eig < -PSD_TOL:
-            raise NotPositiveSemidefinite(f"{prefix}min eigenvalue {min_eig:.3e}") from None
+            raise NotPositiveSemidefinite(f"min eigenvalue {min_eig:.3e}") from None
 
 
 def _require_unit_kets(kets: np.ndarray, offset: int = 0) -> None:

@@ -3,14 +3,23 @@
 random_pure and random_density are the property suite's own draws,
 re-exported for the test modules; wishart_density is the benchmark's.
 evolve_pure and evolve_mixed are the one-state-at-a-time propagators that
-trajectories and the spin oracle are checked against, and grid_states reads
-a trajectory's states back from its stack."""
+trajectories and the spin oracle are checked against, grid_states reads
+a trajectory's states back from its stack, doctored_trajectory builds one
+from parts, and check_trajectory checks a trajectory's invariants row by
+row."""
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
 
-from tqsl import DensityMatrix, DimensionMismatch, Observable, PureState, expm_i_hermitian
+from tqsl import (
+    DensityMatrix, DimensionMismatch, Observable, PureState, Trajectory, expm_i_hermitian, variance,
+)
+from tqsl.errors import _positive_finite, _trusted
 from tqsl.experiments import random_density, random_pure  # noqa: F401
+from tqsl.linalg import tolerance_scale
+from tqsl.states import _require_psd
 
 
 def evolve_pure(h: Observable, psi0: PureState, t: float, hbar: float = 1.0) -> PureState:
@@ -32,6 +41,58 @@ def grid_states(traj) -> list:
     """A trajectory's grid states: a PureState per ket row of its stack, or
     a DensityMatrix R @ R per root R."""
     return [PureState(m) if m.ndim == 1 else DensityMatrix(m @ m) for m in traj.stack]
+
+
+def doctored_trajectory(**fields) -> Trajectory:
+    """A Trajectory holding `fields`, its arrays made read-only, built
+    through _trusted as sample_trajectory builds one, with no check."""
+    for value in fields.values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    return _trusted(Trajectory, **fields)
+
+
+def check_trajectory(traj) -> None:
+    """Raise unless `traj` holds the invariants of a sampled trajectory,
+    each state checked by the library's own implementation of its rule:
+    - a grid of at least 2 times ascending from 0; s0, the overlap and the
+      state stack share its length, and the stack H's dimension; hbar is
+      positive and finite, and valid_until a grid index;
+    - s0 starts at 0 and stays in [0, pi], and for kets moves no faster
+      than the Fubini-Study speed 2 dH / hbar, to 1e-6;
+    - every entry of the stack is finite, every grid state passes
+      PureState or DensityMatrix (grid_states), and every root of a mixed
+      trajectory is positive semidefinite;
+    - every grid state has a real <H> (variance runs expectation, to
+      EXPECTATION_IMAG_TOL max(1, max|H|)) and the spread delta_h, to
+      1e-9 max(1, max|H|)."""
+    h, times, s0, n = traj.hamiltonian, traj.times, traj.s0, len(traj.times)
+    if traj.stack.shape not in ((n, h.dim), (n, h.dim, h.dim)):
+        raise ValueError(f"state stack must be (n, d) or (n, d, d) with n = {n}, d = {h.dim}, "
+                         f"got {traj.stack.shape}")
+    if s0.shape != (n,) or traj.overlap.shape != (n,):
+        raise ValueError("grid arrays must share one length")
+    if n < 2 or times[0] != 0.0 or np.any(np.diff(times) <= 0):
+        raise ValueError("times must ascend from 0 with at least 2 points")
+    _positive_finite("hbar", traj.hbar, ValueError)
+    if not 0 <= traj.valid_until < n:
+        raise ValueError(f"valid_until {traj.valid_until} outside grid")
+    if s0[0] > 1e-9 or s0.min() < -1e-12 or s0.max() > math.pi + 1e-12:
+        raise ValueError("s0 must start at 0 and stay in [0, pi]")
+    if traj.kind == "pure":
+        excess = float((np.abs(np.diff(s0)) - (2.0 * traj.delta_h / traj.hbar) * np.diff(times)).max())
+        if excess > 1e-6:
+            raise ValueError(f"s0 outruns the pure-state rate by {excess:.3e}")
+    if not np.isfinite(traj.stack).all():
+        raise ValueError("state stack entries must be finite")
+    states = grid_states(traj)
+    if traj.kind == "mixed":
+        _require_psd(traj.stack)
+    tol = 1e-9 * float(tolerance_scale(h.matrix))
+    for k, state in enumerate(states):
+        drift = abs(math.sqrt(variance(h, state)) - traj.delta_h)
+        if drift > tol:
+            raise ValueError(f"energy spread drifts by {drift:.3e} at grid index {k}")
 
 
 def wishart_density(item: int, dim: int = 8) -> np.ndarray:

@@ -25,7 +25,6 @@ from tqsl import (
     QslError,
     QuadratureInfo,
     SingularIntegrand,
-    Trajectory,
     ValidityExceeded,
     ZeroEnergyVariance,
     bound_series,
@@ -41,10 +40,12 @@ from tqsl import (
 )
 import sequential_optimizer as oracle
 import tqsl.bounds
-from conftest import evolve_mixed, evolve_pure, grid_states, random_density, random_pure
+from conftest import doctored_trajectory, evolve_mixed, evolve_pure, grid_states, random_density, random_pure
 from tqsl.bounds import (
-    _climb, _Correction, _csv_row, _cumulative_trapezoid, _random_directions, _require_clean, _series,
+    _check_rows, _climb, _Correction, _csv_row, _cumulative_trapezoid, _random_directions, _require_clean,
+    _series,
 )
+from tqsl.errors import _trusted
 from tqsl.states import basis_failures, purity
 
 SIN_EPS = 1e-8
@@ -71,7 +72,7 @@ def singular_trajectory(dim=3, seed=0):
         min(abs(complex(np.vdot(psi.amplitudes, states[1].amplitudes))), 1.0)
     )
     s0 = np.array([0.0, s_mid, 0.0])
-    return Trajectory(
+    return doctored_trajectory(
         hamiltonian=h,
         hbar=1.0,
         times=np.array([0.0, 0.8, 1.6]),
@@ -96,7 +97,7 @@ def underflow_trajectory():
     st2 = evolve_mixed(h, r0, 1.2)
     ratio = np.trace(r0.matrix @ st1.matrix).real / purity(r0)  # the mixed angle's cos^2(s0/2)
     s0 = np.array([0.0, 2.0 * math.acos(math.sqrt(ratio)), 0.0])
-    return Trajectory(
+    return doctored_trajectory(
         hamiltonian=h,
         hbar=1.0,
         times=np.array([0.0, 0.6, 1.2]),
@@ -305,88 +306,54 @@ class TestCorrectionSamples:
         assert repr(c.purity) == repr(purity(want))
 
 
+def check_row(tau_actual, tau_mt, correction_integral, tau_tqsl, delta, validity=True) -> None:
+    """_check_rows on one report row, as 1-row columns."""
+    values = (tau_actual, tau_mt, correction_integral, tau_tqsl, delta)
+    _check_rows(*(np.array([v], dtype=float) for v in values), np.array([validity]))
+
+
 class TestBoundReport:
-    def quad(self, err=0.0):
-        return QuadratureInfo(0.01, err)
+    """The report invariants on one row, through _check_rows."""
 
     def test_accepts_consistent_report(self):
-        BoundReport(
-            tau_actual=1.0,
-            tau_mt=0.6,
-            correction_integral=0.2,
-            tau_tqsl=0.8,
-            delta=0.2,
-            basis_id="user",
-            validity=True,
-            quadrature=self.quad(),
-        )
+        check_row(tau_actual=1.0, tau_mt=0.6, correction_integral=0.2, tau_tqsl=0.8, delta=0.2)
 
     def test_rejects_non_finite(self):
         with pytest.raises(BoundViolation, match="non-finite"):
-            BoundReport(
-                tau_actual=1.0,
-                tau_mt=math.nan,
-                correction_integral=0.0,
-                tau_tqsl=0.0,
-                delta=0.0,
-                basis_id="user",
+            check_row(
+                tau_actual=1.0, tau_mt=math.nan, correction_integral=0.0, tau_tqsl=0.0, delta=0.0,
                 validity=False,
-                quadrature=self.quad(),
             )
 
     def test_rejects_negative_correction(self):
         with pytest.raises(BoundViolation, match="correction"):
-            BoundReport(
-                tau_actual=1.0,
-                tau_mt=0.5,
-                correction_integral=-0.1,
-                tau_tqsl=0.4,
-                delta=-0.1,
-                basis_id="user",
+            check_row(
+                tau_actual=1.0, tau_mt=0.5, correction_integral=-0.1, tau_tqsl=0.4, delta=-0.1,
                 validity=False,
-                quadrature=self.quad(),
             )
 
     def test_rejects_broken_bookkeeping(self):
         with pytest.raises(BoundViolation, match="geodesic term"):
-            BoundReport(
-                tau_actual=1.0,
-                tau_mt=0.5,
-                correction_integral=0.1,
-                tau_tqsl=0.7,
-                delta=0.2,
-                basis_id="user",
+            check_row(
+                tau_actual=1.0, tau_mt=0.5, correction_integral=0.1, tau_tqsl=0.7, delta=0.2,
                 validity=False,
-                quadrature=self.quad(),
             )
 
     def test_rejects_bound_above_actual_time_when_valid(self):
-        kwargs = dict(
-            tau_actual=0.5,
-            tau_mt=0.6,
-            correction_integral=0.2,
-            tau_tqsl=0.8,
-            delta=0.2,
-            basis_id="user",
-            quadrature=self.quad(),
-        )
+        kwargs = dict(tau_actual=0.5, tau_mt=0.6, correction_integral=0.2, tau_tqsl=0.8, delta=0.2)
         with pytest.raises(BoundViolation, match="actual time"):
-            BoundReport(validity=True, **kwargs)
+            check_row(validity=True, **kwargs)
         # the same numbers are reportable on a flagged row
-        BoundReport(validity=False, **kwargs)
+        check_row(validity=False, **kwargs)
 
     def test_csv_row_format(self):
-        rep = BoundReport(
-            tau_actual=1.0,
-            tau_mt=0.6,
-            correction_integral=0.2,
-            tau_tqsl=0.8,
-            delta=0.2,
-            basis_id="user",
-            validity=True,
-            quadrature=self.quad(err=1e-7),
+        cols = dict(t=[1.0], tau_mt=[0.6], correction=[0.2], tau_tqsl=[0.8], delta=[0.2], quad_error=[1e-7])
+        series = _trusted(
+            BoundSeries, **{k: np.array(v) for k, v in cols.items()}, validity=np.array([True]),
+            basis_id="user", step=0.01,
         )
-        assert rep.csv_row() == "1,0.6,0.8,0.2,1e-07,true"
+        assert series[0].csv_row() == "1,0.6,0.8,0.2,1e-07,true"
+        assert series.csv_rows() == ["1,0.6,0.8,0.2,1e-07,true"]
 
     @staticmethod
     def f_string_row(t, tau_mt, tau_tqsl, delta, quad_error, validity):
@@ -607,9 +574,15 @@ class TestBoundSeries:
         cols = {name: np.array(getattr(series, name)) for name in (
             "t", "tau_mt", "correction", "tau_tqsl", "delta", "quad_error", "validity"
         )}
+        intact = {name: cols[name].copy() for name in cols}
         cols[column][row] = value
+        names = ("tau_mt", "correction", "tau_tqsl", "delta")
         with pytest.raises(BoundViolation, match=match):
-            BoundSeries(**cols, basis_id="b", step=series.step)
+            _check_rows(cols["t"], *(cols[name] for name in names), cols["validity"])
+        # the same column as member 1 of a (2, n) stack sharing one t
+        with pytest.raises(BoundViolation, match=match):
+            _check_rows(cols["t"], *(np.stack([intact[name], cols[name]]) for name in names),
+                        np.stack([intact["validity"], cols["validity"]]))
 
     def test_rejects_bound_above_actual_time_when_valid(self):
         cols = dict(
@@ -618,12 +591,11 @@ class TestBoundSeries:
             correction=np.array([0.0, 0.2]),
             tau_tqsl=np.array([0.0, 0.8]),
             delta=np.array([0.0, 0.2]),
-            quad_error=np.zeros(2),
         )
         with pytest.raises(BoundViolation, match="actual time"):
-            BoundSeries(**cols, validity=np.array([True, True]), basis_id="b", step=0.5)
+            _check_rows(*cols.values(), np.array([True, True]))
         # the same numbers are reportable on a flagged row
-        BoundSeries(**cols, validity=np.array([True, False]), basis_id="b", step=0.5)
+        _check_rows(*cols.values(), np.array([True, False]))
 
 
 REPORT_BREAKS = {
@@ -643,49 +615,54 @@ def report_row(**changes):
 
 
 def checked_row(series, k):
-    """Row k of a series, built through the checked BoundReport constructor."""
-    return BoundReport(
+    """Row k of a series from its column values: checked as a one-row
+    report (check_row), then built through _trusted."""
+    fields = dict(
         tau_actual=float(series.t[k]),
         tau_mt=float(series.tau_mt[k]),
         correction_integral=float(series.correction[k]),
         tau_tqsl=float(series.tau_tqsl[k]),
         delta=float(series.delta[k]),
-        basis_id=series.basis_id,
         validity=bool(series.validity[k]),
-        quadrature=QuadratureInfo(series.step, float(series.quad_error[k])),
     )
+    check_row(**fields)
+    return _trusted(BoundReport, **fields, basis_id=series.basis_id,
+                    quadrature=QuadratureInfo(series.step, float(series.quad_error[k])))
+
+
+# a report row that holds with any actual time of at least 0.4
+SOUND_ROW = dict(tau_mt=0.3, correction_integral=0.1, tau_tqsl=0.4, delta=0.1)
+
+
+def stacked_rows(t, *rows):
+    """_check_rows on a (k, 1) stack, one member per report row, sharing
+    the actual time t."""
+    names = ("tau_mt", "correction_integral", "tau_tqsl", "delta")
+    _check_rows(np.array([t]), *(np.array([[row[name]] for row in rows]) for name in names),
+                np.ones((len(rows), 1), dtype=bool))
 
 
 class TestOneReportCheck:
-    """BoundReport and BoundSeries share one check of the report invariants."""
+    """A report row and a stack of series columns share one check of the
+    report invariants, _check_rows."""
 
     @pytest.mark.parametrize("case", sorted(REPORT_BREAKS))
     def test_report_and_one_row_series_raise_alike(self, case):
         fields = report_row(**REPORT_BREAKS[case])
         with pytest.raises(BoundViolation) as from_report:
-            BoundReport(**fields, basis_id="b", validity=True, quadrature=QuadratureInfo(0.01, 0.0))
+            check_row(**fields)
+        # the same row as member 1 of three on one grid row
+        t = fields.pop("tau_actual")
         with pytest.raises(BoundViolation) as from_series:
-            BoundSeries(
-                t=[fields["tau_actual"]],
-                tau_mt=[fields["tau_mt"]],
-                correction=[fields["correction_integral"]],
-                tau_tqsl=[fields["tau_tqsl"]],
-                delta=[fields["delta"]],
-                quad_error=[0.0],
-                validity=[True],
-                basis_id="b",
-                step=0.01,
-            )
+            stacked_rows(t, SOUND_ROW, fields, SOUND_ROW)
         assert type(from_series.value) is type(from_report.value)
         assert str(from_series.value) == str(from_report.value)
 
     def test_bound_within_slack_is_accepted(self):
         fields = report_row(tau_actual=0.8 - 0.5e-6)
-        BoundReport(**fields, basis_id="b", validity=True, quadrature=QuadratureInfo(0.01, 0.0))
-        BoundSeries(
-            t=[fields["tau_actual"]], tau_mt=[0.6], correction=[0.2], tau_tqsl=[0.8], delta=[0.2],
-            quad_error=[0.0], validity=[True], basis_id="b", step=0.01,
-        )
+        check_row(**fields)
+        t = fields.pop("tau_actual")
+        stacked_rows(t, SOUND_ROW, fields, SOUND_ROW)
 
     @pytest.mark.parametrize(
         "make", [lambda: gue_trajectory(seed=4, tau=3.0, steps=120)[1], wishart_trajectory]
@@ -703,11 +680,13 @@ class TestOneReportCheck:
         h, traj = gue_trajectory(seed=0, tau=1.0, steps=20)
         series = bound_series(traj, random_basis(3, 5))
 
-        def refuse(self):
+        def refuse(*columns):
             raise AssertionError("a series row was checked again")
 
-        monkeypatch.setattr(BoundReport, "__post_init__", refuse)
+        monkeypatch.setattr(tqsl.bounds, "_check_rows", refuse)
         assert [r.tau_tqsl for r in series] == series.tau_tqsl.tolist()
+        assert series[-1].tau_tqsl == series.tau_tqsl[-1]
+        assert len(series.csv_rows()) == len(series)
 
 
 class TestOptimizeBasis:

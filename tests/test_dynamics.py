@@ -1,4 +1,5 @@
 """Evolution, Bargmann angles, and trajectory bookkeeping."""
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 import scipy.linalg
 
 from tqsl import (
+    BoundReport,
+    BoundSeries,
     DensityMatrix,
     DimensionMismatch,
     GueConfig,
@@ -26,9 +29,9 @@ from tqsl import (
     sample_trajectory,
 )
 from conftest import (
-    evolve_mixed, evolve_pure, grid_states, random_density, random_pure, wishart_density, with_spectrum,
+    check_trajectory, doctored_trajectory, evolve_mixed, evolve_pure, grid_states, random_density,
+    random_pure, wishart_density, with_spectrum,
 )
-from tqsl import dynamics
 from tqsl.errors import _trusted
 from tqsl.states import EXPECTATION_IMAG_TOL, PSD_TOL
 
@@ -228,6 +231,13 @@ class TestSampleTrajectory:
             with pytest.raises(ValueError, match=match):
                 sample_trajectory(sigma_x, state, **args)
 
+    def test_arrays_are_read_only(self, sigma_x, ket0, qubit_mixed):
+        for state in (ket0, qubit_mixed):
+            traj = sample_trajectory(sigma_x, state, 1.0, 5)
+            for arr in (traj.times, traj.stack, traj.s0, traj.overlap):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 5.0
+
     def test_takes_integer_like_steps(self, sigma_x, ket0):
         assert len(sample_trajectory(sigma_x, ket0, 1.0, np.int64(10)).times) == 10
 
@@ -243,7 +253,7 @@ class TestSampleTrajectory:
 
 
 def trajectory_parts(traj):
-    """Constructor arguments of a trajectory, as writable copies."""
+    """The fields of a trajectory, as writable copies."""
     return dict(
         hamiltonian=traj.hamiltonian,
         hbar=traj.hbar,
@@ -257,6 +267,11 @@ def trajectory_parts(traj):
 
 
 class TestTrajectoryValidation:
+    """check_trajectory, the test-side invariant oracle for sampled
+    trajectories: it passes an unmodified rebuild of a sampled trajectory
+    and rejects each doctored one, so that its passing elsewhere shows the
+    invariants hold."""
+
     @pytest.fixture()
     def parts(self, sigma_x, ket0):
         return trajectory_parts(sample_trajectory(sigma_x, ket0, 1.5, 11))
@@ -266,78 +281,71 @@ class TestTrajectoryValidation:
         return trajectory_parts(sample_trajectory(sigma_x, qubit_mixed, 1.5, 11))
 
     def test_reconstruction_passes(self, parts, mixed_parts):
-        Trajectory(**parts)
-        Trajectory(**mixed_parts)
+        check_trajectory(doctored_trajectory(**parts))
+        check_trajectory(doctored_trajectory(**mixed_parts))
 
     def test_rejects_nonzero_start_angle(self, parts):
         parts["s0"][0] = 0.1
         with pytest.raises(ValueError, match="start at 0"):
-            Trajectory(**parts)
+            check_trajectory(doctored_trajectory(**parts))
 
     def test_rejects_angle_faster_than_rate(self, parts):
         parts["s0"][5] += 1.0
         with pytest.raises(ValueError, match="outruns"):
-            Trajectory(**parts)
+            check_trajectory(doctored_trajectory(**parts))
 
     def test_rejects_wrong_spread(self, parts):
         parts["delta_h"] += 0.5
         with pytest.raises(ValueError, match="drifts"):
-            Trajectory(**parts)
+            check_trajectory(doctored_trajectory(**parts))
 
     def test_rejects_bad_validity_index(self, parts):
         parts["valid_until"] = len(parts["times"])
         with pytest.raises(ValueError, match="outside"):
-            Trajectory(**parts)
+            check_trajectory(doctored_trajectory(**parts))
 
     def test_rejects_nonpositive_hbar(self, parts):
         parts["hbar"] = 0.0
         with pytest.raises(ValueError, match="hbar"):
-            Trajectory(**parts)
+            check_trajectory(doctored_trajectory(**parts))
 
     def test_rejects_unsorted_times(self, parts):
         parts["times"][1] = 0.0
         with pytest.raises(ValueError, match="ascend"):
-            Trajectory(**parts)
+            check_trajectory(doctored_trajectory(**parts))
 
     def test_rejects_length_mismatch(self, parts):
         parts["s0"] = parts["s0"][:-1]
         with pytest.raises(ValueError, match="length"):
-            Trajectory(**parts)
-
-    def test_arrays_are_read_only(self, sigma_x, ket0, qubit_mixed):
-        for state in (ket0, qubit_mixed):
-            traj = sample_trajectory(sigma_x, state, 1.0, 5)
-            for arr in (traj.times, traj.stack, traj.s0, traj.overlap):
-                with pytest.raises(ValueError, match="read-only"):
-                    arr[0] = 5.0
+            check_trajectory(doctored_trajectory(**parts))
 
     def test_rejects_non_unit_ket(self, parts):
         parts["stack"][7] *= 1.01
-        with pytest.raises(ValueError, match="norm .* grid index 7"):
-            Trajectory(**parts)
+        with pytest.raises(ValueError, match="state norm"):
+            check_trajectory(doctored_trajectory(**parts))
 
     def test_rejects_non_finite_ket(self, parts):
         parts["stack"][4, 1] = np.nan
-        with pytest.raises(ValueError, match="grid index 4 must be finite"):
-            Trajectory(**parts)
+        with pytest.raises(ValueError, match="entries must be finite"):
+            check_trajectory(doctored_trajectory(**parts))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_root(self, mixed_parts, bad):
         mixed_parts["stack"][9][1, 0] = bad
         with pytest.raises(ValueError, match="entries must be finite"):
-            Trajectory(**mixed_parts)
+            check_trajectory(doctored_trajectory(**mixed_parts))
 
     def test_rejects_non_unit_trace_root(self, mixed_parts):
         mixed_parts["stack"][6] *= 1.01
-        with pytest.raises(ValueError, match="trace .* grid index 6"):
-            Trajectory(**mixed_parts)
+        with pytest.raises(ValueError, match="trace"):
+            check_trajectory(doctored_trajectory(**mixed_parts))
 
     def test_rejects_non_psd_root(self, mixed_parts):
         # same rho = R^2, but R is no longer its positive root
         w, v = np.linalg.eigh(mixed_parts["stack"][5])
         mixed_parts["stack"][5] = (v * (w * np.array([-1.0, 1.0]))) @ v.conj().T
         with pytest.raises(NotPositiveSemidefinite):
-            Trajectory(**mixed_parts)
+            check_trajectory(doctored_trajectory(**mixed_parts))
 
     @pytest.mark.parametrize("low", [-0.4, -0.9, -1.1])
     def test_root_psd_threshold(self, low):
@@ -348,18 +356,19 @@ class TestTrajectoryValidation:
         w, v = np.linalg.eigh(parts["stack"][5])
         parts["stack"][5] += (low * PSD_TOL - w[0]) * np.outer(v[:, 0], v[:, 0].conj())
         if low > -1.0:
-            Trajectory(**parts)
+            check_trajectory(doctored_trajectory(**parts))
         else:
             with pytest.raises(NotPositiveSemidefinite) as err:
-                Trajectory(**parts)
-            assert str(err.value) == "root has min eigenvalue -1.100e-10"
+                check_trajectory(doctored_trajectory(**parts))
+            assert str(err.value) == "min eigenvalue -1.100e-10"
 
     @pytest.mark.parametrize("dim", [2, 3, 8])
     def test_pure_lift_roots_pass_on_the_cholesky_accept(self, dim, no_eigvalsh):
         h = sample_gue(GueConfig(dim=dim, seed=dim))
         rho0 = random_pure(np.random.default_rng(dim), dim).to_density()
         traj = sample_trajectory(h, rho0, 2.0, 150)
-        assert Trajectory(**trajectory_parts(traj)).kind == "mixed"
+        assert traj.kind == "mixed"
+        check_trajectory(traj)
 
     @pytest.mark.parametrize("eps", [1e-10, 1e-14])
     def test_near_pure_roots_pass_on_the_cholesky_accept(self, eps, no_eigvalsh):
@@ -367,36 +376,34 @@ class TestTrajectoryValidation:
         psi = default_initial_state(3)
         rho0 = DensityMatrix((1.0 - eps) * psi.projector() + eps * np.eye(3) / 3.0)
         traj = sample_trajectory(sample_gue(GueConfig(dim=3, seed=4)), rho0, 1.0, 400)
-        assert Trajectory(**trajectory_parts(traj)).kind == "mixed"
+        assert traj.kind == "mixed"
+        check_trajectory(traj)
 
     def test_rejects_non_hermitian_root(self, mixed_parts):
         mixed_parts["stack"][3][0, 1] += 0.01
         with pytest.raises(NonHermitianInput):
-            Trajectory(**mixed_parts)
+            check_trajectory(doctored_trajectory(**mixed_parts))
 
     def test_rejects_misshapen_stack(self, parts, mixed_parts):
         parts["stack"] = parts["stack"][:, :, None]
         with pytest.raises(ValueError, match="stack must be"):
-            Trajectory(**parts)
+            check_trajectory(doctored_trajectory(**parts))
         mixed_parts["stack"] = np.zeros((11, 3, 3), dtype=complex)
-        with pytest.raises(DimensionMismatch):
-            Trajectory(**mixed_parts)
+        with pytest.raises(ValueError, match="stack must be"):
+            check_trajectory(doctored_trajectory(**mixed_parts))
 
 
 class TestSampledTrajectoriesAreTrusted:
     """sample_trajectory's states come from one checked eigendecomposition,
-    so it makes no per-row state check; the checks stay with trajectories a
-    caller builds."""
+    so it makes no per-row state check, and only it builds a trajectory."""
 
-    def test_no_sampled_path_runs_the_state_checks(self, monkeypatch, sigma_x, ket0, qubit_mixed):
-        def fail(*args):
-            raise AssertionError("a sampled trajectory ran the state checks")
-
-        monkeypatch.setattr(dynamics, "_check_stack", fail)
-        for state in (ket0, qubit_mixed):
-            traj = sample_trajectory(sigma_x, state, 1.0, 200)
-            with pytest.raises(AssertionError, match="state checks"):
-                Trajectory(**trajectory_parts(traj))
+    @pytest.mark.parametrize("cls", [Trajectory, BoundSeries, BoundReport])
+    def test_result_types_have_no_constructor(self, cls):
+        fields = {f.name: None for f in dataclasses.fields(cls)}
+        with pytest.raises(TypeError):
+            cls(**fields)
+        with pytest.raises(TypeError):
+            cls(*fields.values())
 
     @pytest.mark.parametrize("mixed", [False, True])
     def test_a_wrong_eigensystem_raises(self, monkeypatch, mixed):
@@ -418,15 +425,15 @@ SCALES = [1e-16, 1e-12, 1e-9, 1e-3, 1e3, 1e6, 1e8, 1e9, 1e10, 1e12]
 
 class TestScaleCovariance:
     """c H over a window tau / c is H's evolution over tau, so tau_tqsl / tau
-    must not move with c, and the trajectory a caller rebuilds from the
-    sampled one must pass its checks at every c: GUE seed 0, basis seed 7,
+    must not move with c, and the sampled trajectory must hold its
+    invariants (check_trajectory) at every c: GUE seed 0, basis seed 7,
     tau = 1, 400 steps."""
 
     @staticmethod
     def endpoint(state, c: float) -> float:
         h = Observable(c * sample_gue(GueConfig(dim=3, seed=0)).matrix)
         traj = sample_trajectory(h, state, 1.0 / c, 400)
-        Trajectory(**trajectory_parts(traj))
+        check_trajectory(traj)
         series = bound_series(traj, random_basis(3, 7))
         return series[len(series) - 1].tau_tqsl * c
 
@@ -452,33 +459,33 @@ class TestScaleCovariance:
 
 class TestImaginaryTolerance:
     """An imaginary <H> beyond EXPECTATION_IMAG_TOL x max(1, max|H|) raises
-    NonRealExpectation, from the caller-built trajectory's check as from
-    the moment itself; round-off on a Hermitian H of max|H| = 1e12 does not."""
+    NonRealExpectation, from the moment itself and so from the trajectory
+    oracle; round-off on a Hermitian H of max|H| = 1e12 does not."""
 
     @pytest.fixture()
-    def parts(self):
+    def traj(self):
         h = sample_gue(GueConfig(dim=3, seed=0)).matrix
         big = Observable(h * (1e12 / np.abs(h).max()))
-        return trajectory_parts(sample_trajectory(big, default_initial_state(3), 1e-12, 100))
+        return sample_trajectory(big, default_initial_state(3), 1e-12, 100)
 
     @pytest.mark.parametrize("factor", [0.5, 2.0])
-    def test_skew_part_against_the_scaled_tolerance(self, parts, factor):
-        h = parts["hamiltonian"].matrix
+    def test_skew_part_against_the_scaled_tolerance(self, traj, factor):
+        h = traj.hamiltonian.matrix
         # <H + i x I> = <H> + i x, and max|H + i x I| stays 1e12 to 1e-16
         skewed = _trusted(Observable, matrix=h + 1j * factor * EXPECTATION_IMAG_TOL * 1e12 * np.eye(3))
-        parts["hamiltonian"] = skewed
+        doctored = doctored_trajectory(**{**trajectory_parts(traj), "hamiltonian": skewed})
         if factor < 1.0:
-            Trajectory(**parts)
+            check_trajectory(doctored)
             expectation(skewed, default_initial_state(3))
             return
         with pytest.raises(NonRealExpectation, match="imaginary part 2.000e\\+04 exceeds 1.000e\\+04"):
-            Trajectory(**parts)
+            check_trajectory(doctored)
         with pytest.raises(NonRealExpectation):
             expectation(skewed, default_initial_state(3))
 
-    def test_hermitian_h_at_1e12_passes(self, parts):
-        Trajectory(**parts)
-        assert np.isfinite(expectation(parts["hamiltonian"], default_initial_state(3)))
+    def test_hermitian_h_at_1e12_passes(self, traj):
+        check_trajectory(traj)
+        assert np.isfinite(expectation(traj.hamiltonian, default_initial_state(3)))
 
 
 class TestStatesView:

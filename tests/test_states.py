@@ -129,10 +129,10 @@ class TestDensityMatrix:
 
 class TestRequirePsd:
     @staticmethod
-    def eigenvalue_rule(stack, prefix):
+    def eigenvalue_rule(stack):
         """The check as eigenvalues alone decide it: None or the message."""
         min_eig = float(np.linalg.eigvalsh(stack)[:, 0].min())
-        return f"{prefix}min eigenvalue {min_eig:.3e}" if min_eig < -PSD_TOL else None
+        return f"min eigenvalue {min_eig:.3e}" if min_eig < -PSD_TOL else None
 
     @pytest.mark.parametrize("low", [-5.0, -1.1, -1.001, -0.999, -0.9, -0.6, -0.5, -0.4, 0.0, 1e-3])
     @pytest.mark.parametrize("dim", [2, 8])
@@ -140,13 +140,13 @@ class TestRequirePsd:
         rng = np.random.default_rng([dim, 7])
         stack = np.stack([with_spectrum(rng, rng.uniform(0.0, 1.0, dim)) for _ in range(5)])
         stack[3] = with_spectrum(rng, [low * PSD_TOL, *rng.uniform(0.0, 1.0, dim - 1)])
-        want = self.eigenvalue_rule(stack, "root has ")
+        want = self.eigenvalue_rule(stack)
         assert (want is None) == (low >= -1.0)
         if want is None:
-            _require_psd(stack, "root has ")
+            _require_psd(stack)
         else:
             with pytest.raises(NotPositiveSemidefinite) as err:
-                _require_psd(stack, "root has ")
+                _require_psd(stack)
             assert str(err.value) == want
 
 
