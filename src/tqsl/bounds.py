@@ -26,6 +26,7 @@ from .errors import (
     ValidityExceeded,
     ZeroEnergyVariance,
     _integer_fields,
+    _library_built,
     _trusted,
 )
 from .linalg import EigenDecomposition, eigh, expm_i_hermitian
@@ -66,6 +67,8 @@ class BoundReport:
     basis_id: str
     validity: bool
     quadrature: QuadratureInfo
+
+    __init__ = _library_built
 
     def csv_row(self) -> str:
         return _csv_row(
@@ -126,6 +129,8 @@ class BoundSeries(Sequence):
     basis_id: str
     step: float
 
+    __init__ = _library_built
+
     def __len__(self) -> int:
         return len(self.t)
 
@@ -170,19 +175,6 @@ def _cumulative_trapezoid(t: np.ndarray, f: np.ndarray) -> tuple:
     return cum, np.abs(cum - coarse) / 3.0
 
 
-def _kernel_failure(low: float, underflow: bool, singular: int):
-    """The first check a basis's K series fails, as an error, or None."""
-    if low < -NONNEG_CLAMP:
-        return BoundViolation(f"correction series = {low:.3e} below -{NONNEG_CLAMP:.0e}")
-    if underflow:
-        return DenominatorUnderflow("purity radical underflows while K is nonzero")
-    if singular:
-        return SingularIntegrand(
-            f"{singular} grid points have K >= {K_EPS:.0e} with a vanishing denominator"
-        )
-    return None
-
-
 class _Correction:
     """The correction integrand and the geodesic term, prepared for k pure
     trajectories on one grid, as stacks with one row per trajectory, or for
@@ -190,9 +182,12 @@ class _Correction:
 
     What does not depend on the basis is computed here, once: the
     denominator, its gate and the prefactor, the initial state's purity for
-    a mixed trajectory, and for pure ones the X and Y columns of the K
-    series. A stack of bases then costs only its own projections and the
-    checks on its K series, in `integrands`.
+    a mixed trajectory, for pure ones the X and Y columns of the K series,
+    and the weights: the trapezoid rule's weight at each grid point times
+    the prefactor over the denominator, 0 where the integrand is gated. A
+    stack of bases then costs only its own projections and the checks on
+    its K series (`_checked`): `integrands` gives the integrand, and
+    `scores` the optimizer's objective, one weighted sum of K per basis.
 
     The mixed route's centred stacks P = R Abar and Q = R Bbar are not kept:
     holding two more (n, d, d) stacks slowed the one-shot evaluation every
@@ -221,10 +216,11 @@ class _Correction:
             self.x = a[:, :, None] * o[:, None] - cols * pop[:, None]
             mean_h = np.array([[[np.vdot(v, h @ v).real]] for v, h in zip(a, hm)])
             self.y = hm @ cols - mean_h * cols
-            self.rho0 = self.underflow = None
+            self.rho0 = None
             self.s0 = np.stack([t.s0 for t in trajs])
             self.delta_h = np.array([[t.delta_h] for t in trajs])
             den = den_gate = np.sin(self.s0)
+            self.underflow = np.zeros(den.shape, dtype=bool)
             self.scale = 2.0 / self.delta_h
         else:
             (traj,) = trajs
@@ -243,7 +239,10 @@ class _Correction:
             self.scale = 1.0 / (math.sqrt(p) * traj.delta_h)
         self.ok = den_gate >= SIN_EPS
         self.gated = ~self.ok
+        self.forbidden = self.gated | self.underflow  # where a live K fails
         self.den = den
+        w = np.convolve(np.diff(traj.times), [0.5, 0.5])  # trapezoid weights
+        self.weight = np.divide(self.scale * w, den, out=np.zeros(np.shape(den)), where=self.ok)
 
     def k_series(self, bases: np.ndarray) -> np.ndarray:
         """K(t), not yet clamped, for A = the initial state, B = H: one grid
@@ -255,30 +254,45 @@ class _Correction:
         prods = (uh @ self.x).conj() * (uh @ self.y)
         return np.abs(prods).sum(axis=-2) - np.abs(prods.sum(axis=-2))
 
-    def integrands(self, bases: np.ndarray) -> tuple:
-        """The integrand, prefactor included, for each basis matrix of an
-        (m, d, d) stack: the (m, n) values, and per member None or the first
-        of BoundViolation (K dips below round-off), DenominatorUnderflow and
-        SingularIntegrand (K is live where the radical underflows or the
-        denominator vanishes). A failed member's values mean nothing."""
+    def _checked(self, bases: np.ndarray) -> tuple:
+        """K, clamped, for each basis matrix of an (m, d, d) stack, and per
+        member None or the first of BoundViolation (K dips below round-off),
+        DenominatorUnderflow and SingularIntegrand (K is live where the
+        radical underflows or the denominator vanishes). The verdicts are
+        arrays; an error is built only for a member that fails."""
         if bases.shape[-1] != self.dim:
             raise DimensionMismatch(f"basis dim {bases.shape[-1]} vs H dim {self.dim}")
         k = self.k_series(bases)
         low = k.min(axis=1)
-        k = np.maximum(k, 0.0)
+        np.maximum(k, 0.0, out=k)
         live = k >= K_EPS
-        singular = (live & self.gated).sum(axis=1)
-        if self.underflow is None:
-            underflow = np.zeros(len(k), dtype=bool)
-        else:
-            underflow = (live & self.underflow).any(axis=1)
-        failures = [
-            _kernel_failure(*member)
-            for member in zip(low.tolist(), underflow.tolist(), singular.tolist())
-        ]
+        failures = [None] * len(k)
+        for i in np.flatnonzero((low < -NONNEG_CLAMP) | (live & self.forbidden).any(axis=1)).tolist():
+            if low[i] < -NONNEG_CLAMP:
+                failures[i] = BoundViolation(f"correction series = {low[i]:.3e} below -{NONNEG_CLAMP:.0e}")
+            elif (live & self.underflow)[i].any():
+                failures[i] = DenominatorUnderflow("purity radical underflows while K is nonzero")
+            else:
+                failures[i] = SingularIntegrand(f"{(live & self.gated)[i].sum()} grid points have "
+                                                f"K >= {K_EPS:.0e} with a vanishing denominator")
+        return k, failures
+
+    def integrands(self, bases: np.ndarray) -> tuple:
+        """The integrand, prefactor included, for each basis matrix of an
+        (m, d, d) stack: the (m, n) values, and per member the failure
+        `_checked` finds, or None. A failed member's values mean nothing."""
+        k, failures = self._checked(bases)
         f = np.zeros(k.shape)
         np.divide(self.scale * k, self.den, out=f, where=self.ok)
         return f, failures
+
+    def scores(self, bases: np.ndarray) -> tuple:
+        """The climber's objective for each basis matrix of an (m, d, d)
+        stack, the trapezoid of its integrand as one weighted sum of K, and
+        per member the failure `_checked` finds, or None. It differs from
+        np.trapezoid of `integrands` only by rounding."""
+        k, failures = self._checked(bases)
+        return np.vecdot(k, self.weight), failures
 
     def integrand(self, basis: OrthonormalBasis) -> np.ndarray:
         """The integrand for one basis: the m = 1 case of `integrands`,
@@ -423,24 +437,27 @@ def _climb(corrections: list, cfg: OptimizerConfig, seeds: list) -> list:
     trajectory, (best basis, its BoundSeries) or the error optimize_basis
     raises on it alone. Every restart of every trajectory is a member of one
     lockstep, its state held in per-member arrays; a round makes one stacked
-    exponential, basis check and trapezoid, and one integrands call per
-    trajectory."""
+    exponential and basis check, and one `scores` call per trajectory, which
+    scores each candidate as one weighted sum of its K series, with weights
+    prepared once per trajectory."""
     n, dim = cfg.restarts, corrections[0].dim
     owner = np.repeat(np.arange(len(corrections)), n)
-    grids = np.stack([c.traj.times for c in corrections])
+    ends = np.arange(len(corrections) + 1)
 
     def score(bases, members, failures):
-        """Each member's objective, the trapezoid of its integrand; `failures`
-        gains the integrands' verdicts, and a member that has one scores 0."""
-        f = np.zeros((len(bases), grids.shape[1]))
-        todo = np.array([failure is None for failure in failures], dtype=bool)
-        for i, correction in enumerate(corrections):
-            rows = np.flatnonzero(todo & (owner[members] == i))
-            if len(rows):
-                f[rows], found = correction.integrands(bases[rows])
-                for k, failure in zip(rows.tolist(), found):
+        """Each member's objective (`scores`); `failures` gains the kernel's
+        verdicts, and a member that had one already scores 0. Members come
+        sorted by trajectory, so one searchsorted splits them."""
+        values = np.zeros(len(bases))
+        rows = np.flatnonzero([failure is None for failure in failures])
+        cuts = np.searchsorted(owner[members[rows]], ends).tolist()
+        for correction, lo, hi in zip(corrections, cuts, cuts[1:]):
+            if hi > lo:
+                mine = rows[lo:hi]
+                values[mine], found = correction.scores(bases[mine])
+                for k, failure in zip(mine.tolist(), found):
                     failures[k] = failure
-        return np.trapezoid(f, grids[owner[members]]), failures
+        return values, failures
 
     bases = np.tile(np.eye(dim, dtype=complex), (len(seeds), n, 1, 1))
     starts = eigh(_gue_draws(dim, [s + r for s in seeds for r in range(1, n)])).eigenvectors

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, _index, _positive_finite, _trusted
+from .errors import DimensionMismatch, _index, _library_built, _positive_finite, _trusted
 from .linalg import eigh, sqrtm_psd
 from .states import Observable, PureState, State, _variance_from_root, purity, variance
 
@@ -78,6 +78,8 @@ class Trajectory:
     overlap: np.ndarray
     delta_h: float
     valid_until: int
+
+    __init__ = _library_built
 
     @property
     def kind(self) -> str:

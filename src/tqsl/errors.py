@@ -92,6 +92,11 @@ def _positive_finite_fields(cfg, *names: str) -> None:
         _positive_finite(name, getattr(cfg, name))
 
 
+def _library_built(self, *args, **kwargs):
+    """__init__ of a result only the library builds (by `_trusted`): a call raises."""
+    raise TypeError(f"{type(self).__name__}() takes no arguments: only the library builds one")
+
+
 def _trusted(cls, **fields):
     """A `cls` instance holding `fields`, which have already passed the
     checks its constructor makes (on a stack they belong to), without making

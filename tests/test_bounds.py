@@ -819,6 +819,14 @@ class TestLockstepRestarts:
         traj = sample_trajectory(h, default_initial_state(dim), 0.8, 100)
         assert_same_result(traj, OptimizerConfig(seed=seed))
 
+    @pytest.mark.parametrize("seed", range(32))
+    def test_matches_sequential_oracle_at_the_benchmark_shape(self, seed):
+        # what the gue-optimize benchmark runs on each seed of its pool
+        h = sample_gue(GueConfig(dim=3, seed=seed))
+        traj = sample_trajectory(h, default_initial_state(3), 1.0, 300)
+        assert traj.validity_clean
+        assert_same_result(traj, OptimizerConfig(seed=seed))
+
     def test_matches_sequential_oracle_mixed(self):
         assert_same_result(wishart_trajectory(), OptimizerConfig(restarts=3, iterations=60, seed=2))
 
@@ -887,9 +895,9 @@ class TestLockstepRestarts:
         # the winning restart's start is rejected as singular: it is dropped
         # and no candidate of it is scored
         sizes = []
-        real = _Correction.integrands
+        real = _Correction.scores
 
-        def integrands(self, bases):
+        def scores(self, bases):
             values, failures = real(self, bases)
             if not sizes:
                 failures[1] = SingularIntegrand("start")
@@ -900,7 +908,7 @@ class TestLockstepRestarts:
         cfg = OptimizerConfig(restarts=3, iterations=10)
         _, full = optimize_basis(traj, cfg)
         assert full.basis_id.startswith("optimize[gue-eigenbasis:seed=1,")
-        monkeypatch.setattr(_Correction, "integrands", integrands)
+        monkeypatch.setattr(_Correction, "scores", scores)
         _, rep = optimize_basis(traj, cfg)
         assert sizes[0] == 3 and max(sizes[1:-1]) == 2
         assert "seed=1," not in rep.basis_id
@@ -910,9 +918,9 @@ class TestLockstepRestarts:
         # a candidate that only ties is rejected, and of tied restarts the
         # lowest-numbered one wins, as a strict > one at a time gives
         def flat(self, bases):
-            return np.zeros((len(bases), len(self.traj.times))), [None] * len(bases)
+            return np.zeros(len(bases)), [None] * len(bases)
 
-        monkeypatch.setattr(_Correction, "integrands", flat)
+        monkeypatch.setattr(_Correction, "scores", flat)
         h, traj = gue_trajectory(seed=0, steps=60)
         basis, rep = optimize_basis(traj, OptimizerConfig(restarts=3, iterations=20))
         assert rep.basis_id == "optimize[identity, 0 moves]"
@@ -921,6 +929,67 @@ class TestLockstepRestarts:
     def test_every_singular_start_raises(self):
         with pytest.raises(SingularIntegrand, match="every optimizer restart"):
             optimize_basis(singular_trajectory(), OptimizerConfig(restarts=2, iterations=5))
+
+
+def _stack(dim, seeds, scaled=None):
+    """The identity, then random_basis(dim, s) for each seed; the member
+    at index `scaled` is halved, which no longer makes a basis."""
+    bases = np.stack([np.eye(dim, dtype=complex)] + [random_basis(dim, s).matrix for s in seeds])
+    if scaled is not None:
+        bases[scaled] *= 0.5
+    return bases
+
+
+SCORE_CASES = {
+    "pure-d2": (lambda: gue_trajectory(seed=1, steps=80, dim=2)[1:], lambda: _stack(2, (5, 6, 7))),
+    "pure-d3": (lambda: gue_trajectory(seed=1, steps=80, dim=3)[1:], lambda: _stack(3, (5, 6, 7))),
+    "pure-d8": (lambda: gue_trajectory(seed=1, steps=80, dim=8)[1:], lambda: _stack(8, (5, 6, 7))),
+    # one row per trajectory: member i is scored on trajectory i
+    "pure-stack": (lambda: [gue_trajectory(seed=s, steps=80)[1] for s in (1, 2, 3)], lambda: _stack(3, (5, 6))),
+    # the halved member's K dips below -NONNEG_CLAMP
+    "wishart": (lambda: [wishart_trajectory()], lambda: _stack(4, (5, 6, 7), scaled=2)),
+    "singular": (lambda: [singular_trajectory()], lambda: _stack(3, (7, 8))),
+    "underflow": (lambda: [underflow_trajectory()], lambda: _stack(3, (7, 8))),
+}
+
+
+class TestScores:
+    """The climber scores a basis as one weighted sum of its K series: the
+    trapezoid of its integrand, up to rounding, with the same verdicts."""
+
+    @pytest.mark.parametrize("case", SCORE_CASES)
+    def test_scores_are_the_trapezoid_of_integrands(self, case):
+        trajs, bases = (make() for make in SCORE_CASES[case])
+        correction = _Correction(*trajs)
+        values, failures = correction.scores(bases)
+        f, want = correction.integrands(bases)
+        assert [(type(x), str(x)) for x in failures] == [(type(x), str(x)) for x in want]
+        kinds = {
+            "wishart": [None, None, BoundViolation, None],
+            "singular": [SingularIntegrand] * 3,
+            "underflow": [DenominatorUnderflow] * 3,
+        }.get(case, [None] * len(bases))
+        assert [None if x is None else type(x) for x in failures] == kinds
+        for value, row, failure in zip(values, f, failures):
+            if failure is None:
+                assert value == pytest.approx(np.trapezoid(row, trajs[0].times), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("make", [lambda: gue_trajectory(seed=1, steps=80)[1], wishart_trajectory])
+    def test_the_winners_score_is_its_correction_integral(self, monkeypatch, make):
+        scored = {}
+        real = _Correction.scores
+
+        def scores(self, bases):
+            values, failures = real(self, bases)
+            scored.update(zip(map(np.ndarray.tobytes, bases), values.tolist()))
+            return values, failures
+
+        monkeypatch.setattr(_Correction, "scores", scores)
+        traj = make()
+        basis, rep = optimize_basis(traj, OptimizerConfig(restarts=3, iterations=40, seed=2))
+        assert rep.basis_id != "optimize[identity, 0 moves]"
+        best = scored[basis.matrix.tobytes()]
+        assert best == pytest.approx(rep.correction_integral, rel=1e-12, abs=0)
 
 
 def _alone(traj, cfg):

@@ -404,6 +404,8 @@ class TestSampledTrajectoriesAreTrusted:
             cls(**fields)
         with pytest.raises(TypeError):
             cls(*fields.values())
+        with pytest.raises(TypeError):
+            cls()
 
     @pytest.mark.parametrize("mixed", [False, True])
     def test_a_wrong_eigensystem_raises(self, monkeypatch, mixed):
