@@ -65,14 +65,5 @@ from .states import (
     purity,
     variance,
 )
-from .uncertainty import (
-    UncertaintyReport,
-    correction_k,
-    cross_term,
-    moment_identity_residual,
-    robertson_schrodinger_bound,
-    tighter_bound,
-    uncertainty_report,
-)
 
 __version__ = "0.1.0"

@@ -294,14 +294,6 @@ class _Correction:
         k, failures = self._checked(bases)
         return np.vecdot(k, self.weight), failures
 
-    def integrand(self, basis: OrthonormalBasis) -> np.ndarray:
-        """The integrand for one basis: the m = 1 case of `integrands`,
-        with its failure raised."""
-        (f,), (failure,) = self.integrands(basis.matrix[None])
-        if failure is not None:
-            raise failure
-        return f
-
     def geodesic(self) -> np.ndarray:
         """The geodesic term at every grid point, one row per trajectory, the
         Mandelstam-Tamm part of the bound: hbar s0 / (2 dH) for a pure

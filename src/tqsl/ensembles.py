@@ -16,7 +16,6 @@ import numpy as np
 from .errors import (
     BlockIndexOutOfRange,
     ConfigError,
-    NonHermitianInput,
     NotProductState,
     _index,
     _integer_fields,
@@ -24,7 +23,7 @@ from .errors import (
     _trusted,
 )
 from .dynamics import STACK_BLOCK
-from .linalg import HERMITICITY_TOL, eigh, hermitian_defect
+from .linalg import eigh
 from .states import Observable, OrthonormalBasis, PureState, _require_unit_kets
 
 MAX_SPINS = 10
@@ -50,9 +49,11 @@ def sample_gue(cfg: GueConfig) -> Observable:
 
 
 def _gue_draws(dim: int, seeds) -> np.ndarray:
-    """sample_gue's matrix for each seed, as one read-only (k, d, d) stack
-    checked as Observable checks each. Every seed has its own generator, which
-    draws the diagonal, then the real and the imaginary upper triangle."""
+    """sample_gue's matrix for each seed, as one read-only (k, d, d) stack,
+    exactly Hermitian by construction: each lower entry is the conjugate of
+    the upper one, on a real diagonal. Every seed has its own generator,
+    which draws the diagonal, then the real and the imaginary upper
+    triangle."""
     rows, cols = np.triu_indices(dim, k=1)
     m = len(rows)
     z = np.empty((len(seeds), dim + 2 * m))
@@ -68,9 +69,6 @@ def _gue_draws(dim: int, seeds) -> np.ndarray:
     re, im = z[:, dim : dim + m], z[:, dim + m :]
     h[:, rows, cols] = re + 1j * im
     h[:, cols, rows] = re - 1j * im
-    defect = hermitian_defect(h)
-    if defect > HERMITICITY_TOL:
-        raise NonHermitianInput(f"Hermiticity defect {defect:.3e}")
     h.setflags(write=False)
     return h
 

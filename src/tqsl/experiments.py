@@ -55,7 +55,7 @@ from .states import (
     expectation,
     variance,
 )
-from .uncertainty import _moment_split, _tighter_and_cross, correction_k, moment_identity_residual, tighter_bound
+from .uncertainty import _clamp_nonnegative, _moment_split, _tighter_and_cross
 
 DELTA_TOL = 1e-9
 BASIS_SEED_OFFSET = 1_000_003
@@ -474,8 +474,11 @@ def _chain_margin(rng, dim: int, k: int, mixed: bool) -> float:
 
 
 def _moment_margin(rng, dim: int, k: int) -> float:
+    """|<Abar Bbar>|^2 against its moment split, (|<[A,B]>|/2)^2 +
+    (<{A,B}>/2 - <A><B>)^2."""
     a, b, state, _ = _draw(rng, dim, mixed=k % 2 == 1)
-    return -abs(moment_identity_residual(a, b, state))
+    comm_part, anti_part = _moment_split(a, b, state)
+    return -abs(_tighter_and_cross(a, b, state)[1] ** 2 - (comm_part ** 2 + anti_part ** 2))
 
 
 def _f_positivity_margin(rng, dim: int, k: int) -> float:
@@ -490,7 +493,7 @@ def _side_margin(rng, dim: int, k: int) -> float:
     """Diagonal fast route against literal per-projector traces, with the
     projector attached on either side of the centered operator."""
     a, b, rho, basis = _draw(rng, dim, mixed=True)
-    fast = tighter_bound(a, b, rho, basis)
+    fast = _tighter_and_cross(a, b, rho, basis)[0]
     abar = centered(a, rho).matrix
     bbar = centered(b, rho).matrix
     r = rho.matrix
@@ -510,7 +513,7 @@ def _side_margin(rng, dim: int, k: int) -> float:
 
 def _pure_reduction_margin(rng, dim: int, k: int) -> float:
     a, b, psi, basis = _draw(rng, dim, mixed=False)
-    return -abs(tighter_bound(a, b, psi.to_density(), basis) - tighter_bound(a, b, psi, basis))
+    return -abs(_tighter_and_cross(a, b, psi.to_density(), basis)[0] - _tighter_and_cross(a, b, psi, basis)[0])
 
 
 def _lift_margin(rng, dim: int, k: int) -> float:
@@ -536,7 +539,8 @@ def _bargmann_margin(rng, dim: int, k: int) -> float:
 
 
 def _correction_margin(rng, dim: int, k: int) -> float:
-    return correction_k(*_draw(rng, dim, mixed=k % 2 == 1))
+    tighter, cross = _tighter_and_cross(*_draw(rng, dim, mixed=k % 2 == 1))
+    return float(_clamp_nonnegative(tighter - cross, "correction"))
 
 
 def _check_delta_nonnegative(seed: int) -> tuple:
@@ -575,9 +579,9 @@ def run_property_suite(cfg: ExperimentConfig) -> dict:
     """Seeded fuzz run over the library's invariants; failures are report
     content, not exceptions."""
     _require_kind(cfg, "verify")
-    if len(cfg.seeds) > 1:
+    if len(cfg.seeds) != 1:
         raise ConfigError(f"verify runs take one seed, got {len(cfg.seeds)}")
-    seed = cfg.seeds[0] if cfg.seeds else 0
+    (seed,) = cfg.seeds
     trials, quarter = cfg.trials, max(cfg.trials // 4, 1)
     seeded = (  # a check's random stream is its row here
         ("pure-chain", functools.partial(_chain_margin, mixed=False), trials, 1e-9),

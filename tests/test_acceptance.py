@@ -21,17 +21,16 @@ from tqsl import (
     GueConfig,
     OrthonormalBasis,
     centered,
-    cross_term,
     default_initial_state,
     random_basis,
     run_experiment_gue,
     run_experiment_spin,
     sample_gue,
     sample_trajectory,
-    tighter_bound,
     tqsl_bound,
     variance,
 )
+from uncertainty_oracle import cross_term, tighter_bound
 
 DELTA_TOL = 1e-9
 

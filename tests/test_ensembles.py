@@ -23,6 +23,7 @@ from tqsl import (
     spin_chain_hamiltonian,
 )
 from conftest import evolve_pure
+from tqsl.ensembles import _gue_draws
 from tqsl.experiments import _fixed_bases
 from tqsl.linalg import eigh
 from spin_oracle_loop import dense_hamiltonian, evolved_ket, evolved_rows, x_string
@@ -53,6 +54,10 @@ class TestSampleGue:
         for seed in range(5):
             h = sample_gue(GueConfig(dim=4, seed=seed))
             assert hermitian_defect(h.matrix) == 0.0
+        # the stacked draws are built Hermitian and not checked afterwards
+        for dim in range(2, 17):
+            h = _gue_draws(dim, range(5))
+            assert np.array_equal(h, h.conj().swapaxes(-1, -2))
 
     def test_bit_reproducible(self):
         a = sample_gue(GueConfig(dim=5, seed=42))

@@ -593,10 +593,12 @@ class TestPropertySuite:
         assert failed["worst_slack"] < -1e-10
 
     def test_takes_one_seed(self, tmp_path):
-        # the suite runs one seed, so it must not accept and echo a second
-        with pytest.raises(ConfigError, match="one seed"):
-            run_property_suite(self.verify_config(tmp_path / "v", seeds=(3, 9)))
-        assert not (tmp_path / "v").exists()
+        # the suite runs one seed, so it must not accept and echo a second,
+        # nor run seed 0 while it echoes none
+        for seeds in ((3, 9), ()):
+            with pytest.raises(ConfigError, match=f"verify runs take one seed, got {len(seeds)}"):
+                run_property_suite(self.verify_config(tmp_path / "v", seeds=seeds))
+            assert not (tmp_path / "v").exists()
 
 
 class TestCores:

@@ -1,9 +1,11 @@
 """Uncertainty-bound chain: RS bound, cross term, tighter bounds, K.
 
-The per-vector sums are re-derived with explicit loops wherever the library
-uses a vectorized route, so the two computations check each other. The
-library evaluates kets and density matrices through one kernel, so each
-explicit-loop reference runs on both kinds of state.
+The chain is read through tests/uncertainty_oracle.py, whose functions are
+the one-root case of the package's K kernel. The per-vector sums are
+re-derived with explicit loops wherever the kernel uses a vectorized route,
+so the two computations check each other. The kernel evaluates kets and
+density matrices alike, so each explicit-loop reference runs on both kinds
+of state.
 """
 import math
 
@@ -15,27 +17,26 @@ from tqsl import (
     DensityMatrix,
     DimensionMismatch,
     GueConfig,
-    NonRealExpectation,
     Observable,
     OrthonormalBasis,
     PureState,
-    UncertaintyReport,
     centered,
-    correction_k,
-    cross_term,
     eigh,
-    moment_identity_residual,
     random_basis,
-    robertson_schrodinger_bound,
     sample_gue,
     sqrtm_psd,
-    tighter_bound,
-    uncertainty_report,
     variance,
 )
 from conftest import random_density, random_pure
-from tqsl.errors import _trusted
 from tqsl.uncertainty import NONNEG_CLAMP, _clamp_nonnegative, _k_terms
+from uncertainty_oracle import (
+    correction_k,
+    cross_term,
+    moment_identity_residual,
+    robertson_schrodinger_bound,
+    tighter_bound,
+    uncertainty_report,
+)
 
 
 def draw(rng, dim, mixed):
@@ -233,31 +234,6 @@ class TestOneRootKernel:
         assert tighter_bound(a, b, psi.to_density(), basis) == pytest.approx(want, rel=1e-12, abs=0)
 
 
-class TestPerStateErrors:
-    """The per-state functions check their inputs for either kind of state."""
-
-    @pytest.fixture(params=["ket", "density"])
-    def state(self, request, ket0):
-        return ket0 if request.param == "ket" else DensityMatrix(np.diag([0.75, 0.25]))
-
-    @pytest.mark.parametrize("fn", [tighter_bound, correction_k, uncertainty_report])
-    def test_basis_dimension(self, fn, sigma_x, sigma_y, state):
-        with pytest.raises(DimensionMismatch, match="basis dim 3 vs state dim 2"):
-            fn(sigma_x, sigma_y, state, OrthonormalBasis.identity(3))
-
-    @pytest.mark.parametrize("fn", [tighter_bound, correction_k, cross_term])
-    def test_pair_dimension(self, fn, sigma_x, state):
-        b = Observable(np.eye(3))
-        with pytest.raises(DimensionMismatch, match="dims differ"):
-            fn(sigma_x, b, state, *([OrthonormalBasis.identity(2)] if fn is not cross_term else []))
-
-    @pytest.mark.parametrize("fn", [tighter_bound, correction_k, cross_term])
-    def test_imaginary_expectation(self, fn, sigma_x, state):
-        skewed = _trusted(Observable, matrix=sigma_x.matrix + 1j * np.eye(2))
-        with pytest.raises(NonRealExpectation):
-            fn(sigma_x, skewed, state, *([OrthonormalBasis.identity(2)] if fn is not cross_term else []))
-
-
 class TestCorrectionK:
     def test_pure_vanishes_when_a_annihilates(self, sigma_x, ket0):
         # A = |psi><psi| evaluated in |psi> itself: Abar|psi> = 0
@@ -316,39 +292,6 @@ class TestUncertaintyReport:
                 assert robertson_schrodinger_bound(a, b, state) == pytest.approx(
                     cross_term(a, b, state), abs=1e-9
                 )
-
-    def test_rejects_broken_chain(self):
-        with pytest.raises(BoundViolation):
-            UncertaintyReport(
-                delta_a=1.0,
-                delta_b=1.0,
-                tighter_bound=2.0,
-                rs_bound=0.5,
-                cross_term=0.5,
-                correction_k=1.5,
-            )
-
-    def test_rejects_wrong_gap(self):
-        with pytest.raises(BoundViolation, match="gap"):
-            UncertaintyReport(
-                delta_a=1.0,
-                delta_b=1.0,
-                tighter_bound=0.8,
-                rs_bound=0.5,
-                cross_term=0.5,
-                correction_k=0.0,
-            )
-
-    def test_rejects_negative_field(self):
-        with pytest.raises(BoundViolation):
-            UncertaintyReport(
-                delta_a=-1.0,
-                delta_b=1.0,
-                tighter_bound=0.5,
-                rs_bound=0.5,
-                cross_term=0.5,
-                correction_k=0.0,
-            )
 
 
 class TestMomentIdentity:
