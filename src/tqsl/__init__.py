@@ -11,7 +11,6 @@ from .bounds import (
     BoundReport,
     BoundSeries,
     OptimizerConfig,
-    QuadratureInfo,
     bound_series,
     optimize_basis,
     tqsl_bound,

@@ -25,6 +25,7 @@ from .errors import (
     SingularIntegrand,
     ValidityExceeded,
     ZeroEnergyVariance,
+    _index,
     _integer_fields,
     _library_built,
     _trusted,
@@ -46,18 +47,11 @@ _CSV_FORMAT = "%.12g,%.12g,%.12g,%.12g,%.12g,%s"
 _COLUMNS = ("t", "tau_mt", "correction", "tau_tqsl", "delta", "quad_error", "validity")
 
 
-@dataclass(frozen=True)
-class QuadratureInfo:
-    """Composite trapezoid: the grid step and the Richardson error estimate."""
-
-    step: float
-    estimated_error: float
-
-
 @dataclass(frozen=True, init=False)
 class BoundReport:
     """One bound evaluation at the trajectory endpoint (or one grid row): a
-    row of a BoundSeries, which only the library builds."""
+    row of a BoundSeries, which only the library builds. `step` is the
+    quadrature's grid step and `quad_error` its Richardson error estimate."""
 
     tau_actual: float
     tau_mt: float
@@ -66,19 +60,15 @@ class BoundReport:
     delta: float
     basis_id: str
     validity: bool
-    quadrature: QuadratureInfo
+    step: float
+    quad_error: float
 
     __init__ = _library_built
 
     def csv_row(self) -> str:
-        return _csv_row(
-            self.tau_actual,
-            self.tau_mt,
-            self.tau_tqsl,
-            self.delta,
-            self.quadrature.estimated_error,
-            self.validity,
-        )
+        """One BOUND_CSV_HEADER row: 12 significant digits, lowercase flag."""
+        return _CSV_FORMAT % (self.tau_actual, self.tau_mt, self.tau_tqsl, self.delta, self.quad_error,
+                              "true" if self.validity else "false")
 
 
 def _check_rows(t, tau_mt, correction, tau_tqsl, delta, validity) -> None:
@@ -100,11 +90,6 @@ def _check_rows(t, tau_mt, correction, tau_tqsl, delta, validity) -> None:
         k = np.unravel_index(np.argmax(over), over.shape)
         raise BoundViolation(f"bound {float(tau_tqsl[k])!r} exceeds actual time "
                              f"{float(np.broadcast_to(t, over.shape)[k])!r} on a clean trajectory")
-
-
-def _csv_row(t, tau_mt, tau_tqsl, delta, quad_error, validity) -> str:
-    """One BOUND_CSV_HEADER row: 12 significant digits, lowercase flag."""
-    return _CSV_FORMAT % (t, tau_mt, tau_tqsl, delta, quad_error, "true" if validity else "false")
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -139,22 +124,29 @@ class BoundSeries(Sequence):
         so it is not checked again."""
         row = object.__new__(BoundReport)  # _trusted's work, without a call per row
         vars(row).update(
-            tau_actual=t, tau_mt=tau_mt, correction_integral=correction, tau_tqsl=tau_tqsl,
-            delta=delta, basis_id=self.basis_id, validity=validity,
-            quadrature=QuadratureInfo(self.step, quad_error),
+            tau_actual=t, tau_mt=tau_mt, correction_integral=correction, tau_tqsl=tau_tqsl, delta=delta,
+            basis_id=self.basis_id, validity=validity, step=self.step, quad_error=quad_error,
         )
         return row
 
-    def __getitem__(self, k: int) -> BoundReport:
+    def _rows(self, k: slice):
+        return map(self._row, *(getattr(self, name)[k].tolist() for name in _COLUMNS))
+
+    def __getitem__(self, k):
+        """Row k, or the rows of a slice as a list; any other index raises TypeError."""
+        if isinstance(k, slice):
+            return list(self._rows(k))
+        k = _index("index", k, TypeError)
         return self._row(*(getattr(self, name)[k].item() for name in _COLUMNS))
 
     def __iter__(self):
-        return map(self._row, *(getattr(self, name).tolist() for name in _COLUMNS))
+        return self._rows(slice(None))
 
     def csv_rows(self) -> list:
         """Every row as BoundReport.csv_row would format it."""
-        cols = (self.t, self.tau_mt, self.tau_tqsl, self.delta, self.quad_error, self.validity)
-        return list(map(_csv_row, *(c.tolist() for c in cols)))
+        cols = (self.t, self.tau_mt, self.tau_tqsl, self.delta, self.quad_error)
+        flags = np.where(self.validity, "true", "false").tolist()
+        return [_CSV_FORMAT % row for row in zip(*(c.tolist() for c in cols), flags)]
 
 
 def _cumulative_trapezoid(t: np.ndarray, f: np.ndarray) -> tuple:

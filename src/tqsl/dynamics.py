@@ -17,10 +17,19 @@ from .linalg import eigh, sqrtm_psd
 from .states import Observable, PureState, State, _variance_from_root, purity, variance
 
 _MINIMUM_EPS = 1e-12
-# Grid points per block when checking a state stack or computing a series
-# from it: bounds the (block, d, d) temporaries, so memory does not grow
-# with the grid beyond the stack itself.
-STACK_BLOCK = 64
+# Array elements per block when building or reading a state stack: a block
+# holds max(1, STACK_ELEMENTS // d**2) grid points of (d, d) roots, or
+# STACK_ELEMENTS // d rows of d-dim kets. It bounds the block's temporaries,
+# so memory does not grow with the grid beyond the stack itself, and keeps
+# them cache-sized at any d.
+STACK_ELEMENTS = 16384
+
+
+def _blocks(n: int, row_elements: int) -> list:
+    """Slices of range(n) in blocks of STACK_ELEMENTS // row_elements rows
+    (at least one), for rows of `row_elements` elements each."""
+    size = max(1, STACK_ELEMENTS // row_elements)
+    return [slice(i, i + size) for i in range(0, n, size)]
 
 
 def _first_overlap_minimum(overlap: np.ndarray) -> np.ndarray:
@@ -97,9 +106,9 @@ def _propagated_roots(dec, root0: np.ndarray, times: np.ndarray, hbar: float) ->
     r0e = v.conj().T @ root0 @ v
     phases = np.exp(-1j * np.outer(times / hbar, dec.eigenvalues))
     roots = np.empty((len(times),) + root0.shape, dtype=complex)
-    for i in range(0, len(times), STACK_BLOCK):
-        p = phases[i : i + STACK_BLOCK]
-        roots[i : i + STACK_BLOCK] = _rmul(v @ (p[:, :, None] * r0e * p.conj()[:, None, :]), v.conj().T)
+    for rows in _blocks(len(times), root0.size):
+        p = phases[rows]
+        roots[rows] = _rmul(v @ (p[:, :, None] * r0e * p.conj()[:, None, :]), v.conj().T)
     return roots
 
 
@@ -130,7 +139,7 @@ def sample_trajectory(
     root0 = sqrtm_psd(state0.matrix)
     stack = _propagated_roots(dec, root0, times, hbar)
     stack[0] = root0  # the t = 0 sample exactly, as in _pure_trajectories
-    blocks = [stack[i : i + STACK_BLOCK] for i in range(0, len(times), STACK_BLOCK)]
+    blocks = [stack[rows] for rows in _blocks(len(times), root0.size)]
     cross = np.concatenate([frobenius_inner(b, _rmul(b, state0.matrix)).real for b in blocks])
     overlap = np.sqrt(np.clip(cross / purity(state0), 0.0, 1.0))
     overlap[0] = 1.0

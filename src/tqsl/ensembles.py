@@ -22,7 +22,7 @@ from .errors import (
     _positive_finite_fields,
     _trusted,
 )
-from .dynamics import STACK_BLOCK
+from .dynamics import _blocks
 from .linalg import eigh
 from .states import Observable, OrthonormalBasis, PureState, _require_unit_kets
 
@@ -182,12 +182,11 @@ def spin_chain_evolved_state(cfg: SpinChainConfig, psi0: PureState, times) -> np
     rotations = [(*site, idx ^ _flip_mask(cfg.num_spins, (i,))) for i in range(1, cfg.num_spins + 1)]
     rotations += [(*block, idx ^ _flip_mask(cfg.num_spins, b)) for b in cfg.blocks]
     out = np.empty((len(times), cfg.dim), dtype=complex)
-    for i in range(0, len(times), STACK_BLOCK):
-        rows = slice(i, i + STACK_BLOCK)
+    for rows in _blocks(len(times), cfg.dim):
         amps = np.broadcast_to(psi0.amplitudes, out[rows].shape)
         for c, s, flipped in rotations:
             amps = c[rows] * amps + s[rows] * amps[:, flipped]
         np.multiply(phase[rows], amps, out=out[rows])
-        _require_unit_kets(out[rows], i)
+        _require_unit_kets(out[rows], rows.start)
     out.setflags(write=False)
     return out

@@ -115,6 +115,8 @@ class ExperimentConfig:
             raise ConfigError(f"seeds must be nonnegative integers, got {min(seeds)}")
         if self.kind in ("gue", "spin") and not seeds:
             raise ConfigError(f"{self.kind} runs need at least one seed")
+        if self.kind == "verify" and len(seeds) != 1:
+            raise ConfigError(f"verify runs take one seed, got {len(seeds)}")
         object.__setattr__(self, "seeds", seeds)
         object.__setattr__(self, "blocks", _block_sites(self.blocks))
 
@@ -579,8 +581,6 @@ def run_property_suite(cfg: ExperimentConfig) -> dict:
     """Seeded fuzz run over the library's invariants; failures are report
     content, not exceptions."""
     _require_kind(cfg, "verify")
-    if len(cfg.seeds) != 1:
-        raise ConfigError(f"verify runs take one seed, got {len(cfg.seeds)}")
     (seed,) = cfg.seeds
     trials, quarter = cfg.trials, max(cfg.trials // 4, 1)
     seeded = (  # a check's random stream is its row here

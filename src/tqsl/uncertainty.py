@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import STACK_BLOCK, _rmul, frobenius_inner
+from .dynamics import _blocks, _rmul, frobenius_inner
 from .errors import BoundViolation
 from .linalg import sqrtm_psd
 from .states import Observable, OrthonormalBasis, PureState, State, _raw_moment, expectation
@@ -50,20 +50,20 @@ def _k_terms(roots: np.ndarray, a: np.ndarray, b: np.ndarray, bases: np.ndarray)
     Bbar rho Bbar are the column norms of P U and Q U, nonnegative by
     construction rather than through cancellation, and the cross term is
     |Tr(P^dagger Q)|. Each root centres its own products, <A> = Tr(R^dagger
-    R A), and the roots go STACK_BLOCK at a time.
+    R A), and the roots go in blocks of dynamics.STACK_ELEMENTS elements.
     """
     tighter = np.empty((len(bases), len(roots)))
     cross = np.empty(len(roots))
-    for i in range(0, len(roots), STACK_BLOCK):
-        r = roots[i : i + STACK_BLOCK]
+    for rows in _blocks(len(roots), roots[0].size):
+        r = roots[rows]
         p = _rmul(r, a)
         q = _rmul(r, b)
         p -= frobenius_inner(r, p).real[:, None, None] * r
         q -= frobenius_inner(r, q).real[:, None, None] * r
         f_nn = np.sum(np.abs(_rmul(p, bases)) ** 2, axis=-2)
         g_nn = np.sum(np.abs(_rmul(q, bases)) ** 2, axis=-2)
-        tighter[:, i : i + STACK_BLOCK] = np.sqrt(f_nn * g_nn).sum(axis=-1)
-        cross[i : i + STACK_BLOCK] = np.abs(frobenius_inner(p, q))
+        tighter[:, rows] = np.sqrt(f_nn * g_nn).sum(axis=-1)
+        cross[rows] = np.abs(frobenius_inner(p, q))
     return tighter, cross
 
 

@@ -20,7 +20,7 @@ from tqsl.bounds import (
     _INITIAL_STEP, _MIN_STEP, _PATIENCE, _SHRINK, K_EPS, _Correction, _cumulative_trapezoid, _random_directions,
     _require_clean,
 )
-from tqsl.dynamics import STACK_BLOCK, frobenius_inner
+from tqsl.dynamics import frobenius_inner
 from tqsl.linalg import eigh
 from tqsl.uncertainty import _clamp_nonnegative
 
@@ -33,19 +33,15 @@ def k_series(c: _Correction, basis: OrthonormalBasis) -> np.ndarray:
         prods = (uh @ c.x[0]).conj() * (uh @ c.y[0])
         gap = np.abs(prods).sum(axis=0) - np.abs(prods.sum(axis=0))
         return _clamp_nonnegative(gap, "correction series")
-    traj = c.traj
-    hm = traj.hamiltonian.matrix
-    k = np.empty(len(traj.times))
-    for i in range(0, len(k), STACK_BLOCK):
-        r = traj.stack[i : i + STACK_BLOCK]
-        p = r @ c.rho0
-        q = r @ hm
-        p -= frobenius_inner(r, p).real[:, None, None] * r
-        q -= frobenius_inner(r, q).real[:, None, None] * r
-        f_nn = np.sum(np.abs(p @ u) ** 2, axis=1)
-        g_nn = np.sum(np.abs(q @ u) ** 2, axis=1)
-        cross = np.abs(frobenius_inner(p, q))
-        k[i : i + STACK_BLOCK] = np.sqrt(f_nn * g_nn).sum(axis=1) - cross
+    # the whole grid as one stack: blocking the roots bounds memory only
+    r = c.traj.stack
+    p = r @ c.rho0
+    q = r @ c.traj.hamiltonian.matrix
+    p -= frobenius_inner(r, p).real[:, None, None] * r
+    q -= frobenius_inner(r, q).real[:, None, None] * r
+    f_nn = np.sum(np.abs(p @ u) ** 2, axis=1)
+    g_nn = np.sum(np.abs(q @ u) ** 2, axis=1)
+    k = np.sqrt(f_nn * g_nn).sum(axis=1) - np.abs(frobenius_inner(p, q))
     return _clamp_nonnegative(k, "correction series")
 
 

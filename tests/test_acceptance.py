@@ -179,7 +179,7 @@ def test_07_quadrature_convergence():
         change = abs(fine.correction_integral - coarse.correction_integral)
         rel = change / max(abs(coarse.correction_integral), 1e-15)
         assert rel < 1e-4
-        if coarse.quadrature.estimated_error >= change:
+        if coarse.quad_error >= change:
             bounded += 1
     assert bounded >= 48  # Richardson estimate must bound >= 95% of 50 runs
 

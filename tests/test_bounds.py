@@ -23,7 +23,6 @@ from tqsl import (
     OptimizerConfig,
     OrthonormalBasis,
     QslError,
-    QuadratureInfo,
     SingularIntegrand,
     ValidityExceeded,
     ZeroEnergyVariance,
@@ -41,7 +40,7 @@ import sequential_optimizer as oracle
 import tqsl.bounds
 from conftest import doctored_trajectory, evolve_mixed, evolve_pure, grid_states, random_density, random_pure
 from tqsl.bounds import (
-    _check_rows, _climb, _Correction, _csv_row, _cumulative_trapezoid, _random_directions, _require_clean,
+    _check_rows, _climb, _Correction, _cumulative_trapezoid, _random_directions, _require_clean,
     _series,
 )
 from tqsl.errors import _trusted
@@ -371,10 +370,14 @@ class TestBoundReport:
         return f"{t:.12g},{tau_mt:.12g},{tau_tqsl:.12g},{delta:.12g},{quad_error:.12g},{flag}"
 
     def test_csv_row_matches_f_string_format(self):
+        # a report row and csv_rows() format alike
         values = [0.0, -0.0, 5e-324, 1 / 3, 123456789012345.0, math.inf, -math.inf, math.nan, -1e-17]
         for i, v in enumerate(values):
             row = (v, values[i - 1], values[i - 2], -v, values[i - 3], i % 2 == 0)
-            assert _csv_row(*row) == self.f_string_row(*row)
+            cols = dict(zip(("t", "tau_mt", "tau_tqsl", "delta", "quad_error", "validity"), row))
+            series = _trusted(BoundSeries, **{k: np.array([c]) for k, c in cols.items()},
+                              correction=np.zeros(1), basis_id="user", step=0.01)
+            assert series[0].csv_row() == series.csv_rows()[0] == self.f_string_row(*row)
 
 
 class TestTqslPure:
@@ -552,14 +555,39 @@ class TestBoundSeries:
         assert rows == indexed
 
         def types(r):
-            return [type(getattr(r, f.name)) for f in dataclasses.fields(r)] + [
-                type(r.quadrature.estimated_error)
-            ]
+            return [type(getattr(r, f.name)) for f in dataclasses.fields(r)]
 
-        want = [float] * 5 + [str, bool, QuadratureInfo, float]
+        want = [float] * 5 + [str, bool, float, float]
         assert all(types(a) == types(b) == want for a, b in zip(rows, indexed))
         assert rows[-1] == series[-1]
         assert list(reversed(series)) == rows[::-1]
+        for k in range(len(series)):
+            assert series[k].quad_error == series.quad_error[k]
+            assert series[k].step == series.step
+
+    @pytest.mark.parametrize("k", [slice(1, 3), slice(None), slice(-5, None), slice(None, None, -7),
+                                   slice(2, 2), slice(100, 200)])
+    def test_slices_are_lists_of_rows(self, k):
+        series = bound_series(wishart_trajectory(dim=3, steps=70), random_basis(3, 5), basis_id="b")
+        got = series[k]
+        assert type(got) is list
+        assert got == list(series)[k]
+
+    @pytest.mark.parametrize("k", [2.0, np.float64(2.0), "2", None, True, (1, 2)])
+    def test_non_integer_index_raises_type_error(self, k):
+        h, traj = gue_trajectory(seed=0, tau=1.0, steps=20)
+        series = bound_series(traj, random_basis(3, 5))
+        with pytest.raises(TypeError, match="index must be an integer"):
+            series[k]
+
+    def test_integer_like_indices(self):
+        h, traj = gue_trajectory(seed=0, tau=1.0, steps=20)
+        series = bound_series(traj, random_basis(3, 5))
+        assert series[np.int64(3)] == series[3] == list(series)[3]
+        assert series[-20] == series[0]
+        for k in (20, -21):
+            with pytest.raises(IndexError):
+                series[k]
 
     def test_columns_are_read_only(self):
         h, traj = gue_trajectory(seed=0, tau=1.0, steps=20)
@@ -636,7 +664,7 @@ def checked_row(series, k):
     )
     check_row(**fields)
     return _trusted(BoundReport, **fields, basis_id=series.basis_id,
-                    quadrature=QuadratureInfo(series.step, float(series.quad_error[k])))
+                    step=series.step, quad_error=float(series.quad_error[k]))
 
 
 # a report row that holds with any actual time of at least 0.4
@@ -681,7 +709,7 @@ class TestOneReportCheck:
         series = bound_series(traj, random_basis(traj.hamiltonian.dim, 5), basis_id="b")
         for k in range(len(series)):
             row = series[k]
-            assert type(row) is BoundReport and type(row.quadrature) is QuadratureInfo
+            assert type(row) is BoundReport and type(row.step) is type(row.quad_error) is float
             assert row == checked_row(series, k)
         assert series[-1] == checked_row(series, len(series) - 1)
 

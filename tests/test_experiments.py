@@ -144,9 +144,11 @@ class TestExperimentConfig:
         assert ExperimentConfig(kind="gue").seeds == (0, 1, 2)
         assert ExperimentConfig(kind="spin").seeds == (0, 1, 2)
 
-    def test_verify_runs_without_seeds(self):
-        cfg = ExperimentConfig(kind="verify", seeds=())
-        assert cfg.seeds == ()
+    @pytest.mark.parametrize("seeds", [(), (3, 9)], ids=["none", "two"])
+    def test_verify_takes_one_seed(self, seeds):
+        # the suite runs one seed, so a config that names none or two is refused
+        with pytest.raises(ConfigError, match=f"verify runs take one seed, got {len(seeds)}"):
+            ExperimentConfig(kind="verify", seeds=seeds)
 
     def test_blocks_normalized(self):
         cfg = ExperimentConfig(kind="spin", blocks=[[1, 2]])

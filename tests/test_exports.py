@@ -30,7 +30,6 @@ PUBLIC_NAMES = [
     "OrthonormalBasis",
     "PureState",
     "QslError",
-    "QuadratureInfo",
     "SingularIntegrand",
     "SpinChainConfig",
     "Trajectory",
@@ -64,6 +63,15 @@ def test_public_names():
         n for n in dir(tqsl) if not n.startswith("_") and not isinstance(getattr(tqsl, n), types.ModuleType)
     )
     assert got == PUBLIC_NAMES
+    assert len(PUBLIC_NAMES) == 47
+
+
+def test_quadrature_info_is_gone():
+    # a report row carries its quadrature step and error as its own fields
+    assert not hasattr(tqsl, "QuadratureInfo")
+    assert not hasattr(tqsl.bounds, "QuadratureInfo")
+    with pytest.raises(ImportError):
+        from tqsl import QuadratureInfo  # noqa: F401
 
 
 @pytest.mark.parametrize("module", [tqsl, tqsl.uncertainty])
