@@ -9,8 +9,10 @@ denominator for mixed ones), so integrating it yields time units.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -44,31 +46,40 @@ BOUND_SLACK = 1e-6
 
 BOUND_CSV_HEADER = "t,tau_mt,tau_tqsl,delta,quad_error,validity"
 _CSV_FORMAT = "%.12g,%.12g,%.12g,%.12g,%.12g,%s"
-_COLUMNS = ("t", "tau_mt", "correction", "tau_tqsl", "delta", "quad_error", "validity")
+_CSV_AFTER_T = _CSV_FORMAT.replace("%.12g", "%s", 1)  # the same row after its formatted t cell
+_COLUMNS = ("t", "tau_mt", "correction", "tau_tqsl", "delta", "validity", "quad_error")  # in BoundReport's order
 
 
-@dataclass(frozen=True, init=False)
-class BoundReport:
+class BoundReport(namedtuple("BoundReport", "tau_actual tau_mt correction_integral tau_tqsl delta "
+                                            "basis_id validity step quad_error")):
     """One bound evaluation at the trajectory endpoint (or one grid row): a
-    row of a BoundSeries, which only the library builds. `step` is the
-    quadrature's grid step and `quad_error` its Richardson error estimate."""
+    row of a BoundSeries, an immutable named tuple that only the library
+    builds. `step` is the quadrature's grid step and `quad_error` its
+    Richardson error estimate."""
 
-    tau_actual: float
-    tau_mt: float
-    correction_integral: float
-    tau_tqsl: float
-    delta: float
-    basis_id: str
-    validity: bool
-    step: float
-    quad_error: float
+    __slots__ = ()
 
-    __init__ = _library_built
+    def __new__(cls, *args, **kwargs):
+        raise TypeError("BoundReport() takes no arguments: only the library builds one")
+
+    def __reduce__(self):
+        return BoundReport._make, (tuple(self),)
 
     def csv_row(self) -> str:
         """One BOUND_CSV_HEADER row: 12 significant digits, lowercase flag."""
         return _CSV_FORMAT % (self.tau_actual, self.tau_mt, self.tau_tqsl, self.delta, self.quad_error,
                               "true" if self.validity else "false")
+
+
+def _csv_rows(series, grid: list) -> list:
+    """A series' rows as BoundReport.csv_row formats them. `grid` holds a t
+    array and its formatted cells, refilled unless series.t is that array:
+    a sweep whose series share one grid formats it once."""
+    if series.t is not grid[0]:
+        grid[:] = series.t, ["%.12g" % v for v in series.t.tolist()]
+    cols = (c.tolist() for c in (series.tau_mt, series.tau_tqsl, series.delta, series.quad_error))
+    flags = np.where(series.validity, "true", "false").tolist()
+    return [_CSV_AFTER_T % row for row in zip(grid[1], *cols, flags)]
 
 
 def _check_rows(t, tau_mt, correction, tau_tqsl, delta, validity) -> None:
@@ -119,34 +130,25 @@ class BoundSeries(Sequence):
     def __len__(self) -> int:
         return len(self.t)
 
-    def _row(self, t, tau_mt, correction, tau_tqsl, delta, quad_error, validity) -> BoundReport:
-        """A row of Python values from columns that passed the report check,
-        so it is not checked again."""
-        row = object.__new__(BoundReport)  # _trusted's work, without a call per row
-        vars(row).update(
-            tau_actual=t, tau_mt=tau_mt, correction_integral=correction, tau_tqsl=tau_tqsl, delta=delta,
-            basis_id=self.basis_id, validity=validity, step=self.step, quad_error=quad_error,
-        )
-        return row
-
-    def _rows(self, k: slice):
-        return map(self._row, *(getattr(self, name)[k].tolist() for name in _COLUMNS))
+    def _rows(self, k):
+        """The rows at k, a slice or a list of indices, from columns that
+        passed the report check, so they are not checked again."""
+        *head, validity, quad_error = (getattr(self, name)[k].tolist() for name in _COLUMNS)
+        fields = zip(*head, repeat(self.basis_id), validity, repeat(self.step), quad_error)
+        return map(tuple.__new__, repeat(BoundReport), fields)
 
     def __getitem__(self, k):
         """Row k, or the rows of a slice as a list; any other index raises TypeError."""
         if isinstance(k, slice):
             return list(self._rows(k))
-        k = _index("index", k, TypeError)
-        return self._row(*(getattr(self, name)[k].item() for name in _COLUMNS))
+        return next(self._rows([_index("index", k, TypeError)]))
 
     def __iter__(self):
         return self._rows(slice(None))
 
     def csv_rows(self) -> list:
         """Every row as BoundReport.csv_row would format it."""
-        cols = (self.t, self.tau_mt, self.tau_tqsl, self.delta, self.quad_error)
-        flags = np.where(self.validity, "true", "false").tolist()
-        return [_CSV_FORMAT % row for row in zip(*(c.tolist() for c in cols), flags)]
+        return _csv_rows(self, [None, None])
 
 
 def _cumulative_trapezoid(t: np.ndarray, f: np.ndarray) -> tuple:
@@ -315,8 +317,8 @@ def _series(correction: _Correction, bases: np.ndarray, basis_ids: list) -> list
     cum, err = _cumulative_trapezoid(times, f)
     tau_mt = correction.geodesic()
     tau_tqsl = tau_mt + cum
-    columns = (tau_mt, cum, tau_tqsl, tau_tqsl - tau_mt, err, np.arange(len(times)) <= correction.valid_until)
-    _check_rows(times, *columns[:4], columns[-1])
+    columns = (tau_mt, cum, tau_tqsl, tau_tqsl - tau_mt, np.arange(len(times)) <= correction.valid_until, err)
+    _check_rows(times, *columns[:5])
     for col in columns:
         col.setflags(write=False)
     step = float(times[1] - times[0])

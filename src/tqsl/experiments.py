@@ -15,6 +15,7 @@ import os
 import pickle
 import signal
 import tempfile
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -27,6 +28,7 @@ from .bounds import (
     OptimizerConfig,
     _climb,
     _Correction,
+    _csv_rows,
     _cumulative_trapezoid,
     _require_clean,
     _series,
@@ -113,6 +115,9 @@ class ExperimentConfig:
             raise ConfigError(f"seeds must be nonnegative integers, got {self.seeds!r}") from err
         if any(s < 0 for s in seeds):
             raise ConfigError(f"seeds must be nonnegative integers, got {min(seeds)}")
+        repeated = [s for s, n in Counter(seeds).items() if n > 1]
+        if repeated:
+            raise ConfigError(f"seeds must be distinct, got {repeated[0]} more than once")
         if self.kind in ("gue", "spin") and not seeds:
             raise ConfigError(f"{self.kind} runs need at least one seed")
         if self.kind == "verify" and len(seeds) != 1:
@@ -261,9 +266,11 @@ def _run_sweep(cfg: ExperimentConfig, dim: int, sample, fidelity=None) -> dict:
                 bases, basis_ids = _fixed_bases(cfg, dim, seeds, taken)
         return list(zip(trajs, _series(_Correction(*trajs), bases, basis_ids)))
 
+    grid = [None, None]  # the last t array emitted and its cells: every run shares one
+
     def emit(run: dict, traj: Trajectory, series: BoundSeries, put) -> None:
         column = None if fidelity is None else fidelity(traj)
-        rows = series.csv_rows()
+        rows = _csv_rows(series, grid)
         if column is not None:
             rows = [f"{row},{value:.12g}" for row, value in zip(rows, column.tolist())]
         name = f"{cfg.kind}_seed{run['seed']}.csv"

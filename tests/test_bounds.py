@@ -1,8 +1,11 @@
 """Speed-limit bounds, correction quadrature, reports, basis optimization."""
+import copy
 import dataclasses
 import itertools
 import math
+import pickle
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -380,6 +383,51 @@ class TestBoundReport:
             assert series[0].csv_row() == series.csv_rows()[0] == self.f_string_row(*row)
 
 
+class TestRowContract:
+    """A BoundReport row is an immutable named tuple that only the library
+    builds: it compares, unpacks, pickles and copies as one."""
+
+    @pytest.fixture(params=[False, True], ids=["pure", "mixed"])
+    def row(self, request):
+        traj = wishart_trajectory(dim=3, steps=30) if request.param else gue_trajectory(seed=0, steps=30)[1]
+        return bound_series(traj, random_basis(3, 5), basis_id="b")[-1]
+
+    def test_fields_in_the_readme_order(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        sentence = re.search(r"A row is an immutable named tuple with the fields(.*?)in that order", readme, re.S)
+        assert BoundReport._fields == tuple(re.findall(r"`(\w+)`", sentence.group(1)))
+        assert BoundReport._fields == ("tau_actual", "tau_mt", "correction_integral", "tau_tqsl", "delta",
+                                       "basis_id", "validity", "step", "quad_error")
+
+    def test_compares_and_unpacks_as_a_tuple(self, row):
+        assert isinstance(row, tuple) and len(row) == 9
+        assert row == tuple(row) == tuple(getattr(row, name) for name in row._fields)
+        tau_actual, *_, quad_error = row
+        assert (tau_actual, quad_error) == (row.tau_actual, row.quad_error)
+        with pytest.raises(AttributeError):
+            row.tau_mt = 0.0
+        assert not hasattr(row, "__dict__")
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_survives_pickle(self, row, protocol):
+        back = pickle.loads(pickle.dumps(row, protocol))
+        assert type(back) is BoundReport and back == row
+        assert back.csv_row() == row.csv_row()
+
+    @pytest.mark.parametrize("how", [copy.copy, copy.deepcopy])
+    def test_survives_copy(self, row, how):
+        back = how(row)
+        assert type(back) is BoundReport and back == row
+
+    def test_has_no_constructor(self, row):
+        with pytest.raises(TypeError, match="only the library builds one"):
+            BoundReport()
+        with pytest.raises(TypeError, match="only the library builds one"):
+            BoundReport(*row)
+        with pytest.raises(TypeError, match="only the library builds one"):
+            BoundReport(**row._asdict())
+
+
 class TestTqslPure:
     """tqsl_bound on pure initial states."""
 
@@ -555,7 +603,7 @@ class TestBoundSeries:
         assert rows == indexed
 
         def types(r):
-            return [type(getattr(r, f.name)) for f in dataclasses.fields(r)]
+            return [type(getattr(r, name)) for name in r._fields]
 
         want = [float] * 5 + [str, bool, float, float]
         assert all(types(a) == types(b) == want for a, b in zip(rows, indexed))
@@ -653,7 +701,7 @@ def report_row(**changes):
 
 def checked_row(series, k):
     """Row k of a series from its column values: checked as a one-row
-    report (check_row), then built through _trusted."""
+    report (check_row), then built through BoundReport._make."""
     fields = dict(
         tau_actual=float(series.t[k]),
         tau_mt=float(series.tau_mt[k]),
@@ -663,8 +711,8 @@ def checked_row(series, k):
         validity=bool(series.validity[k]),
     )
     check_row(**fields)
-    return _trusted(BoundReport, **fields, basis_id=series.basis_id,
-                    step=series.step, quad_error=float(series.quad_error[k]))
+    fields.update(basis_id=series.basis_id, step=series.step, quad_error=float(series.quad_error[k]))
+    return BoundReport._make(fields[name] for name in BoundReport._fields)
 
 
 # a report row that holds with any actual time of at least 0.4

@@ -162,6 +162,17 @@ class TestMain:
         assert "one seed" in captured.err
         assert not (tmp_path / "v").exists()
 
+    @pytest.mark.parametrize("kind, seeds, repeated",
+                             [("gue", "0,0,1", 0), ("gue", "0-3,2", 2), ("spin", "5,1,5", 5)])
+    def test_repeated_seed_exits_two(self, tmp_path, capsys, kind, seeds, repeated):
+        # a repeated seed would compute one CSV twice and list it twice
+        code = main([kind, "--seeds", seeds, "--out", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("config error:")
+        assert f"seeds must be distinct, got {repeated} more than once" in captured.err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_block_site_exits_two(self, tmp_path, capsys):
         code = main(
             ["spin", "--spins", "2", "--blocks", "1,5", "--out", str(tmp_path / "s")]

@@ -150,6 +150,17 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match=f"verify runs take one seed, got {len(seeds)}"):
             ExperimentConfig(kind="verify", seeds=seeds)
 
+    @pytest.mark.parametrize("kind", ["gue", "spin", "verify"])
+    @pytest.mark.parametrize("seeds, repeated", [((0, 0, 1), 0), ((0, 1, 2, 3, 2), 2), ((7, 3, 7, 3), 7),
+                                                 ((np.int64(4), 4), 4)])
+    def test_rejects_repeated_seeds(self, kind, seeds, repeated):
+        # one seed twice would write one CSV twice and list it twice in the summary
+        with pytest.raises(ConfigError, match=f"seeds must be distinct, got {repeated} more than once"):
+            ExperimentConfig(kind=kind, seeds=seeds)
+
+    def test_takes_distinct_seeds_in_any_order(self):
+        assert ExperimentConfig(kind="gue", seeds=(3, 0, 2, 1)).seeds == (3, 0, 2, 1)
+
     def test_blocks_normalized(self):
         cfg = ExperimentConfig(kind="spin", blocks=[[1, 2]])
         assert cfg.blocks == ((1, 2),)
@@ -263,10 +274,10 @@ class TestRunGue:
 
 
     def test_optimize_sweep_writes_what_one_seed_runs_write(self, tmp_path):
-        # one lockstep climb over every seed, against one run per seed: a
-        # repeated seed, seeds whose window runs past validity, and a winning
-        # series whose first row overshoots t on this coarse grid
-        seeds = (0, 2, 1, 2, 4)
+        # one lockstep climb over every seed, against one run per seed: seeds
+        # whose window runs past validity, and two winning series whose first
+        # row overshoots t on this coarse grid
+        seeds = (0, 2, 1, 48, 4)
         cfg = gue_config(tmp_path / "all", t_max=3.0, steps=40, seeds=seeds, basis_mode="optimize")
         runs = run_experiment_gue(cfg)["runs"]
         for k, seed in enumerate(seeds):
@@ -337,13 +348,13 @@ class TestStackedBlocks:
         dim=st.sampled_from([2, 3, 5]),
         hbar=st.sampled_from([1.0, 2.0]),
         t_max=st.sampled_from([1.0, 3.0]),
-        drawn=st.lists(st.integers(0, 40), min_size=50, max_size=50),
+        drawn=st.permutations(range(60)),
     )
     def test_blocks_write_what_one_seed_sweeps_write(self, basis_mode, count, dim, hbar, t_max, drawn):
         # four seeds to a block, so the counts are one seed, one block, one
         # block and one seed more, and many blocks with a partial last one;
-        # every list of two or more seeds repeats its first seed
-        seeds = tuple(drawn[: count - 1] + drawn[:1]) if count > 1 else tuple(drawn[:1])
+        # the seeds are distinct, as a config requires
+        seeds = tuple(drawn[:count])
         steps = 24
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
             mp.setattr(tqsl.experiments, "BLOCK_ELEMENTS", 4 * steps * dim)
@@ -811,3 +822,86 @@ class TestForkedSweep:
         self.same_as_serial(results, [4])
         assert results[0]["error"] == ["ValueError", "matrix entries must be finite"]
         assert sorted(results[0]["files"]) == [f"gue_seed{s}.csv" for s in range(4)]
+
+
+class TestSharedGridCells:
+    """A sweep formats its time grid once and reuses the t cells for every
+    run of its process: each CSV body is what csv_rows() gives on the same
+    trajectory and basis. At t_max = 1e-6 the t cells take the exponent form."""
+
+    @staticmethod
+    def body(text: str) -> list:
+        return text.split("\n")[1:-1]
+
+    @staticmethod
+    def gue_rows(seed: int, t_max: float, steps: int, basis_mode: str = "fixed-random") -> list:
+        traj = sample_trajectory(sample_gue(GueConfig(dim=3, seed=seed)), default_initial_state(3), t_max, steps)
+        if basis_mode == "optimize":
+            basis, report = optimize_basis(traj, OptimizerConfig(seed=seed))
+            return bound_series(traj, basis, report.basis_id).csv_rows()
+        return bound_series(traj, random_basis(3, seed + tqsl.experiments.BASIS_SEED_OFFSET)).csv_rows()
+
+    def same_rows(self, files: dict, t_max: float, steps: int, basis_mode: str = "fixed-random") -> None:
+        """Every CSV of a gue sweep, {name: text}, against csv_rows()."""
+        runs = json.loads(files["summary.json"])["runs"]
+        assert all("csv" in run for run in runs)
+        for run in runs:
+            got = self.body(files[run["csv"]])
+            assert got == self.gue_rows(run["seed"], t_max, steps, basis_mode), run["seed"]
+            assert ("e-" in got[1].split(",")[0]) == (t_max == 1e-6)
+
+    @staticmethod
+    def written(out: Path) -> dict:
+        return {p.name: p.read_text(encoding="utf-8") for p in sorted(out.iterdir())}
+
+    @pytest.mark.parametrize("t_max", [1.5, 1e-6])
+    def test_gue_serial(self, tmp_path, monkeypatch, t_max):
+        monkeypatch.setattr(tqsl.experiments, "_workers", serial)
+        run_experiment_gue(gue_config(tmp_path / "g", t_max=t_max, seeds=(4, 0, 7, 1, 2)))
+        self.same_rows(self.written(tmp_path / "g"), t_max, 60)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="sweeps fork only on Linux")
+    @pytest.mark.parametrize("t_max", [3.0, 1e-6])
+    def test_gue_forked(self, tmp_path, t_max):
+        # 20 seeds of 300 steps at d = 3 fork one child on two cores
+        cfg = dict(dim=3, t_max=t_max, steps=300, seeds=list(range(20)))
+        serial_run, forked = forked_sweep(tmp_path, "gue", cfg, ["serial", 2])
+        assert (serial_run["forks"], forked["forks"], forked["taken"]) == (0, 1, 1)
+        assert forked["files"] == serial_run["files"]
+        self.same_rows(forked["files"], t_max, 300)
+
+    @pytest.mark.parametrize("t_max", [1.0, 1e-6])
+    def test_optimize(self, tmp_path, monkeypatch, t_max):
+        monkeypatch.setattr(tqsl.experiments, "_workers", serial)
+        run_experiment_gue(gue_config(tmp_path / "g", t_max=t_max, seeds=(0, 1, 2, 3), basis_mode="optimize"))
+        self.same_rows(self.written(tmp_path / "g"), t_max, 60, "optimize")
+
+    @pytest.mark.parametrize("t_max", [0.7, 1e-6])
+    def test_spin_with_its_fidelity_column(self, tmp_path, monkeypatch, t_max):
+        monkeypatch.setattr(tqsl.experiments, "_workers", serial)
+        spin_cfg = tqsl.SpinChainConfig(num_spins=3, blocks=((1, 2), (2, 3)))
+        cfg = ExperimentConfig(kind="spin", num_spins=3, blocks=spin_cfg.blocks, t_max=t_max, steps=50,
+                               seeds=(0, 2, 1), output_path=str(tmp_path / "s"))
+        run_experiment_spin(cfg)
+        psi0 = tqsl.PureState(np.eye(spin_cfg.dim, dtype=complex)[0])
+        traj = sample_trajectory(tqsl.spin_chain_hamiltonian(spin_cfg), psi0, t_max, 50)
+        exact = tqsl.spin_chain_evolved_state(spin_cfg, psi0, traj.times)
+        fidelity = [min(abs(complex(np.vdot(e, ket))), 1.0) for e, ket in zip(exact, traj.stack)]
+        for seed in cfg.seeds:
+            basis = random_basis(spin_cfg.dim, seed + tqsl.experiments.BASIS_SEED_OFFSET)
+            want = [f"{row},{f:.12g}" for row, f in zip(bound_series(traj, basis).csv_rows(), fidelity)]
+            assert self.body((tmp_path / "s" / f"spin_seed{seed}.csv").read_text(encoding="utf-8")) == want
+
+    def test_a_sweep_formats_its_grid_once(self, tmp_path, monkeypatch):
+        cells = []
+        real = tqsl.experiments._csv_rows
+
+        def recording(series, grid):
+            rows = real(series, grid)
+            cells.append(grid[1])
+            return rows
+
+        monkeypatch.setattr(tqsl.experiments, "_csv_rows", recording)
+        monkeypatch.setattr(tqsl.experiments, "_workers", serial)
+        run_experiment_gue(gue_config(tmp_path / "g", seeds=(0, 1, 2, 3, 4, 5)))
+        assert len(cells) == 6 and all(c is cells[0] for c in cells)
