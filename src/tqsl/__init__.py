@@ -48,7 +48,6 @@ from .experiments import (
     run_property_suite,
 )
 from .linalg import (
-    EigenDecomposition,
     eigh,
     expm_i_hermitian,
     hermitian_defect,

@@ -17,7 +17,7 @@ from itertools import repeat
 import numpy as np
 
 from .dynamics import Trajectory, _stacked, sample_trajectory
-from .ensembles import _gue_draws
+from .ensembles import _gue_eigenbases
 from .errors import (
     BoundViolation,
     ConfigError,
@@ -32,7 +32,7 @@ from .errors import (
     _library_built,
     _trusted,
 )
-from .linalg import EigenDecomposition, eigh, expm_i_hermitian
+from .linalg import eigh, expm_i_hermitian
 from .states import Observable, OrthonormalBasis, State, basis_failures
 from .uncertainty import NONNEG_CLAMP, _k_terms
 
@@ -446,22 +446,24 @@ def _climb(corrections: list, cfg: OptimizerConfig, seeds: list) -> list:
         return values, failures
 
     bases = np.tile(np.eye(dim, dtype=complex), (len(seeds), n, 1, 1))
-    starts = eigh(_gue_draws(dim, [s + r for s in seeds for r in range(1, n)])).eigenvectors
+    starts = _gue_eigenbases(dim, [s + r for s in seeds for r in range(1, n)])
     bases[:, 1:] = starts.reshape(len(seeds), n - 1, dim, dim)  # random_basis(dim, s + r)
     bases = bases.reshape(-1, dim, dim)
     values, failures = score(bases, np.arange(len(owner)), [None] * len(bases))
     errors = [None if isinstance(f, _REJECTED) else f for f in failures]
     live = np.array([f is None for f in failures])
     # one eigh per trajectory: one for all of them raised the peak memory
-    directions = EigenDecomposition.concatenate([eigh(np.concatenate(
+    decs = [eigh(np.concatenate(
         [_random_directions(np.random.default_rng([s, r]), cfg.iterations, dim) for r in range(n)]
-    )) for s in seeds])
+    )) for s in seeds]
+    directions = decs[0]._make(map(np.concatenate, zip(*decs)))  # one stacked eigh pair
     step, (stall, moves) = np.full(len(owner), _INITIAL_STEP), np.zeros((2, len(owner)), dtype=int)
     for j in range(cfg.iterations):
         idx = np.flatnonzero(live & (step >= _MIN_STEP))
         if not len(idx):
             break
-        candidates = bases[idx] @ expm_i_hermitian(directions[idx * cfg.iterations + j], -step[idx])
+        picked = directions._make(a[idx * cfg.iterations + j] for a in directions)  # each member's direction j
+        candidates = bases[idx] @ expm_i_hermitian(picked, -step[idx])
         cand_values, found = score(candidates, idx, basis_failures(candidates))
         stopped = np.array([f is not None and not isinstance(f, _REJECTED) for f in found])
         for k in np.flatnonzero(stopped).tolist():

@@ -73,10 +73,16 @@ def _gue_draws(dim: int, seeds) -> np.ndarray:
     return h
 
 
+def _gue_eigenbases(dim: int, seeds) -> np.ndarray:
+    """The eigenbasis of sample_gue's matrix for each seed, as a read-only
+    (k, d, d) stack: the one sampler of every random basis."""
+    return eigh(_gue_draws(dim, seeds)).eigenvectors
+
+
 def random_basis(dim: int, seed: int) -> OrthonormalBasis:
     """Eigenbasis of an independent GUE draw."""
     cfg = GueConfig(dim=dim, seed=seed)
-    return _trusted(OrthonormalBasis, matrix=eigh(_gue_draws(cfg.dim, [cfg.seed])).eigenvectors[0])
+    return _trusted(OrthonormalBasis, matrix=_gue_eigenbases(cfg.dim, [cfg.seed])[0])
 
 
 def _block_sites(blocks) -> tuple:

@@ -40,6 +40,7 @@ from .ensembles import (
     SpinChainConfig,
     _block_sites,
     _gue_draws,
+    _gue_eigenbases,
     random_basis,
     sample_gue,
     spin_chain_evolved_state,
@@ -48,16 +49,17 @@ from .ensembles import (
 from .errors import (
     ConfigError, NonHermitianInput, QslError, _index, _integer_fields, _positive_finite_fields, _trusted,
 )
-from .linalg import eigh
+from .linalg import sqrtm_psd
 from .states import (
     DensityMatrix,
     Observable,
     PureState,
+    _variance_from_root,
     centered,
     expectation,
     variance,
 )
-from .uncertainty import _clamp_nonnegative, _moment_split, _tighter_and_cross
+from .uncertainty import _clamp_nonnegative, _k_terms, _moment_split, _tighter_and_cross
 
 DELTA_TOL = 1e-9
 BASIS_SEED_OFFSET = 1_000_003
@@ -140,7 +142,7 @@ def _fixed_bases(cfg: ExperimentConfig, dim: int, seeds: list, helped=None) -> t
     if cfg.basis_mode == "identity":
         return np.broadcast_to(np.eye(dim, dtype=complex), (len(seeds), dim, dim)), ["identity"] * len(seeds)
     basis_seeds = [seed + BASIS_SEED_OFFSET for seed in seeds]
-    stack = eigh(_gue_draws(dim, basis_seeds)).eigenvectors if helped is None else helped
+    stack = _gue_eigenbases(dim, basis_seeds) if helped is None else helped
     return stack, [f"gue-eigenbasis:seed={s}" for s in basis_seeds]
 
 
@@ -475,9 +477,11 @@ def _trial_margins(trial, trials: int, seed: int, stream: int, tolerance: float)
 def _chain_margin(rng, dim: int, k: int, mixed: bool) -> float:
     """dA dB >= the tighter bound >= the cross term >= |<[A, B]>| / 2."""
     a, b, state, basis = _draw(rng, dim, mixed)
-    da = math.sqrt(variance(a, state))
-    db = math.sqrt(variance(b, state))
-    tighter, cross = _tighter_and_cross(a, b, state, basis)
+    root = sqrtm_psd(state.matrix) if mixed else state.amplitudes  # one root for both variances and K
+    da, db = (math.sqrt(_variance_from_root(x, state, root)) for x in (a, b))
+    # K takes a ket as the 1 x d root psi^dagger
+    tighter, cross = _k_terms((root if mixed else root.conj()[None])[None], a.matrix, b.matrix, basis.matrix[None])
+    tighter, cross = float(tighter[0, 0]), float(cross[0])
     half_comm = _moment_split(a, b, state)[0]
     return min(da * db - tighter, tighter - cross, cross - half_comm)
 

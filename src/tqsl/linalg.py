@@ -5,11 +5,9 @@ tolerance policy (Hermiticity, PSD clamping) that the physics layers rely on.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import NonHermitianInput, NotPositiveSemidefinite, _trusted
+from .errors import NonHermitianInput, NotPositiveSemidefinite
 
 HERMITICITY_TOL = 1e-9
 ORTHONORMALITY_TOL = 1e-10
@@ -18,13 +16,13 @@ PSD_CLAMP = 1e-10
 
 def as_complex_matrix(a) -> np.ndarray:
     """Coerce to a finite 2-d complex array."""
-    return _finite_complex(a, (2,), "a 2-d matrix")
+    return _finite_complex(a, (2,))
 
 
-def _finite_complex(a, ndims: tuple, expected: str) -> np.ndarray:
+def _finite_complex(a, ndims: tuple) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim not in ndims:
-        raise ValueError(f"expected {expected}, got ndim={m.ndim}")
+        raise ValueError(f"expected a 2-d matrix{' or a 3-d stack' if 3 in ndims else ''}, got ndim={m.ndim}")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError("matrix entries must be finite")
     return m
@@ -40,6 +38,20 @@ def hermitian_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - _dagger(m)))) if m.size else 0.0
 
 
+def _hermitian(m, ndims: tuple, noun: str) -> np.ndarray:
+    """The one Hermitian check: m as a finite complex array of one of the
+    ranks `ndims`, square and within HERMITICITY_TOL of its conjugate
+    transpose (over a whole stack), not symmetrized; or raise, naming the
+    input as `noun`."""
+    a = _finite_complex(m, ndims)
+    if a.shape[-2] != a.shape[-1]:
+        raise NonHermitianInput(f"{noun} must be square, got {a.shape}")
+    defect = hermitian_defect(a)
+    if defect > HERMITICITY_TOL:
+        raise NonHermitianInput(f"Hermiticity defect {defect:.3e} exceeds {HERMITICITY_TOL:.0e}")
+    return a
+
+
 def require_hermitian(m) -> np.ndarray:
     """Return the symmetrized matrix (M + M^dagger)/2, or raise.
 
@@ -47,51 +59,8 @@ def require_hermitian(m) -> np.ndarray:
     a whole. Symmetrizing absorbs round-off from tensor-product
     construction; anything beyond HERMITICITY_TOL is a caller bug.
     """
-    a = _finite_complex(m, (2, 3), "a 2-d matrix or a 3-d stack")
-    if a.shape[-2] != a.shape[-1]:
-        raise NonHermitianInput(f"matrix is not square: {a.shape}")
-    defect = hermitian_defect(a)
-    if defect > HERMITICITY_TOL:
-        raise NonHermitianInput(f"Hermiticity defect {defect:.3e} exceeds {HERMITICITY_TOL:.0e}")
+    a = _hermitian(m, (2, 3), "matrix")
     return 0.5 * (a + _dagger(a))
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Ascending real eigenvalues and the matching orthonormal column vectors.
-
-    For a (k, d, d) stack of matrices the arrays are (k, d) and (k, d, d),
-    and dec[j] is the decomposition of matrix j.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.eigenvalues, dtype=float)
-        v = _finite_complex(self.eigenvectors, (2, 3), "a 2-d matrix or a 3-d stack")
-        gram = _dagger(v) @ v - np.eye(v.shape[-1])
-        gram_defect = np.abs(gram).max(initial=0.0)
-        if gram_defect > ORTHONORMALITY_TOL:
-            raise ValueError(f"eigenvector columns not orthonormal: defect {gram_defect:.3e}")
-        w.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", w)
-        object.__setattr__(self, "eigenvectors", v)
-
-    def __getitem__(self, j) -> "EigenDecomposition":
-        """Member j of a stacked decomposition, or the sub-stack an index
-        array selects, checked with the stack."""
-        if self.eigenvectors.ndim != 3:
-            raise TypeError("only a stacked decomposition can be indexed")
-        return _trusted(EigenDecomposition, eigenvalues=self.eigenvalues[j], eigenvectors=self.eigenvectors[j])
-
-    @staticmethod
-    def concatenate(decs) -> "EigenDecomposition":
-        """Stacked decompositions end to end, checked with them, not again."""
-        return _trusted(EigenDecomposition, **{
-            name: np.concatenate([getattr(d, name) for d in decs]) for name in ("eigenvalues", "eigenvectors")
-        })
 
 
 def tolerance_scale(m: np.ndarray) -> np.ndarray:
@@ -100,31 +69,38 @@ def tolerance_scale(m: np.ndarray) -> np.ndarray:
     return np.abs(m).max(axis=(-2, -1), initial=1.0)
 
 
-def eigh(h) -> EigenDecomposition:
+def eigh(h):
     """Eigendecomposition of a Hermitian matrix, or of each matrix in a
-    (k, d, d) stack, eigenvalues ascending.
+    (k, d, d) stack: NumPy's named pair (eigenvalues, eigenvectors), the
+    eigenvalues ascending, both arrays read-only. For a stack they are
+    (k, d) and (k, d, d).
 
-    Besides the eigenvectors' Gram check, each matrix's residual
-    max|HV - V diag(w)| must be within ORTHONORMALITY_TOL relative to its
-    tolerance_scale. Everything propagated from the decomposition is then
-    exact up to round-off, so the propagated states need no checks of
-    their own."""
+    The eigenvector columns must be orthonormal, and each matrix's residual
+    max|HV - V diag(w)| small, both within ORTHONORMALITY_TOL, the residual
+    relative to the matrix's tolerance_scale. Both checks fail on NaN.
+    Everything propagated from the decomposition is then exact up to
+    round-off, so the propagated states need no checks of their own."""
     m = require_hermitian(h)
-    w, v = np.linalg.eigh(m)
-    dec = EigenDecomposition(w, v)
+    w, v = dec = np.linalg.eigh(m)
+    gram = np.abs(_dagger(v) @ v - np.eye(v.shape[-1])).max(initial=0.0)
+    if not gram <= ORTHONORMALITY_TOL:
+        raise ValueError(f"eigenvector columns not orthonormal: defect {gram:.3e}")
     residual = np.abs(m @ v - v * w[..., None, :]).max(axis=(-2, -1), initial=0.0) / tolerance_scale(m)
-    if np.any(residual > ORTHONORMALITY_TOL):
+    if not np.all(residual <= ORTHONORMALITY_TOL):
         raise ValueError(f"eigensystem residual {float(residual.max()):.3e} relative to max(1, max|H|)")
+    w.setflags(write=False)
+    v.setflags(write=False)
     return dec
 
 
 def expm_i_hermitian(h, s) -> np.ndarray:
     """exp(-i H s) for Hermitian H, computed through the eigensystem. H may
-    be given as its EigenDecomposition, which is then not recomputed. For a
-    (k, d, d) stack, s may also give one step per member."""
-    dec = h if isinstance(h, EigenDecomposition) else eigh(h)
-    phases = np.exp(-1j * dec.eigenvalues * np.asarray(s, dtype=float)[..., None])
-    v = dec.eigenvectors
+    be a matrix, a (k, d, d) stack, or the pair eigh returns for either,
+    which is then not recomputed; the pair is told by its `eigenvectors`
+    field, as a nested tuple is a matrix. For a stack, s may also give one
+    step per member."""
+    w, v = h if hasattr(h, "eigenvectors") else eigh(h)
+    phases = np.exp(-1j * w * np.asarray(s, dtype=float)[..., None])
     return (v * phases[..., None, :]) @ _dagger(v)
 
 
@@ -137,11 +113,9 @@ def sqrtm_psd(rho) -> np.ndarray:
     junk directions in the root, which matters for rank-deficient inputs such
     as pure-state density matrices.  Anything below -PSD_CLAMP raises.
     """
-    dec = eigh(rho)
-    w = dec.eigenvalues
+    w, v = eigh(rho)
     if w[0] < -PSD_CLAMP:
         raise NotPositiveSemidefinite(f"min eigenvalue {w[0]:.3e} below -{PSD_CLAMP:.0e}")
     w = np.maximum(w, 0.0)
     w[w < len(w) * np.finfo(float).eps * w[-1]] = 0.0
-    v = dec.eigenvectors
     return (v * np.sqrt(w)) @ v.conj().T

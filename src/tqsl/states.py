@@ -14,11 +14,10 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     InvalidBasis,
-    NonHermitianInput,
     NonRealExpectation,
     NotPositiveSemidefinite,
 )
-from .linalg import HERMITICITY_TOL, as_complex_matrix, hermitian_defect, sqrtm_psd, tolerance_scale
+from .linalg import _hermitian, as_complex_matrix, sqrtm_psd, tolerance_scale
 
 NORM_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -34,13 +33,7 @@ class Observable:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = as_complex_matrix(self.matrix)
-        if m.shape[0] != m.shape[1]:
-            raise NonHermitianInput(f"observable must be square, got {m.shape}")
-        defect = hermitian_defect(m)
-        if defect > HERMITICITY_TOL:
-            raise NonHermitianInput(f"Hermiticity defect {defect:.3e}")
-        m = m.copy()
+        m = _hermitian(self.matrix, (2,), "observable").copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -86,12 +79,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = as_complex_matrix(self.matrix)
-        if m.shape[0] != m.shape[1]:
-            raise NonHermitianInput(f"density matrix must be square, got {m.shape}")
-        defect = hermitian_defect(m)
-        if defect > HERMITICITY_TOL:
-            raise NonHermitianInput(f"Hermiticity defect {defect:.3e}")
+        m = _hermitian(self.matrix, (2,), "density matrix")
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"trace {tr!r} differs from 1 beyond {TRACE_TOL:.0e}")

@@ -6,8 +6,11 @@ evolve_pure and evolve_mixed are the one-state-at-a-time propagators that
 trajectories and the spin oracle are checked against, grid_states reads
 a trajectory's states back from its stack, doctored_trajectory builds one
 from parts, and check_trajectory checks a trajectory's invariants row by
-row."""
+row. The report header names the OpenBLAS kernel in use beside the one the
+goldens were captured on (blas_header)."""
+import ctypes
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +23,30 @@ from tqsl.errors import _positive_finite, _trusted
 from tqsl.experiments import random_density, random_pure  # noqa: F401
 from tqsl.linalg import tolerance_scale
 from tqsl.states import _require_psd
+
+GOLDEN_KERNEL = Path(__file__).with_name("golden") / "blas_kernel.txt"
+
+
+def blas_core() -> str:
+    """The core NumPy's bundled OpenBLAS runs on, as OpenBLAS names it (it
+    follows OPENBLAS_CORETYPE), or "unknown" where there is none to ask."""
+    try:
+        lib = ctypes.CDLL(str(next((Path(np.__file__).parents[1] / "numpy.libs").glob("*openblas*"))))
+        corename = lib.scipy_openblas_get_corename64_
+    except (StopIteration, OSError, AttributeError):
+        return "unknown"
+    corename.argtypes, corename.restype = [], ctypes.c_char_p
+    return corename().decode()
+
+
+def blas_header() -> str:
+    """One line: the OpenBLAS core in use, and the core that captured the
+    byte goldens under tests/golden/, whose bytes hold on that core only."""
+    return f"openblas core: {blas_core()} (goldens captured on {GOLDEN_KERNEL.read_text().strip()})"
+
+
+def pytest_report_header(config):
+    return blas_header()
 
 
 def evolve_pure(h: Observable, psi0: PureState, t: float, hbar: float = 1.0) -> PureState:

@@ -37,6 +37,7 @@ from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+import tqsl.ensembles as ensembles  # noqa: E402
 import tqsl.experiments as ex  # noqa: E402
 
 DOCTORED = {"2I": lambda dim: 2.0 * np.eye(dim), "nan": lambda dim: np.full((dim, dim), np.nan)}
@@ -77,6 +78,24 @@ def doctor(seed: int, kind: str) -> None:
         return h
 
     ex._gue_draws = doctored
+
+
+def doctor_bases() -> None:
+    """The fixed bases draw through the doctored draws too. They are drawn
+    in ensembles._gue_eigenbases, which reads ensembles._gue_draws; the
+    optimizer's restarts read it as well, and their seeds s + r overlap the
+    sweep's, so the doctored draws stand in there only while a fixed-basis
+    stack is drawn."""
+    eigenbases = ex._gue_eigenbases
+
+    def doctored_bases(dim, seeds):
+        real, ensembles._gue_draws = ensembles._gue_draws, ex._gue_draws
+        try:
+            return eigenbases(dim, seeds)
+        finally:
+            ensembles._gue_draws = real
+
+    ex._gue_eigenbases = doctored_bases
 
 
 def run(spec: dict, variant) -> dict:
@@ -125,4 +144,5 @@ if __name__ == "__main__":
         ex.BLOCK_ELEMENTS = spec["block_elements"]
     for seed, kind in spec.get("doctor", []):
         doctor(seed, kind)
+    doctor_bases()
     print(json.dumps([run(spec, variant) for variant in spec["variants"]]))

@@ -69,10 +69,9 @@ def tau_tqsl(c: _Correction, basis: OrthonormalBasis) -> float:
     return float(c.geodesic()[0, -1] + cum[-1])
 
 
-def rotation(dec, s: float) -> np.ndarray:
-    """exp(-i G s) from the eigensystem of one direction G."""
-    v = dec.eigenvectors
-    return (v * np.exp(-1j * dec.eigenvalues * float(s))) @ v.conj().T
+def rotation(w: np.ndarray, v: np.ndarray, s: float) -> np.ndarray:
+    """exp(-i G s) from the eigenvalues w and eigenvectors v of one direction G."""
+    return (v * np.exp(-1j * w * float(s))) @ v.conj().T
 
 
 def optimize_sequential(traj, cfg: OptimizerConfig) -> tuple:
@@ -97,14 +96,14 @@ def optimize_sequential(traj, cfg: OptimizerConfig) -> tuple:
         except (SingularIntegrand, DenominatorUnderflow):
             continue
         rng = np.random.default_rng([cfg.seed, r])
-        directions = eigh(_random_directions(rng, cfg.iterations, dim))
+        w, v = eigh(_random_directions(rng, cfg.iterations, dim))
         step = _INITIAL_STEP
         stall = 0
         moves = 0
         for j in range(cfg.iterations):
             if step < _MIN_STEP:
                 break
-            candidate = OrthonormalBasis(basis.matrix @ rotation(directions[j], -step))
+            candidate = OrthonormalBasis(basis.matrix @ rotation(w[j], v[j], -step))
             try:
                 cand_value = objective(candidate)
             except (SingularIntegrand, DenominatorUnderflow):

@@ -143,6 +143,19 @@ class TestMtBound:
         with pytest.raises(ZeroEnergyVariance):
             geodesic(Observable(np.eye(2)), ket0, 1.0, 5)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: near t = 0 the geodesic term is quantized, as the overlap sits within a few ulps "
+        "of 1 and s0 = 2 arccos(overlap) moves in steps of order sqrt(eps); the absolute BOUND_SLACK = 1e-6 "
+        "lets the row check pass every row of a window shorter than 1e-6"
+    ))
+    def test_tiny_window_keeps_the_geodesic_below_t(self):
+        h = sample_gue(GueConfig(dim=3, seed=0))
+        traj = sample_trajectory(h, default_initial_state(3), 1e-6, 300)
+        series = bound_series(traj, random_basis(3, 1_000_003))
+        valid = series.validity
+        assert valid.any()
+        assert np.all(series.tau_mt[valid] <= series.t[valid])
+
 
 class TestMixedGeodesicTerm:
     def test_zero_for_unmoved_state(self, sigma_z, qubit_mixed):

@@ -5,6 +5,7 @@ import types
 import pytest
 
 import tqsl
+import tqsl.linalg
 import tqsl.uncertainty
 
 PUBLIC_NAMES = [
@@ -17,7 +18,6 @@ PUBLIC_NAMES = [
     "DenominatorUnderflow",
     "DensityMatrix",
     "DimensionMismatch",
-    "EigenDecomposition",
     "ExperimentConfig",
     "GueConfig",
     "InvalidBasis",
@@ -63,7 +63,13 @@ def test_public_names():
         n for n in dir(tqsl) if not n.startswith("_") and not isinstance(getattr(tqsl, n), types.ModuleType)
     )
     assert got == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 47
+    assert len(PUBLIC_NAMES) == 46
+
+
+def test_eigen_decomposition_is_gone():
+    # eigh returns NumPy's own (eigenvalues, eigenvectors) pair
+    for module in (tqsl, tqsl.linalg):
+        assert not hasattr(module, "EigenDecomposition")
 
 
 def test_quadrature_info_is_gone():

@@ -28,6 +28,9 @@ behind them (tests/golden/).
   Wishart states, 400 steps), built through the library, captured before
   the mixed sampled trajectory stopped re-checking its roots. These bytes
   do not move with the BLAS thread count.
+- blas_kernel.txt: the OpenBLAS core the byte pins above were captured on;
+  the session header prints it beside the core in use. The rerun test
+  compares two runs with each other instead, so it holds on any core.
 """
 import json
 import os
@@ -99,6 +102,21 @@ def test_cli_summary_runs_match_golden(tmp_path, argv, names):
     assert _cli([*argv, "--out", str(tmp_path)], names) == 0
     summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
     assert _ordered(summary["runs"]) == _ordered(_golden_json("summary_runs.json")[" ".join(argv)])
+
+
+@pytest.mark.parametrize("argv, names", CASES)
+def test_cli_reruns_are_identical(tmp_path, argv, names):
+    # the rerun guarantee, which holds on any BLAS kernel: two runs of one
+    # case in this process, into fresh directories, write the same CSV
+    # bytes, and summaries that differ only in the output path they record
+    outs = [tmp_path / "first", tmp_path / "second"]
+    for out in outs:
+        assert main([*argv, "--out", str(out)]) == 0
+    csvs = [{p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))} for out in outs]
+    assert len(csvs[0]) == len(names) and csvs[0] == csvs[1]
+    summaries = [json.loads((out / "summary.json").read_text(encoding="utf-8")) for out in outs]
+    assert [s["config"].pop("output_path") for s in summaries] == [str(out) for out in outs]
+    assert json.dumps(summaries[0]) == json.dumps(summaries[1])
 
 
 def test_verify_checks_match_golden(tmp_path):

@@ -8,7 +8,6 @@ import pytest
 import scipy.linalg
 
 from tqsl import (
-    EigenDecomposition,
     GueConfig,
     NonHermitianInput,
     NotPositiveSemidefinite,
@@ -21,10 +20,16 @@ from tqsl import (
 from tqsl.linalg import as_complex_matrix, require_hermitian
 
 
-def reconstruct(dec: EigenDecomposition) -> np.ndarray:
+def reconstruct(dec) -> np.ndarray:
     """V diag(w) V^dagger, of one decomposition or of each in a stack."""
-    v = dec.eigenvectors
-    return (v * dec.eigenvalues[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    w, v = dec
+    return (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def patched_eigh(monkeypatch, doctor):
+    """np.linalg.eigh returns doctor(w, v) of its true result."""
+    real = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: doctor(*real(m)))
 
 
 def random_hermitian(rng, dim):
@@ -97,14 +102,34 @@ class TestEigh:
         with pytest.raises(NonHermitianInput):
             eigh([[0.0, 1.0], [0.0, 0.0]])
 
-    def test_decomposition_rejects_bad_columns(self):
+    def test_rejects_stretched_columns(self, monkeypatch):
+        patched_eigh(monkeypatch, lambda w, v: (w, 2.0 * v))
         with pytest.raises(ValueError, match="orthonormal"):
-            EigenDecomposition(np.array([1.0, 1.0]), np.ones((2, 2)))
+            eigh(np.eye(2))
+
+    def test_rejects_nan_columns(self, monkeypatch):
+        patched_eigh(monkeypatch, lambda w, v: (w, np.full_like(v, np.nan)))
+        with pytest.raises(ValueError, match="orthonormal"):
+            eigh(np.eye(2))
+
+    def test_rejects_nan_eigenvalues(self, monkeypatch):
+        # the columns stay orthonormal: only the residual check sees NaN
+        patched_eigh(monkeypatch, lambda w, v: (np.full_like(w, np.nan), v))
+        with pytest.raises(ValueError, match="eigensystem residual"):
+            eigh(np.eye(2))
+
+    def test_returns_numpys_named_pair(self):
+        dec = eigh(np.eye(2))
+        assert type(dec) is type(np.linalg.eigh(np.eye(2)))
+        w, v = dec
+        assert w is dec.eigenvalues and v is dec.eigenvectors
 
     def test_arrays_are_read_only(self):
         dec = eigh(np.eye(2))
         with pytest.raises(ValueError):
             dec.eigenvalues[0] = 5.0
+        with pytest.raises(ValueError):
+            dec.eigenvectors[0, 0] = 5.0
 
     @pytest.mark.parametrize("scale", [1e-9, 1.0, 1e12])
     def test_residual_is_relative_to_max_entry(self, scale):
@@ -115,8 +140,7 @@ class TestEigh:
         # orthonormal columns pass the Gram check; only the residual
         # max|HV - V diag(w)| sees that they no longer go with w
         h = sample_gue(GueConfig(dim=3, seed=0)).matrix
-        real = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda m: (real(m)[0] + 1e-6, real(m)[1]))
+        patched_eigh(monkeypatch, lambda w, v: (w + 1e-6, v))
         with pytest.raises(ValueError, match="eigensystem residual"):
             eigh(h)
         with pytest.raises(ValueError, match="eigensystem residual"):
@@ -137,15 +161,28 @@ class TestStackedEigh:
             one = eigh(g)
             np.testing.assert_array_equal(dec.eigenvalues[j], one.eigenvalues)
             np.testing.assert_array_equal(dec.eigenvectors[j], one.eigenvectors)
-            np.testing.assert_array_equal(dec[j].eigenvectors, one.eigenvectors)
 
     def test_member_exponential_matches_matrix_route_bitwise(self):
         stack = self.directions()
         dec = eigh(stack)
         for j in (0, 5, 11):
+            member = dec._make(a[j] for a in dec)
             np.testing.assert_array_equal(
-                expm_i_hermitian(dec[j], -0.4), expm_i_hermitian(stack[j], -0.4)
+                expm_i_hermitian(member, -0.4), expm_i_hermitian(stack[j], -0.4)
             )
+
+    def test_stacked_exponential_matches_members_bitwise(self):
+        # the optimizer's route: the rows of one stacked pair, one step each
+        stack = self.directions()
+        dec = eigh(stack)
+        rows, steps = np.array([0, 5, 11]), np.array([-0.4, 0.2, -0.1])
+        got = expm_i_hermitian(dec._make(a[rows] for a in dec), steps)
+        for k, j in enumerate(rows):
+            np.testing.assert_array_equal(got[k], expm_i_hermitian(stack[j], steps[k]))
+
+    def test_a_nested_tuple_is_a_matrix(self):
+        nested = ((0.0, 1.0), (1.0, 0.0))
+        np.testing.assert_array_equal(expm_i_hermitian(nested, 0.3), expm_i_hermitian(np.array(nested), 0.3))
 
     def test_rejects_one_non_hermitian_member(self):
         stack = self.directions()
@@ -157,10 +194,25 @@ class TestStackedEigh:
         with pytest.raises(NonHermitianInput, match="square"):
             eigh(np.zeros((4, 2, 3)))
 
-    def test_decomposition_rejects_one_bad_member(self):
-        v = np.stack([np.eye(2), np.eye(2), np.ones((2, 2))]).astype(complex)
+    def test_rejects_one_bad_member(self, monkeypatch):
+        def doctor(w, v):
+            v = v.copy()
+            v[2] = np.ones((2, 2))
+            return w, v
+
+        patched_eigh(monkeypatch, doctor)
         with pytest.raises(ValueError, match="orthonormal"):
-            EigenDecomposition(np.ones((3, 2)), v)
+            eigh(np.stack([np.eye(2)] * 3))
+
+    def test_rejects_one_nan_member(self, monkeypatch):
+        def doctor(w, v):
+            v = v.copy()
+            v[1, 0, 0] = np.nan
+            return w, v
+
+        patched_eigh(monkeypatch, doctor)
+        with pytest.raises(ValueError, match="orthonormal"):
+            eigh(np.stack([np.eye(2)] * 3))
 
     def test_reconstruction_of_each_member(self):
         stack = self.directions(count=4, dim=5)
@@ -170,10 +222,6 @@ class TestStackedEigh:
     def test_empty_stack(self):
         dec = eigh(np.zeros((0, 3, 3)))
         assert dec.eigenvalues.shape == (0, 3)
-
-    def test_single_decomposition_cannot_be_indexed(self):
-        with pytest.raises(TypeError, match="stacked"):
-            eigh(np.eye(2))[0]
 
 
 class TestExpm:
