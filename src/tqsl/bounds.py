@@ -33,7 +33,7 @@ from .errors import (
     _trusted,
 )
 from .linalg import eigh, expm_i_hermitian
-from .states import Observable, OrthonormalBasis, State, basis_failures
+from .states import Observable, OrthonormalBasis, State
 from .uncertainty import NONNEG_CLAMP, _k_terms
 
 DEFAULT_STEPS = 400
@@ -196,6 +196,8 @@ class _Correction:
         self.traj = traj = trajs[0]
         self.dim = traj.hamiltonian.dim
         self.valid_until = np.array([[t.valid_until] for t in trajs])
+        self.overlap = np.stack([t.overlap for t in trajs])
+        self.delta_h = np.array([[t.delta_h] for t in trajs])
         if traj.kind == "pure":
             # K = sum |conj(U^dagger X) * (U^dagger Y)| - |sum ...| per grid
             # column: completeness makes the plain sum the unresolved cross
@@ -211,9 +213,8 @@ class _Correction:
             mean_h = np.array([[[np.vdot(v, h @ v).real]] for v, h in zip(a, hm)])
             self.y = hm @ cols - mean_h * cols
             self.rho0 = None
-            self.s0 = np.stack([t.s0 for t in trajs])
-            self.delta_h = np.array([[t.delta_h] for t in trajs])
-            den = den_gate = np.sin(self.s0)
+            self.purity = 1.0
+            den = den_gate = np.sin(np.stack([t.s0 for t in trajs]))
             self.underflow = np.zeros(den.shape, dtype=bool)
             self.scale = 2.0 / self.delta_h
         else:
@@ -290,17 +291,13 @@ class _Correction:
 
     def geodesic(self) -> np.ndarray:
         """The geodesic term at every grid point, one row per trajectory, the
-        Mandelstam-Tamm part of the bound: hbar s0 / (2 dH) for a pure
-        trajectory, and hbar (arccos sqrt(Tr rho0 rho_t) - arccos
-        sqrt(Tr rho0^2)) / dH for a mixed one, which a pure lift collapses to
-        the pure form."""
-        traj = self.traj
-        if self.rho0 is None:
-            return traj.hbar * self.s0 / (2.0 * self.delta_h)
+        Mandelstam-Tamm part of the bound: hbar (arccos sqrt(Tr rho0 rho_t)
+        - arccos sqrt(Tr rho0^2)) / dH, which for a pure trajectory (purity
+        1, overlap |<psi0|psi_t>|) is hbar s0 / (2 dH)."""
         # overlap * sqrt(P) = sqrt(Tr(rho0 rho_t)); it starts at exactly 1 and
         # stays <= 1, so the term starts at 0 and never goes negative
-        angle = np.arccos(traj.overlap * math.sqrt(min(self.purity, 1.0)))
-        return (traj.hbar * (angle - angle[0]) / traj.delta_h)[None]
+        angle = np.arccos(self.overlap * math.sqrt(min(self.purity, 1.0)))
+        return self.traj.hbar * (angle - angle[:, :1]) / self.delta_h
 
 
 def _series(correction: _Correction, bases: np.ndarray, basis_ids: list) -> list:
@@ -423,33 +420,30 @@ def _climb(corrections: list, cfg: OptimizerConfig, seeds: list) -> list:
     trajectory, (best basis, its BoundSeries) or the error optimize_basis
     raises on it alone. Every restart of every trajectory is a member of one
     lockstep, its state held in per-member arrays; a round makes one stacked
-    exponential and basis check, and one `scores` call per trajectory, which
-    scores each candidate as one weighted sum of its K series, with weights
-    prepared once per trajectory."""
+    exponential and one `scores` call per trajectory, which scores each
+    candidate as one weighted sum of its K series, with weights prepared
+    once per trajectory. A candidate is a checked basis times rotations
+    exp(-i s G) from checked eigensystems, a product of unitaries, so only
+    each trajectory's winner is checked, as an OrthonormalBasis."""
     n, dim = cfg.restarts, corrections[0].dim
     owner = np.repeat(np.arange(len(corrections)), n)
     ends = np.arange(len(corrections) + 1)
 
-    def score(bases, members, failures):
-        """Each member's objective (`scores`); `failures` gains the kernel's
-        verdicts, and a member that had one already scores 0. Members come
-        sorted by trajectory, so one searchsorted splits them."""
-        values = np.zeros(len(bases))
-        rows = np.flatnonzero([failure is None for failure in failures])
-        cuts = np.searchsorted(owner[members[rows]], ends).tolist()
+    def score(bases, members):
+        """Each member's objective and the kernel's verdict on it (`scores`).
+        Members come sorted by trajectory, so one searchsorted splits them."""
+        values, failures = np.zeros(len(bases)), [None] * len(bases)
+        cuts = np.searchsorted(owner[members], ends).tolist()
         for correction, lo, hi in zip(corrections, cuts, cuts[1:]):
             if hi > lo:
-                mine = rows[lo:hi]
-                values[mine], found = correction.scores(bases[mine])
-                for k, failure in zip(mine.tolist(), found):
-                    failures[k] = failure
+                values[lo:hi], failures[lo:hi] = correction.scores(bases[lo:hi])
         return values, failures
 
     bases = np.tile(np.eye(dim, dtype=complex), (len(seeds), n, 1, 1))
     starts = _gue_eigenbases(dim, [s + r for s in seeds for r in range(1, n)])
     bases[:, 1:] = starts.reshape(len(seeds), n - 1, dim, dim)  # random_basis(dim, s + r)
     bases = bases.reshape(-1, dim, dim)
-    values, failures = score(bases, np.arange(len(owner)), [None] * len(bases))
+    values, failures = score(bases, np.arange(len(owner)))
     errors = [None if isinstance(f, _REJECTED) else f for f in failures]
     live = np.array([f is None for f in failures])
     # one eigh per trajectory: one for all of them raised the peak memory
@@ -464,7 +458,7 @@ def _climb(corrections: list, cfg: OptimizerConfig, seeds: list) -> list:
             break
         picked = directions._make(a[idx * cfg.iterations + j] for a in directions)  # each member's direction j
         candidates = bases[idx] @ expm_i_hermitian(picked, -step[idx])
-        cand_values, found = score(candidates, idx, basis_failures(candidates))
+        cand_values, found = score(candidates, idx)
         stopped = np.array([f is not None and not isinstance(f, _REJECTED) for f in found])
         for k in np.flatnonzero(stopped).tolist():
             errors[idx[k]], live[idx[k]] = found[k], False
@@ -485,8 +479,8 @@ def _climb(corrections: list, cfg: OptimizerConfig, seeds: list) -> list:
             result = SingularIntegrand("every optimizer restart hit a singular integrand")
         if result is None:
             origin = "identity" if best == i * n else f"gue-eigenbasis:seed={seeds[i] + best - i * n}"
-            basis = OrthonormalBasis(bases[best])
             try:
+                basis = OrthonormalBasis(bases[best])
                 label = f"optimize[{origin}, {moves[best]} moves]"
                 result = basis, _series(correction, basis.matrix[None], [label])[0]
             except QslError as err:

@@ -126,6 +126,8 @@ class ExperimentConfig:
             raise ConfigError(f"verify runs take one seed, got {len(seeds)}")
         object.__setattr__(self, "seeds", seeds)
         object.__setattr__(self, "blocks", _block_sites(self.blocks))
+        if self.kind == "spin":  # refused here, not once the run starts
+            SpinChainConfig(num_spins=self.num_spins, blocks=self.blocks, omega0=self.omega0, omega=self.omega)
 
 
 def default_initial_state(dim: int) -> PureState:
@@ -153,6 +155,16 @@ def _quarantine(run: dict):
         yield
     except QslError as err:
         run["flags"].append(f"error:{type(err).__name__}:{err}")
+
+
+def _output_dir(cfg: ExperimentConfig) -> Path:
+    """cfg.output_path, created if missing; a ConfigError if it cannot be a directory."""
+    out = Path(cfg.output_path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"output directory {cfg.output_path!r}: {err}") from err
+    return out
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -190,9 +202,7 @@ def run_experiment_spin(cfg: ExperimentConfig) -> dict:
     Every seed shares one Hamiltonian and initial state, so the trajectory
     and its fidelity column are computed once and serve every run."""
     _require_kind(cfg, "spin")
-    spin_cfg = SpinChainConfig(
-        num_spins=cfg.num_spins, blocks=cfg.blocks, omega0=cfg.omega0, omega=cfg.omega
-    )
+    spin_cfg = SpinChainConfig(num_spins=cfg.num_spins, blocks=cfg.blocks, omega0=cfg.omega0, omega=cfg.omega)
     h = spin_chain_hamiltonian(spin_cfg, cfg.hbar)
     amps = np.zeros(spin_cfg.dim, dtype=complex)
     amps[0] = 1.0
@@ -229,8 +239,7 @@ def _run_sweep(cfg: ExperimentConfig, dim: int, sample, fidelity=None) -> dict:
     clean seeds. A block that raises anything is computed again seed by
     seed, so each seed gets the flag a one-seed sweep gives it, and any
     other error ends the sweep where one seed after another would."""
-    out = Path(cfg.output_path)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(cfg)
     header = BOUND_CSV_HEADER if fidelity is None else BOUND_CSV_HEADER + ",fidelity"
     runs = [{"seed": seed, "min_delta": None, "max_delta": None, "flags": []} for seed in cfg.seeds]
     optimize = cfg.basis_mode == "optimize"
@@ -592,6 +601,7 @@ def run_property_suite(cfg: ExperimentConfig) -> dict:
     """Seeded fuzz run over the library's invariants; failures are report
     content, not exceptions."""
     _require_kind(cfg, "verify")
+    out = _output_dir(cfg)
     (seed,) = cfg.seeds
     trials, quarter = cfg.trials, max(cfg.trials // 4, 1)
     seeded = (  # a check's random stream is its row here
@@ -614,7 +624,5 @@ def run_property_suite(cfg: ExperimentConfig) -> dict:
         ("hermiticity-rejection", _check_hermiticity_rejection),
     )]
     report = {"config": asdict(cfg), "checks": checks, "passed": all(c["passed"] for c in checks)}
-    out = Path(cfg.output_path)
-    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "verify.json", report)
     return report

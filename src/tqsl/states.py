@@ -111,37 +111,24 @@ def _require_psd(stack: np.ndarray) -> None:
             raise NotPositiveSemidefinite(f"min eigenvalue {min_eig:.3e}") from None
 
 
-def _require_unit_kets(kets: np.ndarray, offset: int = 0) -> None:
-    """The PureState checks on each row of an (n, d) ket stack: finite
-    amplitudes and unit norm. An error names the row's grid index, counted
-    from `offset`."""
-    finite = np.isfinite(kets).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"state amplitudes at grid index {offset + np.argmin(finite)} must be finite")
-    norms = np.linalg.norm(kets, axis=1)
-    bad = np.abs(norms - 1.0) > NORM_TOL
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise ValueError(
-            f"state norm {float(norms[k])!r} at grid index {offset + k} "
-            f"differs from 1 beyond {NORM_TOL:.0e}"
-        )
-
-
 State = Union[PureState, DensityMatrix]
 
 
 @dataclass(frozen=True)
 class OrthonormalBasis:
-    """Complete orthonormal set; column n of `matrix` is the n-th vector."""
+    """Complete orthonormal set; column n of `matrix` is the n-th vector.
+    Orthonormality, then completeness, each to BASIS_TOL."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = as_complex_matrix(self.matrix)
-        (failure,) = basis_failures(m[None])
-        if failure is not None:
-            raise failure
+        if m.shape[0] != m.shape[1]:
+            raise InvalidBasis(f"basis needs d vectors of dimension d, got {m.shape}")
+        for name, product in (("orthonormality", m.conj().T @ m), ("completeness", m @ m.conj().T)):
+            defect = np.abs(product - np.eye(len(m))).max()
+            if defect > BASIS_TOL:
+                raise InvalidBasis(f"{name} defect {defect:.3e}")
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -153,27 +140,6 @@ class OrthonormalBasis:
     @classmethod
     def identity(cls, dim: int) -> "OrthonormalBasis":
         return cls(np.eye(dim, dtype=complex))
-
-
-def basis_failures(stack: np.ndarray) -> list:
-    """Per matrix of a complex (m, d, d) stack, None or the error that
-    OrthonormalBasis raises on it: non-finite entries, then orthonormality,
-    then completeness. A stack of non-square matrices raises."""
-    if stack.shape[-2] != stack.shape[-1]:
-        raise InvalidBasis(f"basis needs d vectors of dimension d, got {stack.shape[-2:]}")
-    finite = np.isfinite(stack).all(axis=(-2, -1))
-    if not finite.all():  # keep inf * 0 out of the products below
-        stack = np.where(finite[:, None, None], stack, 0.0)
-    eye = np.eye(stack.shape[-1])
-    gram = np.abs(stack.conj().swapaxes(-1, -2) @ stack - eye).max(axis=(-2, -1))
-    completeness = np.abs(stack @ stack.conj().swapaxes(-1, -2) - eye).max(axis=(-2, -1))
-    return [
-        ValueError("matrix entries must be finite") if not ok
-        else InvalidBasis(f"orthonormality defect {g:.3e}") if g > BASIS_TOL
-        else InvalidBasis(f"completeness defect {c:.3e}") if c > BASIS_TOL
-        else None
-        for ok, g, c in zip(finite.tolist(), gram.tolist(), completeness.tolist())
-    ]
 
 
 def _check_dims(a: Observable, state: State) -> None:

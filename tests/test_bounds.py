@@ -47,7 +47,7 @@ from tqsl.bounds import (
     _series,
 )
 from tqsl.errors import _trusted
-from tqsl.states import basis_failures, purity
+from tqsl.states import purity
 from uncertainty_oracle import correction_k
 
 SIN_EPS = 1e-8
@@ -948,46 +948,36 @@ class TestLockstepRestarts:
         with pytest.raises(SingularIntegrand, match=re.escape(str(failures[0]))):
             integrand(correction, random_basis(3, 7))
 
-    def test_basis_check_blames_only_the_bad_member(self):
-        good = [random_basis(3, s).matrix for s in (1, 2, 3)]
-        stack = np.stack([good[0], 1.1 * good[1], good[2]])
-        failures = basis_failures(stack)
-        assert failures[0] is None and failures[2] is None
-        assert isinstance(failures[1], InvalidBasis)
-        assert "orthonormality defect" in str(failures[1])
-        stack[2, 0, 0] = np.nan
-        failures = basis_failures(stack)
-        assert failures[0] is None
-        assert isinstance(failures[1], InvalidBasis)
-        assert type(failures[2]) is ValueError and "finite" in str(failures[2])
-
-    def test_basis_check_matches_the_constructor(self):
-        m = random_basis(3, 1).matrix.copy()
-        m[:, 2] = m[:, 1]
-        (failure,) = basis_failures(m[None])
-        with pytest.raises(InvalidBasis, match=re.escape(str(failure))):
-            OrthonormalBasis(m)
-
     def test_lowest_numbered_restart_error_is_raised(self, monkeypatch):
-        # restart 2 fails in the first round, restart 1 two rounds later;
-        # one restart after another, restart 1's error comes first
-        calls = []
-        real = basis_failures
+        # the first scores call rates the starts; restart 2 fails in the
+        # first round, restart 1 two rounds later; one restart after
+        # another, restart 1's error comes first
+        sizes = []
+        real = _Correction.scores
 
-        def failing(stack):
-            failures = real(stack)
-            calls.append(len(stack))
-            if len(calls) == 1:
-                failures[2] = InvalidBasis("restart 2")
-            if len(calls) == 3:
-                failures[1] = InvalidBasis("restart 1")
-            return failures
+        def scores(self, bases):
+            values, failures = real(self, bases)
+            sizes.append(len(bases))
+            if len(sizes) == 2:
+                failures[2] = BoundViolation("restart 2")
+            if len(sizes) == 4:
+                failures[1] = BoundViolation("restart 1")
+            return values, failures
 
-        monkeypatch.setattr(tqsl.bounds, "basis_failures", failing)
+        monkeypatch.setattr(_Correction, "scores", scores)
         h, traj = gue_trajectory(seed=0, steps=60)
-        with pytest.raises(InvalidBasis, match="restart 1"):
+        with pytest.raises(BoundViolation, match="restart 1"):
             optimize_basis(traj, OptimizerConfig(restarts=3, iterations=10))
-        assert calls[:3] == [3, 2, 2]
+        assert sizes[:4] == [3, 3, 2, 2]
+
+    def test_a_non_unitary_winner_raises(self, monkeypatch):
+        # rotations 1e-6 off unitary are scored like any other; the winner's
+        # check is the one that rejects them
+        real = tqsl.bounds.expm_i_hermitian
+        monkeypatch.setattr(tqsl.bounds, "expm_i_hermitian", lambda h, s: (1.0 + 1e-6) * real(h, s))
+        h, traj = gue_trajectory(seed=0, steps=60)
+        with pytest.raises(InvalidBasis, match="orthonormality defect"):
+            optimize_basis(traj, OptimizerConfig(restarts=2, iterations=10))
 
     def test_singular_start_is_skipped(self, monkeypatch):
         # the winning restart's start is rejected as singular: it is dropped
@@ -1188,24 +1178,42 @@ class TestClimbAcrossTrajectories:
             assert_same_outcome(outcome, _alone(traj, dataclasses.replace(cfg, seed=seed)))
 
     def test_an_error_stops_only_its_own_trajectory(self, monkeypatch):
-        # round 1 rotates restarts 0-2 of trajectory 0, then those of
-        # trajectory 1: failing member 3 fails trajectory 1's restart 0
-        real = basis_failures
-        rounds = []
+        # scores runs once per trajectory: calls 1-3 rate the starts, and
+        # call 5 trajectory 1's first round, whose restart 0 fails
+        real = _Correction.scores
+        sizes = []
 
-        def failing(stack):
-            failures = real(stack)
-            rounds.append(len(stack))
-            if len(rounds) == 1:
-                failures[3] = InvalidBasis("member 3")
-            return failures
+        def scores(self, bases):
+            values, failures = real(self, bases)
+            sizes.append(len(bases))
+            if len(sizes) == 5:
+                failures[0] = BoundViolation("member 3")
+            return values, failures
 
         trajectories = [gue_trajectory(seed=s, steps=60)[1] for s in (0, 1, 2)]
         cfg = OptimizerConfig(restarts=3, iterations=10)
         want = [_alone(t, dataclasses.replace(cfg, seed=s)) for t, s in zip(trajectories, (4, 5, 6))]
-        monkeypatch.setattr(tqsl.bounds, "basis_failures", failing)
+        monkeypatch.setattr(_Correction, "scores", scores)
         got = _climbed(trajectories, cfg, [4, 5, 6])
-        assert rounds[:2] == [9, 8]
-        assert (type(got[1]), str(got[1])) == (InvalidBasis, "member 3")
+        assert sizes[:9] == [3, 3, 3, 3, 3, 3, 3, 2, 3]
+        assert (type(got[1]), str(got[1])) == (BoundViolation, "member 3")
         assert_same_outcome(got[0], want[0])
         assert_same_outcome(got[2], want[2])
+
+    def test_a_non_unitary_winner_fails_only_its_own_trajectory(self, monkeypatch):
+        # every member stays live, so rows 2-3 of each round's rotations are
+        # trajectory 1's two restarts: only they are 1e-6 off unitary
+        real = tqsl.bounds.expm_i_hermitian
+
+        def expm(h, s):
+            rotations = real(h, s)
+            rotations[2:] *= 1.0 + 1e-6
+            return rotations
+
+        trajectories = [gue_trajectory(seed=s, steps=60)[1] for s in (0, 1)]
+        cfg = OptimizerConfig(restarts=2, iterations=10)
+        want = _alone(trajectories[0], dataclasses.replace(cfg, seed=4))
+        monkeypatch.setattr(tqsl.bounds, "expm_i_hermitian", expm)
+        got = _climbed(trajectories, cfg, [4, 5])
+        assert type(got[1]) is InvalidBasis and "orthonormality defect" in str(got[1])
+        assert_same_outcome(got[0], want)

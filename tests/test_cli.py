@@ -173,6 +173,19 @@ class TestMain:
         assert f"seeds must be distinct, got {repeated} more than once" in captured.err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("kind", ["gue", "verify"])
+    @pytest.mark.parametrize("inside", [False, True], ids=["file", "under-file"])
+    def test_unusable_out_exits_two(self, tmp_path, capsys, kind, inside):
+        # an existing file, or a path under one, cannot be the output directory
+        taken = tmp_path / "taken.txt"
+        taken.write_text("kept\n", encoding="utf-8")
+        out = taken / "o" if inside else taken
+        code = main([kind, "--seeds", "0", *(["--trials", "1"] if kind == "verify" else []), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("config error: output directory")
+        assert taken.read_text(encoding="utf-8") == "kept\n"
+
     def test_bad_block_site_exits_two(self, tmp_path, capsys):
         code = main(
             ["spin", "--spins", "2", "--blocks", "1,5", "--out", str(tmp_path / "s")]

@@ -19,6 +19,7 @@ import tqsl.cli
 import tqsl.experiments
 from tqsl import (
     BOUND_CSV_HEADER,
+    BlockIndexOutOfRange,
     BoundViolation,
     ConfigError,
     ExperimentConfig,
@@ -164,6 +165,16 @@ class TestExperimentConfig:
     def test_blocks_normalized(self):
         cfg = ExperimentConfig(kind="spin", blocks=[[1, 2]])
         assert cfg.blocks == ((1, 2),)
+
+    @pytest.mark.parametrize("fields, error, match", [
+        (dict(num_spins=11), ConfigError, "num_spins must be in 1..10"),
+        (dict(blocks=((1, 5),)), BlockIndexOutOfRange, "site 5 outside 1..2"),
+        (dict(omega0=-1.0), ConfigError, "omega0 must be positive"),
+    ])
+    def test_rejects_a_bad_spin_chain(self, fields, error, match):
+        # refused where the config is built, not once run_experiment_spin starts
+        with pytest.raises(error, match=match):
+            ExperimentConfig(kind="spin", **fields)
 
     @pytest.mark.parametrize("block", [(1.7, 2), (True, 2)])
     def test_rejects_non_integer_block_sites(self, block):

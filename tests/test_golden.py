@@ -31,6 +31,14 @@ behind them (tests/golden/).
 - blas_kernel.txt: the OpenBLAS core the byte pins above were captured on;
   the session header prints it beside the core in use. The rerun test
   compares two runs with each other instead, so it holds on any core.
+
+Beside the byte pins, every CLI case, mixed/ CSV and summary_runs.json
+entry is also compared numerically (csv_drift, runs_drift): headers, row
+counts, the validity column, flags, basis_ids and labels exactly, and each
+float within NUMERIC_RTOL of its column's largest golden magnitude
+(quad_error on tau_tqsl's scale, see csv_drift). The largest drift
+measured under OpenBLAS's Haswell and Prescott cores is 8.6e-12 of that
+scale, so these pins hold off the capture core too.
 """
 import json
 import os
@@ -38,6 +46,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tqsl
@@ -64,6 +73,56 @@ CASES = [
         [f"identity/gue_seed{s}.csv" for s in range(13)],
     ),
 ]
+
+
+NUMERIC_RTOL = 1e-10
+
+
+def _drift(name: str, got: list, want: list, scale: float = 0.0) -> str | None:
+    """Why a column of values does not match its golden one, or None: floats
+    within NUMERIC_RTOL of the larger of `scale` and the golden column's
+    largest magnitude, anything else (labels, flags, None) exactly."""
+    numbers = [isinstance(w, float) and isinstance(g, float) for g, w in zip(got, want)]
+    exact = [(g, w) for g, w, n in zip(got, want, numbers) if not n]
+    if any(g != w for g, w in exact):
+        return f"{name}: {next((g, w) for g, w in exact if g != w)}"
+    pairs = np.array([(g, w) for g, w, n in zip(got, want, numbers) if n]).reshape(-1, 2)
+    if not len(pairs):
+        return None
+    worst = np.abs(pairs[:, 0] - pairs[:, 1]).max()
+    tol = NUMERIC_RTOL * max(scale, np.abs(pairs[:, 1]).max())
+    return None if worst <= tol else f"{name}: drift {worst:.3e} beyond {tol:.3e}"
+
+
+def csv_drift(got: str, want: str) -> list:
+    """How a CSV's text differs from its golden text beyond the numeric
+    rule: the header and row count exactly, the validity column exactly,
+    and every other column as floats (_drift). quad_error is |full - half|
+    / 3 of two quadratures of the correction, so its round-off is on the
+    scale of tau_tqsl, not of its own size: it is compared on that scale."""
+    got_rows, want_rows = ([line.split(",") for line in text.splitlines()] for text in (got, want))
+    header = want_rows[0]
+    if got_rows[0] != header or len(got_rows) != len(want_rows):
+        return [f"header {got_rows[0]} and {len(got_rows)} lines, golden {header} and {len(want_rows)} lines"]
+    if any(len(row) != len(header) for row in got_rows):
+        return ["a row has the wrong number of cells"]
+    got_cols, want_cols = ({name: [v if name == "validity" else float(v) for v in col]
+                            for name, col in zip(header, zip(*rows[1:]))} for rows in (got_rows, want_rows))
+    integral = max(map(abs, want_cols["tau_tqsl"]))
+    drifts = (_drift(name, got_cols[name], want_cols[name], integral if name == "quad_error" else 0.0)
+              for name in header)
+    return [d for d in drifts if d]
+
+
+def runs_drift(got: list, want: list) -> list:
+    """How summary run records differ from their golden ones beyond the
+    numeric rule: the same keys in the same order, each key's values
+    compared across the runs as one column (_drift)."""
+    keys = [list(r) for r in want]
+    if [list(r) for r in got] != keys:
+        return [f"keys {[list(r) for r in got]}, golden {keys}"]
+    drifts = (_drift(key, [r[key] for r in got], [r[key] for r in want]) for key in dict.fromkeys(sum(keys, [])))
+    return [d for d in drifts if d]
 
 
 PINNED_BLAS = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
@@ -137,3 +196,73 @@ def mixed_csv(item: int) -> str:
 @pytest.mark.parametrize("item", range(4))
 def test_mixed_sweep_csvs_match_golden_bytes(item):
     assert mixed_csv(item).encode("utf-8") == (GOLDEN / f"mixed/mixed_seed{item}.csv").read_bytes()
+
+
+@pytest.fixture(scope="module")
+def cli_runs(tmp_path_factory) -> dict:
+    """Each CLI case run once, for the numeric pins: its output directory."""
+    runs = {}
+    for argv, names in CASES:
+        out = tmp_path_factory.mktemp("numeric")
+        assert _cli([*argv, "--out", str(out)], names) == 0
+        runs[" ".join(argv)] = out
+    return runs
+
+
+@pytest.mark.parametrize("argv, names", CASES)
+def test_cli_csvs_match_golden_numbers(cli_runs, argv, names):
+    out = cli_runs[" ".join(argv)]
+    for name in names:
+        got = (out / Path(name).name).read_text(encoding="utf-8")
+        assert csv_drift(got, (GOLDEN / name).read_text(encoding="utf-8")) == [], name
+
+
+@pytest.mark.parametrize("argv, names", CASES)
+def test_cli_summary_runs_match_golden_numbers(cli_runs, argv, names):
+    key = " ".join(argv)
+    summary = json.loads((cli_runs[key] / "summary.json").read_text(encoding="utf-8"))
+    assert runs_drift(summary["runs"], _golden_json("summary_runs.json")[key]) == []
+
+
+@pytest.mark.parametrize("item", range(4))
+def test_mixed_sweep_csvs_match_golden_numbers(item):
+    assert csv_drift(mixed_csv(item), (GOLDEN / f"mixed/mixed_seed{item}.csv").read_text(encoding="utf-8")) == []
+
+
+class TestNumericRule:
+    """The numeric pins catch a 1e-9 relative change to one value and pass
+    a 1e-13 one."""
+
+    def golden(self) -> list:
+        return [line.split(",") for line in (GOLDEN / "gue_seed1.csv").read_text(encoding="utf-8").splitlines()]
+
+    @staticmethod
+    def text(rows: list) -> str:
+        return "\n".join(",".join(row) for row in rows) + "\n"
+
+    @pytest.mark.parametrize("rel, caught", [(1e-9, True), (1e-13, False)])
+    def test_one_csv_value(self, rel, caught):
+        rows = self.golden()
+        col = rows[0].index("tau_tqsl")
+        k = max(range(1, len(rows)), key=lambda i: abs(float(rows[i][col])))  # the column's largest value
+        rows[k][col] = repr(float(rows[k][col]) * (1.0 + rel))
+        drift = csv_drift(self.text(rows), self.text(self.golden()))
+        assert bool(drift) is caught and all(d.startswith("tau_tqsl:") for d in drift)
+
+    def test_labels_and_row_count_compare_exactly(self):
+        rows, want = self.golden(), self.golden()
+        col = rows[0].index("validity")
+        rows[1][col] = "false" if rows[1][col] == "true" else "true"
+        assert csv_drift(self.text(rows), self.text(want)) == [f"validity: {(rows[1][col], want[1][col])}"]
+        assert csv_drift(self.text(want[:-1]), self.text(want))
+
+    @pytest.mark.parametrize("rel, caught", [(1e-9, True), (1e-13, False)])
+    def test_one_summary_value(self, rel, caught):
+        want = _golden_json("summary_runs.json")["gue --dim 3 --steps 60 --seeds 0-2"]
+        got = json.loads(json.dumps(want))
+        k = max(range(len(got)), key=lambda i: got[i]["max_delta"])
+        got[k]["max_delta"] *= 1.0 + rel
+        assert bool(runs_drift(got, want)) is caught
+        got[k]["max_delta"] = want[k]["max_delta"]
+        got[0]["basis_id"] += " "
+        assert runs_drift(got, want) == [f"basis_id: {(got[0]['basis_id'], want[0]['basis_id'])}"]

@@ -18,12 +18,13 @@ from tqsl import (
     eigh,
     expectation,
     purity,
+    random_basis,
     sample_gue,
     sample_trajectory,
     variance,
 )
 from conftest import random_density, random_pure, with_spectrum
-from tqsl.states import PSD_TOL, _require_psd, _require_unit_kets
+from tqsl.states import PSD_TOL, _require_psd
 
 
 class TestObservable:
@@ -61,43 +62,6 @@ class TestPureState:
         np.testing.assert_array_equal(rho.matrix, ket0.projector())
         assert purity(rho) == pytest.approx(1.0, abs=1e-12)
 
-
-
-class TestUnitKetStack:
-    """_require_unit_kets: the PureState checks on every row of a stack."""
-
-    def stack(self):
-        rng = np.random.default_rng(3)
-        return np.array([random_pure(rng, 4).amplitudes for _ in range(6)])
-
-    def test_accepts_unit_rows(self):
-        _require_unit_kets(self.stack())
-        _require_unit_kets(np.empty((0, 4), dtype=complex))
-
-    def test_names_the_grid_index_from_offset(self):
-        kets = self.stack()
-        kets[4] *= 1.01
-        with pytest.raises(ValueError, match="norm .* grid index 14 "):
-            _require_unit_kets(kets, offset=10)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, np.inf), complex(0.0, -np.inf)])
-    def test_rejects_non_finite_rows(self, bad):
-        kets = self.stack()
-        kets[2, 1] = bad
-        with pytest.raises(ValueError, match="amplitudes at grid index 2 must be finite"):
-            _require_unit_kets(kets)
-
-    @pytest.mark.parametrize("scale", [1.0, 1.0 + 5e-11, 1.0 + 2e-10, 0.5])
-    def test_agrees_with_the_constructor(self, scale):
-        kets = self.stack()
-        kets[3] *= scale
-        try:
-            PureState(kets[3])
-        except ValueError:
-            with pytest.raises(ValueError, match="grid index 3"):
-                _require_unit_kets(kets)
-        else:
-            _require_unit_kets(kets)
 
 class TestDensityMatrix:
     def test_rejects_wrong_trace(self):
@@ -158,12 +122,23 @@ class TestOrthonormalBasis:
 
     def test_rejects_non_orthogonal(self):
         column = np.array([1.0, 0.0])
-        with pytest.raises(InvalidBasis):
+        with pytest.raises(InvalidBasis, match="orthonormality defect"):
             OrthonormalBasis(np.column_stack([column, column]))
 
     def test_rejects_incomplete_set(self):
         with pytest.raises(InvalidBasis, match="d vectors"):
             OrthonormalBasis(np.array([[1.0], [0.0]]))
+
+    def test_rejects_a_scaled_unitary(self):
+        with pytest.raises(InvalidBasis, match="orthonormality defect"):
+            OrthonormalBasis(1.1 * random_basis(3, 2).matrix)
+
+    def test_rejects_non_finite_entries(self):
+        m = random_basis(3, 3).matrix.copy()
+        m[0, 0] = np.nan
+        with pytest.raises(ValueError, match="finite") as err:
+            OrthonormalBasis(m)
+        assert type(err.value) is ValueError
 
 
 class TestMoments:
