@@ -979,6 +979,25 @@ class TestLockstepRestarts:
         with pytest.raises(InvalidBasis, match="orthonormality defect"):
             optimize_basis(traj, OptimizerConfig(restarts=2, iterations=10))
 
+    def test_basis_check_matches_the_constructor(self, monkeypatch):
+        # the winner's check is OrthonormalBasis itself: optimize_basis
+        # raises the constructor's own error on the winning matrix
+        real = tqsl.bounds.expm_i_hermitian
+        monkeypatch.setattr(tqsl.bounds, "expm_i_hermitian", lambda h, s: (1.0 + 1e-6) * real(h, s))
+        checked = []
+
+        def recording(matrix):
+            checked.append(np.array(matrix))
+            return OrthonormalBasis(matrix)
+
+        monkeypatch.setattr(tqsl.bounds, "OrthonormalBasis", recording)
+        h, traj = gue_trajectory(seed=0, steps=60)
+        with pytest.raises(InvalidBasis) as raised:
+            optimize_basis(traj, OptimizerConfig(restarts=2, iterations=10))
+        (winner,) = checked
+        with pytest.raises(InvalidBasis, match=re.escape(str(raised.value))):
+            OrthonormalBasis(winner)
+
     def test_singular_start_is_skipped(self, monkeypatch):
         # the winning restart's start is rejected as singular: it is dropped
         # and no candidate of it is scored
