@@ -180,7 +180,7 @@ class _Correction:
     and the weights: the trapezoid rule's weight at each grid point times
     the prefactor over the denominator, 0 where the integrand is gated. A
     stack of bases then costs only its own projections and the checks on
-    its K series (`_checked`): `integrands` gives the integrand, and
+    its K series (`_verdicts`): `integrands` gives the integrand, and
     `scores` the optimizer's objective, one weighted sum of K per basis.
 
     The mixed route's centred stacks P = R Abar and Q = R Bbar are not kept:
@@ -233,50 +233,40 @@ class _Correction:
             den_gate = 2.0 * den
             self.scale = 1.0 / (math.sqrt(p) * traj.delta_h)
         self.ok = den_gate >= SIN_EPS
-        self.gated = ~self.ok
-        self.forbidden = self.gated | self.underflow  # where a live K fails
+        self.forbidden = ~self.ok | self.underflow  # where a live K fails
         self.den = den
         w = np.convolve(np.diff(traj.times), [0.5, 0.5])  # trapezoid weights
         self.weight = np.divide(self.scale * w, den, out=np.zeros(np.shape(den)), where=self.ok)
 
     def k_series(self, bases: np.ndarray) -> np.ndarray:
         """K(t), not yet clamped, for A = the initial state, B = H: one grid
-        row per basis matrix of an (m, d, d) stack."""
+        row per basis matrix of an (m, d, d) stack, on one trajectory or
+        basis i on trajectory i. On one pure trajectory the bases fold into
+        the rows of one GEMM with X and one with Y. One GEMM with X | Y side
+        by side measured slower: the products on its strided halves cost
+        more than the second GEMM."""
         if self.rho0 is not None:
             tighter, cross = _k_terms(self.traj.stack, self.rho0, self.traj.hamiltonian.matrix, bases)
             return tighter - cross
-        uh = bases.conj().swapaxes(-1, -2)
-        prods = (uh @ self.x).conj() * (uh @ self.y)
+        uh = bases.conj().swapaxes(-1, -2).reshape(len(self.x), -1, self.dim)
+        prods = ((uh @ self.x).conj() * (uh @ self.y)).reshape(bases.shape[0], self.dim, -1)
         return np.abs(prods).sum(axis=-2) - np.abs(prods.sum(axis=-2))
 
     def _checked(self, bases: np.ndarray) -> tuple:
-        """K, clamped, for each basis matrix of an (m, d, d) stack, and per
-        member None or the first of BoundViolation (K dips below round-off),
-        DenominatorUnderflow and SingularIntegrand (K is live where the
-        radical underflows or the denominator vanishes). The verdicts are
-        arrays; an error is built only for a member that fails."""
+        """K, clamped, for each basis matrix of an (m, d, d) stack, its
+        score, and per member None or the failure `_verdicts` finds."""
         if bases.shape[-1] != self.dim:
             raise DimensionMismatch(f"basis dim {bases.shape[-1]} vs H dim {self.dim}")
         k = self.k_series(bases)
-        low = k.min(axis=1)
-        np.maximum(k, 0.0, out=k)
-        live = k >= K_EPS
-        failures = [None] * len(k)
-        for i in np.flatnonzero((low < -NONNEG_CLAMP) | (live & self.forbidden).any(axis=1)).tolist():
-            if low[i] < -NONNEG_CLAMP:
-                failures[i] = BoundViolation(f"correction series = {low[i]:.3e} below -{NONNEG_CLAMP:.0e}")
-            elif (live & self.underflow)[i].any():
-                failures[i] = DenominatorUnderflow("purity radical underflows while K is nonzero")
-            else:
-                failures[i] = SingularIntegrand(f"{(live & self.gated)[i].sum()} grid points have "
-                                                f"K >= {K_EPS:.0e} with a vanishing denominator")
-        return k, failures
+        values, _, _, failures = _verdicts(k, *(np.broadcast_to(a, k.shape)
+                                                for a in (self.weight, self.forbidden, self.underflow)))
+        return k, values, [failures.get(i) for i in range(len(k))]
 
     def integrands(self, bases: np.ndarray) -> tuple:
         """The integrand, prefactor included, for each basis matrix of an
         (m, d, d) stack: the (m, n) values, and per member the failure
-        `_checked` finds, or None. A failed member's values mean nothing."""
-        k, failures = self._checked(bases)
+        `_verdicts` finds, or None. A failed member's values mean nothing."""
+        k, _, failures = self._checked(bases)
         f = np.zeros(k.shape)
         np.divide(self.scale * k, self.den, out=f, where=self.ok)
         return f, failures
@@ -284,10 +274,9 @@ class _Correction:
     def scores(self, bases: np.ndarray) -> tuple:
         """The climber's objective for each basis matrix of an (m, d, d)
         stack, the trapezoid of its integrand as one weighted sum of K, and
-        per member the failure `_checked` finds, or None. It differs from
+        per member the failure `_verdicts` finds, or None. It differs from
         np.trapezoid of `integrands` only by rounding."""
-        k, failures = self._checked(bases)
-        return np.vecdot(k, self.weight), failures
+        return self._checked(bases)[1:]
 
     def geodesic(self) -> np.ndarray:
         """The geodesic term at every grid point, one row per trajectory, the
@@ -298,6 +287,32 @@ class _Correction:
         # stays <= 1, so the term starts at 0 and never goes negative
         angle = np.arccos(self.overlap * math.sqrt(min(self.purity, 1.0)))
         return self.traj.hbar * (angle - angle[:, :1]) / self.delta_h
+
+
+def _verdicts(k: np.ndarray, weight: np.ndarray, forbidden: np.ndarray, underflow: np.ndarray) -> tuple:
+    """The checks on an (m, n) block of K rows, row i against row i of the
+    (m, n) masks, in one pass: K is clamped in place, and each row's score
+    is its sum weighted by its row of `weight`. Returns the scores, the
+    `ok` mask of members that pass, the `stop` mask of members whose K
+    dips below round-off, and {member: error} for each member that fails:
+    the first of BoundViolation (stop), DenominatorUnderflow and
+    SingularIntegrand (K is live where the radical underflows or the
+    denominator vanishes)."""
+    low = k.min(axis=1)
+    np.maximum(k, 0.0, out=k)
+    live = k >= K_EPS
+    stop = low < -NONNEG_CLAMP
+    ok = ~stop & ~(live & forbidden).any(axis=1)
+    failures = {}
+    for i in np.flatnonzero(~ok).tolist():
+        if stop[i]:
+            failures[i] = BoundViolation(f"correction series = {low[i]:.3e} below -{NONNEG_CLAMP:.0e}")
+        elif (live[i] & underflow[i]).any():
+            failures[i] = DenominatorUnderflow("purity radical underflows while K is nonzero")
+        else:
+            failures[i] = SingularIntegrand(f"{(live[i] & forbidden[i]).sum()} grid points have "
+                                            f"K >= {K_EPS:.0e} with a vanishing denominator")
+    return np.vecdot(k, weight), ok, stop, failures
 
 
 def _series(correction: _Correction, bases: np.ndarray, basis_ids: list) -> list:
@@ -385,9 +400,6 @@ class OptimizerConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
-_REJECTED = (SingularIntegrand, DenominatorUnderflow)  # reject a candidate, not the restart
-
-
 def optimize_basis(traj: Trajectory, opt_config: OptimizerConfig = None) -> tuple:
     """Maximize the correction integral over complete orthonormal bases;
     returns the best basis and its bound at the trajectory's endpoint, the
@@ -419,33 +431,36 @@ def _climb(corrections: list, cfg: OptimizerConfig, seeds: list) -> list:
     length, seeds[i] standing in for cfg.seed on trajectory i: per
     trajectory, (best basis, its BoundSeries) or the error optimize_basis
     raises on it alone. Every restart of every trajectory is a member of one
-    lockstep, its state held in per-member arrays; a round makes one stacked
-    exponential and one `scores` call per trajectory, which scores each
-    candidate as one weighted sum of its K series, with weights prepared
-    once per trajectory. A candidate is a checked basis times rotations
-    exp(-i s G) from checked eigensystems, a product of unitaries, so only
-    each trajectory's winner is checked, as an OrthonormalBasis."""
+    lockstep, its state held in per-member arrays. A round makes one stacked
+    exponential and one `k_series` call per trajectory, writes every
+    candidate's K row into one block, and checks and scores the block in
+    one `_verdicts` pass, each row against its own trajectory's masks and
+    weights, prepared once per trajectory. A candidate is a checked basis
+    times rotations exp(-i s G) from checked eigensystems, a product of
+    unitaries, so only each trajectory's winner is checked, as an
+    OrthonormalBasis."""
     n, dim = cfg.restarts, corrections[0].dim
     owner = np.repeat(np.arange(len(corrections)), n)
     ends = np.arange(len(corrections) + 1)
+    prepared = [np.vstack([getattr(c, a) for c in corrections]) for a in ("weight", "forbidden", "underflow")]
+    block = np.empty((len(owner), prepared[0].shape[1]))  # a new block each round re-faulted heap pages
 
     def score(bases, members):
-        """Each member's objective and the kernel's verdict on it (`scores`).
-        Members come sorted by trajectory, so one searchsorted splits them."""
-        values, failures = np.zeros(len(bases)), [None] * len(bases)
+        """`_verdicts` on the members' rows of the K block. Members come
+        sorted by trajectory, so one searchsorted splits them."""
+        k = block[:len(members)]
         cuts = np.searchsorted(owner[members], ends).tolist()
         for correction, lo, hi in zip(corrections, cuts, cuts[1:]):
             if hi > lo:
-                values[lo:hi], failures[lo:hi] = correction.scores(bases[lo:hi])
-        return values, failures
+                k[lo:hi] = correction.k_series(bases[lo:hi])
+        return _verdicts(k, *(rows[owner[members]] for rows in prepared))
 
     bases = np.tile(np.eye(dim, dtype=complex), (len(seeds), n, 1, 1))
     starts = _gue_eigenbases(dim, [s + r for s in seeds for r in range(1, n)])
     bases[:, 1:] = starts.reshape(len(seeds), n - 1, dim, dim)  # random_basis(dim, s + r)
     bases = bases.reshape(-1, dim, dim)
-    values, failures = score(bases, np.arange(len(owner)))
-    errors = [None if isinstance(f, _REJECTED) else f for f in failures]
-    live = np.array([f is None for f in failures])
+    values, live, stop, failures = score(bases, np.arange(len(owner)))
+    errors = [failures[i] if stop[i] else None for i in range(len(owner))]
     # one eigh per trajectory: one for all of them raised the peak memory
     decs = [eigh(np.concatenate(
         [_random_directions(np.random.default_rng([s, r]), cfg.iterations, dim) for r in range(n)]
@@ -458,12 +473,12 @@ def _climb(corrections: list, cfg: OptimizerConfig, seeds: list) -> list:
             break
         picked = directions._make(a[idx * cfg.iterations + j] for a in directions)  # each member's direction j
         candidates = bases[idx] @ expm_i_hermitian(picked, -step[idx])
-        cand_values, found = score(candidates, idx)
-        stopped = np.array([f is not None and not isinstance(f, _REJECTED) for f in found])
-        for k in np.flatnonzero(stopped).tolist():
-            errors[idx[k]], live[idx[k]] = found[k], False
-        better = np.array([f is None for f in found]) & (cand_values > values[idx])
-        up, waiting = idx[better], idx[~better & ~stopped]
+        cand_values, ok, stop, failures = score(candidates, idx)
+        for k in np.flatnonzero(stop).tolist():
+            errors[idx[k]] = failures[k]
+        live[idx[stop]] = False
+        better = ok & (cand_values > values[idx])
+        up, waiting = idx[better], idx[~better & ~stop]
         bases[up], values[up], stall[up] = candidates[better], cand_values[better], 0
         moves[up] += 1
         stall[waiting] += 1

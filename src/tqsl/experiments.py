@@ -38,7 +38,6 @@ from .dynamics import Trajectory, _grid, _pure_trajectories, sample_trajectory
 from .ensembles import (
     GueConfig,
     SpinChainConfig,
-    _block_sites,
     _gue_draws,
     _gue_eigenbases,
     random_basis,
@@ -125,9 +124,9 @@ class ExperimentConfig:
         if self.kind == "verify" and len(seeds) != 1:
             raise ConfigError(f"verify runs take one seed, got {len(seeds)}")
         object.__setattr__(self, "seeds", seeds)
-        object.__setattr__(self, "blocks", _block_sites(self.blocks))
-        if self.kind == "spin":  # refused here, not once the run starts
-            SpinChainConfig(num_spins=self.num_spins, blocks=self.blocks, omega0=self.omega0, omega=self.omega)
+        # whatever the kind, as dim is: summary.json records every field
+        spin = SpinChainConfig(num_spins=self.num_spins, blocks=self.blocks, omega0=self.omega0, omega=self.omega)
+        object.__setattr__(self, "blocks", spin.blocks)
 
 
 def default_initial_state(dim: int) -> PureState:

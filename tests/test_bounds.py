@@ -906,6 +906,24 @@ def assert_same_result(traj, cfg):
     assert repr(rep.tau_tqsl) == repr(want_tau)
 
 
+def inject_verdicts(monkeypatch, errors=None) -> list:
+    """Run every `_verdicts` pass, the climber's round and each prepared
+    correction's checks, through the real one, then fail member i of call c
+    with errors[c][i]: a BoundViolation stops the member, any other error
+    rejects it. Returns the list of each call's member count."""
+    sizes, real = [], tqsl.bounds._verdicts
+
+    def verdicts(k, *masks):
+        values, ok, stop, failures = real(k, *masks)
+        sizes.append(len(k))
+        for i, err in (errors or {}).get(len(sizes), {}).items():
+            ok[i], stop[i], failures[i] = False, isinstance(err, BoundViolation), err
+        return values, ok, stop, failures
+
+    monkeypatch.setattr(tqsl.bounds, "_verdicts", verdicts)
+    return sizes
+
+
 class TestLockstepRestarts:
     """optimize_basis runs its restarts in lockstep; the sequential hill
     climber in tests/sequential_optimizer.py is the oracle."""
@@ -949,22 +967,11 @@ class TestLockstepRestarts:
             integrand(correction, random_basis(3, 7))
 
     def test_lowest_numbered_restart_error_is_raised(self, monkeypatch):
-        # the first scores call rates the starts; restart 2 fails in the
+        # the first verdict pass rates the starts; restart 2 fails in the
         # first round, restart 1 two rounds later; one restart after
         # another, restart 1's error comes first
-        sizes = []
-        real = _Correction.scores
-
-        def scores(self, bases):
-            values, failures = real(self, bases)
-            sizes.append(len(bases))
-            if len(sizes) == 2:
-                failures[2] = BoundViolation("restart 2")
-            if len(sizes) == 4:
-                failures[1] = BoundViolation("restart 1")
-            return values, failures
-
-        monkeypatch.setattr(_Correction, "scores", scores)
+        errors = {2: {2: BoundViolation("restart 2")}, 4: {1: BoundViolation("restart 1")}}
+        sizes = inject_verdicts(monkeypatch, errors)
         h, traj = gue_trajectory(seed=0, steps=60)
         with pytest.raises(BoundViolation, match="restart 1"):
             optimize_basis(traj, OptimizerConfig(restarts=3, iterations=10))
@@ -1000,22 +1007,12 @@ class TestLockstepRestarts:
 
     def test_singular_start_is_skipped(self, monkeypatch):
         # the winning restart's start is rejected as singular: it is dropped
-        # and no candidate of it is scored
-        sizes = []
-        real = _Correction.scores
-
-        def scores(self, bases):
-            values, failures = real(self, bases)
-            if not sizes:
-                failures[1] = SingularIntegrand("start")
-            sizes.append(len(bases))
-            return values, failures
-
+        # and no candidate of it is scored; the last pass checks the winner
         h, traj = gue_trajectory(seed=0, steps=60)
         cfg = OptimizerConfig(restarts=3, iterations=10)
         _, full = optimize_basis(traj, cfg)
         assert full.basis_id.startswith("optimize[gue-eigenbasis:seed=1,")
-        monkeypatch.setattr(_Correction, "scores", scores)
+        sizes = inject_verdicts(monkeypatch, {1: {1: SingularIntegrand("start")}})
         _, rep = optimize_basis(traj, cfg)
         assert sizes[0] == 3 and max(sizes[1:-1]) == 2
         assert "seed=1," not in rep.basis_id
@@ -1024,10 +1021,13 @@ class TestLockstepRestarts:
     def test_ties_keep_the_earlier_basis(self, monkeypatch):
         # a candidate that only ties is rejected, and of tied restarts the
         # lowest-numbered one wins, as a strict > one at a time gives
-        def flat(self, bases):
-            return np.zeros(len(bases)), [None] * len(bases)
+        real = tqsl.bounds._verdicts
 
-        monkeypatch.setattr(_Correction, "scores", flat)
+        def flat(k, *masks):
+            real(k, *masks)  # clamps k in place, for the winner's series
+            return np.zeros(len(k)), np.ones(len(k), dtype=bool), np.zeros(len(k), dtype=bool), {}
+
+        monkeypatch.setattr(tqsl.bounds, "_verdicts", flat)
         h, traj = gue_trajectory(seed=0, steps=60)
         basis, rep = optimize_basis(traj, OptimizerConfig(restarts=3, iterations=20))
         assert rep.basis_id == "optimize[identity, 0 moves]"
@@ -1081,21 +1081,49 @@ class TestScores:
             if failure is None:
                 assert value == pytest.approx(np.trapezoid(row, trajs[0].times), rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("case", SCORE_CASES)
+    def test_a_rounds_verdicts_are_the_checked_ones(self, case):
+        # the climber prepares each trajectory on its own, stacks every
+        # member's K row into one block and checks it in one pass, each row
+        # against its own trajectory's masks and weights
+        trajs, bases = (make() for make in SCORE_CASES[case])
+        corrections = [_Correction(traj) for traj in trajs]
+        owner = np.arange(len(bases)) if len(trajs) > 1 else np.zeros(len(bases), dtype=int)
+        k = np.concatenate([c.k_series(bases[owner == i]) for i, c in enumerate(corrections)])
+        masks = [np.vstack([getattr(c, a) for c in corrections])[owner] for a in ("weight", "forbidden", "underflow")]
+        values, ok, stop, failures = tqsl.bounds._verdicts(k, *masks)
+        want_values, want = _Correction(*trajs).scores(bases)
+        got = [failures.get(i) for i in range(len(bases))]
+        assert [(type(x), str(x)) for x in got] == [(type(x), str(x)) for x in want]
+        assert ok.tolist() == [x is None for x in want]
+        assert stop.tolist() == [isinstance(x, BoundViolation) for x in want]
+        assert values[ok].tobytes() == want_values[ok].tobytes()
+
     @pytest.mark.parametrize("make", [lambda: gue_trajectory(seed=1, steps=80)[1], wishart_trajectory])
     def test_the_winners_score_is_its_correction_integral(self, monkeypatch, make):
-        scored = {}
-        real = _Correction.scores
+        # one trajectory: the K rows of each verdict pass are its bases in
+        # k_series order; the winner's score is the climber's, the first
+        scored, values = [], []
+        real_k, real_verdicts = _Correction.k_series, tqsl.bounds._verdicts
 
-        def scores(self, bases):
-            values, failures = real(self, bases)
-            scored.update(zip(map(np.ndarray.tobytes, bases), values.tolist()))
-            return values, failures
+        def k_series(self, bases):
+            scored.extend(map(np.ndarray.tobytes, bases))
+            return real_k(self, bases)
 
-        monkeypatch.setattr(_Correction, "scores", scores)
+        def verdicts(k, *masks):
+            result = real_verdicts(k, *masks)
+            values.extend(result[0].tolist())
+            return result
+
+        monkeypatch.setattr(_Correction, "k_series", k_series)
+        monkeypatch.setattr(tqsl.bounds, "_verdicts", verdicts)
         traj = make()
         basis, rep = optimize_basis(traj, OptimizerConfig(restarts=3, iterations=40, seed=2))
         assert rep.basis_id != "optimize[identity, 0 moves]"
-        best = scored[basis.matrix.tobytes()]
+        first = {}
+        for key, value in zip(scored, values, strict=True):
+            first.setdefault(key, value)
+        best = first[basis.matrix.tobytes()]
         assert best == pytest.approx(rep.correction_integral, rel=1e-12, abs=0)
 
 
@@ -1197,24 +1225,15 @@ class TestClimbAcrossTrajectories:
             assert_same_outcome(outcome, _alone(traj, dataclasses.replace(cfg, seed=seed)))
 
     def test_an_error_stops_only_its_own_trajectory(self, monkeypatch):
-        # scores runs once per trajectory: calls 1-3 rate the starts, and
-        # call 5 trajectory 1's first round, whose restart 0 fails
-        real = _Correction.scores
-        sizes = []
-
-        def scores(self, bases):
-            values, failures = real(self, bases)
-            sizes.append(len(bases))
-            if len(sizes) == 5:
-                failures[0] = BoundViolation("member 3")
-            return values, failures
-
+        # one verdict pass a round over every trajectory: call 1 rates the
+        # starts, and in call 2, the first round, member 3 (trajectory 1's
+        # restart 0) fails; from then on its round has one member fewer
         trajectories = [gue_trajectory(seed=s, steps=60)[1] for s in (0, 1, 2)]
         cfg = OptimizerConfig(restarts=3, iterations=10)
         want = [_alone(t, dataclasses.replace(cfg, seed=s)) for t, s in zip(trajectories, (4, 5, 6))]
-        monkeypatch.setattr(_Correction, "scores", scores)
+        sizes = inject_verdicts(monkeypatch, {2: {3: BoundViolation("member 3")}})
         got = _climbed(trajectories, cfg, [4, 5, 6])
-        assert sizes[:9] == [3, 3, 3, 3, 3, 3, 3, 2, 3]
+        assert sizes[:3] == [9, 9, 8]
         assert (type(got[1]), str(got[1])) == (BoundViolation, "member 3")
         assert_same_outcome(got[0], want[0])
         assert_same_outcome(got[2], want[2])

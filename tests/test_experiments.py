@@ -79,6 +79,13 @@ def gue_config(out, **overrides):
     return ExperimentConfig(**kw)
 
 
+BAD_SPIN_CHAINS = [
+    (dict(num_spins=11), ConfigError, "num_spins must be in 1..10"),
+    (dict(blocks=((1, 5),)), BlockIndexOutOfRange, "site 5 outside 1..2"),
+    (dict(omega0=-1.0), ConfigError, "omega0 must be positive"),
+]
+
+
 class TestExperimentConfig:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ConfigError, match="kind"):
@@ -166,15 +173,25 @@ class TestExperimentConfig:
         cfg = ExperimentConfig(kind="spin", blocks=[[1, 2]])
         assert cfg.blocks == ((1, 2),)
 
-    @pytest.mark.parametrize("fields, error, match", [
-        (dict(num_spins=11), ConfigError, "num_spins must be in 1..10"),
-        (dict(blocks=((1, 5),)), BlockIndexOutOfRange, "site 5 outside 1..2"),
-        (dict(omega0=-1.0), ConfigError, "omega0 must be positive"),
-    ])
+    @pytest.mark.parametrize("fields, error, match", BAD_SPIN_CHAINS)
     def test_rejects_a_bad_spin_chain(self, fields, error, match):
         # refused where the config is built, not once run_experiment_spin starts
         with pytest.raises(error, match=match):
             ExperimentConfig(kind="spin", **fields)
+
+    @pytest.mark.parametrize("kind", ["gue", "verify"])
+    @pytest.mark.parametrize("fields, error, match", BAD_SPIN_CHAINS)
+    def test_every_kind_rejects_a_bad_spin_chain(self, kind, fields, error, match):
+        # the spin fields are checked whatever the kind, as dim is: a config
+        # holds no invalid field for summary.json to record
+        with pytest.raises(error, match=match):
+            ExperimentConfig(kind=kind, **fields)
+
+    def test_every_kind_rejects_every_bad_field(self):
+        with pytest.raises(ConfigError, match="dim"):
+            ExperimentConfig(kind="spin", dim=1)
+        with pytest.raises(ConfigError, match="num_spins"):
+            ExperimentConfig(kind="gue", num_spins=11, omega0=-1.0)
 
     @pytest.mark.parametrize("block", [(1.7, 2), (True, 2)])
     def test_rejects_non_integer_block_sites(self, block):

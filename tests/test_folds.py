@@ -1,7 +1,10 @@
-"""Bit pins for the one-GEMM folds of the mixed route.
+"""Bit pins for the one-GEMM folds of the mixed route and of the pure K
+series.
 
 Each product against one shared matrix runs as a single GEMM on the
-reshaped block (dynamics._rmul) rather than one matmul per stacked matrix.
+reshaped block (dynamics._rmul) rather than one matmul per stacked matrix;
+the pure K series folds a trajectory's bases into the rows of one GEMM
+with its X columns and one with its Y columns.
 The stacked formulas below are the forms those folds replaced; every
 folded result must equal them bit for bit, on grids at the edges of a
 d = 16 block (64 grid points of dynamics.STACK_ELEMENTS) and for one or
@@ -28,7 +31,7 @@ from tqsl import (
     GueConfig, SpinChainConfig, bound_series, default_initial_state, random_basis, sample_gue, sample_trajectory,
     spin_chain_evolved_state, variance,
 )
-from tqsl.bounds import _COLUMNS
+from tqsl.bounds import _COLUMNS, _Correction
 from tqsl.dynamics import STACK_ELEMENTS, _propagated_roots, frobenius_inner
 from tqsl.ensembles import _gue_draws
 from tqsl.linalg import eigh, sqrtm_psd
@@ -57,6 +60,14 @@ def stacked_k_terms(roots, a, b, bases):
     f_nn = np.sum(np.abs(p @ u) ** 2, axis=-2)
     g_nn = np.sum(np.abs(q @ u) ** 2, axis=-2)
     return np.sqrt(f_nn * g_nn).sum(axis=-1), np.abs(frobenius_inner(p, q))
+
+
+def stacked_k_series(c: _Correction, bases: np.ndarray) -> np.ndarray:
+    """_Correction.k_series's pure branch with one matmul per basis: basis i
+    on trajectory i of a stack, or every basis on a single trajectory."""
+    uh = bases.conj().swapaxes(-1, -2)
+    prods = (uh @ c.x).conj() * (uh @ c.y)
+    return np.abs(prods).sum(axis=-2) - np.abs(prods.sum(axis=-2))
 
 
 def mixed_case(dim, steps):
@@ -94,6 +105,31 @@ class TestMixedFolds:
         want = np.sqrt(np.clip(cross / np.trace(rho.matrix @ rho.matrix).real, 0.0, 1.0))
         want[0] = 1.0
         assert np.array_equal(traj.overlap, want)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8, 16, 256])
+class TestPureKSeriesFold:
+    """On one trajectory the bases fold into the GEMMs' rows; a stack of
+    trajectories keeps one GEMM per trajectory and basis. 300 grid points
+    is the gue-optimize benchmark's grid."""
+
+    @staticmethod
+    def trajectory(dim, seed):
+        h = sample_gue(GueConfig(dim=dim, seed=seed))
+        return sample_trajectory(h, default_initial_state(dim), 0.5, 300)
+
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_bases_on_one_trajectory(self, dim, m):
+        c = _Correction(self.trajectory(dim, dim))
+        bases = eigh(_gue_draws(dim, list(range(m)))).eigenvectors
+        got = c.k_series(bases)
+        assert got.shape == (m, 300)
+        assert np.array_equal(got, stacked_k_series(c, bases))
+
+    def test_trajectory_stack(self, dim):
+        c = _Correction(*(self.trajectory(dim, seed) for seed in (1, 2, 3)))
+        bases = eigh(_gue_draws(dim, [4, 5, 6])).eigenvectors
+        assert np.array_equal(c.k_series(bases), stacked_k_series(c, bases))
 
 
 def test_mixed_trajectory_takes_one_square_root(monkeypatch):
