@@ -180,8 +180,8 @@ class _Correction:
     and the weights: the trapezoid rule's weight at each grid point times
     the prefactor over the denominator, 0 where the integrand is gated. A
     stack of bases then costs only its own projections and the checks on
-    its K series (`_verdicts`): `integrands` gives the integrand, and
-    `scores` the optimizer's objective, one weighted sum of K per basis.
+    its K series (`_verdicts`, which also scores each K row as one weighted
+    sum, the optimizer's objective): `integrands` gives the integrand.
 
     The mixed route's centred stacks P = R Abar and Q = R Bbar are not kept:
     holding two more (n, d, d) stacks slowed the one-shot evaluation every
@@ -221,7 +221,7 @@ class _Correction:
             (traj,) = trajs
             # the first state from its checked root, without checking it again
             r0 = traj.stack[0]
-            self.rho0 = r0 @ r0
+            self.rho0 = r0.conj().T @ r0
             self.purity = p = float(np.trace(self.rho0 @ self.rho0).real)
             c = traj.overlap
             radical = np.maximum(1.0 - p * c * c, 0.0)
@@ -252,31 +252,18 @@ class _Correction:
         prods = ((uh @ self.x).conj() * (uh @ self.y)).reshape(bases.shape[0], self.dim, -1)
         return np.abs(prods).sum(axis=-2) - np.abs(prods.sum(axis=-2))
 
-    def _checked(self, bases: np.ndarray) -> tuple:
-        """K, clamped, for each basis matrix of an (m, d, d) stack, its
-        score, and per member None or the failure `_verdicts` finds."""
-        if bases.shape[-1] != self.dim:
-            raise DimensionMismatch(f"basis dim {bases.shape[-1]} vs H dim {self.dim}")
-        k = self.k_series(bases)
-        values, _, _, failures = _verdicts(k, *(np.broadcast_to(a, k.shape)
-                                                for a in (self.weight, self.forbidden, self.underflow)))
-        return k, values, [failures.get(i) for i in range(len(k))]
-
     def integrands(self, bases: np.ndarray) -> tuple:
         """The integrand, prefactor included, for each basis matrix of an
         (m, d, d) stack: the (m, n) values, and per member the failure
         `_verdicts` finds, or None. A failed member's values mean nothing."""
-        k, _, failures = self._checked(bases)
+        if bases.shape[-1] != self.dim:
+            raise DimensionMismatch(f"basis dim {bases.shape[-1]} vs H dim {self.dim}")
+        k = self.k_series(bases)
+        failures = _verdicts(k, *(np.broadcast_to(a, k.shape)
+                                  for a in (self.weight, self.forbidden, self.underflow)))[3]
         f = np.zeros(k.shape)
         np.divide(self.scale * k, self.den, out=f, where=self.ok)
-        return f, failures
-
-    def scores(self, bases: np.ndarray) -> tuple:
-        """The climber's objective for each basis matrix of an (m, d, d)
-        stack, the trapezoid of its integrand as one weighted sum of K, and
-        per member the failure `_verdicts` finds, or None. It differs from
-        np.trapezoid of `integrands` only by rounding."""
-        return self._checked(bases)[1:]
+        return f, [failures.get(i) for i in range(len(k))]
 
     def geodesic(self) -> np.ndarray:
         """The geodesic term at every grid point, one row per trajectory, the

@@ -21,8 +21,10 @@ _MINIMUM_EPS = 1e-12
 # holds max(1, STACK_ELEMENTS // d**2) grid points of (d, d) roots, or
 # STACK_ELEMENTS // d rows of d-dim kets. It bounds the block's temporaries,
 # so memory does not grow with the grid beyond the stack itself, and keeps
-# them cache-sized at any d.
-STACK_ELEMENTS = 16384
+# them cache-sized at any d. A complex temporary is 64 KiB, under glibc's
+# default 128 KiB mmap threshold, so malloc serves it from the heap instead
+# of mapping fresh pages that are faulted in again for every trajectory.
+STACK_ELEMENTS = 4096
 
 
 def _blocks(n: int, row_elements: int) -> list:
@@ -45,7 +47,7 @@ def _first_overlap_minimum(overlap: np.ndarray) -> np.ndarray:
 def frobenius_inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tr(a_k^dagger b_k) for each k of two (n, d, d) stacks.
 
-    For a Hermitian root R of rho, Tr(rho X) = frobenius_inner(R, R @ X),
+    For a root R of rho = R^dagger R, Tr(rho X) = frobenius_inner(R, R @ X),
     so expectations need only the roots.
     """
     return np.einsum("kij,kij->k", a.conj(), b)
@@ -71,8 +73,9 @@ class Trajectory:
     that only sample_trajectory builds, so it has no constructor.
 
     `stack` holds the states as one read-only array: an (n, d) stack of
-    kets for a pure trajectory, or the (n, d, d) stack of roots sqrt(rho_t)
-    for a mixed one. No state is checked row by row: they all come from one
+    kets for a pure trajectory, or for a mixed one the (n, d, d) stack of
+    roots R_t = sqrt(rho0) U_t^dagger of rho_t = R_t^dagger R_t; R_0 is
+    sqrt(rho0) itself. No state is checked row by row: they all come from one
     checked eigendecomposition (linalg.eigh), so only round-off could break
     a state invariant.
     valid_until is the last index before the overlap starts growing again;
@@ -100,15 +103,15 @@ class Trajectory:
 
 
 def _propagated_roots(dec, root0: np.ndarray, times: np.ndarray, hbar: float) -> np.ndarray:
-    """U_t root0 U_t^dagger on the grid, (V X_t) V^dagger in H's eigenbasis block
-    by block: V @ X_t stacked, then one GEMM with V^dagger per block."""
+    """The roots root0 U_t^dagger on the grid, (root0 V) e^{i Lambda t/hbar}
+    V^dagger block by block: the fixed root0 V times the phase rows, then
+    one GEMM with V^dagger per block."""
     v = dec.eigenvectors
-    r0e = v.conj().T @ root0 @ v
-    phases = np.exp(-1j * np.outer(times / hbar, dec.eigenvalues))
+    left, vh = root0 @ v, v.conj().T
+    phases = np.exp(1j * np.outer(times / hbar, dec.eigenvalues))
     roots = np.empty((len(times),) + root0.shape, dtype=complex)
     for rows in _blocks(len(times), root0.size):
-        p = phases[rows]
-        roots[rows] = _rmul(v @ (p[:, :, None] * r0e * p.conj()[:, None, :]), v.conj().T)
+        roots[rows] = _rmul(left * phases[rows, None, :], vh)
     return roots
 
 

@@ -554,7 +554,7 @@ def _bargmann_margin(rng, dim: int, k: int) -> float:
     for state in (random_pure(rng, dim), random_density(rng, dim)):
         traj = sample_trajectory(h, state, t, 2)
         end = traj.stack[-1]  # a ket, or the root of a density matrix
-        end = PureState(end) if end.ndim == 1 else DensityMatrix(end @ end)
+        end = PureState(end) if end.ndim == 1 else DensityMatrix(end.conj().T @ end)
         worst = max(worst, abs(traj.s0[-1] - sample_trajectory(Observable(-h.matrix), end, t, 2).s0[-1]))
     return -worst
 

@@ -22,7 +22,6 @@ from tqsl import (
 from tqsl.errors import _positive_finite, _trusted
 from tqsl.experiments import random_density, random_pure  # noqa: F401
 from tqsl.linalg import tolerance_scale
-from tqsl.states import _require_psd
 
 GOLDEN_KERNEL = Path(__file__).with_name("golden") / "blas_kernel.txt"
 
@@ -66,8 +65,8 @@ def evolve_mixed(h: Observable, rho0: DensityMatrix, t: float, hbar: float = 1.0
 
 def grid_states(traj) -> list:
     """A trajectory's grid states: a PureState per ket row of its stack, or
-    a DensityMatrix R @ R per root R."""
-    return [PureState(m) if m.ndim == 1 else DensityMatrix(m @ m) for m in traj.stack]
+    a DensityMatrix R^dagger R per root R."""
+    return [PureState(m) if m.ndim == 1 else DensityMatrix(m.conj().T @ m) for m in traj.stack]
 
 
 def doctored_trajectory(**fields) -> Trajectory:
@@ -87,9 +86,9 @@ def check_trajectory(traj) -> None:
       positive and finite, and valid_until a grid index;
     - s0 starts at 0 and stays in [0, pi], and for kets moves no faster
       than the Fubini-Study speed 2 dH / hbar, to 1e-6;
-    - every entry of the stack is finite, every grid state passes
-      PureState or DensityMatrix (grid_states), and every root of a mixed
-      trajectory is positive semidefinite;
+    - every entry of the stack is finite, and every grid state passes
+      PureState or, as R^dagger R of its root R, DensityMatrix
+      (grid_states);
     - every grid state has a real <H> (variance runs expectation, to
       EXPECTATION_IMAG_TOL max(1, max|H|)) and the spread delta_h, to
       1e-9 max(1, max|H|)."""
@@ -113,8 +112,6 @@ def check_trajectory(traj) -> None:
     if not np.isfinite(traj.stack).all():
         raise ValueError("state stack entries must be finite")
     states = grid_states(traj)
-    if traj.kind == "mixed":
-        _require_psd(traj.stack)
     tol = 1e-9 * float(tolerance_scale(h.matrix))
     for k, state in enumerate(states):
         drift = abs(math.sqrt(variance(h, state)) - traj.delta_h)

@@ -1060,6 +1060,17 @@ SCORE_CASES = {
 }
 
 
+def checked_scores(correction: _Correction, bases: np.ndarray) -> tuple:
+    """The climber's objective for each basis of an (m, d, d) stack on a
+    prepared correction, one weighted sum of K per basis, and per member
+    the failure or None: one `_verdicts` pass over the bases' K block, each
+    row against its trajectory's weights and masks."""
+    k = correction.k_series(bases)
+    masks = (np.broadcast_to(getattr(correction, a), k.shape) for a in ("weight", "forbidden", "underflow"))
+    values, _, _, failures = tqsl.bounds._verdicts(k, *masks)
+    return values, [failures.get(i) for i in range(len(bases))]
+
+
 class TestScores:
     """The climber scores a basis as one weighted sum of its K series: the
     trapezoid of its integrand, up to rounding, with the same verdicts."""
@@ -1068,7 +1079,7 @@ class TestScores:
     def test_scores_are_the_trapezoid_of_integrands(self, case):
         trajs, bases = (make() for make in SCORE_CASES[case])
         correction = _Correction(*trajs)
-        values, failures = correction.scores(bases)
+        values, failures = checked_scores(correction, bases)
         f, want = correction.integrands(bases)
         assert [(type(x), str(x)) for x in failures] == [(type(x), str(x)) for x in want]
         kinds = {
@@ -1092,7 +1103,8 @@ class TestScores:
         k = np.concatenate([c.k_series(bases[owner == i]) for i, c in enumerate(corrections)])
         masks = [np.vstack([getattr(c, a) for c in corrections])[owner] for a in ("weight", "forbidden", "underflow")]
         values, ok, stop, failures = tqsl.bounds._verdicts(k, *masks)
-        want_values, want = _Correction(*trajs).scores(bases)
+        want_values = checked_scores(_Correction(*trajs), bases)[0]
+        want = _Correction(*trajs).integrands(bases)[1]
         got = [failures.get(i) for i in range(len(bases))]
         assert [(type(x), str(x)) for x in got] == [(type(x), str(x)) for x in want]
         assert ok.tolist() == [x is None for x in want]
