@@ -834,14 +834,15 @@ class TestOptimizeBasis:
         # trajectory and the directions were decomposed in one batch: the
         # hill climb compares floats, so any change in the values moves it.
         # tau_tqsl was recaptured (...685 -> ...674, basis_id unchanged) when
-        # the report became the last row of the cumulative quadrature.
+        # the report became the last row of the cumulative quadrature, and
+        # (...674 -> ...66) when the mixed roots became sqrt(rho0) U_t^dagger.
         h = sample_gue(GueConfig(dim=4, seed=2))
         rho = random_density(np.random.default_rng([2, 4]), 4)
         cfg = OptimizerConfig(restarts=3, iterations=40, seed=2)
         traj = sample_trajectory(h, rho, 0.8, 80)
         basis, rep = optimize_basis(traj, cfg)
         assert rep.basis_id == "optimize[gue-eigenbasis:seed=4, 7 moves]"
-        assert repr(rep.tau_tqsl) == "0.32020880606861674"
+        assert repr(rep.tau_tqsl) == "0.3202088060686166"
         assert rep == bound_series(traj, basis, rep.basis_id)[-1]
 
     def test_directions_follow_the_one_at_a_time_stream(self):

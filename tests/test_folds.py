@@ -6,13 +6,13 @@ reshaped block (dynamics._rmul) rather than one matmul per stacked matrix;
 the pure K series folds a trajectory's bases into the rows of one GEMM
 with its X columns and one with its Y columns.
 The stacked formulas below are the forms those folds replaced; every
-folded result must equal them bit for bit, on grids at the edges of a
-d = 16 block (64 grid points of dynamics.STACK_ELEMENTS) and for one or
-several bases. The oracles take the whole grid as one stack: TestBlocking
-shows that the block size bounds memory only. The small and odd dimensions
-matter: a fold into the GEMM's columns instead (bases side by side, or the
-shared left factor of V @ X_t) keeps the bits at d = 8 and 16 but moves
-them at d = 2 and 3.
+folded result must equal them bit for bit, on grids one and two points
+past whole d = 16 blocks (16 grid points of dynamics.STACK_ELEMENTS) and
+for one or several bases. The oracles take the whole grid as one stack:
+TestBlocking shows that the block size bounds memory only. The small and
+odd dimensions matter: a fold into the GEMM's columns instead (bases side
+by side, or a shared left factor V @ X_t) keeps the bits at d = 8 and 16
+but moves them at d = 2 and 3.
 
 Bit equality is a property of the BLAS kernel, not of the formula. These
 pins hold with OpenBLAS 0.3.31's SkylakeX kernels, the ones the goldens
@@ -39,15 +39,15 @@ from tqsl.uncertainty import _k_terms
 
 DIMS = (2, 3, 8, 16)
 EDGE = STACK_ELEMENTS // 16**2  # grid points in a d = 16 block
-STEPS = (2, EDGE + 1, 2 * EDGE + 2, 400)
+STEPS = (2, 4 * EDGE + 1, 8 * EDGE + 2, 400)
 
 
 def stacked_roots(dec, root0, times, hbar):
-    """_propagated_roots with one matmul per grid point."""
+    """_propagated_roots, root0 U_t^dagger = (root0 V) e^{i Lambda t/hbar}
+    V^dagger, with one matmul per grid point."""
     v = dec.eigenvectors
-    r0e = v.conj().T @ root0 @ v
-    p = np.exp(-1j * np.outer(times / hbar, dec.eigenvalues))
-    return v @ (p[:, :, None] * r0e * p.conj()[:, None, :]) @ v.conj().T
+    p = np.exp(1j * np.outer(times / hbar, dec.eigenvalues))
+    return ((root0 @ v) * p[:, None, :]) @ v.conj().T
 
 
 def stacked_k_terms(roots, a, b, bases):
@@ -90,7 +90,7 @@ class TestMixedFolds:
     def test_mixed_k_series(self, dim, steps, m):
         _, _, traj = mixed_case(dim, steps)
         bases = eigh(_gue_draws(dim, list(range(m)))).eigenvectors
-        rho0 = traj.stack[0] @ traj.stack[0]
+        rho0 = traj.stack[0].conj().T @ traj.stack[0]
         tighter, cross = _k_terms(traj.stack, rho0, traj.hamiltonian.matrix, bases)
         assert tighter.shape == (m, steps) and cross.shape == (steps,)
         want_tighter, want_cross = stacked_k_terms(traj.stack, rho0, traj.hamiltonian.matrix, bases)

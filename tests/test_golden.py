@@ -26,8 +26,11 @@ behind them (tests/golden/).
   no whole number of blocks, so a partial block is pinned too.
 - mixed/: the bound series of the benchmark's mixed sweep, items 0-3 (d = 8
   Wishart states, 400 steps), built through the library, captured before
-  the mixed sampled trajectory stopped re-checking its roots. These bytes
-  do not move with the BLAS thread count.
+  the mixed sampled trajectory stopped re-checking its roots, and
+  recaptured when the mixed roots became sqrt(rho0) U_t^dagger: every
+  value moved by at most 3.6e-12 of its column's scale (csv_drift), and
+  quad_error by 1e-16 of tau_tqsl's. These bytes do not move with the
+  BLAS thread count.
 - blas_kernel.txt: the OpenBLAS core the byte pins above were captured on;
   the session header prints it beside the core in use. The rerun test
   compares two runs with each other instead, so it holds on any core.
