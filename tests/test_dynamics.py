@@ -263,9 +263,9 @@ def overlap_closed_form(h: np.ndarray, rho: np.ndarray, times: np.ndarray) -> np
 class TestMixedOverlapClosedForm:
     """The mixed overlap against its closed form on the benchmark's four
     d = 8 Wishart inputs (the tests/golden/mixed/ items) and a near-pure
-    d = 3 state, 400 steps to t = 1. The parent of the one-sided roots
-    R_t = sqrt(rho0) U_t^dagger reached 1.0e-15 at worst, so the tolerance
-    is twice that."""
+    d = 3 state, 400 steps to t = 1. The two-sided roots U_t sqrt(rho0)
+    U_t^dagger that R_t = sqrt(rho0) U_t^dagger replaced reached 1.0e-15 at
+    worst here, so the tolerance is twice that."""
 
     CASES = {
         **{f"wishart-{i}": (lambda i=i: (sample_gue(GueConfig(dim=8, seed=i)).matrix, wishart_density(i)))
