@@ -180,8 +180,8 @@ class _Correction:
     and the weights: the trapezoid rule's weight at each grid point times
     the prefactor over the denominator, 0 where the integrand is gated. A
     stack of bases then costs only its own projections and the checks on
-    its K series (`_verdicts`, which also scores each K row as one weighted
-    sum, the optimizer's objective): `integrands` gives the integrand.
+    its K series (`_verdicts`): `integrands` gives the integrand. Stacked
+    trajectories must share trajectory 0's grid and hbar.
 
     The mixed route's centred stacks P = R Abar and Q = R Bbar are not kept:
     holding two more (n, d, d) stacks slowed the one-shot evaluation every
@@ -194,6 +194,8 @@ class _Correction:
             if traj.delta_h <= ZERO_SPREAD_TOL * np.abs(traj.hamiltonian.matrix).max():
                 raise ZeroEnergyVariance(f"energy spread {traj.delta_h!r} is numerically zero")
         self.traj = traj = trajs[0]
+        if any(t.hbar != traj.hbar or not np.array_equal(t.times, traj.times) for t in trajs[1:]):
+            raise ValueError("stacked trajectories must share trajectory 0's time grid and hbar")
         self.dim = traj.hamiltonian.dim
         self.valid_until = np.array([[t.valid_until] for t in trajs])
         self.overlap = np.stack([t.overlap for t in trajs])
@@ -241,16 +243,11 @@ class _Correction:
     def k_series(self, bases: np.ndarray) -> np.ndarray:
         """K(t), not yet clamped, for A = the initial state, B = H: one grid
         row per basis matrix of an (m, d, d) stack, on one trajectory or
-        basis i on trajectory i. On one pure trajectory the bases fold into
-        the rows of one GEMM with X and one with Y. One GEMM with X | Y side
-        by side measured slower: the products on its strided halves cost
-        more than the second GEMM."""
+        basis i on trajectory i (`_k_pure` on a pure one)."""
         if self.rho0 is not None:
             tighter, cross = _k_terms(self.traj.stack, self.rho0, self.traj.hamiltonian.matrix, bases)
             return tighter - cross
-        uh = bases.conj().swapaxes(-1, -2).reshape(len(self.x), -1, self.dim)
-        prods = ((uh @ self.x).conj() * (uh @ self.y)).reshape(bases.shape[0], self.dim, -1)
-        return np.abs(prods).sum(axis=-2) - np.abs(prods.sum(axis=-2))
+        return _k_pure(bases, self.x, self.y)
 
     def integrands(self, bases: np.ndarray) -> tuple:
         """The integrand, prefactor included, for each basis matrix of an
@@ -259,8 +256,7 @@ class _Correction:
         if bases.shape[-1] != self.dim:
             raise DimensionMismatch(f"basis dim {bases.shape[-1]} vs H dim {self.dim}")
         k = self.k_series(bases)
-        failures = _verdicts(k, *(np.broadcast_to(a, k.shape)
-                                  for a in (self.weight, self.forbidden, self.underflow)))[3]
+        failures = _verdicts(k, *(np.broadcast_to(a, k.shape) for a in (self.forbidden, self.underflow)))[2]
         f = np.zeros(k.shape)
         np.divide(self.scale * k, self.den, out=f, where=self.ok)
         return f, [failures.get(i) for i in range(len(k))]
@@ -276,15 +272,32 @@ class _Correction:
         return self.traj.hbar * (angle - angle[:, :1]) / self.delta_h
 
 
-def _verdicts(k: np.ndarray, weight: np.ndarray, forbidden: np.ndarray, underflow: np.ndarray) -> tuple:
+def _k_pure(bases: np.ndarray, x: np.ndarray, y: np.ndarray, work: tuple = None) -> np.ndarray:
+    """K, not yet clamped, of an (m, d, d) stack of bases on the X and Y of
+    t pure trajectories, m / t bases each, into `_k_work` arrays: one GEMM
+    with X and one with Y, `(t, m/t*d, d) @ (t, d, n)`."""
+    uh, gx, gy, cross, k = work or _k_work(len(x), len(bases) // len(x), *x.shape[1:])
+    np.conjugate(bases.swapaxes(-1, -2), out=uh.reshape(bases.shape))
+    np.multiply(np.conjugate(np.matmul(uh, x, out=gx), out=gx), np.matmul(uh, y, out=gy), out=gx)
+    prods = gx.reshape(len(k), *x.shape[1:])
+    mags = gy.view(float).reshape(-1)[:gy.size].reshape(prods.shape)  # in Y's product, no longer read
+    np.abs(prods, out=mags).sum(axis=1, out=k)  # then mags[:, 0] is free for the cross term
+    return np.subtract(k, np.abs(prods.sum(axis=1, out=cross), out=mags[:, 0]), out=k)
+
+
+def _k_work(t: int, per: int, dim: int, steps: int) -> tuple:
+    """`_k_pure`'s work arrays for `per` bases on each of t trajectories, the K rows last."""
+    return (np.empty((t, per * dim, dim), complex), *np.empty((2, t, per * dim, steps), complex),
+            np.empty((t * per, steps), complex), np.empty((t * per, steps)))
+
+
+def _verdicts(k: np.ndarray, forbidden: np.ndarray, underflow: np.ndarray) -> tuple:
     """The checks on an (m, n) block of K rows, row i against row i of the
-    (m, n) masks, in one pass: K is clamped in place, and each row's score
-    is its sum weighted by its row of `weight`. Returns the scores, the
-    `ok` mask of members that pass, the `stop` mask of members whose K
-    dips below round-off, and {member: error} for each member that fails:
-    the first of BoundViolation (stop), DenominatorUnderflow and
-    SingularIntegrand (K is live where the radical underflows or the
-    denominator vanishes)."""
+    (m, n) masks, in one pass: K is clamped in place. Returns the `ok` mask
+    of members that pass, the `stop` mask of members whose K dips below
+    round-off, and {member: error} for each member that fails: the first of
+    BoundViolation (stop), DenominatorUnderflow and SingularIntegrand (K is
+    live where the radical underflows or the denominator vanishes)."""
     low = k.min(axis=1)
     np.maximum(k, 0.0, out=k)
     live = k >= K_EPS
@@ -299,7 +312,7 @@ def _verdicts(k: np.ndarray, weight: np.ndarray, forbidden: np.ndarray, underflo
         else:
             failures[i] = SingularIntegrand(f"{(live[i] & forbidden[i]).sum()} grid points have "
                                             f"K >= {K_EPS:.0e} with a vanishing denominator")
-    return np.vecdot(k, weight), ok, stop, failures
+    return ok, stop, failures
 
 
 def _series(correction: _Correction, bases: np.ndarray, basis_ids: list) -> list:
@@ -417,56 +430,57 @@ def _climb(corrections: list, cfg: OptimizerConfig, seeds: list) -> list:
     """optimize_basis on prepared trajectories of one dimension and grid
     length, seeds[i] standing in for cfg.seed on trajectory i: per
     trajectory, (best basis, its BoundSeries) or the error optimize_basis
-    raises on it alone. Every restart of every trajectory is a member of one
-    lockstep, its state held in per-member arrays. A round makes one stacked
-    exponential and one `k_series` call per trajectory, writes every
-    candidate's K row into one block, and checks and scores the block in
-    one `_verdicts` pass, each row against its own trajectory's masks and
-    weights, prepared once per trajectory. A candidate is a checked basis
-    times rotations exp(-i s G) from checked eigensystems, a product of
-    unitaries, so only each trajectory's winner is checked, as an
-    OrthonormalBasis."""
-    n, dim = cfg.restarts, corrections[0].dim
-    owner = np.repeat(np.arange(len(corrections)), n)
-    ends = np.arange(len(corrections) + 1)
-    prepared = [np.vstack([getattr(c, a) for c in corrections]) for a in ("weight", "forbidden", "underflow")]
-    block = np.empty((len(owner), prepared[0].shape[1]))  # a new block each round re-faulted heap pages
+    raises on it alone. The restarts of every trajectory are the members of
+    one lockstep whose rounds keep one shape: one exponential for every
+    member, idle ones too, one `_k_pure` pass over every pure member into
+    work arrays allocated once per climb (a mixed trajectory gets its own
+    `k_series` call), then one `_verdicts` pass and one `np.vecdot` on the
+    active members' K rows. Candidates are checked bases times rotations
+    from checked eigensystems, so only each trajectory's winner is checked."""
+    n, dim, steps = cfg.restarts, corrections[0].dim, corrections[0].weight.shape[-1]
+    pure = np.repeat([c.rho0 is None for c in corrections], n)
+    x, y = (np.array([getattr(c, a)[0] for c in corrections if c.rho0 is None], complex).reshape(-1, dim, steps)
+            for a in ("x", "y"))
+    work = _k_work(len(x), n, dim, steps)
+    block = work[-1] if pure.all() else np.empty((len(pure), steps))  # every member's K row
+    rows = [block, *(np.repeat(np.vstack([getattr(c, a) for c in corrections]), n, axis=0)
+                     for a in ("weight", "forbidden", "underflow"))]  # and its trajectory's weights and masks
+    mixed = [(i * n, c) for i, c in enumerate(corrections) if c.rho0 is not None]
 
-    def score(bases, members):
-        """`_verdicts` on the members' rows of the K block. Members come
-        sorted by trajectory, so one searchsorted splits them."""
-        k = block[:len(members)]
-        cuts = np.searchsorted(owner[members], ends).tolist()
-        for correction, lo, hi in zip(corrections, cuts, cuts[1:]):
-            if hi > lo:
-                k[lo:hi] = correction.k_series(bases[lo:hi])
-        return _verdicts(k, *(rows[owner[members]] for rows in prepared))
+    def scored(bases, active):  # the active members' verdicts, failures and scores
+        for lo, c in mixed:
+            block[lo:lo + n] = c.k_series(bases[lo:lo + n])
+        if _k_pure(bases[pure], x, y, work) is not block:  # some trajectory is mixed
+            block[pure] = work[-1]
+        k, w, *masks = rows if active.all() else [a[active] for a in rows]
+        return (*_verdicts(k, *masks), np.vecdot(k, w))  # _verdicts clamps k before vecdot reads it
 
     bases = np.tile(np.eye(dim, dtype=complex), (len(seeds), n, 1, 1))
     starts = _gue_eigenbases(dim, [s + r for s in seeds for r in range(1, n)])
     bases[:, 1:] = starts.reshape(len(seeds), n - 1, dim, dim)  # random_basis(dim, s + r)
     bases = bases.reshape(-1, dim, dim)
-    values, live, stop, failures = score(bases, np.arange(len(owner)))
-    errors = [failures[i] if stop[i] else None for i in range(len(owner))]
-    # one eigh per trajectory: one for all of them raised the peak memory
+    live, stop, failures, values = scored(bases, np.ones(len(pure), dtype=bool))
+    errors = [failures[i] if stop[i] else None for i in range(len(pure))]
+    # an eigh per trajectory (one for all raised the peak memory); rounds[j]: each member's direction j
     decs = [eigh(np.concatenate(
         [_random_directions(np.random.default_rng([s, r]), cfg.iterations, dim) for r in range(n)]
     )) for s in seeds]
-    directions = decs[0]._make(map(np.concatenate, zip(*decs)))  # one stacked eigh pair
-    step, (stall, moves) = np.full(len(owner), _INITIAL_STEP), np.zeros((2, len(owner)), dtype=int)
+    rounds = [np.concatenate(a).reshape(len(pure), cfg.iterations, *a[0].shape[1:]).swapaxes(0, 1)
+              for a in zip(*decs)]
+    step, (stall, moves) = np.full(len(pure), _INITIAL_STEP), np.zeros((2, len(pure)), dtype=int)
     for j in range(cfg.iterations):
-        idx = np.flatnonzero(live & (step >= _MIN_STEP))
-        if not len(idx):
+        active = live & (step >= _MIN_STEP)
+        if not active.any():
             break
-        picked = directions._make(a[idx * cfg.iterations + j] for a in directions)  # each member's direction j
-        candidates = bases[idx] @ expm_i_hermitian(picked, -step[idx])
-        cand_values, ok, stop, failures = score(candidates, idx)
+        candidates = bases @ expm_i_hermitian(decs[0]._make(a[j] for a in rounds), -step)
+        ok, stop, failures, cand_values = scored(candidates, active)
+        idx = np.flatnonzero(active)
         for k in np.flatnonzero(stop).tolist():
             errors[idx[k]] = failures[k]
         live[idx[stop]] = False
         better = ok & (cand_values > values[idx])
         up, waiting = idx[better], idx[~better & ~stop]
-        bases[up], values[up], stall[up] = candidates[better], cand_values[better], 0
+        bases[up], values[up], stall[up] = candidates[up], cand_values[better], 0
         moves[up] += 1
         stall[waiting] += 1
         shrink = waiting[stall[waiting] >= _PATIENCE]

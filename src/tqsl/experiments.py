@@ -273,7 +273,7 @@ def _run_sweep(cfg: ExperimentConfig, dim: int, sample, fidelity=None) -> dict:
                 trajs = sample(seeds)
             finally:  # serially the bases come first, so their error wins over sampling's
                 taken = _taken(spool, np.ndarray) if reaped(pid) else None
-                bases, basis_ids = _fixed_bases(cfg, dim, seeds, taken)
+                bases, basis_ids = _fixed_bases(cfg, dim, seeds, taken[-1] if taken else None)
         return list(zip(trajs, _series(_Correction(*trajs), bases, basis_ids)))
 
     grid = [None, None]  # the last t array emitted and its cells: every run shares one
@@ -338,11 +338,10 @@ def _run_sweep(cfg: ExperimentConfig, dim: int, sample, fidelity=None) -> dict:
         for k in range(1, w):  # a fork that fails: the share is computed here
             pids[k] = _fork(functools.partial(shared, k), spools[k], children)
         for k in range(w):
-            if reaped(pids[k]) and (records := _taken(spools[k], list)) is not None:
-                for item in _spooled(spools[k]):
-                    if isinstance(item, tuple):
-                        write(*item)
-                runs[shares[k]] = records
+            if reaped(pids[k]) and (items := _taken(spools[k], list)) is not None:
+                for name, text in items[:-1]:  # the share's files, then its run records
+                    write(name, text)
+                runs[shares[k]] = items[-1]
             else:  # this process's share, or one whose child failed in any way
                 compute(runs[shares[k]], write)
     finally:  # no child outlives the sweep
@@ -413,23 +412,17 @@ def _fork(payload, spool, children: list) -> int | None:
         os._exit(status)
 
 
-def _spooled(spool):
-    """Each object a child pickled on its spool, in order, up to the first
-    that is not there whole. A spool is an unlinked file that only this
-    process and its child hold, so what it holds is safe to unpickle."""
+def _taken(spool, kind: type):
+    """Every object a child pickled on its spool, in order, up to the first
+    not there whole, if the last is a `kind`: a share's files and then its
+    run records, or a helper's bases. Only this process and its child hold
+    the spool, an unlinked file, so what it holds is safe to unpickle."""
+    items = []
     spool.seek(0)
     with contextlib.suppress(EOFError, pickle.UnpicklingError):  # the end, or a truncated object
         while True:
-            yield pickle.load(spool)
-
-
-def _taken(spool, kind: type):
-    """The last object on a spool, which a child pickles last, if it is
-    there whole and a `kind`: a share's run records or a helper's bases."""
-    last = None
-    for last in _spooled(spool):
-        pass
-    return last if isinstance(last, kind) else None
+            items.append(pickle.load(spool))
+    return items if items and isinstance(items[-1], kind) else None
 
 
 # ---------------------------------------------------------------------------

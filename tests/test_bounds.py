@@ -560,6 +560,25 @@ class TestBoundSeries:
         with pytest.raises(BoundViolation, match="exceeds actual time"):
             _series(_Correction(*trajs), bases, ["a", "b", "c", "d"])
 
+    def test_a_stack_shares_one_grid_and_hbar(self):
+        # every row of a stack is given trajectory 0's times and hbar, so a
+        # trajectory on another window or hbar is rejected, not mislabelled
+        h0, h1 = (sample_gue(GueConfig(dim=3, seed=s)) for s in (0, 1))
+        psi = default_initial_state(3)
+        first = sample_trajectory(h0, psi, 0.8, 40)
+        for other in (sample_trajectory(h1, psi, 0.3, 40, hbar=0.7), sample_trajectory(h1, psi, 0.3, 40),
+                      sample_trajectory(h1, psi, 0.8, 40, hbar=0.7)):
+            with pytest.raises(ValueError, match="share trajectory 0's time grid and hbar"):
+                _Correction(first, other)
+        # equal grids pass, whether or not they are one array
+        twin = sample_trajectory(h1, psi, 0.8, 40)
+        assert twin.times is not first.times
+        trajs = [first, twin]
+        series = _series(_Correction(*trajs), np.stack([np.eye(3, dtype=complex)] * 2), ["a", "b"])
+        for traj, got in zip(trajs, series):
+            alone = bound_series(traj, OrthonormalBasis.identity(3), "a")
+            assert got.tau_tqsl.tobytes() == alone.tau_tqsl.tobytes()
+
     def test_first_row_is_all_zero(self):
         h, traj = gue_trajectory(seed=0, tau=1.0, steps=40)
         series = bound_series(traj, random_basis(3, 5))
@@ -911,15 +930,16 @@ def inject_verdicts(monkeypatch, errors=None) -> list:
     """Run every `_verdicts` pass, the climber's round and each prepared
     correction's checks, through the real one, then fail member i of call c
     with errors[c][i]: a BoundViolation stops the member, any other error
-    rejects it. Returns the list of each call's member count."""
+    rejects it. Returns the list of each call's member count: a round's
+    active members."""
     sizes, real = [], tqsl.bounds._verdicts
 
-    def verdicts(k, *masks):
-        values, ok, stop, failures = real(k, *masks)
+    def verdicts(k, forbidden, underflow):
+        ok, stop, failures = real(k, forbidden, underflow)
         sizes.append(len(k))
         for i, err in (errors or {}).get(len(sizes), {}).items():
             ok[i], stop[i], failures[i] = False, isinstance(err, BoundViolation), err
-        return values, ok, stop, failures
+        return ok, stop, failures
 
     monkeypatch.setattr(tqsl.bounds, "_verdicts", verdicts)
     return sizes
@@ -1021,16 +1041,20 @@ class TestLockstepRestarts:
 
     def test_ties_keep_the_earlier_basis(self, monkeypatch):
         # a candidate that only ties is rejected, and of tied restarts the
-        # lowest-numbered one wins, as a strict > one at a time gives
+        # lowest-numbered one wins, as a strict > one at a time gives. Zero
+        # weights score every basis 0, and every member passes its checks
         real = tqsl.bounds._verdicts
 
-        def flat(k, *masks):
+        def passing(k, *masks):
             real(k, *masks)  # clamps k in place, for the winner's series
-            return np.zeros(len(k)), np.ones(len(k), dtype=bool), np.zeros(len(k), dtype=bool), {}
+            return np.ones(len(k), dtype=bool), np.zeros(len(k), dtype=bool), {}
 
-        monkeypatch.setattr(tqsl.bounds, "_verdicts", flat)
+        monkeypatch.setattr(tqsl.bounds, "_verdicts", passing)
         h, traj = gue_trajectory(seed=0, steps=60)
-        basis, rep = optimize_basis(traj, OptimizerConfig(restarts=3, iterations=20))
+        correction = _Correction(traj)
+        correction.weight = np.zeros_like(correction.weight)
+        ((basis, series),) = _climb([correction], OptimizerConfig(restarts=3, iterations=20), [0])
+        rep = series[-1]
         assert rep.basis_id == "optimize[identity, 0 moves]"
         assert basis.matrix.tobytes() == np.eye(3, dtype=complex).tobytes()
 
@@ -1065,10 +1089,12 @@ def checked_scores(correction: _Correction, bases: np.ndarray) -> tuple:
     """The climber's objective for each basis of an (m, d, d) stack on a
     prepared correction, one weighted sum of K per basis, and per member
     the failure or None: one `_verdicts` pass over the bases' K block, each
-    row against its trajectory's weights and masks."""
+    row against its trajectory's masks, then each clamped row's sum
+    weighted by its trajectory's weights."""
     k = correction.k_series(bases)
-    masks = (np.broadcast_to(getattr(correction, a), k.shape) for a in ("weight", "forbidden", "underflow"))
-    values, _, _, failures = tqsl.bounds._verdicts(k, *masks)
+    masks = (np.broadcast_to(getattr(correction, a), k.shape) for a in ("forbidden", "underflow"))
+    _, _, failures = tqsl.bounds._verdicts(k, *masks)
+    values = np.vecdot(k, np.broadcast_to(correction.weight, k.shape))
     return values, [failures.get(i) for i in range(len(bases))]
 
 
@@ -1097,13 +1123,15 @@ class TestScores:
     def test_a_rounds_verdicts_are_the_checked_ones(self, case):
         # the climber prepares each trajectory on its own, stacks every
         # member's K row into one block and checks it in one pass, each row
-        # against its own trajectory's masks and weights
+        # against its own trajectory's masks, then scores it with its weights
         trajs, bases = (make() for make in SCORE_CASES[case])
         corrections = [_Correction(traj) for traj in trajs]
         owner = np.arange(len(bases)) if len(trajs) > 1 else np.zeros(len(bases), dtype=int)
         k = np.concatenate([c.k_series(bases[owner == i]) for i, c in enumerate(corrections)])
-        masks = [np.vstack([getattr(c, a) for c in corrections])[owner] for a in ("weight", "forbidden", "underflow")]
-        values, ok, stop, failures = tqsl.bounds._verdicts(k, *masks)
+        weight, *masks = [np.vstack([getattr(c, a) for c in corrections])[owner]
+                          for a in ("weight", "forbidden", "underflow")]
+        ok, stop, failures = tqsl.bounds._verdicts(k, *masks)
+        values = np.vecdot(k, weight)
         want_values = checked_scores(_Correction(*trajs), bases)[0]
         want = _Correction(*trajs).integrands(bases)[1]
         got = [failures.get(i) for i in range(len(bases))]
@@ -1114,29 +1142,38 @@ class TestScores:
 
     @pytest.mark.parametrize("make", [lambda: gue_trajectory(seed=1, steps=80)[1], wishart_trajectory])
     def test_the_winners_score_is_its_correction_integral(self, monkeypatch, make):
-        # one trajectory: the K rows of each verdict pass are its bases in
-        # k_series order; the winner's score is the climber's, the first
-        scored, values = [], []
-        real_k, real_verdicts = _Correction.k_series, tqsl.bounds._verdicts
+        # one trajectory, every member live: the K rows of each verdict pass
+        # are the bases of its K pass (a pure trajectory's `_k_pure`, a
+        # mixed one's `k_series`) in order; the winner's score is the
+        # climber's, the weighted sum of its first clamped K row
+        scored, rows = [], []
+        real_k, real_pure, real_verdicts = _Correction.k_series, tqsl.bounds._k_pure, tqsl.bounds._verdicts
 
         def k_series(self, bases):
-            scored.extend(map(np.ndarray.tobytes, bases))
+            if self.rho0 is not None:
+                scored.extend(map(np.ndarray.tobytes, bases))
             return real_k(self, bases)
+
+        def k_pure(bases, *args):
+            scored.extend(map(np.ndarray.tobytes, bases))
+            return real_pure(bases, *args)
 
         def verdicts(k, *masks):
             result = real_verdicts(k, *masks)
-            values.extend(result[0].tolist())
+            rows.extend(k.copy())
             return result
 
         monkeypatch.setattr(_Correction, "k_series", k_series)
+        monkeypatch.setattr(tqsl.bounds, "_k_pure", k_pure)
         monkeypatch.setattr(tqsl.bounds, "_verdicts", verdicts)
         traj = make()
+        weight = _Correction(traj).weight.ravel()
         basis, rep = optimize_basis(traj, OptimizerConfig(restarts=3, iterations=40, seed=2))
         assert rep.basis_id != "optimize[identity, 0 moves]"
         first = {}
-        for key, value in zip(scored, values, strict=True):
-            first.setdefault(key, value)
-        best = first[basis.matrix.tobytes()]
+        for key, row in zip(scored, rows, strict=True):
+            first.setdefault(key, row)
+        best = np.vecdot(first[basis.matrix.tobytes()], weight)
         assert best == pytest.approx(rep.correction_integral, rel=1e-12, abs=0)
 
 
@@ -1238,15 +1275,37 @@ class TestClimbAcrossTrajectories:
             assert_same_outcome(outcome, _alone(traj, dataclasses.replace(cfg, seed=seed)))
 
     def test_an_error_stops_only_its_own_trajectory(self, monkeypatch):
-        # one verdict pass a round over every trajectory: call 1 rates the
-        # starts, and in call 2, the first round, member 3 (trajectory 1's
-        # restart 0) fails; from then on its round has one member fewer
+        # one verdict pass a round over the active members of every
+        # trajectory: call 1 rates the starts, and in call 2, the first
+        # round, member 3 (trajectory 1's restart 0) fails. Its row still
+        # rides in every round's K pass, but from then on no verdict pass
+        # checks or scores it, so it is never accepted again or a winner
         trajectories = [gue_trajectory(seed=s, steps=60)[1] for s in (0, 1, 2)]
         cfg = OptimizerConfig(restarts=3, iterations=10)
         want = [_alone(t, dataclasses.replace(cfg, seed=s)) for t, s in zip(trajectories, (4, 5, 6))]
+        passes, checked, real_pure = [], [], tqsl.bounds._k_pure
+
+        def k_pure(bases, x, y, work=None):
+            k = real_pure(bases, x, y, work)
+            if work is not None:  # the climber's pass, not a winner's series
+                passes.append(k.copy())
+            return k
+
         sizes = inject_verdicts(monkeypatch, {2: {3: BoundViolation("member 3")}})
+        injected = tqsl.bounds._verdicts
+
+        def verdicts(k, *masks):
+            checked.append(k.copy())
+            return injected(k, *masks)
+
+        monkeypatch.setattr(tqsl.bounds, "_k_pure", k_pure)
+        monkeypatch.setattr(tqsl.bounds, "_verdicts", verdicts)
         got = _climbed(trajectories, cfg, [4, 5, 6])
         assert sizes[:3] == [9, 9, 8]
+        assert [len(k) for k in passes] == [9] * 11  # the starts and 10 rounds
+        assert checked[1].tobytes() == passes[1].tobytes()
+        for k, block in zip(checked[2:], passes[2:], strict=False):
+            assert k.tobytes() == np.delete(block, 3, axis=0).tobytes()
         assert (type(got[1]), str(got[1])) == (BoundViolation, "member 3")
         assert_same_outcome(got[0], want[0])
         assert_same_outcome(got[2], want[2])
@@ -1268,3 +1327,86 @@ class TestClimbAcrossTrajectories:
         got = _climbed(trajectories, cfg, [4, 5])
         assert type(got[1]) is InvalidBasis and "orthonormality defect" in str(got[1])
         assert_same_outcome(got[0], want)
+
+
+class TestFixedShapeRounds:
+    """Every round of a climb has one shape: one `_k_pure` pass over every
+    pure member of every trajectory, idle members too, into work arrays
+    allocated once per climb; only the active members are checked and
+    scored."""
+
+    @staticmethod
+    def counted(monkeypatch) -> list:
+        """The member count of each `_k_pure` pass the climber makes."""
+        passes, real = [], tqsl.bounds._k_pure
+
+        def k_pure(bases, x, y, work=None):
+            if work is not None:  # not a winner's series
+                passes.append(len(bases))
+            return real(bases, x, y, work)
+
+        monkeypatch.setattr(tqsl.bounds, "_k_pure", k_pure)
+        return passes
+
+    @pytest.mark.parametrize("count", [1, 3, 8])
+    def test_one_kernel_pass_a_round_whatever_the_count(self, monkeypatch, count):
+        passes = self.counted(monkeypatch)
+        corrections = [_Correction(gue_trajectory(seed=s, steps=60)[1]) for s in range(count)]
+        results = _climb(corrections, OptimizerConfig(restarts=3, iterations=12), list(range(count)))
+        assert all(isinstance(r, tuple) for r in results)
+        assert passes == [3 * count] * 13  # the starts, then one pass a round
+
+    def test_a_mixed_trajectory_keeps_its_own_call(self, monkeypatch):
+        # rows 3-5 are the mixed trajectory's: its own k_series call a
+        # round, beside one pass over the two pure trajectories' members
+        passes = self.counted(monkeypatch)
+        mixed, real = [], _Correction.k_series
+
+        def k_series(self, bases):
+            if self.rho0 is not None:
+                mixed.append(len(bases))
+            return real(self, bases)
+
+        monkeypatch.setattr(_Correction, "k_series", k_series)
+        trajectories = [gue_trajectory(seed=0, steps=60)[1], wishart_trajectory(dim=3, steps=60),
+                        gue_trajectory(seed=1, steps=60)[1]]
+        cfg = OptimizerConfig(restarts=3, iterations=12)
+        got = _climbed(trajectories, cfg, [4, 5, 6])
+        assert passes == [6] * 13
+        assert mixed == [3] * 13 + [1]  # and the winner's series
+        monkeypatch.undo()
+        for traj, seed, outcome in zip(trajectories, (4, 5, 6), got):
+            assert_same_outcome(outcome, _alone(traj, dataclasses.replace(cfg, seed=seed)))
+
+    def test_a_block_at_the_benchmark_shape_as_if_alone(self, monkeypatch):
+        # a --basis optimize --tmax 1.0 sweep's block of 10 seeds at d = 3
+        # and 300 steps, with the default config: each seed's basis and
+        # report are the ones optimize_basis gives it alone, bit for bit
+        cfg, seeds = OptimizerConfig(), list(range(10))
+        trajectories = [sample_trajectory(sample_gue(GueConfig(dim=3, seed=s)), default_initial_state(3), 1.0, 300)
+                        for s in seeds]
+        passes = self.counted(monkeypatch)
+        got = _climbed(trajectories, cfg, seeds)
+        assert passes == [40] * (cfg.iterations + 1)
+        monkeypatch.undo()
+        for traj, seed, outcome in zip(trajectories, seeds, got):
+            assert isinstance(outcome, tuple)
+            assert_same_outcome(outcome, _alone(traj, dataclasses.replace(cfg, seed=seed)))
+
+    def test_idle_members_ride_along(self, monkeypatch):
+        # at d = 2 the restarts' steps fall below the floor at different
+        # rounds: the K passes keep all 12 members, the verdict passes shrink
+        # to the active ones, and the climb ends when none is left, before
+        # its last iteration; each outcome is the one it gets alone
+        cfg, seeds = OptimizerConfig(restarts=4, iterations=150), [0, 1, 2]
+        trajectories = [gue_trajectory(seed=s, steps=40, dim=2)[1] for s in seeds]
+        want = [_alone(t, dataclasses.replace(cfg, seed=s)) for t, s in zip(trajectories, seeds)]
+        passes = self.counted(monkeypatch)
+        sizes = inject_verdicts(monkeypatch)
+        got = _climbed(trajectories, cfg, seeds)
+        rounds = sizes[1:len(passes)]
+        assert set(passes) == {12} and len(passes) < cfg.iterations + 1
+        assert rounds == sorted(rounds, reverse=True) and len(set(rounds)) >= 4
+        for outcome, alone in zip(got, want):
+            assert isinstance(outcome, tuple)
+            assert_same_outcome(outcome, alone)
