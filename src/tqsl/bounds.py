@@ -23,7 +23,6 @@ from .errors import (
     ConfigError,
     DenominatorUnderflow,
     DimensionMismatch,
-    QslError,
     SingularIntegrand,
     ValidityExceeded,
     ZeroEnergyVariance,
@@ -171,8 +170,8 @@ def _cumulative_trapezoid(t: np.ndarray, f: np.ndarray) -> tuple:
 
 class _Correction:
     """The correction integrand and the geodesic term, prepared for k pure
-    trajectories on one grid, as stacks with one row per trajectory, or for
-    one mixed trajectory.
+    trajectories on one grid or for one mixed trajectory, as (k, n) stacks
+    with one row per trajectory (k = 1 for the mixed one).
 
     What does not depend on the basis is computed here, once: the
     denominator, its gate and the prefactor, the initial state's purity for
@@ -225,7 +224,7 @@ class _Correction:
             r0 = traj.stack[0]
             self.rho0 = r0.conj().T @ r0
             self.purity = p = float(np.trace(self.rho0 @ self.rho0).real)
-            c = traj.overlap
+            c = self.overlap
             radical = np.maximum(1.0 - p * c * c, 0.0)
             self.underflow = radical < RADICAL_EPS
             den = c * np.sqrt(radical)
@@ -419,55 +418,48 @@ def optimize_basis(traj: Trajectory, opt_config: OptimizerConfig = None) -> tupl
     """
     cfg = opt_config if opt_config is not None else OptimizerConfig()
     _require_clean(traj)
-    (result,) = _climb([_Correction(traj)], cfg, [cfg.seed])
-    if isinstance(result, Exception):
-        raise result
-    basis, series = result
-    return basis, series[-1]
+    correction = _Correction(traj)
+    bases, basis_ids = _climb(correction, cfg, [cfg.seed])
+    (series,) = _series(correction, bases, basis_ids)
+    return _trusted(OrthonormalBasis, matrix=bases[0]), series[-1]
 
 
-def _climb(corrections: list, cfg: OptimizerConfig, seeds: list) -> list:
-    """optimize_basis on prepared trajectories of one dimension and grid
-    length, seeds[i] standing in for cfg.seed on trajectory i: per
-    trajectory, (best basis, its BoundSeries) or the error optimize_basis
-    raises on it alone. The restarts of every trajectory are the members of
-    one lockstep whose rounds keep one shape: one exponential for every
-    member, idle ones too, one `_k_pure` pass over every pure member into
-    work arrays allocated once per climb (a mixed trajectory gets its own
-    `k_series` call), then one `_verdicts` pass and one `np.vecdot` on the
-    active members' K rows. Candidates are checked bases times rotations
-    from checked eigensystems, so only each trajectory's winner is checked."""
-    n, dim, steps = cfg.restarts, corrections[0].dim, corrections[0].weight.shape[-1]
-    pure = np.repeat([c.rho0 is None for c in corrections], n)
-    x, y = (np.array([getattr(c, a)[0] for c in corrections if c.rho0 is None], complex).reshape(-1, dim, steps)
-            for a in ("x", "y"))
-    work = _k_work(len(x), n, dim, steps)
-    block = work[-1] if pure.all() else np.empty((len(pure), steps))  # every member's K row
-    rows = [block, *(np.repeat(np.vstack([getattr(c, a) for c in corrections]), n, axis=0)
-                     for a in ("weight", "forbidden", "underflow"))]  # and its trajectory's weights and masks
-    mixed = [(i * n, c) for i, c in enumerate(corrections) if c.rho0 is not None]
+def _climb(correction: _Correction, cfg: OptimizerConfig, seeds: list) -> tuple:
+    """optimize_basis's climb on each trajectory of a prepared correction,
+    seeds[i] standing in for cfg.seed on trajectory i: the checked winners
+    as a read-only (k, d, d) stack, and their basis_ids. The first
+    trajectory that fails raises, with its lowest-numbered restart's error.
+    The restarts of every trajectory are the members of one lockstep whose
+    rounds keep one shape: one exponential for every member, idle ones too,
+    one K pass over every member (`_k_pure` into work arrays allocated once
+    per climb, or a mixed trajectory's `k_series`), then one `_verdicts`
+    pass and one `np.vecdot` on the active members' K rows. Candidates are
+    checked bases times rotations from checked eigensystems, so only each
+    trajectory's winner is checked."""
+    n, dim, steps = cfg.restarts, correction.dim, correction.weight.shape[-1]
+    size = len(seeds) * n
+    work = _k_work(len(seeds), n, dim, steps) if correction.rho0 is None else None
+    # each member's trajectory's weights and masks
+    rows = [np.repeat(getattr(correction, a), n, axis=0) for a in ("weight", "forbidden", "underflow")]
 
     def scored(bases, active):  # the active members' verdicts, failures and scores
-        for lo, c in mixed:
-            block[lo:lo + n] = c.k_series(bases[lo:lo + n])
-        if _k_pure(bases[pure], x, y, work) is not block:  # some trajectory is mixed
-            block[pure] = work[-1]
-        k, w, *masks = rows if active.all() else [a[active] for a in rows]
+        k = correction.k_series(bases) if work is None else _k_pure(bases, correction.x, correction.y, work)
+        k, w, *masks = [k, *rows] if active.all() else [a[active] for a in (k, *rows)]
         return (*_verdicts(k, *masks), np.vecdot(k, w))  # _verdicts clamps k before vecdot reads it
 
     bases = np.tile(np.eye(dim, dtype=complex), (len(seeds), n, 1, 1))
     starts = _gue_eigenbases(dim, [s + r for s in seeds for r in range(1, n)])
     bases[:, 1:] = starts.reshape(len(seeds), n - 1, dim, dim)  # random_basis(dim, s + r)
     bases = bases.reshape(-1, dim, dim)
-    live, stop, failures, values = scored(bases, np.ones(len(pure), dtype=bool))
-    errors = [failures[i] if stop[i] else None for i in range(len(pure))]
+    live, stop, failures, values = scored(bases, np.ones(size, dtype=bool))
+    errors = [failures[i] if stop[i] else None for i in range(size)]
     # an eigh per trajectory (one for all raised the peak memory); rounds[j]: each member's direction j
     decs = [eigh(np.concatenate(
         [_random_directions(np.random.default_rng([s, r]), cfg.iterations, dim) for r in range(n)]
     )) for s in seeds]
-    rounds = [np.concatenate(a).reshape(len(pure), cfg.iterations, *a[0].shape[1:]).swapaxes(0, 1)
+    rounds = [np.concatenate(a).reshape(size, cfg.iterations, *a[0].shape[1:]).swapaxes(0, 1)
               for a in zip(*decs)]
-    step, (stall, moves) = np.full(len(pure), _INITIAL_STEP), np.zeros((2, len(pure)), dtype=int)
+    step, (stall, moves) = np.full(size, _INITIAL_STEP), np.zeros((2, size), dtype=int)
     for j in range(cfg.iterations):
         active = live & (step >= _MIN_STEP)
         if not active.any():
@@ -485,24 +477,22 @@ def _climb(corrections: list, cfg: OptimizerConfig, seeds: list) -> list:
         stall[waiting] += 1
         shrink = waiting[stall[waiting] >= _PATIENCE]
         step[shrink], stall[shrink] = step[shrink] * _SHRINK, 0
-    results, values = [], values.tolist()
-    for i, correction in enumerate(corrections):
+    winners, basis_ids, values = [], [], values.tolist()
+    for i, seed in enumerate(seeds):
         members = range(i * n, (i + 1) * n)
+        error = next((errors[k] for k in members if errors[k] is not None), None)
         # max keeps the first of equal values, as a strict > over restarts does
         best = max((k for k in members if live[k]), key=values.__getitem__, default=None)
-        result = next((errors[k] for k in members if errors[k] is not None), None)
-        if result is None and best is None:
-            result = SingularIntegrand("every optimizer restart hit a singular integrand")
-        if result is None:
-            origin = "identity" if best == i * n else f"gue-eigenbasis:seed={seeds[i] + best - i * n}"
-            try:
-                basis = OrthonormalBasis(bases[best])
-                label = f"optimize[{origin}, {moves[best]} moves]"
-                result = basis, _series(correction, basis.matrix[None], [label])[0]
-            except QslError as err:
-                result = err
-        results.append(result)
-    return results
+        if error is not None:
+            raise error
+        if best is None:
+            raise SingularIntegrand("every optimizer restart hit a singular integrand")
+        winners.append(OrthonormalBasis(bases[best]).matrix)
+        origin = "identity" if best == i * n else f"gue-eigenbasis:seed={seed + best - i * n}"
+        basis_ids.append(f"optimize[{origin}, {moves[best]} moves]")
+    winners = np.stack(winners)
+    winners.setflags(write=False)
+    return winners, basis_ids
 
 
 def _random_directions(rng, count: int, dim: int) -> np.ndarray:

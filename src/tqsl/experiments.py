@@ -232,36 +232,31 @@ def _run_sweep(cfg: ExperimentConfig, dim: int, sample, fidelity=None) -> dict:
     writes, in seed order. A share whose child fails in any way is computed
     here again, so the error and the files written are the serial sweep's.
     In a share, seeds go in blocks of up to BLOCK_ELEMENTS / (steps * dim),
-    each sampled, bounded and written as one stack: with a fixed basis (a
-    large fixed-random block's bases by a forked helper, if a core is
-    spare), or with the winners of one lockstep `_climb` over the block's
-    clean seeds. A block that raises anything is computed again seed by
-    seed, so each seed gets the flag a one-seed sweep gives it, and any
-    other error ends the sweep where one seed after another would."""
+    each sampled, prepared as one `_Correction` and bounded by one `_series`
+    call, then written: with fixed bases (a large fixed-random block's by a
+    forked helper, if a core is spare), or with the winners of one lockstep
+    `_climb` over the block's seeds whose overlap does not turn around (each
+    of the others raises its own ValidityExceeded). A block that raises
+    anything is computed again seed by seed, so each seed gets the flag a
+    one-seed sweep gives it, and any other error ends the sweep where one
+    seed after another would."""
     out = _output_dir(cfg)
     header = BOUND_CSV_HEADER if fidelity is None else BOUND_CSV_HEADER + ",fidelity"
     runs = [{"seed": seed, "min_delta": None, "max_delta": None, "flags": []} for seed in cfg.seeds]
     optimize = cfg.basis_mode == "optimize"
 
-    def prepared(traj: Trajectory):
-        """An optimize run's prepared correction, or the QslError it meets."""
-        try:
-            _require_clean(traj)
-            return _Correction(traj)
-        except QslError as err:
-            return err
-
     def stacked(seeds: list) -> list:
-        """Per seed, its trajectory and its bound series; an optimize seed's
-        own QslError stands in for its series."""
+        """Per seed, its trajectory and its bound series; an optimize seed
+        whose overlap turns around gets None, and no climb."""
         if optimize:
             trajs = sample(seeds)
-            found = [prepared(traj) for traj in trajs]
-            clean = [i for i, c in enumerate(found) if isinstance(c, _Correction)]
+            clean = [i for i, traj in enumerate(trajs) if traj.validity_clean]
+            found = [None] * len(trajs)
             if clean:
-                climbed = _climb([found[i] for i in clean], OptimizerConfig(), [seeds[i] for i in clean])
-                for i, result in zip(clean, climbed):
-                    found[i] = result if isinstance(result, Exception) else result[1]
+                correction = _Correction(*(trajs[i] for i in clean))
+                bases, basis_ids = _climb(correction, OptimizerConfig(), [seeds[i] for i in clean])
+                for i, series in zip(clean, _series(correction, bases, basis_ids)):
+                    found[i] = series
             return list(zip(trajs, found))
         with contextlib.ExitStack() as stack:
             pid = spool = None
@@ -304,8 +299,8 @@ def _run_sweep(cfg: ExperimentConfig, dim: int, sample, fidelity=None) -> dict:
             for i, run in enumerate(block):
                 with _quarantine(run):
                     traj, series = done[i] if done else stacked([run["seed"]])[0]
-                    if isinstance(series, Exception):
-                        raise series
+                    if series is None:  # an optimize run whose overlap turns around
+                        _require_clean(traj)
                     emit(run, traj, series, put)
 
     def write(name: str, text: str) -> None:

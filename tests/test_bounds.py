@@ -43,8 +43,7 @@ import sequential_optimizer as oracle
 import tqsl.bounds
 from conftest import doctored_trajectory, evolve_mixed, evolve_pure, grid_states, random_density, random_pure
 from tqsl.bounds import (
-    _check_rows, _climb, _Correction, _cumulative_trapezoid, _random_directions, _require_clean,
-    _series,
+    _check_rows, _climb, _Correction, _cumulative_trapezoid, _random_directions, _series,
 )
 from tqsl.errors import _trusted
 from tqsl.states import purity
@@ -73,12 +72,13 @@ def wishart_trajectory(dim=4, seed=2, tau=0.8, steps=80):
     return sample_trajectory(h, rho, tau, steps)
 
 
-def singular_trajectory(dim=3, seed=0):
-    """Pure trajectory doctored so that s0 returns to 0 at its last point
-    while K does not vanish there."""
+def singular_trajectory(dim=3, seed=0, tau=1.6):
+    """Pure trajectory on 3 grid points up to tau, doctored so that s0
+    returns to 0 at its last point while K does not vanish there."""
     h = sample_gue(GueConfig(dim=dim, seed=seed))
     psi = default_initial_state(dim)
-    states = (psi, evolve_pure(h, psi, 0.8), evolve_pure(h, psi, 1.6))
+    times = np.linspace(0.0, tau, 3)
+    states = (psi, evolve_pure(h, psi, times[1]), evolve_pure(h, psi, times[2]))
     s_mid = 2.0 * math.acos(
         min(abs(complex(np.vdot(psi.amplitudes, states[1].amplitudes))), 1.0)
     )
@@ -86,7 +86,7 @@ def singular_trajectory(dim=3, seed=0):
     return doctored_trajectory(
         hamiltonian=h,
         hbar=1.0,
-        times=np.array([0.0, 0.8, 1.6]),
+        times=times,
         stack=np.array([s.amplitudes for s in states]),
         s0=s0,
         overlap=np.cos(s0 / 2.0),
@@ -829,6 +829,18 @@ class TestOptimizeBasis:
         assert rep.correction_integral >= max(p.correction_integral for p in probes) - 1e-12
         assert rep.basis_id.startswith("optimize[")
 
+    def test_the_basis_is_read_only(self):
+        # the winners are a stack the climber builds: the basis is a row of
+        # it, and neither may be written
+        h, traj = gue_trajectory(seed=0, steps=60)
+        cfg = OptimizerConfig(restarts=2, iterations=10)
+        basis, _ = optimize_basis(traj, cfg)
+        bases, _ = _climb(_Correction(traj), cfg, [cfg.seed])
+        for matrix in (basis.matrix, bases):
+            with pytest.raises(ValueError, match="read-only"):
+                matrix[..., 0, 0] = 0.0
+        assert basis.matrix.tobytes() == bases[0].tobytes()
+
     def test_deterministic(self):
         h = sample_gue(GueConfig(dim=3, seed=1))
         psi = default_initial_state(3)
@@ -1053,10 +1065,9 @@ class TestLockstepRestarts:
         h, traj = gue_trajectory(seed=0, steps=60)
         correction = _Correction(traj)
         correction.weight = np.zeros_like(correction.weight)
-        ((basis, series),) = _climb([correction], OptimizerConfig(restarts=3, iterations=20), [0])
-        rep = series[-1]
-        assert rep.basis_id == "optimize[identity, 0 moves]"
-        assert basis.matrix.tobytes() == np.eye(3, dtype=complex).tobytes()
+        bases, basis_ids = _climb(correction, OptimizerConfig(restarts=3, iterations=20), [0])
+        assert basis_ids == ["optimize[identity, 0 moves]"]
+        assert bases.tobytes() == np.eye(3, dtype=complex).tobytes()
 
     def test_every_singular_start_raises(self):
         with pytest.raises(SingularIntegrand, match="every optimizer restart"):
@@ -1121,19 +1132,19 @@ class TestScores:
 
     @pytest.mark.parametrize("case", SCORE_CASES)
     def test_a_rounds_verdicts_are_the_checked_ones(self, case):
-        # the climber prepares each trajectory on its own, stacks every
-        # member's K row into one block and checks it in one pass, each row
-        # against its own trajectory's masks, then scores it with its weights
+        # the climber takes one prepared correction, repeats each
+        # trajectory's weight and mask rows to one row per member, and
+        # checks the members' K block in one pass, each row against its own
+        # trajectory's masks, then scores it with its weights
         trajs, bases = (make() for make in SCORE_CASES[case])
-        corrections = [_Correction(traj) for traj in trajs]
-        owner = np.arange(len(bases)) if len(trajs) > 1 else np.zeros(len(bases), dtype=int)
-        k = np.concatenate([c.k_series(bases[owner == i]) for i, c in enumerate(corrections)])
-        weight, *masks = [np.vstack([getattr(c, a) for c in corrections])[owner]
+        correction = _Correction(*trajs)
+        k = correction.k_series(bases)
+        weight, *masks = [np.repeat(getattr(correction, a), len(bases) // len(trajs), axis=0)
                           for a in ("weight", "forbidden", "underflow")]
         ok, stop, failures = tqsl.bounds._verdicts(k, *masks)
         values = np.vecdot(k, weight)
         want_values = checked_scores(_Correction(*trajs), bases)[0]
-        want = _Correction(*trajs).integrands(bases)[1]
+        want = correction.integrands(bases)[1]
         got = [failures.get(i) for i in range(len(bases))]
         assert [(type(x), str(x)) for x in got] == [(type(x), str(x)) for x in want]
         assert ok.tolist() == [x is None for x in want]
@@ -1185,104 +1196,118 @@ def _alone(traj, cfg):
         return err
 
 
-def _climbed(trajectories, cfg, seeds):
-    """What an optimize sweep does: each trajectory prepared on its own, its
-    errors kept; then one _climb over the prepared ones."""
-    outcomes, prepared = [], []
-    for traj in trajectories:
-        try:
-            _require_clean(traj)
-            prepared.append((len(outcomes), _Correction(traj)))
-            outcomes.append(None)
-        except QslError as err:
-            outcomes.append(err)
-    picked = [seeds[k] for k, _ in prepared]
-    climbed = _climb([c for _, c in prepared], cfg, picked) if prepared else []
-    for (k, _), result in zip(prepared, climbed):
-        outcomes[k] = result
-    return outcomes
+def climbed(trajectories, cfg, seeds):
+    """What an optimize block does with its clean trajectories: one `_climb`
+    over their stacked correction, then one `_series` over the winners. Per
+    trajectory, its winning basis matrix and its series."""
+    correction = _Correction(*trajectories)
+    bases, basis_ids = _climb(correction, cfg, seeds)
+    return list(zip(bases, _series(correction, bases, basis_ids)))
+
+
+def climb_error(traj, cfg, seed):
+    """The error `_climb` raises on the trajectory alone, or None."""
+    try:
+        _climb(_Correction(traj), cfg, [seed])
+    except QslError as err:
+        return err
+    return None
 
 
 def assert_same_outcome(got, want):
-    if isinstance(want, Exception):
-        assert (type(got), str(got)) == (type(want), str(want))
-        return
-    (basis, series), (want_basis, report) = got, want
-    assert basis.matrix.tobytes() == want_basis.matrix.tobytes()
+    (matrix, series), (want_basis, report) = got, want
+    assert matrix.tobytes() == want_basis.matrix.tobytes()
     assert series.basis_id == report.basis_id
     assert series[-1] == report
 
 
-def sweep_trajectory(kind, seed, dim, steps):
-    """One member of a random sweep; every kind but "pure" and "mixed" may
-    fail, before the climb or in it."""
-    if kind == "singular":
-        return singular_trajectory(dim, seed)
-    if kind == "zero-spread":
-        return sample_trajectory(Observable(np.eye(dim)), default_initial_state(dim), 0.8, steps)
-    h = sample_gue(GueConfig(dim=dim, seed=seed))
-    if kind.startswith("mixed"):
-        state = random_density(np.random.default_rng([seed, dim]), dim)
+def assert_as_if_alone(trajectories, cfg, seeds):
+    """`climbed` against optimize_basis on each trajectory alone: if each
+    one's optimize_basis returns, each winner and series is the one it
+    gets alone, bit for bit. Otherwise the block raises the error of the
+    lowest-numbered trajectory whose climb fails alone or, if no climb
+    fails alone, the error of a trajectory whose series fails alone.
+    Returns the block's outcomes, or its error."""
+    want = [_alone(t, dataclasses.replace(cfg, seed=s)) for t, s in zip(trajectories, seeds)]
+    failed = [(type(w), str(w)) for w in want if isinstance(w, Exception)]
+    if not failed:
+        got = climbed(trajectories, cfg, seeds)
+        for outcome, alone in zip(got, want, strict=True):
+            assert_same_outcome(outcome, alone)
+        return got
+    with pytest.raises(QslError) as raised:
+        climbed(trajectories, cfg, seeds)
+    got = (type(raised.value), str(raised.value))
+    first = next(filter(None, (climb_error(t, cfg, s) for t, s in zip(trajectories, seeds))), None)
+    if first is not None:
+        assert got == (type(first), str(first))
     else:
-        state = default_initial_state(dim)
-    return sample_trajectory(h, state, 3.0 if kind.endswith("long") else 0.8, steps)
+        assert got in failed
+    return raised.value
+
+
+def sweep_trajectory(kind, seed, dim, steps):
+    """A trajectory an optimize block climbs: "pure" and "singular" ones
+    share one grid for a given step count (a singular one has 3 points),
+    and a "mixed" one is climbed alone."""
+    if kind == "singular":
+        return singular_trajectory(dim, seed, tau=0.8)
+    h = sample_gue(GueConfig(dim=dim, seed=seed))
+    if kind == "mixed":
+        return sample_trajectory(h, random_density(np.random.default_rng([seed, dim]), dim), 0.8, steps)
+    return sample_trajectory(h, default_initial_state(dim), 0.8, steps)
 
 
 class TestClimbAcrossTrajectories:
-    """An optimize sweep climbs every restart of every trajectory in one
+    """An optimize block climbs every restart of every trajectory in one
     lockstep; each trajectory's outcome is the one optimize_basis gives on
-    it alone."""
+    it alone, and the block fails if any of its trajectories does."""
 
     @settings(max_examples=25, deadline=None)
     @given(
         dim=st.sampled_from([2, 3, 4]),
         steps=st.sampled_from([3, 40]),
-        members=st.lists(
-            st.tuples(
-                st.sampled_from(["pure", "pure-long", "mixed", "mixed-long", "zero-spread", "singular"]),
-                st.integers(0, 4),
-            ),
-            min_size=1,
-            max_size=6,
+        members=st.one_of(
+            st.lists(st.tuples(st.sampled_from(["pure", "singular"]), st.integers(0, 4)), min_size=1, max_size=6),
+            st.tuples(st.just("mixed"), st.integers(0, 4)).map(lambda member: [member]),
         ),
     )
     def test_each_trajectory_as_if_alone(self, dim, steps, members):
-        # a singular trajectory has 3 grid points; the other kinds take its
-        # length, and the grids need not be equal
+        # pure trajectories on one grid, with singular ones only on the
+        # 3-point grid, or one mixed trajectory alone
         members = [(k, s) for k, s in members if k != "singular" or steps == 3]
         assume(members)
         cfg = OptimizerConfig(restarts=3, iterations=20)
         trajectories = [sweep_trajectory(k, s, dim, steps) for k, s in members]
-        seeds = [s for _, s in members]
-        got = _climbed(trajectories, cfg, seeds)
-        for traj, seed, outcome in zip(trajectories, seeds, got):
-            assert_same_outcome(outcome, _alone(traj, dataclasses.replace(cfg, seed=seed)))
+        assert_as_if_alone(trajectories, cfg, [s for _, s in members])
 
     def test_covers_every_outcome(self):
-        # the property above meets each error, a repeated seed, mixed and
-        # pure members, and members that finish
-        kinds = ["pure", "pure-long", "mixed", "zero-spread", "singular", "pure", "pure"]
-        seeds = [0, 3, 2, 3, 0, 2, 2]
-        trajectories = [sweep_trajectory(k, s, 3, 3) for k, s in zip(kinds, seeds)]
-        cfg = OptimizerConfig(restarts=2, iterations=10)
-        got = _climbed(trajectories, cfg, seeds)
-        assert [type(g).__name__ for g in got] == [
-            "tuple", "ValidityExceeded", "tuple", "ZeroEnergyVariance", "SingularIntegrand",
-            "tuple", "tuple",
+        # the property above meets a block that climbs, with a repeated
+        # seed; a singular trajectory, whose climb fails; a winner whose
+        # series overshoots t on this 3-point grid; and a mixed trajectory
+        cfg = OptimizerConfig(restarts=3, iterations=20)
+        cases = [
+            ([("pure", 0), ("pure", 3), ("pure", 3)], list),
+            ([("pure", 0), ("singular", 1), ("pure", 2)], SingularIntegrand),
+            ([("pure", 0), ("pure", 2)], BoundViolation),
+            ([("mixed", 2)], list),
         ]
-        assert got[5][0].matrix.tobytes() == got[6][0].matrix.tobytes()
-        for traj, seed, outcome in zip(trajectories, seeds, got):
-            assert_same_outcome(outcome, _alone(traj, dataclasses.replace(cfg, seed=seed)))
+        got = []
+        for members, kind in cases:
+            trajectories = [sweep_trajectory(k, s, 3, 3) for k, s in members]
+            got.append(assert_as_if_alone(trajectories, cfg, [s for _, s in members]))
+            assert type(got[-1]) is kind
+        assert got[0][1][0].tobytes() == got[0][2][0].tobytes()
 
     def test_an_error_stops_only_its_own_trajectory(self, monkeypatch):
         # one verdict pass a round over the active members of every
         # trajectory: call 1 rates the starts, and in call 2, the first
         # round, member 3 (trajectory 1's restart 0) fails. Its row still
         # rides in every round's K pass, but from then on no verdict pass
-        # checks or scores it, so it is never accepted again or a winner
+        # checks or scores it, so it is never accepted again or a winner;
+        # the climb raises its error at the end
         trajectories = [gue_trajectory(seed=s, steps=60)[1] for s in (0, 1, 2)]
         cfg = OptimizerConfig(restarts=3, iterations=10)
-        want = [_alone(t, dataclasses.replace(cfg, seed=s)) for t, s in zip(trajectories, (4, 5, 6))]
         passes, checked, real_pure = [], [], tqsl.bounds._k_pure
 
         def k_pure(bases, x, y, work=None):
@@ -1300,19 +1325,28 @@ class TestClimbAcrossTrajectories:
 
         monkeypatch.setattr(tqsl.bounds, "_k_pure", k_pure)
         monkeypatch.setattr(tqsl.bounds, "_verdicts", verdicts)
-        got = _climbed(trajectories, cfg, [4, 5, 6])
+        with pytest.raises(BoundViolation, match="member 3"):
+            _climb(_Correction(*trajectories), cfg, [4, 5, 6])
         assert sizes[:3] == [9, 9, 8]
         assert [len(k) for k in passes] == [9] * 11  # the starts and 10 rounds
         assert checked[1].tobytes() == passes[1].tobytes()
-        for k, block in zip(checked[2:], passes[2:], strict=False):
+        for k, block in zip(checked[2:], passes[2:], strict=True):
             assert k.tobytes() == np.delete(block, 3, axis=0).tobytes()
-        assert (type(got[1]), str(got[1])) == (BoundViolation, "member 3")
-        assert_same_outcome(got[0], want[0])
-        assert_same_outcome(got[2], want[2])
+
+    def test_the_lowest_numbered_trajectorys_error_is_raised(self, monkeypatch):
+        # trajectory 2's restart 1 (member 7) fails in the first round,
+        # trajectory 1's restart 0 (member 3) two rounds later: trajectory
+        # 1's error is the one raised, as one trajectory after another gives
+        inject_verdicts(monkeypatch, {2: {7: BoundViolation("trajectory 2")}, 4: {3: BoundViolation("trajectory 1")}})
+        trajectories = [gue_trajectory(seed=s, steps=60)[1] for s in (0, 1, 2)]
+        with pytest.raises(BoundViolation, match="trajectory 1"):
+            _climb(_Correction(*trajectories), OptimizerConfig(restarts=3, iterations=10), [4, 5, 6])
 
     def test_a_non_unitary_winner_fails_only_its_own_trajectory(self, monkeypatch):
         # every member stays live, so rows 2-3 of each round's rotations are
-        # trajectory 1's two restarts: only they are 1e-6 off unitary
+        # trajectory 1's two restarts: only they are 1e-6 off unitary.
+        # Trajectory 0's winner passes its check and is the one it gets
+        # alone; trajectory 1's check raises
         real = tqsl.bounds.expm_i_hermitian
 
         def expm(h, s):
@@ -1322,18 +1356,26 @@ class TestClimbAcrossTrajectories:
 
         trajectories = [gue_trajectory(seed=s, steps=60)[1] for s in (0, 1)]
         cfg = OptimizerConfig(restarts=2, iterations=10)
-        want = _alone(trajectories[0], dataclasses.replace(cfg, seed=4))
+        want, _ = optimize_basis(trajectories[0], dataclasses.replace(cfg, seed=4))
+        checked = []
+
+        def recording(matrix):
+            checked.append(np.array(matrix))
+            return OrthonormalBasis(matrix)
+
         monkeypatch.setattr(tqsl.bounds, "expm_i_hermitian", expm)
-        got = _climbed(trajectories, cfg, [4, 5])
-        assert type(got[1]) is InvalidBasis and "orthonormality defect" in str(got[1])
-        assert_same_outcome(got[0], want)
+        monkeypatch.setattr(tqsl.bounds, "OrthonormalBasis", recording)
+        with pytest.raises(InvalidBasis, match="orthonormality defect"):
+            _climb(_Correction(*trajectories), cfg, [4, 5])
+        assert len(checked) == 2
+        assert checked[0].tobytes() == want.matrix.tobytes()
 
 
 class TestFixedShapeRounds:
-    """Every round of a climb has one shape: one `_k_pure` pass over every
-    pure member of every trajectory, idle members too, into work arrays
-    allocated once per climb; only the active members are checked and
-    scored."""
+    """Every round of a climb has one shape: one K pass over every member
+    of every trajectory, idle members too (a pure block's `_k_pure` into
+    work arrays allocated once per climb); only the active members are
+    checked and scored."""
 
     @staticmethod
     def counted(monkeypatch) -> list:
@@ -1351,14 +1393,14 @@ class TestFixedShapeRounds:
     @pytest.mark.parametrize("count", [1, 3, 8])
     def test_one_kernel_pass_a_round_whatever_the_count(self, monkeypatch, count):
         passes = self.counted(monkeypatch)
-        corrections = [_Correction(gue_trajectory(seed=s, steps=60)[1]) for s in range(count)]
-        results = _climb(corrections, OptimizerConfig(restarts=3, iterations=12), list(range(count)))
-        assert all(isinstance(r, tuple) for r in results)
+        correction = _Correction(*(gue_trajectory(seed=s, steps=60)[1] for s in range(count)))
+        bases, basis_ids = _climb(correction, OptimizerConfig(restarts=3, iterations=12), list(range(count)))
+        assert bases.shape == (count, 3, 3) and len(basis_ids) == count
         assert passes == [3 * count] * 13  # the starts, then one pass a round
 
     def test_a_mixed_trajectory_keeps_its_own_call(self, monkeypatch):
-        # rows 3-5 are the mixed trajectory's: its own k_series call a
-        # round, beside one pass over the two pure trajectories' members
+        # a mixed climb's K pass is its own k_series call, one a round over
+        # its three restarts, and no `_k_pure` pass
         passes = self.counted(monkeypatch)
         mixed, real = [], _Correction.k_series
 
@@ -1368,15 +1410,13 @@ class TestFixedShapeRounds:
             return real(self, bases)
 
         monkeypatch.setattr(_Correction, "k_series", k_series)
-        trajectories = [gue_trajectory(seed=0, steps=60)[1], wishart_trajectory(dim=3, steps=60),
-                        gue_trajectory(seed=1, steps=60)[1]]
-        cfg = OptimizerConfig(restarts=3, iterations=12)
-        got = _climbed(trajectories, cfg, [4, 5, 6])
-        assert passes == [6] * 13
+        traj = wishart_trajectory(dim=3, steps=60)
+        cfg = OptimizerConfig(restarts=3, iterations=12, seed=5)
+        optimize_basis(traj, cfg)
+        assert passes == []
         assert mixed == [3] * 13 + [1]  # and the winner's series
         monkeypatch.undo()
-        for traj, seed, outcome in zip(trajectories, (4, 5, 6), got):
-            assert_same_outcome(outcome, _alone(traj, dataclasses.replace(cfg, seed=seed)))
+        assert_same_result(traj, cfg)
 
     def test_a_block_at_the_benchmark_shape_as_if_alone(self, monkeypatch):
         # a --basis optimize --tmax 1.0 sweep's block of 10 seeds at d = 3
@@ -1386,12 +1426,11 @@ class TestFixedShapeRounds:
         trajectories = [sample_trajectory(sample_gue(GueConfig(dim=3, seed=s)), default_initial_state(3), 1.0, 300)
                         for s in seeds]
         passes = self.counted(monkeypatch)
-        got = _climbed(trajectories, cfg, seeds)
+        got = climbed(trajectories, cfg, seeds)
         assert passes == [40] * (cfg.iterations + 1)
         monkeypatch.undo()
-        for traj, seed, outcome in zip(trajectories, seeds, got):
-            assert isinstance(outcome, tuple)
-            assert_same_outcome(outcome, _alone(traj, dataclasses.replace(cfg, seed=seed)))
+        for traj, seed, outcome in zip(trajectories, seeds, got, strict=True):
+            assert_same_outcome(outcome, optimize_basis(traj, dataclasses.replace(cfg, seed=seed)))
 
     def test_idle_members_ride_along(self, monkeypatch):
         # at d = 2 the restarts' steps fall below the floor at different
@@ -1403,10 +1442,10 @@ class TestFixedShapeRounds:
         want = [_alone(t, dataclasses.replace(cfg, seed=s)) for t, s in zip(trajectories, seeds)]
         passes = self.counted(monkeypatch)
         sizes = inject_verdicts(monkeypatch)
-        got = _climbed(trajectories, cfg, seeds)
+        got = climbed(trajectories, cfg, seeds)
         rounds = sizes[1:len(passes)]
         assert set(passes) == {12} and len(passes) < cfg.iterations + 1
         assert rounds == sorted(rounds, reverse=True) and len(set(rounds)) >= 4
-        for outcome, alone in zip(got, want):
-            assert isinstance(outcome, tuple)
+        for outcome, alone in zip(got, want, strict=True):
+            assert isinstance(alone, tuple)
             assert_same_outcome(outcome, alone)

@@ -302,9 +302,9 @@ class TestRunGue:
 
 
     def test_optimize_sweep_writes_what_one_seed_runs_write(self, tmp_path):
-        # one lockstep climb over every seed, against one run per seed: seeds
-        # whose window runs past validity, and two winning series whose first
-        # row overshoots t on this coarse grid
+        # one block, against one run per seed: seeds whose window runs past
+        # validity, and two winning series whose first row overshoots t on
+        # this coarse grid, so the block runs again seed by seed
         seeds = (0, 2, 1, 48, 4)
         cfg = gue_config(tmp_path / "all", t_max=3.0, steps=40, seeds=seeds, basis_mode="optimize")
         runs = run_experiment_gue(cfg)["runs"]
@@ -394,12 +394,15 @@ class TestStackedBlocks:
                 hbar=hbar, output_path=str(out / "all"),
             )
             runs, blocks = self.sweep_per_seed(out, cfg, mp)
-        # a fixed-basis block with an error runs again one seed at a time
+        # a block with an error runs again one seed at a time, unless every
+        # error is an optimize seed's ValidityExceeded, which it meets before
+        # the climb
         expected = []
+        kept = ("error:ValidityExceeded:",) if basis_mode == "optimize" else ()
         for i in range(0, count, 4):
             block = runs[i : i + 4]
             expected.append(len(block))
-            if basis_mode != "optimize" and any(f.startswith("error:") for r in block for f in r["flags"]):
+            if any(f.startswith("error:") and not f.startswith(kept) for r in block for f in r["flags"]):
                 expected += [1] * len(block)
         assert blocks == expected
         if count == 50 and t_max == 3.0:
@@ -429,16 +432,55 @@ class TestStackedBlocks:
         climbed = []
         climb = tqsl.experiments._climb
 
-        def recording(corrections, *args):
-            climbed.append(len(corrections))
-            return climb(corrections, *args)
+        def recording(correction, cfg, seeds):
+            climbed.append((len(correction.delta_h), len(seeds)))
+            return climb(correction, cfg, seeds)
 
         monkeypatch.setattr(tqsl.experiments, "_climb", recording)
         monkeypatch.setattr(tqsl.experiments, "_workers", serial)
         monkeypatch.setattr(tqsl.experiments, "BLOCK_ELEMENTS", 4 * 24 * 3)
         cfg = gue_config(tmp_path / "g", t_max=1.0, steps=24, seeds=tuple(range(10)), basis_mode="optimize")
         assert run_experiment_gue(cfg)["ok"]
-        assert climbed == [4, 4, 2]
+        assert climbed == [(4, 4), (4, 4), (2, 2)]
+
+    def test_a_failed_optimize_block_runs_again_seed_by_seed(self, tmp_path, monkeypatch):
+        # tqsl gue --basis optimize --tmax 1.0 --steps 40 --seeds 10-19 is one
+        # block. On this coarse grid seed 14's winning series overshoots t,
+        # with no fault injected, so the block runs again one seed at a time
+        args = ["gue", "--basis", "optimize", "--tmax", "1.0", "--steps", "40", "--seeds", "10-19",
+                "--out", str(tmp_path / "all")]
+        cfg = tqsl.cli._config_from_args(tqsl.cli.build_parser().parse_args(args))
+        runs, blocks = self.sweep_per_seed(tmp_path, cfg, monkeypatch)
+        assert blocks == [10] + [1] * 10
+        assert [r["flags"] for r in runs] == [[]] * 4 + [[
+            "error:BoundViolation:bound 0.0512830587839055 exceeds actual time 0.05128205128205128 on a clean trajectory"
+        ]] + [[]] * 5
+
+    def test_a_non_unitary_winner_fails_only_its_own_seed(self, tmp_path, monkeypatch):
+        # seed 1's rotations are 1e-6 off unitary, in its block and alone:
+        # its winner's check flags it, the block runs again seed by seed,
+        # and seed 0 writes what it writes alone
+        climb, expm, climbing = tqsl.experiments._climb, tqsl.bounds.expm_i_hermitian, []
+
+        def recording(correction, cfg, seeds):
+            climbing[:] = seeds
+            return climb(correction, cfg, seeds)
+
+        def doctored(h, s):
+            rotations = expm(h, s)
+            if 1 in climbing:  # every member stays live: a seed's restarts are adjacent rows
+                restarts = len(rotations) // len(climbing)
+                rotations[climbing.index(1) * restarts:][:restarts] *= 1.0 + 1e-6
+            return rotations
+
+        monkeypatch.setattr(tqsl.experiments, "_climb", recording)
+        monkeypatch.setattr(tqsl.bounds, "expm_i_hermitian", doctored)
+        cfg = gue_config(tmp_path / "all", t_max=1.0, steps=40, seeds=(0, 1), basis_mode="optimize")
+        runs, blocks = self.sweep_per_seed(tmp_path, cfg, monkeypatch)
+        assert blocks == [2, 1, 1]
+        assert runs[0]["flags"] == [] and runs[0]["csv"] == "gue_seed0.csv"
+        (flag,) = runs[1]["flags"]
+        assert flag.startswith("error:InvalidBasis:orthonormality defect")
 
     @pytest.mark.parametrize("dim", [3, 8, 64])
     def test_stacks_match_one_item_calls_bit_for_bit(self, dim):
