@@ -211,7 +211,7 @@ def run_experiment_spin(cfg: ExperimentConfig) -> dict:
     def sampled() -> tuple:
         traj = sample_trajectory(h, psi0, cfg.t_max, cfg.steps, cfg.hbar)
         exact = spin_chain_evolved_state(spin_cfg, psi0, traj.times)
-        return traj, np.array([min(abs(complex(np.vdot(e, ket))), 1.0) for e, ket in zip(exact, traj.stack)])
+        return traj, np.minimum(np.abs(np.vecdot(exact, traj.stack)), 1.0)
 
     if len(cfg.seeds) > 1:  # once, before the sweep may fork; each run meets an error again
         with contextlib.suppress(Exception):

@@ -1,10 +1,11 @@
 """Dense and one-time-at-a-time forms of the spin chain, kept as test
 oracles.
 
-`evolved_rows` is the closed-form propagator as it ran before it took a
-whole time grid at once: the site and block rotations are applied to a
-fresh copy of the amplitudes, and the global phase multiplies the result.
-spin_chain_evolved_state must agree with it bit for bit.
+`evolved_rows` is the closed-form propagator as it ran before it became a
+Walsh-Hadamard transform: one time at a time, the site and block rotations
+are applied to a fresh copy of the amplitudes, and the global phase
+multiplies the result. spin_chain_evolved_state must agree with it to
+round-off (test_ensembles.ORACLE_ATOL).
 
 `dense_hamiltonian` is the Hamiltonian as it was built before the couplings
 were scattered onto the flipped entries: a sum of dense `1 - x_string`

@@ -1,4 +1,5 @@
 """GUE sampling and the x-string spin chain."""
+import functools
 import itertools
 import math
 
@@ -23,10 +24,14 @@ from tqsl import (
     spin_chain_hamiltonian,
 )
 from conftest import evolve_pure
-from tqsl.ensembles import _gue_draws
+from tqsl.ensembles import MAX_SPINS, _gue_draws
 from tqsl.experiments import _fixed_bases
 from tqsl.linalg import eigh
 from spin_oracle_loop import dense_hamiltonian, evolved_ket, evolved_rows, x_string
+
+# The closed-form oracle, a Walsh-Hadamard transform, against the loop of
+# rotations: unit-norm states, so an absolute bound on each amplitude.
+ORACLE_ATOL = 1e-13
 
 
 class TestGueConfig:
@@ -307,13 +312,29 @@ class TestSpinChainEvolvedState:
             (5, ((1, 2, 3), (2, 5)), 0.7, 1.9, 301),
         ],
     )
-    def test_matches_per_time_loop_bit_for_bit(self, num_spins, blocks, omega0, omega, steps):
+    def test_matches_per_time_loop(self, num_spins, blocks, omega0, omega, steps):
         cfg = SpinChainConfig(num_spins=num_spins, blocks=blocks, omega0=omega0, omega=omega)
         psi = self.ket(*([0] * num_spins))
         times = np.linspace(0.0, 2.0, steps)
         got = spin_chain_evolved_state(cfg, psi, times)
         assert got.shape == (steps, cfg.dim)
-        assert np.array_equal(got, evolved_rows(cfg, psi.amplitudes, times))
+        np.testing.assert_allclose(got, evolved_rows(cfg, psi.amplitudes, times), rtol=0, atol=ORACLE_ATOL)
+
+    @pytest.mark.parametrize("num_spins", range(1, MAX_SPINS + 1))
+    def test_matches_per_time_loop_on_random_chains(self, num_spins):
+        # a random product state, a 3-site block and an empty one beside
+        # random pairs, unequal couplings, and times on both sides of 0
+        rng = np.random.default_rng([num_spins, 32])
+        sites = [rng.normal(size=2) + 1j * rng.normal(size=2) for _ in range(num_spins)]
+        psi = PureState(functools.reduce(np.kron, [v / np.linalg.norm(v) for v in sites]))
+        pairs = [tuple(rng.choice(np.arange(1, num_spins + 1), size=2, replace=False).tolist())
+                 for _ in range(num_spins - 1)]
+        triple = [(1, num_spins // 2 + 1, num_spins)] if num_spins >= 3 else []
+        omega0, omega = rng.uniform(0.2, 2.0, size=2)
+        cfg = SpinChainConfig(num_spins=num_spins, blocks=(*pairs, *triple, ()), omega0=omega0, omega=omega)
+        times = np.linspace(-3.0, 3.0, 41)
+        got = spin_chain_evolved_state(cfg, psi, times)
+        np.testing.assert_allclose(got, evolved_rows(cfg, psi.amplitudes, times), rtol=0, atol=ORACLE_ATOL)
 
     def test_scalar_time_is_one_row(self):
         cfg = SpinChainConfig(num_spins=3, blocks=((1, 3),), omega0=0.8)
@@ -321,7 +342,7 @@ class TestSpinChainEvolvedState:
         for t in (0.0, 1.25, np.float64(-0.5), 2):
             got = spin_chain_evolved_state(cfg, psi, t)
             assert got.shape == (1, 8)
-            assert np.array_equal(got[0], evolved_ket(cfg, psi.amplitudes, float(t)))
+            np.testing.assert_allclose(got[0], evolved_ket(cfg, psi.amplitudes, float(t)), rtol=0, atol=ORACLE_ATOL)
 
     def test_empty_grid_gives_no_rows(self):
         cfg = SpinChainConfig(num_spins=2)
