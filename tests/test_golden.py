@@ -15,7 +15,10 @@ behind them (tests/golden/).
   were recaptured, each moved by at most 1.2e-16, when the per-state
   uncertainty chain began to run the mixed route's stacked K kernel; the
   explicit-loop references in test_uncertainty.py check that kernel on
-  kets and density matrices instead of a byte pin.
+  kets and density matrices instead of a byte pin. Its three spin
+  min_fidelity values alone were recaptured, each moved by at most 1.0e-15
+  (within the numeric rule), when the closed-form spin oracle became a
+  Walsh-Hadamard transform pair; every spin CSV kept its bytes.
 - spin8/: the 8-spin chain, CSVs and summary runs, captured before the
   closed-form spin oracle took the whole time grid in one call, and
   recaptured with BLAS pinned to one thread: its last digits move with the
