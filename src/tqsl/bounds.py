@@ -23,6 +23,7 @@ from .errors import (
     ConfigError,
     DenominatorUnderflow,
     DimensionMismatch,
+    QslError,
     SingularIntegrand,
     ValidityExceeded,
     ZeroEnergyVariance,
@@ -318,25 +319,45 @@ def _series(correction: _Correction, bases: np.ndarray, basis_ids: list) -> list
     """The BoundSeries of basis i of a (k, d, d) stack on trajectory i of a
     prepared correction: the one place a bound is integrated, so every
     endpoint report is a series' last row. The columns are computed and
-    checked as (k, n) stacks, and the first failure raises; the series are
-    built from the checked stacks without checking them again."""
+    checked as (k, n) stacks, and the series are built from the checked
+    stacks without checking them again.
+
+    Member i gets the QslError its evaluation alone raises in place of its
+    series: basis_ids[i] itself if that is an error (its climb failed),
+    else the failure of its K series, else the first failing report check
+    of its rows. Only if the stacked check fails are the members checked one
+    by one."""
     f, failures = correction.integrands(bases)
-    failure = next(filter(None, failures), None)
-    if failure is not None:
-        raise failure
+    errors = [b if isinstance(b, QslError) else e for b, e in zip(basis_ids, failures)]
     times = correction.traj.times
     cum, err = _cumulative_trapezoid(times, f)
     tau_mt = correction.geodesic()
     tau_tqsl = tau_mt + cum
     columns = (tau_mt, cum, tau_tqsl, tau_tqsl - tau_mt, np.arange(len(times)) <= correction.valid_until, err)
-    _check_rows(times, *columns[:5])
+    ok = [i for i, e in enumerate(errors) if e is None]
+    try:
+        _check_rows(times, *(c[ok] for c in columns[:5]))
+    except BoundViolation:
+        for i in ok:
+            try:
+                _check_rows(times, *(c[i : i + 1] for c in columns[:5]))
+            except BoundViolation as error:
+                errors[i] = error
     for col in columns:
         col.setflags(write=False)
     step = float(times[1] - times[0])
     return [
-        _trusted(BoundSeries, t=times, **dict(zip(_COLUMNS[1:], member)), basis_id=basis_id, step=step)
-        for *member, basis_id in zip(*columns, basis_ids)
+        error or _trusted(BoundSeries, t=times, **dict(zip(_COLUMNS[1:], member)), basis_id=basis_id, step=step)
+        for *member, basis_id, error in zip(*columns, basis_ids, errors)
     ]
+
+
+def _one(results: list):
+    """The lone member of a `_series` or `_climb` result list, raised if it is an error."""
+    (result,) = results
+    if isinstance(result, QslError):
+        raise result
+    return result
 
 
 def _require_clean(traj: Trajectory) -> None:
@@ -371,8 +392,7 @@ def bound_series(traj: Trajectory, basis: OrthonormalBasis, basis_id: str = "use
     Rows past the trajectory's validity index are still reported (flagged
     false) so sweeps can plot the whole window.
     """
-    (series,) = _series(_Correction(traj), basis.matrix[None], [basis_id])
-    return series
+    return _one(_series(_Correction(traj), basis.matrix[None], [basis_id]))
 
 
 # The climber's step schedule: the first rotation step, the factor that
@@ -420,15 +440,16 @@ def optimize_basis(traj: Trajectory, opt_config: OptimizerConfig = None) -> tupl
     _require_clean(traj)
     correction = _Correction(traj)
     bases, basis_ids = _climb(correction, cfg, [cfg.seed])
-    (series,) = _series(correction, bases, basis_ids)
+    series = _one(_series(correction, bases, basis_ids))
     return _trusted(OrthonormalBasis, matrix=bases[0]), series[-1]
 
 
 def _climb(correction: _Correction, cfg: OptimizerConfig, seeds: list) -> tuple:
     """optimize_basis's climb on each trajectory of a prepared correction,
     seeds[i] standing in for cfg.seed on trajectory i: the checked winners
-    as a read-only (k, d, d) stack, and their basis_ids. The first
-    trajectory that fails raises, with its lowest-numbered restart's error.
+    as a read-only (k, d, d) stack, and their basis_ids. A trajectory that
+    fails gets its lowest-numbered restart's error in place of its basis_id,
+    and the identity in place of its winner.
     The restarts of every trajectory are the members of one lockstep whose
     rounds keep one shape: one exponential for every member, idle ones too,
     one K pass over every member (`_k_pure` into work arrays allocated once
@@ -483,13 +504,18 @@ def _climb(correction: _Correction, cfg: OptimizerConfig, seeds: list) -> tuple:
         error = next((errors[k] for k in members if errors[k] is not None), None)
         # max keeps the first of equal values, as a strict > over restarts does
         best = max((k for k in members if live[k]), key=values.__getitem__, default=None)
-        if error is not None:
-            raise error
-        if best is None:
-            raise SingularIntegrand("every optimizer restart hit a singular integrand")
-        winners.append(OrthonormalBasis(bases[best]).matrix)
-        origin = "identity" if best == i * n else f"gue-eigenbasis:seed={seed + best - i * n}"
-        basis_ids.append(f"optimize[{origin}, {moves[best]} moves]")
+        winner = np.eye(dim, dtype=complex)
+        try:
+            if error is not None:
+                raise error
+            if best is None:
+                raise SingularIntegrand("every optimizer restart hit a singular integrand")
+            winner = OrthonormalBasis(bases[best]).matrix
+            origin = "identity" if best == i * n else f"gue-eigenbasis:seed={seed + best - i * n}"
+            basis_ids.append(f"optimize[{origin}, {moves[best]} moves]")
+        except QslError as err:
+            basis_ids.append(err)
+        winners.append(winner)
     winners = np.stack(winners)
     winners.setflags(write=False)
     return winners, basis_ids

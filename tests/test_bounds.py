@@ -545,10 +545,11 @@ class TestReportIsLastSeriesRow:
 class TestBoundSeries:
     def test_a_stack_checks_every_member(self, monkeypatch):
         # member 2 of 4 series on one grid gains 10 on its correction, past
-        # the actual time: the one report check on the stacked columns finds it
+        # the actual time: the report check on the stacked columns finds it,
+        # and member 2 alone gets the error in place of its series
         trajs = [gue_trajectory(seed=s, tau=1.0, steps=40)[1] for s in range(4)]
         bases = np.stack([random_basis(3, 5 + s).matrix for s in range(4)])
-        _series(_Correction(*trajs), bases, ["a", "b", "c", "d"])
+        want = _series(_Correction(*trajs), bases, ["a", "b", "c", "d"])
         real = tqsl.bounds._cumulative_trapezoid
 
         def inflated(t, f):
@@ -557,8 +558,10 @@ class TestBoundSeries:
             return cum, err
 
         monkeypatch.setattr(tqsl.bounds, "_cumulative_trapezoid", inflated)
-        with pytest.raises(BoundViolation, match="exceeds actual time"):
-            _series(_Correction(*trajs), bases, ["a", "b", "c", "d"])
+        got = _series(_Correction(*trajs), bases, ["a", "b", "c", "d"])
+        assert isinstance(got[2], BoundViolation) and "exceeds actual time" in str(got[2])
+        for k in (0, 1, 3):
+            assert got[k].tau_tqsl.tobytes() == want[k].tau_tqsl.tobytes()
 
     def test_a_stack_shares_one_grid_and_hbar(self):
         # every row of a stack is given trajectory 0's times and hbar, so a
@@ -1199,19 +1202,11 @@ def _alone(traj, cfg):
 def climbed(trajectories, cfg, seeds):
     """What an optimize block does with its clean trajectories: one `_climb`
     over their stacked correction, then one `_series` over the winners. Per
-    trajectory, its winning basis matrix and its series."""
+    trajectory, its winning basis matrix and its series, or its error."""
     correction = _Correction(*trajectories)
     bases, basis_ids = _climb(correction, cfg, seeds)
-    return list(zip(bases, _series(correction, bases, basis_ids)))
-
-
-def climb_error(traj, cfg, seed):
-    """The error `_climb` raises on the trajectory alone, or None."""
-    try:
-        _climb(_Correction(traj), cfg, [seed])
-    except QslError as err:
-        return err
-    return None
+    results = _series(correction, bases, basis_ids)
+    return [r if isinstance(r, QslError) else (basis, r) for basis, r in zip(bases, results, strict=True)]
 
 
 def assert_same_outcome(got, want):
@@ -1222,28 +1217,17 @@ def assert_same_outcome(got, want):
 
 
 def assert_as_if_alone(trajectories, cfg, seeds):
-    """`climbed` against optimize_basis on each trajectory alone: if each
-    one's optimize_basis returns, each winner and series is the one it
-    gets alone, bit for bit. Otherwise the block raises the error of the
-    lowest-numbered trajectory whose climb fails alone or, if no climb
-    fails alone, the error of a trajectory whose series fails alone.
-    Returns the block's outcomes, or its error."""
-    want = [_alone(t, dataclasses.replace(cfg, seed=s)) for t, s in zip(trajectories, seeds)]
-    failed = [(type(w), str(w)) for w in want if isinstance(w, Exception)]
-    if not failed:
-        got = climbed(trajectories, cfg, seeds)
-        for outcome, alone in zip(got, want, strict=True):
+    """`climbed` against optimize_basis on each trajectory alone: each
+    trajectory's winner and series is the one it gets alone, bit for bit,
+    or its error is the one it raises alone. Returns the block's outcomes."""
+    got = climbed(trajectories, cfg, seeds)
+    for outcome, traj, seed in zip(got, trajectories, seeds, strict=True):
+        alone = _alone(traj, dataclasses.replace(cfg, seed=seed))
+        if isinstance(alone, QslError):
+            assert (type(outcome), str(outcome)) == (type(alone), str(alone))
+        else:
             assert_same_outcome(outcome, alone)
-        return got
-    with pytest.raises(QslError) as raised:
-        climbed(trajectories, cfg, seeds)
-    got = (type(raised.value), str(raised.value))
-    first = next(filter(None, (climb_error(t, cfg, s) for t, s in zip(trajectories, seeds))), None)
-    if first is not None:
-        assert got == (type(first), str(first))
-    else:
-        assert got in failed
-    return raised.value
+    return got
 
 
 def sweep_trajectory(kind, seed, dim, steps):
@@ -1260,8 +1244,8 @@ def sweep_trajectory(kind, seed, dim, steps):
 
 class TestClimbAcrossTrajectories:
     """An optimize block climbs every restart of every trajectory in one
-    lockstep; each trajectory's outcome is the one optimize_basis gives on
-    it alone, and the block fails if any of its trajectories does."""
+    lockstep; each trajectory's outcome, its basis and series or its error,
+    is the one optimize_basis gives on it alone."""
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -1283,20 +1267,21 @@ class TestClimbAcrossTrajectories:
 
     def test_covers_every_outcome(self):
         # the property above meets a block that climbs, with a repeated
-        # seed; a singular trajectory, whose climb fails; a winner whose
-        # series overshoots t on this 3-point grid; and a mixed trajectory
+        # seed; a singular trajectory, whose climb fails, beside one whose
+        # winner's series overshoots t on this 3-point grid; and a mixed
+        # trajectory
         cfg = OptimizerConfig(restarts=3, iterations=20)
         cases = [
-            ([("pure", 0), ("pure", 3), ("pure", 3)], list),
-            ([("pure", 0), ("singular", 1), ("pure", 2)], SingularIntegrand),
-            ([("pure", 0), ("pure", 2)], BoundViolation),
-            ([("mixed", 2)], list),
+            ([("pure", 0), ("pure", 3), ("pure", 3)], [tuple, tuple, tuple]),
+            ([("pure", 0), ("singular", 1), ("pure", 2)], [tuple, SingularIntegrand, BoundViolation]),
+            ([("pure", 0), ("pure", 2)], [tuple, BoundViolation]),
+            ([("mixed", 2)], [tuple]),
         ]
         got = []
-        for members, kind in cases:
+        for members, kinds in cases:
             trajectories = [sweep_trajectory(k, s, 3, 3) for k, s in members]
             got.append(assert_as_if_alone(trajectories, cfg, [s for _, s in members]))
-            assert type(got[-1]) is kind
+            assert [type(outcome) for outcome in got[-1]] == kinds
         assert got[0][1][0].tobytes() == got[0][2][0].tobytes()
 
     def test_an_error_stops_only_its_own_trajectory(self, monkeypatch):
@@ -1305,7 +1290,7 @@ class TestClimbAcrossTrajectories:
         # round, member 3 (trajectory 1's restart 0) fails. Its row still
         # rides in every round's K pass, but from then on no verdict pass
         # checks or scores it, so it is never accepted again or a winner;
-        # the climb raises its error at the end
+        # its trajectory gets its error in place of a basis_id
         trajectories = [gue_trajectory(seed=s, steps=60)[1] for s in (0, 1, 2)]
         cfg = OptimizerConfig(restarts=3, iterations=10)
         passes, checked, real_pure = [], [], tqsl.bounds._k_pure
@@ -1325,28 +1310,33 @@ class TestClimbAcrossTrajectories:
 
         monkeypatch.setattr(tqsl.bounds, "_k_pure", k_pure)
         monkeypatch.setattr(tqsl.bounds, "_verdicts", verdicts)
-        with pytest.raises(BoundViolation, match="member 3"):
-            _climb(_Correction(*trajectories), cfg, [4, 5, 6])
+        _, basis_ids = _climb(_Correction(*trajectories), cfg, [4, 5, 6])
+        assert [type(b) for b in basis_ids] == [str, BoundViolation, str] and str(basis_ids[1]) == "member 3"
         assert sizes[:3] == [9, 9, 8]
         assert [len(k) for k in passes] == [9] * 11  # the starts and 10 rounds
         assert checked[1].tobytes() == passes[1].tobytes()
         for k, block in zip(checked[2:], passes[2:], strict=True):
             assert k.tobytes() == np.delete(block, 3, axis=0).tobytes()
 
-    def test_the_lowest_numbered_trajectorys_error_is_raised(self, monkeypatch):
+    def test_each_failed_trajectory_keeps_its_own_error(self, monkeypatch):
         # trajectory 2's restart 1 (member 7) fails in the first round,
-        # trajectory 1's restart 0 (member 3) two rounds later: trajectory
-        # 1's error is the one raised, as one trajectory after another gives
-        inject_verdicts(monkeypatch, {2: {7: BoundViolation("trajectory 2")}, 4: {3: BoundViolation("trajectory 1")}})
+        # trajectory 1's restart 1 (member 4) in the second and its restart
+        # 0 (member 3) in the third: each trajectory keeps its own error,
+        # trajectory 1 its lowest-numbered restart's, as one restart after
+        # another gives, and trajectory 0 climbs to its basis
+        inject_verdicts(monkeypatch, {2: {7: BoundViolation("trajectory 2")},
+                                      3: {4: BoundViolation("trajectory 1, restart 1")},
+                                      4: {3: BoundViolation("trajectory 1, restart 0")}})
         trajectories = [gue_trajectory(seed=s, steps=60)[1] for s in (0, 1, 2)]
-        with pytest.raises(BoundViolation, match="trajectory 1"):
-            _climb(_Correction(*trajectories), OptimizerConfig(restarts=3, iterations=10), [4, 5, 6])
+        _, basis_ids = _climb(_Correction(*trajectories), OptimizerConfig(restarts=3, iterations=10), [4, 5, 6])
+        assert basis_ids[0].startswith("optimize[")
+        assert [str(b) for b in basis_ids[1:]] == ["trajectory 1, restart 0", "trajectory 2"]
 
     def test_a_non_unitary_winner_fails_only_its_own_trajectory(self, monkeypatch):
         # every member stays live, so rows 2-3 of each round's rotations are
         # trajectory 1's two restarts: only they are 1e-6 off unitary.
         # Trajectory 0's winner passes its check and is the one it gets
-        # alone; trajectory 1's check raises
+        # alone; trajectory 1 gets the InvalidBasis its check raises
         real = tqsl.bounds.expm_i_hermitian
 
         def expm(h, s):
@@ -1365,10 +1355,10 @@ class TestClimbAcrossTrajectories:
 
         monkeypatch.setattr(tqsl.bounds, "expm_i_hermitian", expm)
         monkeypatch.setattr(tqsl.bounds, "OrthonormalBasis", recording)
-        with pytest.raises(InvalidBasis, match="orthonormality defect"):
-            _climb(_Correction(*trajectories), cfg, [4, 5])
+        bases, basis_ids = _climb(_Correction(*trajectories), cfg, [4, 5])
+        assert isinstance(basis_ids[1], InvalidBasis) and str(basis_ids[1]).startswith("orthonormality defect")
         assert len(checked) == 2
-        assert checked[0].tobytes() == want.matrix.tobytes()
+        assert checked[0].tobytes() == bases[0].tobytes() == want.matrix.tobytes()
 
 
 class TestFixedShapeRounds:

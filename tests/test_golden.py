@@ -162,6 +162,15 @@ def test_cli_csvs_match_golden_bytes(tmp_path, argv, names):
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("argv, names", [case for case in CASES if case[0][0] == "spin"])
+def test_spin_fidelity_columns_read_one(argv, names):
+    # the closed-form state's overlap with the sampled one prints as 1 on
+    # every row; the byte pins above hold each case's output to these files
+    for name in names:
+        rows = [line.split(",") for line in (GOLDEN / name).read_text(encoding="utf-8").splitlines()]
+        assert rows[0][-1] == "fidelity" and {row[-1] for row in rows[1:]} == {"1"}, name
+
+
 @pytest.mark.parametrize("argv, names", CASES)
 def test_cli_summary_runs_match_golden(tmp_path, argv, names):
     assert _cli([*argv, "--out", str(tmp_path)], names) == 0
