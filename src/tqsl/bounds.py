@@ -82,24 +82,25 @@ def _csv_rows(series, grid: list) -> list:
     return [_CSV_AFTER_T % row for row in zip(grid[1], *cols, flags)]
 
 
-def _check_rows(t, tau_mt, correction, tau_tqsl, delta, validity) -> None:
+def _check_rows(t, tau_mt, correction, tau_tqsl, delta, validity) -> BoundViolation | None:
     """The report invariants on float columns, one entry per row, with a
     bool validity column, or on (k, n) stacks of such columns sharing one t:
     finite values, a nonnegative correction, delta
     above -NONNEG_CLAMP, tau_tqsl = tau_mt + correction, and the bound at
-    most the actual time t on valid rows."""
+    most the actual time t on valid rows. Returns the first failing check's
+    BoundViolation, or None."""
     if not all(np.all(np.isfinite(c)) for c in (t, tau_mt, correction, tau_tqsl, delta)):
-        raise BoundViolation("bound report contains non-finite values")
+        return BoundViolation("bound report contains non-finite values")
     if np.any(correction < 0.0):
-        raise BoundViolation(f"correction integral {float(correction.min())!r} < 0")
+        return BoundViolation(f"correction integral {float(correction.min())!r} < 0")
     if np.any(delta < -NONNEG_CLAMP):
-        raise BoundViolation(f"delta {float(delta.min())!r} below -{NONNEG_CLAMP:.0e}")
+        return BoundViolation(f"delta {float(delta.min())!r} below -{NONNEG_CLAMP:.0e}")
     if np.any(np.abs(tau_tqsl - (tau_mt + correction)) > BOOKKEEPING_TOL):
-        raise BoundViolation("tau_tqsl is not geodesic term + correction")
+        return BoundViolation("tau_tqsl is not geodesic term + correction")
     over = validity & (t < tau_tqsl - BOUND_SLACK)
     if over.any():
         k = np.unravel_index(np.argmax(over), over.shape)
-        raise BoundViolation(f"bound {float(tau_tqsl[k])!r} exceeds actual time "
+        return BoundViolation(f"bound {float(tau_tqsl[k])!r} exceeds actual time "
                              f"{float(np.broadcast_to(t, over.shape)[k])!r} on a clean trajectory")
 
 
@@ -319,14 +320,10 @@ def _series(correction: _Correction, bases: np.ndarray, basis_ids: list) -> list
     """The BoundSeries of basis i of a (k, d, d) stack on trajectory i of a
     prepared correction: the one place a bound is integrated, so every
     endpoint report is a series' last row. The columns are computed and
-    checked as (k, n) stacks, and the series are built from the checked
-    stacks without checking them again.
-
-    Member i gets the QslError its evaluation alone raises in place of its
-    series: basis_ids[i] itself if that is an error (its climb failed),
-    else the failure of its K series, else the first failing report check
-    of its rows. Only if the stacked check fails are the members checked one
-    by one."""
+    checked as (k, n) stacks, member by member only if that check fails. A
+    member that fails gets the QslError it raises alone in place of its
+    series: basis_ids[i] if that is one (a failed climb), else its K
+    series' failure, else its rows' first failing check."""
     f, failures = correction.integrands(bases)
     errors = [b if isinstance(b, QslError) else e for b, e in zip(basis_ids, failures)]
     times = correction.traj.times
@@ -335,14 +332,9 @@ def _series(correction: _Correction, bases: np.ndarray, basis_ids: list) -> list
     tau_tqsl = tau_mt + cum
     columns = (tau_mt, cum, tau_tqsl, tau_tqsl - tau_mt, np.arange(len(times)) <= correction.valid_until, err)
     ok = [i for i, e in enumerate(errors) if e is None]
-    try:
-        _check_rows(times, *(c[ok] for c in columns[:5]))
-    except BoundViolation:
+    if _check_rows(times, *(c[ok] for c in columns[:5])):
         for i in ok:
-            try:
-                _check_rows(times, *(c[i : i + 1] for c in columns[:5]))
-            except BoundViolation as error:
-                errors[i] = error
+            errors[i] = _check_rows(times, *(c[i : i + 1] for c in columns[:5]))
     for col in columns:
         col.setflags(write=False)
     step = float(times[1] - times[0])
@@ -350,14 +342,6 @@ def _series(correction: _Correction, bases: np.ndarray, basis_ids: list) -> list
         error or _trusted(BoundSeries, t=times, **dict(zip(_COLUMNS[1:], member)), basis_id=basis_id, step=step)
         for *member, basis_id, error in zip(*columns, basis_ids, errors)
     ]
-
-
-def _one(results: list):
-    """The lone member of a `_series` or `_climb` result list, raised if it is an error."""
-    (result,) = results
-    if isinstance(result, QslError):
-        raise result
-    return result
 
 
 def _require_clean(traj: Trajectory) -> None:
@@ -392,7 +376,10 @@ def bound_series(traj: Trajectory, basis: OrthonormalBasis, basis_id: str = "use
     Rows past the trajectory's validity index are still reported (flagged
     false) so sweeps can plot the whole window.
     """
-    return _one(_series(_Correction(traj), basis.matrix[None], [basis_id]))
+    (series,) = _series(_Correction(traj), basis.matrix[None], [basis_id])
+    if isinstance(series, QslError):
+        raise series
+    return series
 
 
 # The climber's step schedule: the first rotation step, the factor that
@@ -440,16 +427,17 @@ def optimize_basis(traj: Trajectory, opt_config: OptimizerConfig = None) -> tupl
     _require_clean(traj)
     correction = _Correction(traj)
     bases, basis_ids = _climb(correction, cfg, [cfg.seed])
-    series = _one(_series(correction, bases, basis_ids))
+    (series,) = _series(correction, bases, basis_ids)
+    if isinstance(series, QslError):
+        raise series
     return _trusted(OrthonormalBasis, matrix=bases[0]), series[-1]
 
 
 def _climb(correction: _Correction, cfg: OptimizerConfig, seeds: list) -> tuple:
     """optimize_basis's climb on each trajectory of a prepared correction,
     seeds[i] standing in for cfg.seed on trajectory i: the checked winners
-    as a read-only (k, d, d) stack, and their basis_ids. A trajectory that
-    fails gets its lowest-numbered restart's error in place of its basis_id,
-    and the identity in place of its winner.
+    as a read-only (k, d, d) stack, and their basis_ids; a trajectory that
+    fails has the identity and its lowest-numbered restart's error instead.
     The restarts of every trajectory are the members of one lockstep whose
     rounds keep one shape: one exponential for every member, idle ones too,
     one K pass over every member (`_k_pure` into work arrays allocated once
@@ -504,18 +492,15 @@ def _climb(correction: _Correction, cfg: OptimizerConfig, seeds: list) -> tuple:
         error = next((errors[k] for k in members if errors[k] is not None), None)
         # max keeps the first of equal values, as a strict > over restarts does
         best = max((k for k in members if live[k]), key=values.__getitem__, default=None)
-        winner = np.eye(dim, dtype=complex)
         try:
-            if error is not None:
-                raise error
-            if best is None:
-                raise SingularIntegrand("every optimizer restart hit a singular integrand")
-            winner = OrthonormalBasis(bases[best]).matrix
+            if error is not None or best is None:
+                raise error or SingularIntegrand("every optimizer restart hit a singular integrand")
+            winners.append(OrthonormalBasis(bases[best]).matrix)
             origin = "identity" if best == i * n else f"gue-eigenbasis:seed={seed + best - i * n}"
             basis_ids.append(f"optimize[{origin}, {moves[best]} moves]")
         except QslError as err:
+            winners.append(np.eye(dim, dtype=complex))
             basis_ids.append(err)
-        winners.append(winner)
     winners = np.stack(winners)
     winners.setflags(write=False)
     return winners, basis_ids

@@ -124,30 +124,20 @@ class SpinChainConfig:
         return 2 ** self.num_spins
 
 
-def _flip_mask(num_spins: int, sites) -> int:
-    """Basis-index bits the x-string on the listed 1-based sites flips; site 1
-    is the most significant bit (kron order), so (X @ v)[i] = v[i ^ mask]."""
-    return sum(1 << (num_spins - site) for site in set(sites))
-
-
 def _terms(cfg: SpinChainConfig, hbar: float = 1.0) -> list:
-    """(coupling, flip mask) of each x-string term of H: the sites at
-    hbar*omega0, then the blocks at hbar*omega."""
-    terms = [(hbar * cfg.omega0, (site,)) for site in range(1, cfg.num_spins + 1)]
-    terms += [(hbar * cfg.omega, block) for block in cfg.blocks]
-    return [(c, _flip_mask(cfg.num_spins, sites)) for c, sites in terms]
+    """(coupling, flip mask) of each x-string term of H, sites then blocks;
+    site 1 is the mask's top bit (kron order), so (X @ v)[i] = v[i ^ mask]."""
+    terms = [(cfg.omega0, (site,)) for site in range(1, cfg.num_spins + 1)] + [(cfg.omega, b) for b in cfg.blocks]
+    return [(hbar * c, sum(1 << (cfg.num_spins - site) for site in set(sites))) for c, sites in terms]
 
 
 def spin_chain_hamiltonian(cfg: SpinChainConfig, hbar: float = 1.0) -> Observable:
-    """hbar*omega0 * sum_i (1 - x_i) + hbar*omega * sum_j (1 - X_block_j),
-    as a read-only Observable.
+    """hbar*omega0 * sum_i (1 - x_i) + hbar*omega * sum_j (1 - X_block_j).
 
     An x-string is the permutation matrix of its index flip, so each term
     adds its coupling on the diagonal and subtracts it on the flipped
-    entries, term by term. Each term writes the same coupling onto (i, i^m)
-    and (i^m, i), in the same order, so the matrix is exactly Hermitian and
-    is not checked again; it is finite when its diagonal, the couplings'
-    sum, is."""
+    entries (i, i^m) and (i^m, i) alike: the read-only matrix is exactly
+    Hermitian, and finite if its diagonal, the couplings' sum, is."""
     idx = np.arange(cfg.dim)
     h = np.zeros((cfg.dim, cfg.dim), dtype=complex)
     for c, mask in _terms(cfg, hbar):
@@ -170,28 +160,18 @@ def _require_product_state(psi: PureState, num_spins: int) -> None:
             raise NotProductState(f"qubit {i + 1} marginal purity {p!r} < 1")
 
 
-def _sylvester(num_spins: int) -> np.ndarray:
-    """The +-1 Sylvester-Hadamard matrix over num_spins sites:
-    (-1)^popcount(j & k) at (j, k)."""
-    k = np.arange(2**num_spins)
-    return 1.0 - 2.0 * (np.bitwise_count(k[:, None] & k) & 1)
-
-
 def spin_chain_evolved_state(cfg: SpinChainConfig, psi0: PureState, times) -> np.ndarray:
     """Closed-form evolution to real, finite times (a scalar or a 1-d array),
     as a read-only (n, d) stack whose row k is the state at times[k].
 
     Every term of H is an x-string, so H is diagonal in the spins' x basis:
-    psi_t = W diag(exp(-i E t)) W psi0, with W the normalized
-    Sylvester-Hadamard transform over the spins (site 1 the most
-    significant bit) and E_k the sum over terms of their coupling times
-    (1 - the string's x eigenvalue on pattern k). W is the Kronecker product
-    of the +-1 Sylvester matrices of the first half of the sites and of the
-    rest, so it is applied as two real GEMMs with those sqrt(d)-sized
-    factors, on a block of grid rows at a time, and each distinct energy's
-    phase is computed once. hbar cancels because the couplings carry it
-    explicitly. Each row is the checked psi0 under a unitary, so no row is
-    checked again.
+    psi_t = W diag(exp(-i E t)) W psi0, W the normalized Sylvester-Hadamard
+    transform in kron order and E_k the sum of each term's 2c over the terms
+    whose mask has odd parity on pattern k. W is applied as two real GEMMs,
+    with the +-1 matrices of the first half of the sites and of the rest,
+    on a block of grid rows at a time. hbar cancels because the
+    couplings carry it explicitly. Each row is the checked psi0 under a
+    unitary, so no row is checked again.
     """
     if psi0.dim != cfg.dim:
         raise ConfigError(f"state dim {psi0.dim} does not match {cfg.num_spins} spins")
@@ -200,16 +180,16 @@ def spin_chain_evolved_state(cfg: SpinChainConfig, psi0: PureState, times) -> np
         raise ValueError(f"times must be real, finite and at most 1-d, got {times!r}")
     times = grid.astype(float).reshape(-1)
     _require_product_state(psi0, cfg.num_spins)
-    high, low = (_sylvester(n) for n in (cfg.num_spins // 2, cfg.num_spins - cfg.num_spins // 2))
+    high, low = (1.0 - 2.0 * (np.bitwise_count(k[:, None] & k) & 1)  # (-1)^popcount(j & k) at (j, k)
+                 for k in (np.arange(2 ** (cfg.num_spins // 2)), np.arange(2 ** ((cfg.num_spins + 1) // 2))))
 
     def hadamard(a: np.ndarray) -> np.ndarray:  # sqrt(d) W a for a complex (d, m) a, on its float view
         x = high @ a.view(float).reshape(len(high), -1)
         return (low @ x.reshape(len(high), len(low), -1)).reshape(a.shape[0], -1).view(complex)
 
-    idx = np.arange(cfg.dim)
-    energies = sum(2.0 * c * (np.bitwise_count(idx & mask) & 1) for c, mask in _terms(cfg)).tolist()
-    # each distinct energy's index, found without np.unique: its sort kernels
-    # alone add 0.25 MB to the resident memory of a process that sorts nothing else
+    patterns = np.arange(cfg.dim)
+    energies = sum(2.0 * c * (np.bitwise_count(patterns & m) & 1) for c, m in _terms(cfg)).tolist()
+    # each distinct energy's phase once; np.unique's sort kernels alone would add 0.25 MB resident
     levels = {e: i for i, e in enumerate(dict.fromkeys(energies))}
     level = np.array([levels[e] for e in energies])
     amps = hadamard(psi0.amplitudes[:, None]) / cfg.dim  # both transforms' 1/sqrt(d)

@@ -236,22 +236,18 @@ def _run_sweep(cfg: ExperimentConfig, dim: int, sample, fidelity=None) -> dict:
     call, then written: with fixed bases (a large fixed-random block's by a
     forked helper, if a core is spare), or with the winners of one lockstep
     `_climb` over the block's seeds whose overlap does not turn around (each
-    of the others raises its own ValidityExceeded). A seed whose climb or
-    series fails gets the error a one-seed sweep gives it, and the block
-    keeps every other seed's series. A block that raises, before its
-    per-seed results or with an error that is not a QslError, is computed
-    again seed by seed, so each seed gets the flag a one-seed sweep gives
-    it, and any other error ends the sweep where one seed after another
-    would."""
+    of the others raises its own ValidityExceeded); a seed whose climb or
+    series fails keeps its own QslError. A block that raises is computed
+    again seed by seed, so each seed gets a one-seed sweep's flag, and any
+    other error ends the sweep where one seed after another would."""
     out = _output_dir(cfg)
     header = BOUND_CSV_HEADER if fidelity is None else BOUND_CSV_HEADER + ",fidelity"
     runs = [{"seed": seed, "min_delta": None, "max_delta": None, "flags": []} for seed in cfg.seeds]
     optimize = cfg.basis_mode == "optimize"
 
     def stacked(seeds: list) -> list:
-        """Per seed, its trajectory and its bound series or its own
-        QslError; an optimize seed whose overlap turns around gets None,
-        and no climb."""
+        """Per seed, its trajectory and its bound series or QslError; an
+        optimize seed whose overlap turns around gets None, and no climb."""
         if optimize:
             trajs = sample(seeds)
             clean = [i for i, traj in enumerate(trajs) if traj.validity_clean]
@@ -305,7 +301,7 @@ def _run_sweep(cfg: ExperimentConfig, dim: int, sample, fidelity=None) -> dict:
                     traj, series = done[i] if done else stacked([run["seed"]])[0]
                     if series is None:  # an optimize run whose overlap turns around
                         _require_clean(traj)
-                    if isinstance(series, QslError):  # its own failure, in a block that kept the others
+                    if isinstance(series, QslError):
                         raise series
                     emit(run, traj, series, put)
 

@@ -178,10 +178,8 @@ def variance(a: Observable, state: State) -> float:
 
 
 def _variance_from_root(a: Observable, state: State, root: np.ndarray) -> float:
-    """||Abar root||^2, the variance, from the state's ket or sqrt(rho) in hand.
-    Abar is A with the mean subtracted on its diagonal alone, as A - <A> I
-    would subtract exact zeros elsewhere."""
-    abar = a.matrix.copy()
+    """||Abar root||^2, the variance, from the state's ket or sqrt(rho) in hand."""
+    abar = a.matrix.copy()  # A - <A> I, which subtracts only exact zeros off the diagonal
     abar.flat[:: a.dim + 1] -= expectation(a, state)
     return float(np.linalg.norm(abar @ root) ** 2)
 

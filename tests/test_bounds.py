@@ -330,10 +330,17 @@ class TestCorrectionSamples:
         assert repr(c.purity) == repr(purity(want))
 
 
+def check_rows(*columns) -> None:
+    """_check_rows on the columns, its failure raised."""
+    failure = _check_rows(*columns)
+    if failure is not None:
+        raise failure
+
+
 def check_row(tau_actual, tau_mt, correction_integral, tau_tqsl, delta, validity=True) -> None:
-    """_check_rows on one report row, as 1-row columns."""
+    """check_rows on one report row, as 1-row columns."""
     values = (tau_actual, tau_mt, correction_integral, tau_tqsl, delta)
-    _check_rows(*(np.array([v], dtype=float) for v in values), np.array([validity]))
+    check_rows(*(np.array([v], dtype=float) for v in values), np.array([validity]))
 
 
 class TestBoundReport:
@@ -698,11 +705,11 @@ class TestBoundSeries:
         cols[column][row] = value
         names = ("tau_mt", "correction", "tau_tqsl", "delta")
         with pytest.raises(BoundViolation, match=match):
-            _check_rows(cols["t"], *(cols[name] for name in names), cols["validity"])
+            check_rows(cols["t"], *(cols[name] for name in names), cols["validity"])
         # the same column as member 1 of a (2, n) stack sharing one t
         with pytest.raises(BoundViolation, match=match):
-            _check_rows(cols["t"], *(np.stack([intact[name], cols[name]]) for name in names),
-                        np.stack([intact["validity"], cols["validity"]]))
+            check_rows(cols["t"], *(np.stack([intact[name], cols[name]]) for name in names),
+                       np.stack([intact["validity"], cols["validity"]]))
 
     def test_rejects_bound_above_actual_time_when_valid(self):
         cols = dict(
@@ -713,9 +720,9 @@ class TestBoundSeries:
             delta=np.array([0.0, 0.2]),
         )
         with pytest.raises(BoundViolation, match="actual time"):
-            _check_rows(*cols.values(), np.array([True, True]))
+            check_rows(*cols.values(), np.array([True, True]))
         # the same numbers are reportable on a flagged row
-        _check_rows(*cols.values(), np.array([True, False]))
+        assert _check_rows(*cols.values(), np.array([True, False])) is None
 
 
 REPORT_BREAKS = {
@@ -755,11 +762,11 @@ SOUND_ROW = dict(tau_mt=0.3, correction_integral=0.1, tau_tqsl=0.4, delta=0.1)
 
 
 def stacked_rows(t, *rows):
-    """_check_rows on a (k, 1) stack, one member per report row, sharing
+    """check_rows on a (k, 1) stack, one member per report row, sharing
     the actual time t."""
     names = ("tau_mt", "correction_integral", "tau_tqsl", "delta")
-    _check_rows(np.array([t]), *(np.array([[row[name]] for row in rows]) for name in names),
-                np.ones((len(rows), 1), dtype=bool))
+    check_rows(np.array([t]), *(np.array([[row[name]] for row in rows]) for name in names),
+               np.ones((len(rows), 1), dtype=bool))
 
 
 class TestOneReportCheck:
