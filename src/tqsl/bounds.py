@@ -101,7 +101,7 @@ def _check_rows(t, tau_mt, correction, tau_tqsl, delta, validity) -> BoundViolat
     if over.any():
         k = np.unravel_index(np.argmax(over), over.shape)
         return BoundViolation(f"bound {float(tau_tqsl[k])!r} exceeds actual time "
-                             f"{float(np.broadcast_to(t, over.shape)[k])!r} on a clean trajectory")
+                              f"{float(np.broadcast_to(t, over.shape)[k])!r} on a clean trajectory")
 
 
 @dataclass(frozen=True, eq=False, init=False)

@@ -136,16 +136,16 @@ def spin_chain_hamiltonian(cfg: SpinChainConfig, hbar: float = 1.0) -> Observabl
 
     An x-string is the permutation matrix of its index flip, so each term
     adds its coupling on the diagonal and subtracts it on the flipped
-    entries (i, i^m) and (i^m, i) alike: the read-only matrix is exactly
-    Hermitian, and finite if its diagonal, the couplings' sum, is."""
+    entries (i, i^m) and (i^m, i) alike; the couplings share hbar's phase, so
+    the matrix is Hermitian and finite if its diagonal, their sum, is."""
     idx = np.arange(cfg.dim)
     h = np.zeros((cfg.dim, cfg.dim), dtype=complex)
     for c, mask in _terms(cfg, hbar):
         if mask:  # an empty block's string is the identity, and its term 0
             h[idx, idx] += c
             h[idx, idx ^ mask] -= c
-    if not np.isfinite(h[0, 0]):
-        raise ValueError(f"matrix entries must be finite, got hbar={hbar!r}")
+    if not np.isfinite(h[0, 0]) or h[0, 0].imag:
+        raise ValueError(f"matrix entries must be real and finite, got hbar={hbar!r}")
     h.setflags(write=False)
     return _trusted(Observable, matrix=h)
 

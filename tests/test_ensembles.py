@@ -209,6 +209,14 @@ class TestSpinChainHamiltonian:
         h2 = spin_chain_hamiltonian(cfg, hbar=2.0)
         np.testing.assert_allclose(h2.matrix, 2.0 * h1.matrix, atol=1e-12)
 
+    @pytest.mark.parametrize("hbar", [1j, 1.0 + 1e-3j, math.inf, math.nan])
+    def test_a_complex_or_non_finite_hbar_raises(self, hbar):
+        # the matrix is not checked again, so a complex coupling must not
+        # pass as a Hermitian one, nor a non-finite one as finite
+        cfg = SpinChainConfig(num_spins=3, blocks=((1, 2), (1, 2), (2, 3)))
+        with pytest.raises(ValueError, match="must be real and finite"):
+            spin_chain_hamiltonian(cfg, hbar)
+
     def test_all_terms_commute(self):
         cfg = SpinChainConfig(num_spins=3, blocks=((1, 2), (2, 3)))
         h = spin_chain_hamiltonian(cfg).matrix
