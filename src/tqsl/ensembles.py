@@ -140,10 +140,11 @@ def spin_chain_hamiltonian(cfg: SpinChainConfig, hbar: float = 1.0) -> Observabl
     the matrix is Hermitian and finite if its diagonal, their sum, is."""
     idx = np.arange(cfg.dim)
     h = np.zeros((cfg.dim, cfg.dim), dtype=complex)
-    for c, mask in _terms(cfg, hbar):
-        if mask:  # an empty block's string is the identity, and its term 0
-            h[idx, idx] += c
-            h[idx, idx ^ mask] -= c
+    with np.errstate(over="ignore"):  # an overflow is the non-finite diagonal raised below
+        for c, mask in _terms(cfg, hbar):
+            if mask:  # an empty block's string is the identity, and its term 0
+                h[idx, idx] += c
+                h[idx, idx ^ mask] -= c
     if not np.isfinite(h[0, 0]) or h[0, 0].imag:
         raise ValueError(f"matrix entries must be real and finite, got hbar={hbar!r}")
     h.setflags(write=False)

@@ -60,7 +60,6 @@ from .states import (
 )
 from .uncertainty import _clamp_nonnegative, _k_terms, _moment_split, _tighter_and_cross
 
-DELTA_TOL = 1e-9
 BASIS_SEED_OFFSET = 1_000_003
 # Seeds x grid points x dimension that a sweep computes as one stack: it
 # bounds the block's arrays, so memory does not grow with the seed count.
@@ -71,8 +70,6 @@ MAX_WORKERS = 2
 # Seeds x dim**3 of a block's fixed-basis eigensolve that a helper child
 # computes: a 128-dim eigh takes 3 ms, as a fork and its spool take 3-4 ms.
 HELPER_WORK = 128**3
-CGROUP = Path("/sys/fs/cgroup")
-PROC_CGROUP = Path("/proc/self/cgroup")
 
 _KINDS = ("gue", "spin", "verify")
 _BASIS_MODES = ("fixed-random", "optimize", "identity")
@@ -175,14 +172,6 @@ def _require_kind(cfg: ExperimentConfig, kind: str) -> None:
         raise ConfigError(f"expected kind {kind!r}, got {cfg.kind!r}")
 
 
-def _run_ok(run: dict) -> bool:
-    if run.get("min_delta") is None:
-        return False
-    return run["min_delta"] >= -DELTA_TOL and not any(
-        f.startswith("error:") for f in run["flags"]
-    )
-
-
 def run_experiment_gue(cfg: ExperimentConfig) -> dict:
     """One CSV per sampled Hamiltonian, plus summary.json."""
     _require_kind(cfg, "gue")
@@ -226,7 +215,8 @@ def _run_sweep(cfg: ExperimentConfig, dim: int, sample, fidelity=None) -> dict:
     maps a trajectory to one value per grid row: the CSVs gain it as a
     trailing column and each run its minimum.
 
-    The seeds split into `_workers` contiguous shares: this process
+    The seeds split into one contiguous share per usable core (`_cores`,
+    read once) and per BLOCK_ELEMENTS of a round's work: this process
     computes the first and writes its files as it goes, and a forked child
     computes each other one and spools its files, which this process then
     writes, in seed order. A share whose child fails in any way is computed
@@ -321,10 +311,11 @@ def _run_sweep(cfg: ExperimentConfig, dim: int, sample, fidelity=None) -> dict:
         children.remove(pid)
         return status == 0
 
-    n = len(runs)
-    w = _workers(n, n * (OptimizerConfig().restarts if optimize else 1) * cfg.steps * dim)
+    n, usable = len(runs), _cores()
+    work = n * (OptimizerConfig().restarts if optimize else 1) * cfg.steps * dim  # a round's members x steps x dim
+    w = max(1, min(usable, n, work // BLOCK_ELEMENTS))  # a share's work must outweigh its fork
     # a helper is one process more than the shares: there must be a core for it
-    helper = cfg.basis_mode == "fixed-random" and _workers(w + 1, (w + 1) * BLOCK_ELEMENTS) > w
+    helper = cfg.basis_mode == "fixed-random" and usable > w
     shares = [slice(n * k // w, n * (k + 1) // w) for k in range(w)]
     try:  # each child's spool, an unlinked file in `out`
         spools = [None] + [tempfile.TemporaryFile(dir=out) for _ in range(1, w)]
@@ -348,45 +339,22 @@ def _run_sweep(cfg: ExperimentConfig, dim: int, sample, fidelity=None) -> dict:
                 os.waitpid(pid, 0)
         for spool in filter(None, spools):
             spool.close()
-    summary = {"config": asdict(cfg), "runs": runs, "ok": all(_run_ok(r) for r in runs)}
+    # a run without a series is flagged, and every series passed its row checks
+    ok = not any(f.startswith("error:") for run in runs for f in run["flags"])
+    summary = {"config": asdict(cfg), "runs": runs, "ok": ok}
     _write_json(out / "summary.json", summary)
     return summary
 
 
-def _workers(seeds: int, work: int) -> int:
-    """Processes for a sweep of `seeds` seeds and `work` elements a round
-    (members x steps x dim): one per usable core and per BLOCK_ELEMENTS of
-    work, which outweighs a fork. Only a single-threaded Linux process
-    forks: a BLAS thread pool already runs in parallel and is unsafe to fork."""
+def _cores() -> int:
+    """Cores a sweep may use: this process's CPU affinity, capped at
+    MAX_WORKERS. Only a single-threaded Linux process forks, so any other
+    gets 1: a BLAS thread pool already runs in parallel and is unsafe to fork."""
     try:
         alone = hasattr(os, "fork") and len(os.listdir("/proc/self/task")) == 1
-        return max(1, min(_cores() if alone else 1, seeds, work // BLOCK_ELEMENTS))
-    except (OSError, AttributeError, ValueError):  # no /proc, no sched_getaffinity, an unreadable quota
+        return min(len(os.sched_getaffinity(0)), MAX_WORKERS) if alone else 1
+    except (OSError, AttributeError):  # no /proc, no sched_getaffinity
         return 1
-
-
-def _cores() -> int:
-    """Usable cores: this process's CPU affinity, capped at MAX_WORKERS and
-    at the lowest CPU time granted on its cgroup's path, from its own cgroup
-    up to the root (v2 cpu.max, v1's CFS quota)."""
-    try:
-        lines = PROC_CGROUP.read_text().splitlines()
-    except OSError:  # no /proc: the root's quota alone
-        lines = []
-    paths = {"": "/", "cpu": "/"}  # the v2 path, and v1's of the cpu controller
-    for line in lines:
-        _, controllers, path = line.split(":", 2)
-        paths.update(dict.fromkeys({"", "cpu"} & set(controllers.split(",")), path))
-    granted = math.inf
-    for controller, names in (("", ["cpu.max"]), ("cpu", ["cpu.cfs_quota_us", "cpu.cfs_period_us"])):
-        own = Path(paths[controller])
-        for group in (CGROUP / controller / path.relative_to("/") for path in (own, *own.parents)):
-            try:
-                quota, period = " ".join((group / f).read_text() for f in names).split()
-            except OSError:  # not there: no quota at this level
-                continue
-            granted = min(granted, math.inf if quota in ("max", "-1") else int(quota) / int(period))
-    return int(min(len(os.sched_getaffinity(0)), MAX_WORKERS, granted))
 
 
 def _fork(payload, spool, children: list) -> int | None:

@@ -17,11 +17,10 @@ from .errors import (
     NonRealExpectation,
     NotPositiveSemidefinite,
 )
-from .linalg import _hermitian, as_complex_matrix, sqrtm_psd, tolerance_scale
+from .linalg import PSD_CLAMP, _hermitian, as_complex_matrix, sqrtm_psd, tolerance_scale
 
 NORM_TOL = 1e-10
 TRACE_TOL = 1e-10
-PSD_TOL = 1e-10
 BASIS_TOL = 1e-9
 EXPECTATION_IMAG_TOL = 1e-8
 
@@ -94,20 +93,20 @@ class DensityMatrix:
 
 
 def _require_psd(stack: np.ndarray) -> None:
-    """The PSD_TOL rule on an (n, d, d) stack of Hermitian matrices, each
+    """The PSD_CLAMP rule on an (n, d, d) stack of Hermitian matrices, each
     read from its lower triangle: NotPositiveSemidefinite, naming the
-    stack's smallest eigenvalue, if that is below -PSD_TOL. DensityMatrix
+    stack's smallest eigenvalue, if that is below -PSD_CLAMP. DensityMatrix
     runs it on its matrix as a one-matrix stack.
 
-    A Cholesky factorization of the stack shifted by PSD_TOL/2 accepts it
+    A Cholesky factorization of the stack shifted by PSD_CLAMP/2 accepts it
     without eigenvalues: it succeeds only if every eigenvalue is above
-    -PSD_TOL/2 less a rounding error of order d eps times the trace, far
+    -PSD_CLAMP/2 less a rounding error of order d eps times the trace, far
     inside the rule for unit-trace states. If it fails, eigvalsh decides."""
     try:
-        np.linalg.cholesky(stack + 0.5 * PSD_TOL * np.eye(stack.shape[-1]))
+        np.linalg.cholesky(stack + 0.5 * PSD_CLAMP * np.eye(stack.shape[-1]))
     except np.linalg.LinAlgError:
         min_eig = float(np.linalg.eigvalsh(stack)[:, 0].min())
-        if min_eig < -PSD_TOL:
+        if min_eig < -PSD_CLAMP:
             raise NotPositiveSemidefinite(f"min eigenvalue {min_eig:.3e}") from None
 
 

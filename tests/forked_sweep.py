@@ -9,8 +9,8 @@ a child outlived it.
 The spec holds `kind` ("gue" or "spin"), `cfg` (ExperimentConfig fields
 but kind and output_path), `out` (the output directory, emptied before
 each run) and `variants`: "serial" pins the sweep to this process, and an
-integer N makes the sweep see N usable cores, whatever its CPU quota or
-MAX_WORKERS, so that it forks on a host with fewer: with one core to
+integer N makes the sweep see N usable cores, whatever its CPU affinity
+or MAX_WORKERS, so that it forks on a host with fewer: with one core to
 spare, a fixed-random sweep's large blocks fork a helper for their bases.
 Optional: `block_elements` (BLOCK_ELEMENTS for every variant), `doctor`
 (a list of [seed, "2I", "nan" or "raise"]: that seed's GUE draw becomes
@@ -21,7 +21,7 @@ exits 1 before its work, or does its work, loses the last bytes of its
 spool and exits 0; or each fork fails with EAGAIN).
 
 BLAS is pinned to one thread before numpy is imported, so the process is
-single-threaded and the sweep may fork.
+single-threaded and safe to fork.
 """
 import os
 
@@ -45,8 +45,7 @@ DOCTORED = {"2I": lambda dim: 2.0 * np.eye(dim), "nan": lambda dim: np.full((dim
 
 def patch(spec: dict, variant) -> None:
     """Set the module state one variant runs under."""
-    ex._workers = WORKERS if variant != "serial" else (lambda seeds, work: 1)
-    ex._cores = (lambda: variant) if variant != "serial" else CORES
+    ex._cores = lambda: 1 if variant == "serial" else variant
     ex._fork = FORK if spec.get("child") in (None, "unforked") else failing_fork(spec["child"])
 
 
@@ -136,7 +135,7 @@ def run(spec: dict, variant) -> dict:
             "leftover": leftover}
 
 
-WORKERS, CORES, FORK, TAKEN = ex._workers, ex._cores, ex._fork, ex._taken
+FORK, TAKEN = ex._fork, ex._taken
 
 if __name__ == "__main__":
     spec = json.loads(sys.argv[1])

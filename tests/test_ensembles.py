@@ -209,10 +209,12 @@ class TestSpinChainHamiltonian:
         h2 = spin_chain_hamiltonian(cfg, hbar=2.0)
         np.testing.assert_allclose(h2.matrix, 2.0 * h1.matrix, atol=1e-12)
 
-    @pytest.mark.parametrize("hbar", [1j, 1.0 + 1e-3j, math.inf, math.nan])
+    @pytest.mark.parametrize("hbar", [1j, 1.0 + 1e-3j, math.inf, math.nan, 1e308])
     def test_a_complex_or_non_finite_hbar_raises(self, hbar):
         # the matrix is not checked again, so a complex coupling must not
-        # pass as a Hermitian one, nor a non-finite one as finite
+        # pass as a Hermitian one, nor a non-finite one as finite; at 1e308
+        # each coupling is finite and their sums overflow, which raises the
+        # ValueError alone, not an overflow warning
         cfg = SpinChainConfig(num_spins=3, blocks=((1, 2), (1, 2), (2, 3)))
         with pytest.raises(ValueError, match="must be real and finite"):
             spin_chain_hamiltonian(cfg, hbar)

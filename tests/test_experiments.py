@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -59,8 +60,8 @@ EXPECTED_CHECKS = {
 }
 
 
-def serial(seeds: int, work: int) -> int:
-    """In place of experiments._workers: a sweep runs in this one process,
+def serial() -> int:
+    """In place of experiments._cores: a sweep runs in this one process,
     so that a test can count the calls it makes."""
     return 1
 
@@ -286,7 +287,7 @@ class TestRunGue:
             raise AssertionError("a trajectory was sampled again")
 
         monkeypatch.setattr(tqsl.experiments, "_pure_trajectories", counting)
-        monkeypatch.setattr(tqsl.experiments, "_workers", serial)
+        monkeypatch.setattr(tqsl.experiments, "_cores", serial)
         for module in (tqsl.experiments, tqsl.bounds):
             monkeypatch.setattr(module, "sample_trajectory", again)
         cfg = gue_config(tmp_path / "g", t_max=1.0, seeds=(0, 1), basis_mode="optimize")
@@ -356,7 +357,7 @@ class TestStackedBlocks:
             return stacked(hs, *args)
 
         monkeypatch.setattr(tqsl.experiments, "_pure_trajectories", recording)
-        monkeypatch.setattr(tqsl.experiments, "_workers", serial)
+        monkeypatch.setattr(tqsl.experiments, "_cores", serial)
         runs = run_experiment_gue(cfg)["runs"]
         swept = list(blocks)
         for k, seed in enumerate(cfg.seeds):
@@ -415,7 +416,7 @@ class TestStackedBlocks:
             return stacked(hs, *args)
 
         monkeypatch.setattr(tqsl.experiments, "_pure_trajectories", recording)
-        monkeypatch.setattr(tqsl.experiments, "_workers", serial)
+        monkeypatch.setattr(tqsl.experiments, "_cores", serial)
         monkeypatch.setattr(tqsl.experiments, "BLOCK_ELEMENTS", 4 * 24 * 3)
         # a window short enough that every seed climbs cleanly and writes a CSV
         run_experiment_gue(gue_config(out, t_max=1.0, steps=24, seeds=tuple(range(10)), basis_mode=basis_mode))
@@ -430,7 +431,7 @@ class TestStackedBlocks:
             return climb(correction, cfg, seeds)
 
         monkeypatch.setattr(tqsl.experiments, "_climb", recording)
-        monkeypatch.setattr(tqsl.experiments, "_workers", serial)
+        monkeypatch.setattr(tqsl.experiments, "_cores", serial)
         monkeypatch.setattr(tqsl.experiments, "BLOCK_ELEMENTS", 4 * 24 * 3)
         cfg = gue_config(tmp_path / "g", t_max=1.0, steps=24, seeds=tuple(range(10)), basis_mode="optimize")
         assert run_experiment_gue(cfg)["ok"]
@@ -690,79 +691,50 @@ class TestPropertySuite:
 
 
 class TestCores:
-    """A sweep uses no more processes than this process's CPU affinity, the
-    CPU quotas on its cgroup's path and MAX_WORKERS allow."""
+    """A sweep uses no more processes than this process's CPU affinity and
+    MAX_WORKERS allow, and only a single-threaded process forks."""
 
-    V1 = ("cpu/cpu.cfs_quota_us", "cpu/cpu.cfs_period_us")
+    @pytest.mark.parametrize("tasks, affinity, max_workers, want", [
+        (1, 8, 2, 2),  # MAX_WORKERS
+        (1, 1, 2, 1),  # the affinity
+        (1, 3, 8, 3),
+        (1, 8, 16, 8),
+        (2, 8, 2, 1),  # a threaded process
+        (None, 8, 2, 1),  # no /proc
+        (1, None, 2, 1),  # no sched_getaffinity
+    ])
+    def test_usable_cores(self, monkeypatch, tasks, affinity, max_workers, want):
+        def listdir(path):
+            if tasks is None:
+                raise FileNotFoundError(path)
+            return ["t"] * tasks
 
-    def cores(self, root: Path, monkeypatch, files: dict, cgroup: str | None = None, max_workers: int = 2) -> int:
-        """_cores() with eight cores of affinity, on a fake cgroup file system
-        that holds `files` and a fake /proc/self/cgroup that holds `cgroup`
-        (no such file if None)."""
-        for name, text in files.items():
-            (root / "fs" / name).parent.mkdir(parents=True, exist_ok=True)
-            (root / "fs" / name).write_text(text)
-        if cgroup is not None:
-            (root / "cgroup").write_text(cgroup)
-        monkeypatch.setattr(tqsl.experiments, "CGROUP", root / "fs")
-        monkeypatch.setattr(tqsl.experiments, "PROC_CGROUP", root / "cgroup")
+        monkeypatch.setattr(os, "listdir", listdir)
+        if affinity is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)), raising=False)
         monkeypatch.setattr(tqsl.experiments, "MAX_WORKERS", max_workers)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-        return tqsl.experiments._cores()
+        assert tqsl.experiments._cores() == want
 
-    @pytest.mark.parametrize("files, max_workers, want", [
-        ({}, 2, 2),  # no cgroup file system: no quota
-        ({"cpu.max": "max 100000\n"}, 2, 2),
-        ({"cpu.max": "150000 100000\n"}, 2, 1),  # one and a half CPUs: one process
-        ({"cpu.max": "350000 100000\n"}, 8, 3),
-        ({"cpu.max": "800000 100000\n"}, 2, 2),
-        ({V1[0]: "-1\n", V1[1]: "100000\n"}, 2, 2),
-        ({V1[0]: "100000\n", V1[1]: "100000\n"}, 2, 1),
-        ({}, 16, 8),  # the affinity's eight cores
-    ])
-    def test_the_lowest_cap_holds(self, tmp_path, monkeypatch, files, max_workers, want):
-        # no /proc/self/cgroup: the root's quota alone
-        assert self.cores(tmp_path, monkeypatch, files, max_workers=max_workers) == want
+    def test_a_sweep_reads_the_core_count_once(self, tmp_path, monkeypatch):
+        # a single-threaded process on one core: each read is counted, and
+        # the sweep does not fork
+        reads = Counter()
+        listdir = os.listdir
 
-    PERIODS = {"cpu.max": " 100000\n", "cpu.cfs_quota_us": "\n"}
+        def counted_listdir(path):
+            reads[path] += 1
+            return ["t"] if path == "/proc/self/task" else listdir(path)
 
-    @pytest.mark.parametrize("cgroup, quotas, want", [
-        # v2: the process's own cgroup, below the root's quota and an ancestor's
-        ("0::/a/b\n", {"cpu.max": "800000", "a/cpu.max": "max", "a/b/cpu.max": "150000"}, 1),
-        # v2: an ancestor's quota binds a cgroup that has none
-        ("0::/a/b\n", {"a/cpu.max": "100000", "a/b/cpu.max": "max"}, 1),
-        # v2: the root's quota binds a looser nested one
-        ("0::/a/b\n", {"cpu.max": "100000", "a/b/cpu.max": "800000"}, 1),
-        ("0::/a/b\n", {"a/b/cpu.max": "350000"}, 3),
-        # a cgroup the file system does not show: the levels it shows
-        ("0::/elsewhere/c\n", {"cpu.max": "350000"}, 3),
-        # v1: the cpu controller's line, here joined with cpuacct, on a
-        # hybrid host whose v2 hierarchy has no cpu controller
-        ("4:memory:/m\n3:cpu,cpuacct:/a/b\n0::/\n", {"cpu/a/b/cpu.cfs_quota_us": "100000"}, 1),
-        ("2:cpu:/a/b\n", {"cpu/cpu.cfs_quota_us": "-1", "cpu/a/cpu.cfs_quota_us": "150000"}, 1),
-        # v1: another controller's path is not the cpu controller's
-        ("3:memory:/a\n2:cpuacct:/a\n1:cpu:/\n", {"cpu/a/cpu.cfs_quota_us": "100000"}, 8),
-    ])
-    def test_the_lowest_quota_on_the_path_holds(self, tmp_path, monkeypatch, cgroup, quotas, want):
-        files = {}
-        for name, quota in quotas.items():
-            leaf = Path(name).name
-            files[name] = quota + self.PERIODS[leaf]
-            if leaf == "cpu.cfs_quota_us":
-                files[str(Path(name).with_name("cpu.cfs_period_us"))] = "100000\n"
-        assert self.cores(tmp_path, monkeypatch, files, cgroup, max_workers=16) == want
+        def counted_affinity(pid):
+            reads["affinity"] += 1
+            return {0}
 
-    def test_an_unreadable_quota_raises_for_workers_to_catch(self, tmp_path, monkeypatch):
-        with pytest.raises(ValueError):
-            self.cores(tmp_path, monkeypatch, {"cpu.max": "garbage\n"})
-
-    @pytest.mark.parametrize("cgroup, files", [
-        ("0::/a\n", {"a/cpu.max": "garbage\n"}),  # a nested quota
-        ("no colons here\n", {}),  # a line of /proc/self/cgroup
-    ])
-    def test_an_unreadable_nested_quota_raises_too(self, tmp_path, monkeypatch, cgroup, files):
-        with pytest.raises(ValueError):
-            self.cores(tmp_path, monkeypatch, files, cgroup)
+        monkeypatch.setattr(os, "listdir", counted_listdir)
+        monkeypatch.setattr(os, "sched_getaffinity", counted_affinity, raising=False)
+        run_experiment_gue(gue_config(tmp_path / "g", seeds=tuple(range(8))))
+        assert (reads["/proc/self/task"], reads["affinity"]) == (1, 1)
 
 
 FORKED_SWEEP = Path(__file__).with_name("forked_sweep.py")
@@ -931,7 +903,7 @@ class TestSharedGridCells:
 
     @pytest.mark.parametrize("t_max", [1.5, 1e-6])
     def test_gue_serial(self, tmp_path, monkeypatch, t_max):
-        monkeypatch.setattr(tqsl.experiments, "_workers", serial)
+        monkeypatch.setattr(tqsl.experiments, "_cores", serial)
         run_experiment_gue(gue_config(tmp_path / "g", t_max=t_max, seeds=(4, 0, 7, 1, 2)))
         self.same_rows(self.written(tmp_path / "g"), t_max, 60)
 
@@ -947,13 +919,13 @@ class TestSharedGridCells:
 
     @pytest.mark.parametrize("t_max", [1.0, 1e-6])
     def test_optimize(self, tmp_path, monkeypatch, t_max):
-        monkeypatch.setattr(tqsl.experiments, "_workers", serial)
+        monkeypatch.setattr(tqsl.experiments, "_cores", serial)
         run_experiment_gue(gue_config(tmp_path / "g", t_max=t_max, seeds=(0, 1, 2, 3), basis_mode="optimize"))
         self.same_rows(self.written(tmp_path / "g"), t_max, 60, "optimize")
 
     @pytest.mark.parametrize("t_max", [0.7, 1e-6])
     def test_spin_with_its_fidelity_column(self, tmp_path, monkeypatch, t_max):
-        monkeypatch.setattr(tqsl.experiments, "_workers", serial)
+        monkeypatch.setattr(tqsl.experiments, "_cores", serial)
         spin_cfg = tqsl.SpinChainConfig(num_spins=3, blocks=((1, 2), (2, 3)))
         cfg = ExperimentConfig(kind="spin", num_spins=3, blocks=spin_cfg.blocks, t_max=t_max, steps=50,
                                seeds=(0, 2, 1), output_path=str(tmp_path / "s"))
@@ -977,6 +949,6 @@ class TestSharedGridCells:
             return rows
 
         monkeypatch.setattr(tqsl.experiments, "_csv_rows", recording)
-        monkeypatch.setattr(tqsl.experiments, "_workers", serial)
+        monkeypatch.setattr(tqsl.experiments, "_cores", serial)
         run_experiment_gue(gue_config(tmp_path / "g", seeds=(0, 1, 2, 3, 4, 5)))
         assert len(cells) == 6 and all(c is cells[0] for c in cells)

@@ -24,7 +24,8 @@ from tqsl import (
     variance,
 )
 from conftest import random_density, random_pure, with_spectrum
-from tqsl.states import PSD_TOL, _require_psd
+from tqsl.linalg import PSD_CLAMP
+from tqsl.states import _require_psd
 
 
 class TestObservable:
@@ -78,7 +79,7 @@ class TestDensityMatrix:
 
     @pytest.mark.parametrize("low", [-0.9, -1.1])
     def test_psd_threshold(self, low):
-        rho = with_spectrum(np.random.default_rng(3), [0.6 - low * PSD_TOL, 0.4, low * PSD_TOL])
+        rho = with_spectrum(np.random.default_rng(3), [0.6 - low * PSD_CLAMP, 0.4, low * PSD_CLAMP])
         if low > -1.0:
             DensityMatrix(rho)
         else:
@@ -96,14 +97,14 @@ class TestRequirePsd:
     def eigenvalue_rule(stack):
         """The check as eigenvalues alone decide it: None or the message."""
         min_eig = float(np.linalg.eigvalsh(stack)[:, 0].min())
-        return f"min eigenvalue {min_eig:.3e}" if min_eig < -PSD_TOL else None
+        return f"min eigenvalue {min_eig:.3e}" if min_eig < -PSD_CLAMP else None
 
     @pytest.mark.parametrize("low", [-5.0, -1.1, -1.001, -0.999, -0.9, -0.6, -0.5, -0.4, 0.0, 1e-3])
     @pytest.mark.parametrize("dim", [2, 8])
     def test_same_verdict_and_message_as_eigenvalues(self, low, dim):
         rng = np.random.default_rng([dim, 7])
         stack = np.stack([with_spectrum(rng, rng.uniform(0.0, 1.0, dim)) for _ in range(5)])
-        stack[3] = with_spectrum(rng, [low * PSD_TOL, *rng.uniform(0.0, 1.0, dim - 1)])
+        stack[3] = with_spectrum(rng, [low * PSD_CLAMP, *rng.uniform(0.0, 1.0, dim - 1)])
         want = self.eigenvalue_rule(stack)
         assert (want is None) == (low >= -1.0)
         if want is None:
